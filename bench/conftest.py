@@ -1,0 +1,7 @@
+"""Import paths for the benchmark's self-tests: pjo, the test generator, and the benchmark."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
