@@ -663,6 +663,12 @@ def parse_bundle(data: str | bytes) -> ParseResult:
             "", SYNTAX_ERROR, f"document is not valid JSON: {exc.msg} at line {exc.lineno}"
         )
         return ParseResult(None, problems.items)
+    except RecursionError:
+        problems.error("", SYNTAX_ERROR, "document is nested too deeply to decode")
+        return ParseResult(None, problems.items)
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        problems.error("", SYNTAX_ERROR, f"document could not be decoded: {exc}")
+        return ParseResult(None, problems.items)
     if not isinstance(root, dict):
         problems.error("", INVALID_TYPE, "top-level value must be an object")
         return ParseResult(None, problems.items)

@@ -33,14 +33,8 @@ from .queries import (
     symptom_progression,
     timeline,
 )
-from .records import EdgeKind
+from .records import EDGE_LABELS
 from .seed import john_doe_bundle
-
-_KIND_DISPLAY = {
-    EdgeKind.HAS_FOLLOWUP: "hasFollowup",
-    EdgeKind.CAUSED_BY: "causedBy",
-    EdgeKind.NEXT: "NEXT",
-}
 
 
 def _color_enabled() -> bool:
@@ -167,8 +161,8 @@ def _cmd_query_timeline(args) -> int:
         return 0
     rows = []
     for e in entries:
-        links = [f"{_KIND_DISPLAY[ref.kind]} from {ref.encounter_id}" for ref in e.inbound_links]
-        links += [f"{_KIND_DISPLAY[ref.kind]} to {ref.encounter_id}" for ref in e.outbound_links]
+        links = [f"{EDGE_LABELS[ref.kind]} from {ref.encounter_id}" for ref in e.inbound_links]
+        links += [f"{EDGE_LABELS[ref.kind]} to {ref.encounter_id}" for ref in e.outbound_links]
         rows.append(
             [
                 e.date.isoformat(),

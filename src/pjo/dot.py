@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import UnknownPatientError
 from .graph import JourneyGraph
-from .records import EdgeKind, Encounter, IntakeForm
+from .records import EDGE_LABELS, Encounter, IntakeForm
 
 # Shape and fill color per class; every node also gets style=filled.
 STYLE_TABLE = {
@@ -31,12 +31,6 @@ STYLE_TABLE = {
     "Diagnosis": ("oval", "#ead1dc"),
     "Medication": ("oval", "#d9d2e9"),
     "CarePlan": ("oval", "#e6b8af"),
-}
-
-_EDGE_LABELS = {
-    EdgeKind.HAS_FOLLOWUP: "hasFollowup",
-    EdgeKind.CAUSED_BY: "causedBy",
-    EdgeKind.NEXT: "NEXT",
 }
 
 
@@ -76,18 +70,24 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
     patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
 
+    encounters_by_owner = graph.encounters_by_owner()
+    form_by_owner: dict[str, IntakeForm] = {}
+    for form_id, owner in graph.intake_form_owner.items():
+        if form_id in graph.intake_forms:
+            form_by_owner.setdefault(owner, graph.intake_forms[form_id])
+
     writer = _Writer()
     selected_encounters: set[str] = set()
     for pid in patient_ids:
         patient = graph.patients[pid]
         writer.node(pid, patient.patient_name, "Patient")
-        form = graph.intake_form_of(pid)
+        form = form_by_owner.get(pid)
         if form is not None:
             writer.node(form.intake_form_id, form.intake_form_id, "IntakeForm")
             writer.edge(pid, form.intake_form_id, "hasIntakeForm")
             if detail == "full":
                 _intake_detail(writer, form)
-        for encounter in graph.encounters_of(pid):
+        for encounter in encounters_by_owner.get(pid, []):
             selected_encounters.add(encounter.encounter_id)
             writer.node(encounter.encounter_id, encounter.encounter_id, "Encounter")
             writer.edge(pid, encounter.encounter_id, "hasEncounter")
@@ -101,10 +101,10 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
             if edge.from_encounter in selected_encounters
             and edge.to_encounter in selected_encounters
         ),
-        key=lambda e: (_EDGE_LABELS[e.kind], e.from_encounter, e.to_encounter),
+        key=lambda e: (EDGE_LABELS[e.kind], e.from_encounter, e.to_encounter),
     )
     for edge in journey_edges:
-        writer.edge(edge.from_encounter, edge.to_encounter, _EDGE_LABELS[edge.kind])
+        writer.edge(edge.from_encounter, edge.to_encounter, EDGE_LABELS[edge.kind])
 
     lines = ["digraph pjo {", "  rankdir=LR;"]
     lines.extend(writer.node_lines)

@@ -334,6 +334,24 @@ class JourneyGraph:
         to_encounter: str,
         via: str | None = None,
     ) -> JourneyEdge:
+        """Add a journey edge after checking it against the graph.
+
+        Raises, and leaves ``edges`` untouched, when an endpoint is unknown,
+        the edge is a self-link, crosses patients, contradicts the endpoint
+        dates, repeats a stored ``(kind, from, to)``, or closes a cycle.
+
+        The cycle check runs Kahn's algorithm only for a same-day link, and
+        only over the edges among encounters of that day.  The temporal check
+        orients every stored edge forward in time (see ``oriented_edges``),
+        so along any oriented path dates never decrease.  A cycle through the
+        new arc ``u -> v`` needs a path ``v -> ... -> u``, which forces every
+        node on it, ``u`` and ``v`` included, onto one date: date order is
+        already a topological order of the rest.  On every graph this API
+        can build (temporally consistent and acyclic), the scoped check
+        therefore refuses exactly the links that whole-graph Kahn would.  A
+        graph written to directly may break those premises; audit it with
+        ``check_invariants``, which still runs Kahn over the whole graph.
+        """
         source = self.encounters.get(from_encounter)
         target = self.encounters.get(to_encounter)
         if source is None:
@@ -351,21 +369,32 @@ class JourneyGraph:
                 f"{kind.value} link {from_encounter!r} -> {to_encounter!r} contradicts "
                 f"encounter dates {source.date.isoformat()} and {target.date.isoformat()}"
             )
-        if any(
-            e.kind is kind and e.from_encounter == from_encounter and e.to_encounter == to_encounter
-            for e in self.edges
-        ):
-            raise DuplicateEdgeError(
-                f"duplicate {kind.value} link {from_encounter!r} -> {to_encounter!r}"
-            )
+        # One pass: find a duplicate and, for a same-day link, collect the
+        # edges among encounters of that day.
+        day = source.date if source.date == target.date else None
+        same_day: list[JourneyEdge] = []
+        for e in self.edges:
+            if (
+                e.from_encounter == from_encounter
+                and e.to_encounter == to_encounter
+                and e.kind is kind
+            ):
+                raise DuplicateEdgeError(
+                    f"duplicate {kind.value} link {from_encounter!r} -> {to_encounter!r}"
+                )
+            if day is not None:
+                start = self.encounters.get(e.from_encounter)
+                end = self.encounters.get(e.to_encounter)
+                if start is not None and end is not None and start.date == day == end.date:
+                    same_day.append(e)
         edge = JourneyEdge(kind, from_encounter, to_encounter, via)
+        if same_day:
+            arcs = oriented_edges(same_day + [edge])
+            if cyclic_nodes(list(dict.fromkeys(node for arc in arcs for node in arc)), arcs):
+                raise CycleIntroducedError(
+                    f"{kind.value} link {from_encounter!r} -> {to_encounter!r} introduces a cycle"
+                )
         self.edges.append(edge)
-        in_cycle = cyclic_nodes(list(self.encounters), oriented_edges(self.edges))
-        if in_cycle:
-            self.edges.pop()
-            raise CycleIntroducedError(
-                f"{kind.value} link {from_encounter!r} -> {to_encounter!r} introduces a cycle"
-            )
         return edge
 
     # -- lookup -----------------------------------------------------------
@@ -380,6 +409,18 @@ class JourneyGraph:
             if self.encounter_owner.get(encounter.encounter_id) == patient_id
         ]
         return sorted(owned, key=lambda e: (e.date, e.encounter_id))
+
+    def encounters_by_owner(self) -> dict[str, list[Encounter]]:
+        """Owned encounters grouped by owner ID, each group ordered as in
+        ``encounters_of``; grouped in one pass on each call, never cached."""
+        groups: dict[str, list[Encounter]] = {}
+        for encounter in self.encounters.values():
+            owner = self.encounter_owner.get(encounter.encounter_id)
+            if owner is not None:
+                groups.setdefault(owner, []).append(encounter)
+        for group in groups.values():
+            group.sort(key=lambda e: (e.date, e.encounter_id))
+        return groups
 
     def intake_form_of(self, patient_id: str) -> IntakeForm | None:
         if patient_id not in self.patients:
@@ -593,13 +634,9 @@ class JourneyGraph:
         connected: set[frozenset[str]] = set()
         for edge in self.edges:
             connected.add(frozenset((edge.from_encounter, edge.to_encounter)))
+        by_owner = self.encounters_by_owner()
         for patient_id in sorted(self.patients):
-            owned = [
-                e
-                for e in self.encounters.values()
-                if self.encounter_owner.get(e.encounter_id) == patient_id
-            ]
-            owned.sort(key=lambda e: (e.date, e.encounter_id))
+            owned = by_owner.get(patient_id, [])
             for earlier, later in zip(owned, owned[1:]):
                 pair = frozenset((earlier.encounter_id, later.encounter_id))
                 if pair not in connected:

@@ -55,32 +55,24 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
     the patient: each edge appears once as an outbound link of its source
     and once as an inbound link of its target.
     """
-    edges = graph.edges_of(patient_id)
+    inbound: dict[str, list[LinkRef]] = {}
+    outbound: dict[str, list[LinkRef]] = {}
+    for edge in graph.edges_of(patient_id):
+        inbound.setdefault(edge.to_encounter, []).append(LinkRef(edge.kind, edge.from_encounter))
+        outbound.setdefault(edge.from_encounter, []).append(LinkRef(edge.kind, edge.to_encounter))
+
+    def ordered(refs: list[LinkRef]) -> tuple[LinkRef, ...]:
+        return tuple(sorted(refs, key=lambda ref: (ref.kind.value, ref.encounter_id)))
+
     entries = []
     for encounter in graph.encounters_of(patient_id):
-        inbound = sorted(
-            (
-                LinkRef(edge.kind, edge.from_encounter)
-                for edge in edges
-                if edge.to_encounter == encounter.encounter_id
-            ),
-            key=lambda ref: (ref.kind.value, ref.encounter_id),
-        )
-        outbound = sorted(
-            (
-                LinkRef(edge.kind, edge.to_encounter)
-                for edge in edges
-                if edge.from_encounter == encounter.encounter_id
-            ),
-            key=lambda ref: (ref.kind.value, ref.encounter_id),
-        )
         entries.append(
             TimelineEntry(
                 encounter_id=encounter.encounter_id,
                 date=encounter.date,
                 specialty=encounter.specialty,
-                inbound_links=tuple(inbound),
-                outbound_links=tuple(outbound),
+                inbound_links=ordered(inbound.get(encounter.encounter_id, [])),
+                outbound_links=ordered(outbound.get(encounter.encounter_id, [])),
                 headline_diagnoses=tuple(d.diagnosis_name for d in encounter.diagnoses),
             )
         )
@@ -135,7 +127,7 @@ def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
             )
         return step_targets[0] if step_targets else None
 
-    chain = [encounter_id]
+    predecessors = []
     seen = {encounter_id}
     current = encounter_id
     while (previous := step(incoming, current)) is not None:
@@ -145,9 +137,10 @@ def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
             )
         if previous in seen:
             raise CycleIntroducedError(f"follow-up edges cycle through {previous!r}")
-        chain.insert(0, previous)
+        predecessors.append(previous)
         seen.add(previous)
         current = previous
+    chain = predecessors[::-1] + [encounter_id]
     current = encounter_id
     while (successor := step(outgoing, current)) is not None:
         if len(incoming.get(successor, [])) > 1:

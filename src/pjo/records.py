@@ -148,6 +148,14 @@ class EdgeKind(str, Enum):
     NEXT = "next"
 
 
+# How CLI tables and DOT exports spell each link kind.
+EDGE_LABELS = {
+    EdgeKind.HAS_FOLLOWUP: "hasFollowup",
+    EdgeKind.CAUSED_BY: "causedBy",
+    EdgeKind.NEXT: "NEXT",
+}
+
+
 @dataclass(frozen=True)
 class JourneyEdge:
     """A typed link between two encounters of the same patient.

@@ -90,6 +90,27 @@ class TestSyntaxErrors:
         assert result.graph is None
         assert [d.code for d in result.errors] == ["syntax-error"]
 
+    def test_malformed_json_keeps_the_decoder_message(self):
+        result = parse_bundle('{"a": }')
+        assert [d.message for d in result.errors] == [
+            "document is not valid JSON: Expecting value at line 1"
+        ]
+
+    def test_nesting_past_the_recursion_limit_is_a_syntax_error(self):
+        result = parse_bundle("[" * 200_000)
+        assert result.graph is None
+        assert [(d.code, d.location) for d in result.errors] == [("syntax-error", "")]
+        assert "nested too deeply" in result.errors[0].message
+
+    def test_integer_past_the_digit_limit_is_a_syntax_error(self):
+        document = minimal_doc()
+        document["providers"][0]["yearsOfExperience"] = 0
+        text = json.dumps(document).replace(": 0}", ": " + "9" * 5000 + "}")
+        result = parse_bundle(text)
+        assert result.graph is None
+        assert [(d.code, d.location) for d in result.errors] == [("syntax-error", "")]
+        assert "digits" in result.errors[0].message
+
     @pytest.mark.parametrize("data", ["[]", "\"text\"", "3", "null", "true"])
     def test_non_object_top_level(self, data):
         result = parse_bundle(data)

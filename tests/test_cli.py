@@ -82,6 +82,17 @@ class TestSeedAndValidate:
         assert "\x1b[" not in proc.stdout
 
 
+    @pytest.mark.parametrize(
+        "document",
+        ["[" * 200_000, '{"formatVersion": ' + "9" * 5000 + "}"],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_validate_reports_undecodable_documents_without_a_traceback(self, document):
+        proc = run_cli("validate", "-", stdin=document, check_rc=1)
+        assert "syntax-error" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
 class TestQueries:
     def test_timeline_four_row_table(self, bundle_path):
         proc = run_cli("query", "timeline", "--patient", "JohnDoe", bundle_path, check_rc=0)
