@@ -41,27 +41,30 @@ from .graph import (
     UNSUPPORTED_FORMAT_VERSION,
     Diagnostic,
     Severity,
+    SeverityViews,
+    ValidationReport,
     cyclic_nodes,
     oriented_edges,
 )
 from .records import (
-    CarePlan,
-    ContactInformation,
-    DiagTest,
-    Diagnosis,
+    DATE,
+    FIELDS,
+    ICD10,
+    INT,
+    KIND,
+    NUMBER,
+    OBJECT,
+    OBJECTS,
+    STR,
+    STRS,
     EdgeKind,
     Encounter,
+    Field,
     IntakeForm,
     JourneyEdge,
-    MedicalHistory,
-    Medication,
     Patient,
     Provider,
-    SocialHistory,
-    Symptom,
-    VitalSign,
     edge_dates_consistent,
-    vital_sign_problems,
 )
 
 FORMAT_VERSION = "pjo-1"
@@ -71,19 +74,20 @@ _LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
 @dataclass
-class ParseResult:
-    """Outcome of parsing a bundle: a graph when no errors were found."""
+class ParseResult(SeverityViews):
+    """Outcome of parsing a bundle: a graph when no errors were found.
+
+    ``report`` is the invariant checker's report on that graph, whose
+    errors were already copied into ``problems``.
+    """
 
     graph: JourneyGraph | None
     problems: list[Diagnostic] = field(default_factory=list)
+    report: ValidationReport | None = None
 
     @property
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.problems if d.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.problems if d.severity is Severity.WARNING]
+    def diagnostics(self) -> list[Diagnostic]:
+        return self.problems
 
     @property
     def ok(self) -> bool:
@@ -98,16 +102,14 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     patient = graph.patients.get(patient_id)
     if patient is None:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
-    doc: dict = {"formatVersion": FORMAT_VERSION, "patient": _patient_doc(patient)}
-    doc["providers"] = [
-        _provider_doc(graph.providers[pid]) for pid in sorted(graph.providers)
-    ]
+    doc: dict = {"formatVersion": FORMAT_VERSION, "patient": _doc(patient)}
+    doc["providers"] = [_doc(graph.providers[pid]) for pid in sorted(graph.providers)]
     form = graph.intake_form_of(patient_id)
     if form is not None:
-        doc["intakeForm"] = _intake_form_doc(form)
-    doc["encounters"] = [_encounter_doc(e) for e in graph.encounters_of(patient_id)]
+        doc["intakeForm"] = _doc(form)
+    doc["encounters"] = [_doc(e) for e in graph.encounters_of(patient_id)]
     doc["links"] = [
-        _link_doc(edge)
+        _doc(edge)
         for edge in sorted(
             graph.edges_of(patient_id),
             key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
@@ -116,126 +118,26 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _set_optional(doc: dict, key: str, value) -> None:
-    if value is not None:
-        doc[key] = value
-
-
-def _patient_doc(patient: Patient) -> dict:
-    doc: dict = {
-        "patientID": patient.patient_id,
-        "patientName": patient.patient_name,
-        "birthDate": patient.birth_date.isoformat(),
-    }
-    _set_optional(doc, "race", patient.race)
-    _set_optional(doc, "gender", patient.gender)
-    contact = patient.contact
-    contact_doc: dict = {}
-    _set_optional(contact_doc, "address", contact.address)
-    _set_optional(contact_doc, "phoneNumber", contact.phone_number)
-    _set_optional(contact_doc, "email", contact.email)
-    _set_optional(contact_doc, "emergencyContact", contact.emergency_contact)
-    if contact_doc:
-        doc["contactInformation"] = contact_doc
-    _set_optional(doc, "insuranceName", patient.insurance_name)
-    _set_optional(doc, "insuranceID", patient.insurance_id)
+def _doc(record) -> dict:
+    """A record's document: unset fields left out, keys in canonical order."""
+    doc: dict = {}
+    for key, attr, _, _, write in _SCHEMA[record.__class__][1]:
+        value = getattr(record, attr)
+        if value is not None and write is not None:
+            value = write(value)
+        if value is not None:
+            doc[key] = value
     return doc
 
 
-def _provider_doc(provider: Provider) -> dict:
-    doc: dict = {
-        "providerID": provider.provider_id,
-        "providerName": provider.provider_name,
-    }
-    _set_optional(doc, "specialization", provider.specialization)
-    _set_optional(doc, "affiliatedInstitution", provider.affiliated_institution)
-    _set_optional(doc, "yearsOfExperience", provider.years_of_experience)
-    return doc
-
-
-def _intake_form_doc(form: IntakeForm) -> dict:
-    history = form.medical_history
-    social = form.social_history
-    social_doc: dict = {
-        "smokingHabit": social.smoking_habit,
-        "drinkingHabit": social.drinking_habit,
-    }
-    _set_optional(social_doc, "diet", social.diet)
-    _set_optional(social_doc, "exerciseRoutine", social.exercise_routine)
-    _set_optional(social_doc, "maritalStatus", social.marital_status)
-    _set_optional(social_doc, "occupation", social.occupation)
-    _set_optional(social_doc, "educationLevel", social.education_level)
-    _set_optional(social_doc, "annualIncome", social.annual_income)
-    return {
-        "intakeFormID": form.intake_form_id,
-        "medicalHistory": {
-            "hadSurgery": list(history.had_surgery),
-            "chronicIllness": list(history.chronic_illness),
-            "medicationAllergies": list(history.medication_allergies),
-            "familyMedicalHistory": list(history.family_medical_history),
-        },
-        "socialHistory": social_doc,
-    }
-
-
-def _encounter_doc(encounter: Encounter) -> dict:
-    symptoms = [
-        {"symptomName": s.symptom_name, "severity": s.severity} for s in encounter.symptoms
-    ]
-    vitals = []
-    for vital in encounter.vitals:
-        vital_doc: dict = {}
-        _set_optional(vital_doc, "bodyTemperature", vital.body_temperature)
-        _set_optional(vital_doc, "bloodPressure", vital.blood_pressure)
-        _set_optional(vital_doc, "weight", vital.weight)
-        _set_optional(vital_doc, "heartRate", vital.heart_rate)
-        vitals.append(vital_doc)
-    tests = []
-    for test in encounter.tests:
-        test_doc = {"testName": test.test_name, "results": test.results}
-        _set_optional(test_doc, "normalRange", test.normal_range)
-        tests.append(test_doc)
-    diagnoses = []
-    for diagnosis in encounter.diagnoses:
-        diagnosis_doc: dict = {"diagnosisName": diagnosis.diagnosis_name}
-        if diagnosis.icd10 is not None:
-            diagnosis_doc["icd10"] = diagnosis.icd10.code
-        diagnoses.append(diagnosis_doc)
-    medications = [
-        {
-            "medicationName": m.medication_name,
-            "dosage": m.dosage,
-            "frequency": m.frequency,
-        }
-        for m in encounter.medications
-    ]
-    care_plans = []
-    for plan in encounter.care_plans:
-        plan_doc = {"planID": plan.plan_id, "description": plan.description}
-        _set_optional(plan_doc, "referralSpecialty", plan.referral_specialty)
-        care_plans.append(plan_doc)
-    return {
-        "encounterID": encounter.encounter_id,
-        "date": encounter.date.isoformat(),
-        "specialty": encounter.specialty,
-        "providerRef": encounter.provider_ref,
-        "symptoms": symptoms,
-        "vitals": vitals,
-        "tests": tests,
-        "diagnoses": diagnoses,
-        "medications": medications,
-        "carePlans": care_plans,
-    }
-
-
-def _link_doc(edge: JourneyEdge) -> dict:
-    doc = {
-        "kind": edge.kind.value,
-        "from": edge.from_encounter,
-        "to": edge.to_encounter,
-    }
-    _set_optional(doc, "via", edge.via)
-    return doc
+_WRITERS = {
+    DATE: date.isoformat,
+    ICD10: lambda code: code.code,
+    KIND: lambda kind: kind.value,
+    STRS: list,
+    OBJECT: lambda record: _doc(record) or None,
+    OBJECTS: lambda records: [_doc(record) for record in records],
+}
 
 
 # -- parsing --------------------------------------------------------------
@@ -260,391 +162,211 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _warn_unknown(obj: dict, known: tuple[str, ...], path: str, problems: _Problems) -> None:
+def _warn_unknown(obj: dict, known, path: str, problems: _Problems) -> None:
     for key in obj:
         if key not in known:
             problems.warning(_join(path, key), UNKNOWN_FIELD, f"unknown field {key!r} ignored")
 
 
-def _req_str(
-    obj: dict, key: str, path: str, problems: _Problems, nonempty: bool = True
-) -> str | None:
-    if key not in obj or obj[key] is None:
-        problems.error(_join(path, key), MISSING_FIELD, f"required field {key!r} is missing")
-        return None
-    value = obj[key]
+# A field reads as its value, as _INVALID after a reported problem, or as
+# _ABSENT when an optional scalar is left out.  A left-out array reads as
+# empty, a left-out object as its empty record.
+_INVALID = object()
+_ABSENT = object()
+
+
+def _walk(record_type: type, obj: dict, path: str, problems: _Problems):
+    """The record ``obj`` describes, or None when a field could not be read.
+
+    Unknown keys are warned about first; fields are then read in canonical
+    key order, each reporting its own problems.  A bad array entry is left
+    out of its array; after any error the parse returns no graph.
+    """
+    known, entries = _SCHEMA[record_type]
+    if not known.issuperset(obj):
+        _warn_unknown(obj, known, path, problems)
+    values = {}
+    valid = True
+    for key, attr, spec, plain, _ in entries:
+        value = obj.get(key)
+        if plain and value.__class__ is str and (value or not spec.required):
+            values[attr] = value
+            continue
+        value = _read(spec, value, path, problems)
+        if value is _INVALID:
+            valid = False
+        elif value is not _ABSENT:
+            values[attr] = value
+    return record_type(**values) if valid else None
+
+
+def _read(spec: Field, value, path: str, problems: _Problems):
+    """Check and convert one field's document value."""
+    if value is None:
+        if spec.required:
+            problems.error(
+                _join(path, spec.key), MISSING_FIELD, f"required field {spec.key!r} is missing"
+            )
+            return _INVALID
+        if spec.type == OBJECT:
+            return spec.record()
+        return [] if spec.type in (STRS, OBJECTS) else _ABSENT
+    value = _READERS[spec.type](spec, value, path, problems)
+    if spec.check is not None and value is not _INVALID:
+        message = spec.check(value)
+        if message is not None:
+            problems.error(_join(path, spec.key), FIELD_INVALID, message)
+            return _INVALID
+    return value
+
+
+def _read_str(spec: Field, value, path: str, problems: _Problems):
     if not isinstance(value, str):
-        problems.error(_join(path, key), INVALID_TYPE, f"{key!r} must be a string")
-        return None
-    if nonempty and not value:
-        problems.error(_join(path, key), FIELD_INVALID, f"{key!r} must be nonempty")
-        return None
+        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be a string")
+        return _INVALID
+    if spec.required and not value:
+        problems.error(_join(path, spec.key), FIELD_INVALID, f"{spec.key!r} must be nonempty")
+        return _INVALID
     return value
 
 
-def _opt_str(obj: dict, key: str, path: str, problems: _Problems) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        problems.error(_join(path, key), INVALID_TYPE, f"{key!r} must be a string")
-        return None
+_NUMBERS = {INT: (int, "an integer"), NUMBER: ((int, float), "a number")}
+
+
+def _read_number(spec: Field, value, path: str, problems: _Problems):
+    accepted, name = _NUMBERS[spec.type]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be {name}")
+        return _INVALID
     return value
 
 
-def _opt_int(obj: dict, key: str, path: str, problems: _Problems) -> int | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.error(_join(path, key), INVALID_TYPE, f"{key!r} must be an integer")
-        return None
-    return value
-
-
-def _opt_number(obj: dict, key: str, path: str, problems: _Problems) -> float | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.error(_join(path, key), INVALID_TYPE, f"{key!r} must be a number")
-        return None
-    return value
-
-
-def _parse_date_value(value: str, path: str, problems: _Problems) -> date | None:
+def _read_date(spec: Field, value, path: str, problems: _Problems):
+    value = _read_str(spec, value, path, problems)
+    if value is _INVALID:
+        return value
     if not _DATE_PATTERN.fullmatch(value):
-        problems.error(path, INVALID_VALUE, f"{value!r} is not an ISO-8601 date (YYYY-MM-DD)")
-        return None
+        problems.error(
+            _join(path, spec.key),
+            INVALID_VALUE,
+            f"{value!r} is not an ISO-8601 date (YYYY-MM-DD)",
+        )
+        return _INVALID
     try:
         return date.fromisoformat(value)
     except ValueError:
-        problems.error(path, INVALID_VALUE, f"{value!r} is not a calendar date")
-        return None
+        problems.error(_join(path, spec.key), INVALID_VALUE, f"{value!r} is not a calendar date")
+        return _INVALID
 
 
-def _req_date(obj: dict, key: str, path: str, problems: _Problems) -> date | None:
-    value = _req_str(obj, key, path, problems)
-    if value is None:
-        return None
-    return _parse_date_value(value, _join(path, key), problems)
+def _read_icd10(spec: Field, value, path: str, problems: _Problems):
+    value = _read_str(spec, value, path, problems)
+    if value is _INVALID:
+        return value
+    if not validate_icd10(value):
+        problems.error(_join(path, spec.key), BAD_ICD10, f"{value!r} is not a valid ICD10 code")
+        return _INVALID
+    return ConceptCode(CodeSystem.ICD10, value)
 
 
-def _str_list(obj: dict, key: str, path: str, problems: _Problems) -> list[str]:
-    if key not in obj or obj[key] is None:
-        return []
-    value = obj[key]
+def _read_kind(spec: Field, value, path: str, problems: _Problems):
+    value = _read_str(spec, value, path, problems)
+    if value is _INVALID:
+        return value
+    kind = _LINK_KINDS.get(value)
+    if kind is None:
+        problems.error(
+            _join(path, spec.key),
+            INVALID_VALUE,
+            f"link kind must be one of {sorted(_LINK_KINDS)}, got {value!r}",
+        )
+        return _INVALID
+    return kind
+
+
+def _read_strs(spec: Field, value, path: str, problems: _Problems):
     if not isinstance(value, list):
-        problems.error(_join(path, key), INVALID_TYPE, f"{key!r} must be an array")
-        return []
+        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an array")
+        return _INVALID
     items: list[str] = []
     for index, item in enumerate(value):
-        item_path = f"{_join(path, key)}[{index}]"
-        if not isinstance(item, str):
-            problems.error(item_path, INVALID_TYPE, "entry must be a string")
-        elif not item:
-            problems.error(item_path, FIELD_INVALID, "entry must be nonempty")
-        else:
+        if isinstance(item, str) and item:
             items.append(item)
-    return items
-
-
-def _obj_list(obj: dict, key: str, path: str, problems: _Problems) -> list[tuple[str, dict]]:
-    """(item path, item dict) pairs for an array-of-objects field."""
-    if key not in obj or obj[key] is None:
-        return []
-    value = obj[key]
-    if not isinstance(value, list):
-        problems.error(_join(path, key), INVALID_TYPE, f"{key!r} must be an array")
-        return []
-    items: list[tuple[str, dict]] = []
-    for index, item in enumerate(value):
-        item_path = f"{_join(path, key)}[{index}]"
-        if not isinstance(item, dict):
-            problems.error(item_path, INVALID_TYPE, "entry must be an object")
-        else:
-            items.append((item_path, item))
-    return items
-
-
-def _walk_patient(obj: dict, path: str, problems: _Problems) -> Patient | None:
-    known = (
-        "patientID",
-        "patientName",
-        "birthDate",
-        "race",
-        "gender",
-        "contactInformation",
-        "insuranceName",
-        "insuranceID",
-    )
-    _warn_unknown(obj, known, path, problems)
-    patient_id = _req_str(obj, "patientID", path, problems)
-    patient_name = _req_str(obj, "patientName", path, problems)
-    birth_date = _req_date(obj, "birthDate", path, problems)
-    contact = ContactInformation()
-    contact_obj = obj.get("contactInformation")
-    if contact_obj is not None:
-        contact_path = _join(path, "contactInformation")
-        if not isinstance(contact_obj, dict):
-            problems.error(contact_path, INVALID_TYPE, "'contactInformation' must be an object")
-        else:
-            contact_known = ("address", "phoneNumber", "email", "emergencyContact")
-            _warn_unknown(contact_obj, contact_known, contact_path, problems)
-            contact = ContactInformation(
-                address=_opt_str(contact_obj, "address", contact_path, problems),
-                phone_number=_opt_str(contact_obj, "phoneNumber", contact_path, problems),
-                email=_opt_str(contact_obj, "email", contact_path, problems),
-                emergency_contact=_opt_str(
-                    contact_obj, "emergencyContact", contact_path, problems
-                ),
-            )
-    if patient_id is None or patient_name is None or birth_date is None:
-        return None
-    return Patient(
-        patient_id=patient_id,
-        patient_name=patient_name,
-        birth_date=birth_date,
-        race=_opt_str(obj, "race", path, problems),
-        gender=_opt_str(obj, "gender", path, problems),
-        contact=contact,
-        insurance_name=_opt_str(obj, "insuranceName", path, problems),
-        insurance_id=_opt_str(obj, "insuranceID", path, problems),
-    )
-
-
-def _walk_provider(obj: dict, path: str, problems: _Problems) -> Provider | None:
-    known = (
-        "providerID",
-        "providerName",
-        "specialization",
-        "affiliatedInstitution",
-        "yearsOfExperience",
-    )
-    _warn_unknown(obj, known, path, problems)
-    provider_id = _req_str(obj, "providerID", path, problems)
-    provider_name = _req_str(obj, "providerName", path, problems)
-    years = _opt_int(obj, "yearsOfExperience", path, problems)
-    if years is not None and years < 0:
-        problems.error(
-            _join(path, "yearsOfExperience"),
-            FIELD_INVALID,
-            f"yearsOfExperience must be >= 0, got {years}",
-        )
-        years = None
-    if provider_id is None or provider_name is None:
-        return None
-    return Provider(
-        provider_id=provider_id,
-        provider_name=provider_name,
-        specialization=_opt_str(obj, "specialization", path, problems),
-        affiliated_institution=_opt_str(obj, "affiliatedInstitution", path, problems),
-        years_of_experience=years,
-    )
-
-
-def _walk_intake_form(obj: dict, path: str, problems: _Problems) -> IntakeForm | None:
-    known = ("intakeFormID", "medicalHistory", "socialHistory")
-    _warn_unknown(obj, known, path, problems)
-    form_id = _req_str(obj, "intakeFormID", path, problems)
-    history = MedicalHistory()
-    history_obj = obj.get("medicalHistory")
-    if history_obj is not None:
-        history_path = _join(path, "medicalHistory")
-        if not isinstance(history_obj, dict):
-            problems.error(history_path, INVALID_TYPE, "'medicalHistory' must be an object")
-        else:
-            history_known = (
-                "hadSurgery",
-                "chronicIllness",
-                "medicationAllergies",
-                "familyMedicalHistory",
-            )
-            _warn_unknown(history_obj, history_known, history_path, problems)
-            history = MedicalHistory(
-                had_surgery=_str_list(history_obj, "hadSurgery", history_path, problems),
-                chronic_illness=_str_list(history_obj, "chronicIllness", history_path, problems),
-                medication_allergies=_str_list(
-                    history_obj, "medicationAllergies", history_path, problems
-                ),
-                family_medical_history=_str_list(
-                    history_obj, "familyMedicalHistory", history_path, problems
-                ),
-            )
-    social_obj = obj.get("socialHistory")
-    social = None
-    social_path = _join(path, "socialHistory")
-    if social_obj is None:
-        problems.error(social_path, MISSING_FIELD, "required field 'socialHistory' is missing")
-    elif not isinstance(social_obj, dict):
-        problems.error(social_path, INVALID_TYPE, "'socialHistory' must be an object")
-    else:
-        social_known = (
-            "smokingHabit",
-            "drinkingHabit",
-            "diet",
-            "exerciseRoutine",
-            "maritalStatus",
-            "occupation",
-            "educationLevel",
-            "annualIncome",
-        )
-        _warn_unknown(social_obj, social_known, social_path, problems)
-        smoking = _req_str(social_obj, "smokingHabit", social_path, problems)
-        drinking = _req_str(social_obj, "drinkingHabit", social_path, problems)
-        if smoking is not None and drinking is not None:
-            social = SocialHistory(
-                smoking_habit=smoking,
-                drinking_habit=drinking,
-                diet=_opt_str(social_obj, "diet", social_path, problems),
-                exercise_routine=_opt_str(social_obj, "exerciseRoutine", social_path, problems),
-                marital_status=_opt_str(social_obj, "maritalStatus", social_path, problems),
-                occupation=_opt_str(social_obj, "occupation", social_path, problems),
-                education_level=_opt_str(social_obj, "educationLevel", social_path, problems),
-                annual_income=_opt_str(social_obj, "annualIncome", social_path, problems),
-            )
-    if form_id is None or social is None:
-        return None
-    return IntakeForm(intake_form_id=form_id, medical_history=history, social_history=social)
-
-
-def _walk_encounter(obj: dict, path: str, problems: _Problems) -> Encounter | None:
-    known = (
-        "encounterID",
-        "date",
-        "specialty",
-        "providerRef",
-        "symptoms",
-        "vitals",
-        "tests",
-        "diagnoses",
-        "medications",
-        "carePlans",
-    )
-    _warn_unknown(obj, known, path, problems)
-    encounter_id = _req_str(obj, "encounterID", path, problems)
-    when = _req_date(obj, "date", path, problems)
-    specialty = _req_str(obj, "specialty", path, problems)
-    provider_ref = _req_str(obj, "providerRef", path, problems)
-
-    symptoms = []
-    for item_path, item in _obj_list(obj, "symptoms", path, problems):
-        _warn_unknown(item, ("symptomName", "severity"), item_path, problems)
-        name = _req_str(item, "symptomName", item_path, problems)
-        severity = _opt_str(item, "severity", item_path, problems) or ""
-        if name is not None:
-            symptoms.append(Symptom(symptom_name=name, severity=severity))
-
-    vitals = []
-    for item_path, item in _obj_list(obj, "vitals", path, problems):
-        vital_known = ("bodyTemperature", "bloodPressure", "weight", "heartRate")
-        _warn_unknown(item, vital_known, item_path, problems)
-        vital = VitalSign(
-            body_temperature=_opt_number(item, "bodyTemperature", item_path, problems),
-            blood_pressure=_opt_str(item, "bloodPressure", item_path, problems),
-            weight=_opt_number(item, "weight", item_path, problems),
-            heart_rate=_opt_number(item, "heartRate", item_path, problems),
-        )
-        for field_name, message in vital_sign_problems(vital):
-            problems.error(f"{item_path}.{field_name}", FIELD_INVALID, message)
-        vitals.append(vital)
-
-    tests = []
-    for item_path, item in _obj_list(obj, "tests", path, problems):
-        _warn_unknown(item, ("testName", "results", "normalRange"), item_path, problems)
-        name = _req_str(item, "testName", item_path, problems)
-        results = _opt_str(item, "results", item_path, problems) or ""
-        if name is not None:
-            tests.append(
-                DiagTest(
-                    test_name=name,
-                    results=results,
-                    normal_range=_opt_str(item, "normalRange", item_path, problems),
-                )
-            )
-
-    diagnoses = []
-    for item_path, item in _obj_list(obj, "diagnoses", path, problems):
-        _warn_unknown(item, ("diagnosisName", "icd10"), item_path, problems)
-        name = _req_str(item, "diagnosisName", item_path, problems)
-        icd10 = None
-        raw_code = _opt_str(item, "icd10", item_path, problems)
-        if raw_code is not None:
-            if validate_icd10(raw_code):
-                icd10 = ConceptCode(CodeSystem.ICD10, raw_code)
-            else:
-                problems.error(
-                    f"{item_path}.icd10",
-                    BAD_ICD10,
-                    f"{raw_code!r} is not a valid ICD10 code",
-                )
-        if name is not None:
-            diagnoses.append(Diagnosis(diagnosis_name=name, icd10=icd10))
-
-    medications = []
-    for item_path, item in _obj_list(obj, "medications", path, problems):
-        _warn_unknown(item, ("medicationName", "dosage", "frequency"), item_path, problems)
-        name = _req_str(item, "medicationName", item_path, problems)
-        if name is not None:
-            medications.append(
-                Medication(
-                    medication_name=name,
-                    dosage=_opt_str(item, "dosage", item_path, problems) or "",
-                    frequency=_opt_str(item, "frequency", item_path, problems) or "",
-                )
-            )
-
-    care_plans = []
-    for item_path, item in _obj_list(obj, "carePlans", path, problems):
-        _warn_unknown(item, ("planID", "description", "referralSpecialty"), item_path, problems)
-        plan_id = _req_str(item, "planID", item_path, problems)
-        if plan_id is not None:
-            care_plans.append(
-                CarePlan(
-                    plan_id=plan_id,
-                    description=_opt_str(item, "description", item_path, problems) or "",
-                    referral_specialty=_opt_str(item, "referralSpecialty", item_path, problems),
-                )
-            )
-
-    if encounter_id is None or when is None or specialty is None or provider_ref is None:
-        return None
-    return Encounter(
-        encounter_id=encounter_id,
-        date=when,
-        specialty=specialty,
-        provider_ref=provider_ref,
-        symptoms=symptoms,
-        vitals=vitals,
-        tests=tests,
-        diagnoses=diagnoses,
-        medications=medications,
-        care_plans=care_plans,
-    )
-
-
-def _walk_link(obj: dict, path: str, problems: _Problems) -> JourneyEdge | None:
-    _warn_unknown(obj, ("kind", "from", "to", "via"), path, problems)
-    kind_value = _req_str(obj, "kind", path, problems)
-    from_id = _req_str(obj, "from", path, problems)
-    to_id = _req_str(obj, "to", path, problems)
-    kind = None
-    if kind_value is not None:
-        kind = _LINK_KINDS.get(kind_value)
-        if kind is None:
+        elif isinstance(item, str):
             problems.error(
-                _join(path, "kind"),
-                INVALID_VALUE,
-                f"link kind must be one of {sorted(_LINK_KINDS)}, got {kind_value!r}",
+                f"{_join(path, spec.key)}[{index}]", FIELD_INVALID, "entry must be nonempty"
             )
-    if kind is None or from_id is None or to_id is None:
-        return None
-    return JourneyEdge(
-        kind=kind,
-        from_encounter=from_id,
-        to_encounter=to_id,
-        via=_opt_str(obj, "via", path, problems),
+        else:
+            problems.error(
+                f"{_join(path, spec.key)}[{index}]", INVALID_TYPE, "entry must be a string"
+            )
+    return items
+
+
+def _read_object(spec: Field, value, path: str, problems: _Problems):
+    if not isinstance(value, dict):
+        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an object")
+        return _INVALID
+    record = _walk(spec.record, value, _join(path, spec.key), problems)
+    return _INVALID if record is None else record
+
+
+def _read_objects(spec: Field, value, path: str, problems: _Problems):
+    if not isinstance(value, list):
+        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an array")
+        return _INVALID
+    base = _join(path, spec.key)
+    records = []
+    for index, item in enumerate(value):
+        if isinstance(item, dict):
+            record = _walk(spec.record, item, f"{base}[{index}]", problems)
+            if record is not None:
+                records.append(record)
+        else:
+            problems.error(f"{base}[{index}]", INVALID_TYPE, "entry must be an object")
+    return records
+
+
+_READERS = {
+    STR: _read_str,
+    INT: _read_number,
+    NUMBER: _read_number,
+    DATE: _read_date,
+    ICD10: _read_icd10,
+    KIND: _read_kind,
+    STRS: _read_strs,
+    OBJECT: _read_object,
+    OBJECTS: _read_objects,
+}
+
+# Per record type: the known keys, and one entry per field in canonical
+# order: key, attribute, field, whether a string is taken as it is (a
+# string field without a check), and the writer.
+_SCHEMA = {
+    record_type: (
+        frozenset(spec.key for spec in fields),
+        tuple(
+            (
+                spec.key,
+                spec.attr,
+                spec,
+                spec.type == STR and spec.check is None,
+                _WRITERS.get(spec.type),
+            )
+            for spec in fields
+        ),
     )
+    for record_type, fields in FIELDS.items()
+}
+
+# The top-level document.
+_DOCUMENT_KEYS = ("formatVersion", "patient", "providers", "intakeForm", "encounters", "links")
+_FORMAT_VERSION = Field("formatVersion", "", required=True)
+_PATIENT = Field("patient", "", OBJECT, required=True, record=Patient)
+_PROVIDERS = Field("providers", "", OBJECTS, record=Provider)
+_INTAKE_FORM = Field("intakeForm", "", OBJECT, record=IntakeForm)
+_ENCOUNTERS = Field("encounters", "", OBJECTS, record=Encounter)
+_LINKS = Field("links", "", OBJECTS, record=JourneyEdge)
 
 
 def parse_bundle(data: str | bytes) -> ParseResult:
@@ -673,58 +395,34 @@ def parse_bundle(data: str | bytes) -> ParseResult:
         problems.error("", INVALID_TYPE, "top-level value must be an object")
         return ParseResult(None, problems.items)
 
-    known = ("formatVersion", "patient", "providers", "intakeForm", "encounters", "links")
-    _warn_unknown(root, known, "", problems)
-    version = _req_str(root, "formatVersion", "", problems)
-    if version is not None and version != FORMAT_VERSION:
+    _warn_unknown(root, _DOCUMENT_KEYS, "", problems)
+    version = _read(_FORMAT_VERSION, root.get("formatVersion"), "", problems)
+    if version is not _INVALID and version != FORMAT_VERSION:
         problems.error(
             "formatVersion",
             UNSUPPORTED_FORMAT_VERSION,
             f"unsupported format version {version!r}, expected {FORMAT_VERSION!r}",
         )
-
-    patient = None
-    patient_obj = root.get("patient")
-    if patient_obj is None:
-        problems.error("patient", MISSING_FIELD, "required field 'patient' is missing")
-    elif not isinstance(patient_obj, dict):
-        problems.error("patient", INVALID_TYPE, "'patient' must be an object")
-    else:
-        patient = _walk_patient(patient_obj, "patient", problems)
-
-    providers = [
-        provider
-        for item_path, item in _obj_list(root, "providers", "", problems)
-        if (provider := _walk_provider(item, item_path, problems)) is not None
-    ]
-
-    intake_form = None
+    patient = _read(_PATIENT, root.get("patient"), "", problems)
+    providers = _read(_PROVIDERS, root.get("providers"), "", problems)
     intake_obj = root.get("intakeForm")
-    if intake_obj is not None:
-        if not isinstance(intake_obj, dict):
-            problems.error("intakeForm", INVALID_TYPE, "'intakeForm' must be an object")
-        else:
-            intake_form = _walk_intake_form(intake_obj, "intakeForm", problems)
-
-    encounters: list[tuple[str, Encounter]] = []
-    for item_path, item in _obj_list(root, "encounters", "", problems):
-        encounter = _walk_encounter(item, item_path, problems)
-        if encounter is not None:
-            encounters.append((item_path, encounter))
-
-    links: list[tuple[str, JourneyEdge]] = []
-    for item_path, item in _obj_list(root, "links", "", problems):
-        link = _walk_link(item, item_path, problems)
-        if link is not None:
-            links.append((item_path, link))
-
-    if problems.has_errors or patient is None:
-        return ParseResult(None, problems.items)
-
-    graph = _assemble(patient, providers, intake_form, encounters, links, problems)
+    intake_form = None if intake_obj is None else _read(_INTAKE_FORM, intake_obj, "", problems)
+    encounters = _read(_ENCOUNTERS, root.get("encounters"), "", problems)
+    links = _read(_LINKS, root.get("links"), "", problems)
     if problems.has_errors:
         return ParseResult(None, problems.items)
-    return ParseResult(graph, problems.items)
+
+    graph, report = _assemble(
+        patient,
+        providers,
+        intake_form,
+        [(f"encounters[{index}]", encounter) for index, encounter in enumerate(encounters)],
+        [(f"links[{index}]", link) for index, link in enumerate(links)],
+        problems,
+    )
+    if problems.has_errors:
+        return ParseResult(None, problems.items)
+    return ParseResult(graph, problems.items, report)
 
 
 def _assemble(
@@ -734,7 +432,7 @@ def _assemble(
     encounters: list[tuple[str, Encounter]],
     links: list[tuple[str, JourneyEdge]],
     problems: _Problems,
-) -> JourneyGraph:
+) -> tuple[JourneyGraph, ValidationReport | None]:
     graph = JourneyGraph()
     graph.patients[patient.patient_id] = patient
     for index, provider in enumerate(providers):
@@ -825,9 +523,11 @@ def _assemble(
     if in_cycle:
         problems.error("links", CYCLE, "journey links form a cycle through: " + ", ".join(in_cycle))
 
+    report = None
     if not problems.has_errors:
         # The parser checks everything the graph checker does; re-check to
         # keep that guarantee honest if the two ever drift apart.
-        for diagnostic in graph.check_invariants().errors:
+        report = graph.check_invariants()
+        for diagnostic in report.errors:
             problems.error(diagnostic.location, diagnostic.code, diagnostic.message)
-    return graph
+    return graph, report

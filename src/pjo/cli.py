@@ -24,7 +24,7 @@ from .agreement import (
 from .bundle import parse_bundle
 from .dot import to_dot
 from .errors import PjoError
-from .graph import Diagnostic, JourneyGraph, Severity
+from .graph import Diagnostic, JourneyGraph, Severity, ValidationReport
 from .queries import (
     cause_trace,
     find_encounters,
@@ -115,24 +115,23 @@ def _cmd_seed(args) -> int:
 
 def _cmd_validate(args) -> int:
     result = parse_bundle(_read_input(args.bundle))
-    diagnostics = list(result.problems)
-    if result.ok:
-        diagnostics.extend(result.graph.check_invariants().diagnostics)
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
+    # On success the parser has already run the invariant check; print
+    # its report after the parser's own diagnostics.
+    report = ValidationReport(result.problems + (result.report.diagnostics if result.ok else []))
+    errors, warnings = len(report.errors), len(report.warnings)
     if args.format == "json":
         _print_json(
             {
-                "valid": not errors,
-                "errors": len(errors),
-                "warnings": len(warnings),
-                "diagnostics": _diagnostics_json(diagnostics),
+                "valid": report.ok,
+                "errors": errors,
+                "warnings": warnings,
+                "diagnostics": _diagnostics_json(report.diagnostics),
             }
         )
     else:
-        _diagnostic_lines(diagnostics)
-        print(f"summary: {len(errors)} errors, {len(warnings)} warnings")
-    return 0 if not errors else 1
+        _diagnostic_lines(report.diagnostics)
+        print(f"summary: {errors} errors, {warnings} warnings")
+    return 0 if report.ok else 1
 
 
 def _cmd_query_timeline(args) -> int:

@@ -32,6 +32,7 @@ from .records import (
     JourneyEdge,
     Patient,
     Provider,
+    check_years_of_experience,
     edge_dates_consistent,
     vital_sign_problems,
 )
@@ -50,9 +51,10 @@ class Diagnostic:
     location: str
 
 
-@dataclass
-class ValidationReport:
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class SeverityViews:
+    """``errors`` and ``warnings`` views of a subclass's ``diagnostics``."""
+
+    diagnostics: list[Diagnostic]
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -61,6 +63,11 @@ class ValidationReport:
     @property
     def warnings(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.WARNING]
+
+
+@dataclass
+class ValidationReport(SeverityViews):
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -116,10 +123,8 @@ def provider_problems(provider: Provider) -> list[FieldProblem]:
     if not provider.provider_name:
         problems.append(("providerName", FIELD_INVALID, "providerName must be nonempty"))
     years = provider.years_of_experience
-    if years is not None and years < 0:
-        problems.append(
-            ("yearsOfExperience", FIELD_INVALID, f"yearsOfExperience must be >= 0, got {years}")
-        )
+    if years is not None and (message := check_years_of_experience(years)) is not None:
+        problems.append(("yearsOfExperience", FIELD_INVALID, message))
     return problems
 
 

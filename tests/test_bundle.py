@@ -1,7 +1,9 @@
 import json
+import re
 
 from pjo import (
     FORMAT_VERSION,
+    MedicalHistory,
     UnknownPatientError,
     john_doe_bundle,
     john_doe_graph,
@@ -367,3 +369,157 @@ class TestProblemCollection:
         result = parse_bundle(john_doe_bundle())
         assert result.graph.check_invariants().errors == []
         assert structurally_equal(result.graph, john_doe_graph())
+
+
+def seed_doc():
+    return json.loads(john_doe_bundle())
+
+
+class TestOptionalFieldsAfterAFailedRequiredField:
+    """A failed required field must not hide the type errors of its siblings."""
+
+    @pytest.mark.parametrize(
+        "record, required, optional",
+        [
+            ("patient", "patientID", "race"),
+            ("patient", "patientName", "insuranceID"),
+            ("providers[0]", "providerID", "specialization"),
+            ("providers[0]", "providerName", "affiliatedInstitution"),
+            ("intakeForm.socialHistory", "smokingHabit", "diet"),
+            ("intakeForm.socialHistory", "drinkingHabit", "annualIncome"),
+            ("encounters[0].tests[0]", "testName", "normalRange"),
+            ("encounters[0].medications[0]", "medicationName", "dosage"),
+            ("encounters[0].medications[0]", "medicationName", "frequency"),
+            ("encounters[0].carePlans[0]", "planID", "description"),
+            ("encounters[0].carePlans[0]", "planID", "referralSpecialty"),
+            ("links[0]", "kind", "via"),
+            ("links[0]", "from", "via"),
+        ],
+    )
+    def test_both_problems_are_reported(self, record, required, optional):
+        doc = seed_doc()
+        target = doc
+        for step in re.findall(r"[^.\[\]]+", record):
+            target = target[int(step) if step.isdigit() else step]
+        del target[required]
+        target[optional] = 5
+        found = error_index(parse_doc(doc))
+        assert ("missing-field", f"{record}.{required}") in found
+        assert ("invalid-type", f"{record}.{optional}") in found
+
+
+MEDICAL_HISTORY_KEYS = [
+    "hadSurgery",
+    "chronicIllness",
+    "medicationAllergies",
+    "familyMedicalHistory",
+]
+
+
+class TestIntakeFormWithoutMedicalHistory:
+    def intake_doc(self, **changes):
+        doc = minimal_doc()
+        doc["intakeForm"] = {
+            "intakeFormID": "IF1",
+            "socialHistory": {"smokingHabit": "Never", "drinkingHabit": "None"},
+            **changes,
+        }
+        return doc
+
+    @pytest.mark.parametrize("history", ["absent", None])
+    def test_parses_ok_with_an_empty_history(self, history):
+        doc = self.intake_doc() if history == "absent" else self.intake_doc(medicalHistory=None)
+        result = parse_doc(doc)
+        assert result.ok, result.problems
+        assert result.graph.intake_forms["IF1"].medical_history == MedicalHistory()
+
+    def test_reserializes_with_four_empty_arrays(self):
+        result = parse_doc(self.intake_doc())
+        rendered = json.loads(serialize_bundle(result.graph, "P1"))
+        assert rendered["intakeForm"]["medicalHistory"] == {key: [] for key in MEDICAL_HISTORY_KEYS}
+
+    @pytest.mark.parametrize("value", [5, "text", ["a"], True])
+    def test_non_object_medical_history_is_a_type_error(self, value):
+        result = parse_doc(self.intake_doc(medicalHistory=value))
+        assert result.graph is None
+        assert error_index(result) == {("invalid-type", "intakeForm.medicalHistory")}
+
+    @pytest.mark.parametrize("value", [5, "text", ["a"], True])
+    def test_non_object_contact_information_is_a_type_error(self, value):
+        doc = minimal_doc()
+        doc["patient"]["contactInformation"] = value
+        result = parse_doc(doc)
+        assert result.graph is None
+        assert error_index(result) == {("invalid-type", "patient.contactInformation")}
+
+
+class TestDocumentedBoundaries:
+    """The limits stated in docs/bundle_format.md, at and next to each edge."""
+
+    def vitals_result(self, **vital):
+        doc = minimal_doc()
+        doc["encounters"] = [encounter_doc("E1", "2021-01-05", vitals=[vital])]
+        return parse_doc(doc)
+
+    @pytest.mark.parametrize(
+        "key, accepted, rejected",
+        [
+            ("bodyTemperature", [25.0, 45.0, 36.6], [24.9, 45.1]),
+            ("weight", [0.1, 499.9], [0, 500, 500.1, -1]),
+            ("heartRate", [0.1, 299.9], [0, 300, 300.1]),
+        ],
+    )
+    def test_vital_sign_ranges(self, key, accepted, rejected):
+        for value in accepted:
+            assert self.vitals_result(**{key: value}).ok, (key, value)
+        for value in rejected:
+            result = self.vitals_result(**{key: value})
+            assert error_index(result) == {("field-invalid", f"encounters[0].vitals[0].{key}")}
+
+    @pytest.mark.parametrize("pressure, ok", [("120/80", True), ("80/80", False), ("80/0", False)])
+    def test_blood_pressure_order(self, pressure, ok):
+        assert self.vitals_result(bloodPressure=pressure).ok is ok
+
+    @pytest.mark.parametrize("years, ok", [(0, True), (40, True), (-1, False)])
+    def test_years_of_experience_at_least_zero(self, years, ok):
+        doc = minimal_doc()
+        doc["providers"][0]["yearsOfExperience"] = years
+        assert parse_doc(doc).ok is ok
+
+
+class TestDiagnosticOrder:
+    """Diagnostics follow document order, and canonical key order within a record."""
+
+    def test_entries_are_reported_in_document_order(self):
+        doc = minimal_doc()
+        doc["encounters"] = [encounter_doc("E1", "2021-01-05", specialty=""), 5]
+        assert [(d.code, d.location) for d in parse_doc(doc).errors] == [
+            ("field-invalid", "encounters[0].specialty"),
+            ("invalid-type", "encounters[1]"),
+        ]
+
+    def test_fields_are_reported_in_canonical_key_order(self):
+        doc = minimal_doc()
+        doc["patient"] = {
+            "insuranceID": 1,
+            "contactInformation": {"email": 2},
+            "race": 3,
+            "birthDate": "someday",
+        }
+        assert [d.location for d in parse_doc(doc).errors] == [
+            "patient.patientID",
+            "patient.patientName",
+            "patient.birthDate",
+            "patient.race",
+            "patient.contactInformation.email",
+            "patient.insuranceID",
+        ]
+
+    def test_unknown_fields_are_warned_before_field_errors(self):
+        doc = minimal_doc()
+        doc["patient"]["patientName"] = ""
+        doc["patient"]["nickname"] = "Pat"
+        assert [(d.code, d.location) for d in parse_doc(doc).problems] == [
+            ("unknown-field", "patient.nickname"),
+            ("field-invalid", "patient.patientName"),
+        ]

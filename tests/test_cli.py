@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from dotcheck import check_dot
-from pjo import john_doe_bundle
+from pjo import JourneyGraph, cli, john_doe_bundle
 
 KAPPA_CSV = "subject,yes,no\ns1,2,0\ns2,1,1\n"
 LIKERT_CSV = "dimension,response\nclarity,4\nclarity,4\nclarity,5\nclarity,5\n"
@@ -299,3 +299,76 @@ class TestUsageErrors:
         proc = run_cli("validate", "/nonexistent/bundle.json")
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+
+DUPLICATE_CUI_LINE = (
+    "warning  duplicate-cui-annotation  annotations: "
+    "duplicate CUI annotation: C3714536 annotates Encounter and SocialHistory"
+)
+GAP_BUNDLE_LINES = [
+    "warning  unknown-field  patient.nickname: unknown field 'nickname' ignored",
+    DUPLICATE_CUI_LINE,
+    "warning  unresolved-via  links[0].via: "
+    "via 'Nothing' names no care plan or diagnosis in either endpoint",
+    "warning  journey-gap  patients[JohnDoe]: journey gap: no link between "
+    "'Encounter-Pulmonology-20210315' (2021-03-15) and "
+    "'Encounter-Allergy-20210725' (2021-07-25)",
+    "summary: 0 errors, 4 warnings",
+]
+
+
+def gap_bundle() -> str:
+    """The seed bundle without its ``next`` link, with an unresolved ``via``
+    and an unknown patient field: parse and checker warnings together."""
+    document = json.loads(john_doe_bundle())
+    document["links"] = [link for link in document["links"] if link["kind"] != "next"]
+    document["links"][0]["via"] = "Nothing"
+    document["patient"]["nickname"] = "JD"
+    return json.dumps(document, indent=2)
+
+
+class TestValidateChecksOnce:
+    @pytest.fixture
+    def check_calls(self, monkeypatch):
+        calls = []
+        check = JourneyGraph.check_invariants
+
+        def counted(graph):
+            calls.append(graph)
+            return check(graph)
+
+        monkeypatch.setattr(JourneyGraph, "check_invariants", counted)
+        monkeypatch.setenv("PJO_NO_COLOR", "1")
+        return calls
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            (john_doe_bundle(), [DUPLICATE_CUI_LINE, "summary: 0 errors, 1 warnings"]),
+            (gap_bundle(), GAP_BUNDLE_LINES),
+        ],
+        ids=["seed", "journey-gap"],
+    )
+    def test_validate_runs_the_check_once_with_unchanged_output(
+        self, text, lines, check_calls, tmp_path, capsys
+    ):
+        path = tmp_path / "bundle.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 0
+        assert len(check_calls) == 1
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert cli.main(["validate", "--format", "json", str(path)]) == 0
+        assert len(check_calls) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["valid"], report["errors"]) == (True, 0)
+        assert report["warnings"] == len(lines) - 1
+        assert [
+            f"{d['severity']}  {d['code']}  {d['location']}: {d['message']}"
+            for d in report["diagnostics"]
+        ] == lines[:-1]
+
+    def test_invalid_bundle_is_not_checked(self, check_calls, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text("{nope", encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        assert check_calls == []
