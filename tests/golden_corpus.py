@@ -7,6 +7,10 @@ The inputs are generated, not stored:
   ``null``, ``""``, ``5``, ``true``, ``[]`` or ``{}``.
 - ``double``: seeded pairs of such mutations at unrelated paths.
 - ``journey``: serialized ``journeygen`` journeys, valid and mutated.
+- ``join``: seed-bundle edits that break the rules checked when the
+  records are joined into a graph (duplicate IDs, unknown providers,
+  dates before birth, link endpoints, dates, duplicates and cycles),
+  alone and in pairs.
 
 For each input the corpus records the ``ok`` flag, the diagnostics in
 report order and, when ``ok``, a digest of the re-serialized bundle.  A
@@ -14,7 +18,9 @@ digest of the input guards against the generators drifting.
 
 Regenerate ``tests/data/golden_corpus.jsonl`` after an intended change with::
 
-    PYTHONPATH=src:tests python tests/golden_corpus.py
+    PYTHONPATH=src:tests python tests/golden_corpus.py [KIND ...]
+
+Naming kinds re-records only their entries and keeps every other line.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 from journeygen import MUTATIONS, mutation_corpus_journey, random_journey
@@ -135,7 +142,148 @@ def journey_cases():
                 yield name, serialize_bundle(graph, patient_id)
 
 
-CASE_KINDS = {"single": single_cases, "double": double_cases, "journey": journey_cases}
+# Seed encounters in document order (date order, unlike ID order) and the
+# seed's links: causedBy E1 -> E0, hasFollowup E2 -> E3, next E1 -> E2.
+E0, E1, E2, E3 = (
+    "Encounter-GeneralMedicine-20210105",
+    "Encounter-Pulmonology-20210315",
+    "Encounter-Allergy-20210725",
+    "Encounter-AllergyFollowUp-20220418",
+)
+
+
+def _set(path: tuple, value):
+    def edit(document):
+        parent = document
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = copy.deepcopy(value)
+
+    return edit
+
+
+def _append(key: str, entry: dict):
+    return lambda document: document[key].append(copy.deepcopy(entry))
+
+
+def _copy_entry(key: str, index: int, **changes):
+    return lambda document: document[key].append({**document[key][index], **changes})
+
+
+def _rename_encounter(index: int, new_id: str):
+    """Rename an encounter and every link endpoint naming it."""
+
+    def edit(document):
+        old_id = document["encounters"][index]["encounterID"]
+        document["encounters"][index]["encounterID"] = new_id
+        for link in document["links"]:
+            for end in ("from", "to"):
+                if link[end] == old_id:
+                    link[end] = new_id
+
+    return edit
+
+
+_SAME_DAY = _set(("encounters", 2, "date"), "2021-03-15")
+_CYCLE = [_SAME_DAY, _append("links", {"kind": "next", "from": E2, "to": E1})]
+_SELF_LINK = _set(("links", 1, "to"), E2)
+_DANGLING = _set(("links", 0, "from"), "Encounter-Ghost")
+_TEMPORAL = _set(("links", 2), {"kind": "next", "from": E2, "to": E1})
+
+JOIN_EDITS = {
+    "duplicate provider id": [_set(("providers", 2, "providerID"), "Provider-Allergy")],
+    "duplicate unused provider id": [_copy_entry("providers", 0, providerName="Dr. Two")],
+    "duplicate encounter id": [_copy_entry("encounters", 0, date="2021-02-01")],
+    "duplicate encounter id named by links": [
+        _set(("encounters", 3, "encounterID"), E0)
+    ],
+    "duplicate encounter id with its own faults": [
+        _copy_entry("encounters", 1, date="1970-01-01", providerRef="Provider-Ghost")
+    ],
+    "unknown provider": [_set(("encounters", 1, "providerRef"), "Provider-Ghost")],
+    "unknown providers out of id order": [
+        _set(("encounters", 0, "providerRef"), "Provider-Ghost"),
+        _set(("encounters", 2, "providerRef"), "Provider-Ghost"),
+    ],
+    "encounter before birth": [_set(("encounters", 0, "date"), "1970-01-01")],
+    "encounter before birth with unknown provider": [
+        _set(("encounters", 3, "date"), "1981-07-13"),
+        _set(("encounters", 3, "providerRef"), "Provider-Ghost"),
+    ],
+    "missing from": [_DANGLING],
+    "missing to": [_set(("links", 1, "to"), "Encounter-Ghost")],
+    "missing both": [
+        _set(("links", 2, "from"), "Encounter-Ghost-A"),
+        _set(("links", 2, "to"), "Encounter-Ghost-B"),
+    ],
+    "missing both same id": [
+        _set(("links", 2, "from"), "Encounter-Ghost"),
+        _set(("links", 2, "to"), "Encounter-Ghost"),
+    ],
+    "self-link": [_SELF_LINK],
+    "self-link causedBy": [_set(("links", 0, "to"), E1)],
+    "temporal next": [_TEMPORAL],
+    "temporal hasFollowup": [_set(("links", 1), {"kind": "hasFollowup", "from": E3, "to": E2})],
+    "temporal causedBy": [_set(("links", 0), {"kind": "causedBy", "from": E0, "to": E1})],
+    "duplicate link": [_copy_entry("links", 1)],
+    "duplicate link with another via": [_copy_entry("links", 0, via="Diagnosis-Other")],
+    "cycle": _CYCLE,
+    "cycle through causedBy": [
+        _SAME_DAY,
+        _append("links", {"kind": "causedBy", "from": E1, "to": E2}),
+    ],
+    "self-link + cycle": [*_CYCLE, _SELF_LINK],
+    "dangling + temporal": [_DANGLING, _TEMPORAL],
+    "dangling + self-link": [
+        _set(("links", 1, "from"), "Encounter-Ghost"),
+        _set(("links", 1, "to"), "Encounter-Ghost"),
+        _SELF_LINK,
+    ],
+    "temporal + duplicate": [_TEMPORAL, _copy_entry("links", 2)],
+    "unknown provider + cycle": [
+        _set(("encounters", 1, "providerRef"), "Provider-Ghost"),
+        *_CYCLE,
+    ],
+    "duplicate provider id + dangling": [
+        _copy_entry("providers", 1),
+        _DANGLING,
+    ],
+    "hostile encounter id": [
+        _rename_encounter(0, "E].providerRef"),
+        _set(("encounters", 0, "date"), "1970-01-01"),
+        _set(("encounters", 0, "providerRef"), "Provider-Ghost"),
+        _set(("links", 0, "via"), "E].date"),
+    ],
+    "dotted encounter id": [
+        _rename_encounter(1, "Enc.1"),
+        _set(("encounters", 1, "providerRef"), "Provider-Ghost"),
+        _set(("links", 1, "to"), "Enc.1"),
+    ],
+    "unresolved via": [_set(("links", 0, "via"), "CarePlan-Ghost")],
+    "journey gap": [lambda document: document["links"].pop(2)],
+    "field error hides join errors": [
+        _set(("encounters", 0, "specialty"), ""),
+        _DANGLING,
+        _SELF_LINK,
+    ],
+}
+
+
+def join_cases():
+    seed = json.loads(john_doe_bundle())
+    for name, edits in JOIN_EDITS.items():
+        document = copy.deepcopy(seed)
+        for edit in edits:
+            edit(document)
+        yield f"join {name}", json.dumps(document, indent=2)
+
+
+CASE_KINDS = {
+    "single": single_cases,
+    "double": double_cases,
+    "journey": journey_cases,
+    "join": join_cases,
+}
 
 
 def outcome(name: str, text: str) -> dict:
@@ -154,8 +302,8 @@ def outcome(name: str, text: str) -> dict:
     return entry
 
 
-def generate() -> list[dict]:
-    return [outcome(name, text) for cases in CASE_KINDS.values() for name, text in cases()]
+def generate(kinds) -> list[dict]:
+    return [outcome(name, text) for kind in kinds for name, text in CASE_KINDS[kind]()]
 
 
 def load() -> dict[str, dict]:
@@ -164,12 +312,15 @@ def load() -> dict[str, dict]:
     return {entry["id"]: entry for entry in entries}
 
 
-def main() -> None:
+def main(kinds: list[str]) -> None:
+    kept = []
+    if kinds:
+        kept = [e for e in load().values() if e["id"].split(" ", 1)[0] not in kinds]
     CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
     with CORPUS_PATH.open("w", encoding="utf-8") as out:
-        for entry in generate():
+        for entry in kept + generate(kinds or list(CASE_KINDS)):
             out.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -523,3 +523,44 @@ class TestDiagnosticOrder:
             ("unknown-field", "patient.nickname"),
             ("field-invalid", "patient.patientName"),
         ]
+
+    def test_join_diagnostics_follow_document_order(self):
+        doc = seed_doc()
+        e0, e1, e2, e3 = (e["encounterID"] for e in doc["encounters"])
+        doc["providers"].append(dict(doc["providers"][1]))
+        doc["encounters"][0].update(providerRef="Provider-Ghost", date="1980-01-01")
+        doc["encounters"][2].update(providerRef="Provider-Ghost", date="2021-03-15")
+        doc["encounters"].insert(2, dict(doc["encounters"][1]))
+        doc["links"][0]["from"] = "Encounter-Ghost"
+        doc["links"][1] = {"kind": "hasFollowup", "from": e3, "to": e2}
+        doc["links"] += [
+            {"kind": "next", "from": e2, "to": e1},
+            {"kind": "next", "from": e2, "to": e1},
+            {"kind": "next", "from": e3, "to": e3},
+        ]
+        ghost = "providerRef 'Provider-Ghost' does not resolve"
+        assert [(d.code, d.location, d.message) for d in parse_doc(doc).problems] == [
+            (
+                "duplicate-id",
+                "providers[3].providerID",
+                "provider ID 'Provider-GeneralMedicine' already used",
+            ),
+            ("unknown-provider", "encounters[0].providerRef", ghost),
+            (
+                "field-invalid",
+                "encounters[0].date",
+                "encounter date 1980-01-01 precedes birth date 1981-07-14",
+            ),
+            ("duplicate-id", "encounters[2].encounterID", f"encounter ID {e1!r} already used"),
+            ("unknown-provider", "encounters[3].providerRef", ghost),
+            ("reference-error", "links[0].from", "link.from names missing encounter 'Encounter-Ghost'"),
+            (
+                "temporal-violation",
+                "links[1]",
+                f"hasFollowup link {e3!r} -> {e2!r} contradicts encounter dates "
+                "2022-04-18 and 2021-03-15",
+            ),
+            ("duplicate-edge", "links[4]", f"duplicate next link {e2!r} -> {e1!r}"),
+            ("self-link", "links[5]", f"link connects {e3!r} to itself"),
+            ("cycle", "links", f"journey links form a cycle through: {e2}, {e1}"),
+        ]
