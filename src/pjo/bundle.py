@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 
 from .codes import CodeSystem, ConceptCode, validate_icd10
 from .errors import UnknownPatientError
 from .graph import (
     BAD_ICD10,
-    CYCLE,
-    DUPLICATE_EDGE,
+    DANGLING_REFERENCE,
     DUPLICATE_ID,
     FIELD_INVALID,
     INVALID_TYPE,
@@ -33,18 +32,15 @@ from .graph import (
     JourneyGraph,
     MISSING_FIELD,
     REFERENCE_ERROR,
-    SELF_LINK,
     SYNTAX_ERROR,
-    TEMPORAL_VIOLATION,
     UNKNOWN_FIELD,
-    UNKNOWN_PROVIDER,
     UNSUPPORTED_FORMAT_VERSION,
     Diagnostic,
     Severity,
     SeverityViews,
     ValidationReport,
-    cyclic_nodes,
-    oriented_edges,
+    link_problems,
+    missing_encounter,
 )
 from .records import (
     DATE,
@@ -64,12 +60,14 @@ from .records import (
     JourneyEdge,
     Patient,
     Provider,
-    edge_dates_consistent,
 )
 
 FORMAT_VERSION = "pjo-1"
 
 _DATE_PATTERN = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# A lone surrogate decodes from a JSON escape such as "\ud800" but cannot be
+# encoded as UTF-8, so a string holding one could not be written back out.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
@@ -165,7 +163,8 @@ def _join(path: str, key: str) -> str:
 def _warn_unknown(obj: dict, known, path: str, problems: _Problems) -> None:
     for key in obj:
         if key not in known:
-            problems.warning(_join(path, key), UNKNOWN_FIELD, f"unknown field {key!r} ignored")
+            shown = key.encode("utf-8", "backslashreplace").decode("utf-8")
+            problems.warning(_join(path, shown), UNKNOWN_FIELD, f"unknown field {key!r} ignored")
 
 
 # A field reads as its value, as _INVALID after a reported problem, or as
@@ -189,7 +188,7 @@ def _walk(record_type: type, obj: dict, path: str, problems: _Problems):
     valid = True
     for key, attr, spec, plain, _ in entries:
         value = obj.get(key)
-        if plain and value.__class__ is str and (value or not spec.required):
+        if plain and value.__class__ is str and (value or not spec.required) and value.isascii():
             values[attr] = value
             continue
         value = _read(spec, value, path, problems)
@@ -226,6 +225,10 @@ def _read_str(spec: Field, value, path: str, problems: _Problems):
         return _INVALID
     if spec.required and not value:
         problems.error(_join(path, spec.key), FIELD_INVALID, f"{spec.key!r} must be nonempty")
+        return _INVALID
+    if not value.isascii() and _SURROGATE.search(value):
+        message = f"{spec.key!r} holds a lone surrogate"
+        problems.error(_join(path, spec.key), INVALID_VALUE, message)
         return _INVALID
     return value
 
@@ -288,18 +291,17 @@ def _read_strs(spec: Field, value, path: str, problems: _Problems):
     if not isinstance(value, list):
         problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an array")
         return _INVALID
+    base = _join(path, spec.key)
     items: list[str] = []
     for index, item in enumerate(value):
-        if isinstance(item, str) and item:
-            items.append(item)
-        elif isinstance(item, str):
-            problems.error(
-                f"{_join(path, spec.key)}[{index}]", FIELD_INVALID, "entry must be nonempty"
-            )
+        if not isinstance(item, str):
+            problems.error(f"{base}[{index}]", INVALID_TYPE, "entry must be a string")
+        elif not item:
+            problems.error(f"{base}[{index}]", FIELD_INVALID, "entry must be nonempty")
+        elif not item.isascii() and _SURROGATE.search(item):
+            problems.error(f"{base}[{index}]", INVALID_VALUE, "entry holds a lone surrogate")
         else:
-            problems.error(
-                f"{_join(path, spec.key)}[{index}]", INVALID_TYPE, "entry must be a string"
-            )
+            items.append(item)
     return items
 
 
@@ -412,14 +414,7 @@ def parse_bundle(data: str | bytes) -> ParseResult:
     if problems.has_errors:
         return ParseResult(None, problems.items)
 
-    graph, report = _assemble(
-        patient,
-        providers,
-        intake_form,
-        [(f"encounters[{index}]", encounter) for index, encounter in enumerate(encounters)],
-        [(f"links[{index}]", link) for index, link in enumerate(links)],
-        problems,
-    )
+    graph, report = _assemble(patient, providers, intake_form, encounters, links, problems)
     if problems.has_errors:
         return ParseResult(None, problems.items)
     return ParseResult(graph, problems.items, report)
@@ -429,10 +424,19 @@ def _assemble(
     patient: Patient,
     providers: list[Provider],
     intake_form: IntakeForm | None,
-    encounters: list[tuple[str, Encounter]],
-    links: list[tuple[str, JourneyEdge]],
+    encounters: list[Encounter],
+    links: list[JourneyEdge],
     problems: _Problems,
-) -> tuple[JourneyGraph, ValidationReport | None]:
+) -> tuple[JourneyGraph, ValidationReport]:
+    """Join the records into a graph and report the checker's errors on it.
+
+    Only duplicate IDs are found here: a graph keyed by ID cannot hold
+    them.  Every other join rule is the invariant checker's; its errors are
+    moved to document paths (``encounters[<id>]`` becomes
+    ``encounters[<index>]``) and into document order.  A missing link
+    endpoint, a ``dangling-reference`` at ``links[<i>]``, is reported as a
+    ``reference-error`` at ``links[<i>].from`` or ``.to``.
+    """
     graph = JourneyGraph()
     graph.patients[patient.patient_id] = patient
     for index, provider in enumerate(providers):
@@ -448,86 +452,44 @@ def _assemble(
         graph.intake_forms[intake_form.intake_form_id] = intake_form
         graph.intake_form_owner[intake_form.intake_form_id] = patient.patient_id
 
-    for item_path, encounter in encounters:
+    # Errors on encounters, by document index: the duplicates the graph
+    # cannot hold, and the checker's errors on the stored encounters.
+    by_encounter: list[tuple[int, Diagnostic]] = []
+    index_of: dict[str, int] = {}
+    for index, encounter in enumerate(encounters):
         if encounter.encounter_id in graph.encounters:
-            problems.error(
-                f"{item_path}.encounterID",
-                DUPLICATE_ID,
-                f"encounter ID {encounter.encounter_id!r} already used",
-            )
-            continue
-        graph.encounters[encounter.encounter_id] = encounter
-        graph.encounter_owner[encounter.encounter_id] = patient.patient_id
-        if encounter.provider_ref not in graph.providers:
-            problems.error(
-                f"{item_path}.providerRef",
-                UNKNOWN_PROVIDER,
-                f"providerRef {encounter.provider_ref!r} does not resolve",
-            )
-        if encounter.date < patient.birth_date:
-            problems.error(
-                f"{item_path}.date",
-                FIELD_INVALID,
-                f"encounter date {encounter.date.isoformat()} precedes "
-                f"birth date {patient.birth_date.isoformat()}",
-            )
+            message = f"encounter ID {encounter.encounter_id!r} already used"
+            at = f"encounters[{index}].encounterID"
+            by_encounter.append((index, Diagnostic(Severity.ERROR, DUPLICATE_ID, message, at)))
+        else:
+            graph.encounters[encounter.encounter_id] = encounter
+            graph.encounter_owner[encounter.encounter_id] = patient.patient_id
+            index_of[f"encounters[{encounter.encounter_id}]"] = index
+    graph.edges.extend(links)
 
-    seen: set[tuple[EdgeKind, str, str]] = set()
-    for item_path, edge in links:
-        source = graph.encounters.get(edge.from_encounter)
-        target = graph.encounters.get(edge.to_encounter)
-        resolved = True
-        if source is None:
-            problems.error(
-                f"{item_path}.from",
-                REFERENCE_ERROR,
-                f"link.from names missing encounter {edge.from_encounter!r}",
-            )
-            resolved = False
-        if target is None:
-            problems.error(
-                f"{item_path}.to",
-                REFERENCE_ERROR,
-                f"link.to names missing encounter {edge.to_encounter!r}",
-            )
-            resolved = False
-        if not resolved:
-            continue
-        if edge.from_encounter == edge.to_encounter:
-            problems.error(
-                item_path,
-                SELF_LINK,
-                f"link connects {edge.from_encounter!r} to itself",
-            )
-            continue
-        if not edge_dates_consistent(edge.kind, source.date, target.date):
-            problems.error(
-                item_path,
-                TEMPORAL_VIOLATION,
-                f"{edge.kind.value} link {edge.from_encounter!r} -> {edge.to_encounter!r} "
-                f"contradicts encounter dates {source.date.isoformat()} "
-                f"and {target.date.isoformat()}",
-            )
-        key = (edge.kind, edge.from_encounter, edge.to_encounter)
-        if key in seen:
-            problems.error(
-                item_path,
-                DUPLICATE_EDGE,
-                f"duplicate {edge.kind.value} link {edge.from_encounter!r} -> "
-                f"{edge.to_encounter!r}",
-            )
-        seen.add(key)
-        graph.edges.append(edge)
-
-    in_cycle = cyclic_nodes(list(graph.encounters), oriented_edges(graph.edges))
-    if in_cycle:
-        problems.error("links", CYCLE, "journey links form a cycle through: " + ", ".join(in_cycle))
-
-    report = None
-    if not problems.has_errors:
-        # The parser checks everything the graph checker does; re-check to
-        # keep that guarantee honest if the two ever drift apart.
-        report = graph.check_invariants()
-        for diagnostic in report.errors:
-            problems.error(diagnostic.location, diagnostic.code, diagnostic.message)
+    report = graph.check_invariants()
+    rest: list[Diagnostic] = []
+    for diagnostic in report.errors:
+        head = location = diagnostic.location
+        # Drop trailing fields until the head names a stored encounter, if
+        # any; an encounter ID may itself hold dots.
+        while head not in index_of and "." in head:
+            head = head.rpartition(".")[0]
+        if head in index_of:
+            index = index_of[head]
+            location = f"encounters[{index}]{location[len(head):]}"
+            by_encounter.append((index, replace(diagnostic, location=location)))
+        elif diagnostic.code != DANGLING_REFERENCE or not location.startswith("links["):
+            rest.append(diagnostic)
+        elif not (rest and rest[-1].location.startswith(f"{location}.")):
+            # The first of a link's missing ends reports them all.
+            edge = links[int(location[len("links[") : -1])]
+            for end, _, _ in link_problems(graph, edge):
+                named = edge.from_encounter if end == "from" else edge.to_encounter
+                message = missing_encounter(f"link.{end} names", named)
+                at = f"{location}.{end}"
+                rest.append(Diagnostic(Severity.ERROR, REFERENCE_ERROR, message, at))
+    by_encounter.sort(key=lambda item: item[0])
+    problems.items.extend(diagnostic for _, diagnostic in by_encounter)
+    problems.items.extend(rest)
     return graph, report

@@ -16,15 +16,15 @@ class DuplicateIDError(PjoError):
 
 
 class UnknownPatientError(PjoError):
-    """A patient ID does not resolve to a stored patient."""
+    """A patient ID names no stored patient."""
 
 
 class UnknownProviderError(PjoError):
-    """A provider reference does not resolve to a stored provider."""
+    """A provider reference names no stored provider."""
 
 
 class UnknownEncounterError(PjoError):
-    """An encounter ID does not resolve to a stored encounter."""
+    """An encounter ID names no stored encounter."""
 
 
 class CrossPatientLinkError(PjoError):

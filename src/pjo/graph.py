@@ -227,6 +227,82 @@ def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -
     return False
 
 
+def missing_encounter(subject: str, encounter_id: str) -> str:
+    """The message for a reference to an encounter the graph does not hold."""
+    return f"{subject} missing encounter {encounter_id!r}"
+
+
+def _arrow(edge: JourneyEdge) -> str:
+    """How messages name a link: ``next link 'A' -> 'B'``."""
+    return f"{edge.kind.value} link {edge.from_encounter!r} -> {edge.to_encounter!r}"
+
+
+def link_problems(graph: JourneyGraph, edge: JourneyEdge) -> list[FieldProblem]:
+    """The endpoint rules ``edge`` breaks in ``graph``.
+
+    A missing endpoint is located at its end, ``from`` or ``to``; the other
+    problems at the link itself.  Duplicates and cycles depend on the other
+    edges, so the callers check those.
+    """
+    source = graph.encounters.get(edge.from_encounter)
+    target = graph.encounters.get(edge.to_encounter)
+    if source is None or target is None:
+        ends = (("from", edge.from_encounter, source), ("to", edge.to_encounter, target))
+        return [
+            (end, DANGLING_REFERENCE, missing_encounter("link references", encounter_id))
+            for end, encounter_id, record in ends
+            if record is None
+        ]
+    if edge.from_encounter == edge.to_encounter:
+        return [("", SELF_LINK, f"link connects {edge.from_encounter!r} to itself")]
+    problems: list[FieldProblem] = []
+    owner = graph.encounter_owner.get(edge.from_encounter)
+    if owner is None or owner != graph.encounter_owner.get(edge.to_encounter):
+        problems.append(("", CROSS_PATIENT_LINK, f"{_arrow(edge)} crosses patients"))
+    if not edge_dates_consistent(edge.kind, source.date, target.date):
+        dates = f"{source.date.isoformat()} and {target.date.isoformat()}"
+        message = f"{_arrow(edge)} contradicts encounter dates {dates}"
+        problems.append(("", TEMPORAL_VIOLATION, message))
+    return problems
+
+
+def encounter_reference_problems(
+    graph: JourneyGraph, encounter: Encounter, owner: Patient | None
+) -> list[FieldProblem]:
+    """The encounter's provider reference, and its date against its owner's birth date."""
+    problems: list[FieldProblem] = []
+    if encounter.provider_ref and encounter.provider_ref not in graph.providers:
+        message = f"providerRef {encounter.provider_ref!r} does not resolve"
+        problems.append(("providerRef", UNKNOWN_PROVIDER, message))
+    if owner is not None and encounter.date < owner.birth_date:
+        dates = f"{encounter.date.isoformat()} precedes birth date {owner.birth_date.isoformat()}"
+        problems.append(("date", FIELD_INVALID, f"encounter date {dates}"))
+    return problems
+
+
+def key_problems(key: str, record_id: str, id_field: str) -> list[FieldProblem]:
+    """A stored record whose ID differs from its key is written out under
+    its ID, where references to the key no longer find it."""
+    if record_id == key:
+        return []
+    return [(id_field, FIELD_INVALID, f"{id_field} {record_id!r} differs from its key {key!r}")]
+
+
+_RAISES = {
+    DANGLING_REFERENCE: UnknownEncounterError,
+    SELF_LINK: FieldInvalidError,
+    CROSS_PATIENT_LINK: CrossPatientLinkError,
+    TEMPORAL_VIOLATION: TemporalViolationError,
+    UNKNOWN_PROVIDER: UnknownProviderError,
+    FIELD_INVALID: FieldInvalidError,
+}
+
+
+def _raise_first(problems: list[FieldProblem]) -> None:
+    if problems:
+        raise _RAISES[problems[0][1]](problems[0][2])
+
+
 def oriented_edges(edges: list[JourneyEdge]) -> list[tuple[str, str]]:
     """Edges oriented forward in journey time: cause/predecessor first."""
     oriented = []
@@ -241,14 +317,15 @@ def oriented_edges(edges: list[JourneyEdge]) -> list[tuple[str, str]]:
 def cyclic_nodes(nodes: list[str], arcs: list[tuple[str, str]]) -> list[str]:
     """Nodes on or downstream of a directed cycle, by Kahn's algorithm.
 
-    Empty exactly when the arc set is acyclic.  Only arcs whose endpoints
-    both appear in ``nodes`` are considered.
+    Empty exactly when the arc set is acyclic.  Only arcs between two
+    distinct nodes of ``nodes`` are considered: a self arc is a self-link,
+    a rule of its own.
     """
     known = set(nodes)
     out: dict[str, list[str]] = {node: [] for node in nodes}
     indegree = {node: 0 for node in nodes}
     for source, target in arcs:
-        if source in known and target in known:
+        if source in known and target in known and source != target:
             out[source].append(target)
             indegree[target] += 1
     ready = [node for node in nodes if indegree[node] == 0]
@@ -322,13 +399,7 @@ class JourneyGraph:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
         if encounter.encounter_id in self.encounters:
             raise DuplicateIDError(f"encounter ID {encounter.encounter_id!r} already exists")
-        if encounter.provider_ref not in self.providers:
-            raise UnknownProviderError(f"unknown provider {encounter.provider_ref!r}")
-        if encounter.date < patient.birth_date:
-            raise FieldInvalidError(
-                f"encounter date {encounter.date.isoformat()} precedes "
-                f"birth date {patient.birth_date.isoformat()}"
-            )
+        _raise_first(encounter_reference_problems(self, encounter, patient))
         self.encounters[encounter.encounter_id] = encounter
         self.encounter_owner[encounter.encounter_id] = patient_id
 
@@ -341,9 +412,10 @@ class JourneyGraph:
     ) -> JourneyEdge:
         """Add a journey edge after checking it against the graph.
 
-        Raises, and leaves ``edges`` untouched, when an endpoint is unknown,
-        the edge is a self-link, crosses patients, contradicts the endpoint
-        dates, repeats a stored ``(kind, from, to)``, or closes a cycle.
+        Raises, and leaves ``edges`` untouched, on the first problem
+        ``link_problems`` finds (an unknown endpoint, a self-link, a link
+        across patients or against the endpoint dates), or when the edge
+        repeats a stored ``(kind, from, to)`` or closes a cycle.
 
         The cycle check runs Kahn's algorithm only for a same-day link, and
         only over the edges among encounters of that day.  The temporal check
@@ -357,25 +429,11 @@ class JourneyGraph:
         graph written to directly may break those premises; audit it with
         ``check_invariants``, which still runs Kahn over the whole graph.
         """
-        source = self.encounters.get(from_encounter)
-        target = self.encounters.get(to_encounter)
-        if source is None:
-            raise UnknownEncounterError(f"unknown encounter {from_encounter!r}")
-        if target is None:
-            raise UnknownEncounterError(f"unknown encounter {to_encounter!r}")
-        if from_encounter == to_encounter:
-            raise FieldInvalidError(f"link cannot connect {from_encounter!r} to itself")
-        if self.encounter_owner[from_encounter] != self.encounter_owner[to_encounter]:
-            raise CrossPatientLinkError(
-                f"{from_encounter!r} and {to_encounter!r} belong to different patients"
-            )
-        if not edge_dates_consistent(kind, source.date, target.date):
-            raise TemporalViolationError(
-                f"{kind.value} link {from_encounter!r} -> {to_encounter!r} contradicts "
-                f"encounter dates {source.date.isoformat()} and {target.date.isoformat()}"
-            )
+        edge = JourneyEdge(kind, from_encounter, to_encounter, via)
+        _raise_first(link_problems(self, edge))
         # One pass: find a duplicate and, for a same-day link, collect the
         # edges among encounters of that day.
+        source, target = self.encounters[from_encounter], self.encounters[to_encounter]
         day = source.date if source.date == target.date else None
         same_day: list[JourneyEdge] = []
         for e in self.edges:
@@ -384,21 +442,16 @@ class JourneyGraph:
                 and e.to_encounter == to_encounter
                 and e.kind is kind
             ):
-                raise DuplicateEdgeError(
-                    f"duplicate {kind.value} link {from_encounter!r} -> {to_encounter!r}"
-                )
+                raise DuplicateEdgeError(f"duplicate {_arrow(edge)}")
             if day is not None:
                 start = self.encounters.get(e.from_encounter)
                 end = self.encounters.get(e.to_encounter)
                 if start is not None and end is not None and start.date == day == end.date:
                     same_day.append(e)
-        edge = JourneyEdge(kind, from_encounter, to_encounter, via)
         if same_day:
             arcs = oriented_edges(same_day + [edge])
             if cyclic_nodes(list(dict.fromkeys(node for arc in arcs for node in arc)), arcs):
-                raise CycleIntroducedError(
-                    f"{kind.value} link {from_encounter!r} -> {to_encounter!r} introduces a cycle"
-                )
+                raise CycleIntroducedError(f"{_arrow(edge)} introduces a cycle")
         self.edges.append(edge)
         return edge
 
@@ -469,10 +522,16 @@ class JourneyGraph:
 
         self._check_annotations(error, warning)
         for patient_id in sorted(self.patients):
-            for relative, code, message in patient_problems(self.patients[patient_id]):
+            patient = self.patients[patient_id]
+            for relative, code, message in patient_problems(patient) + key_problems(
+                patient_id, patient.patient_id, "patientID"
+            ):
                 error(code, message, f"patients[{patient_id}].{relative}")
         for provider_id in sorted(self.providers):
-            for relative, code, message in provider_problems(self.providers[provider_id]):
+            provider = self.providers[provider_id]
+            for relative, code, message in provider_problems(provider) + key_problems(
+                provider_id, provider.provider_id, "providerID"
+            ):
                 error(code, message, f"providers[{provider_id}].{relative}")
         self._check_intake_forms(error)
         self._check_encounters(error)
@@ -506,7 +565,10 @@ class JourneyGraph:
         owners_seen: dict[str, str] = {}
         for form_id in sorted(self.intake_forms):
             location = f"intakeForms[{form_id}]"
-            for relative, code, message in intake_form_problems(self.intake_forms[form_id]):
+            form = self.intake_forms[form_id]
+            for relative, code, message in intake_form_problems(form) + key_problems(
+                form_id, form.intake_form_id, "intakeFormID"
+            ):
                 error(code, message, f"{location}.{relative}")
             owner = self.intake_form_owner.get(form_id)
             if owner is None:
@@ -534,37 +596,27 @@ class JourneyGraph:
         for encounter_id in sorted(self.encounters):
             encounter = self.encounters[encounter_id]
             location = f"encounters[{encounter_id}]"
-            for relative, code, message in encounter_problems(encounter):
-                error(code, message, f"{location}.{relative}")
-            if encounter.provider_ref and encounter.provider_ref not in self.providers:
-                error(
-                    UNKNOWN_PROVIDER,
-                    f"providerRef {encounter.provider_ref!r} does not resolve",
-                    f"{location}.providerRef",
-                )
             owner = self.encounter_owner.get(encounter_id)
+            patient = self.patients.get(owner)
+            for relative, code, message in (
+                encounter_problems(encounter)
+                + key_problems(encounter_id, encounter.encounter_id, "encounterID")
+                + encounter_reference_problems(self, encounter, patient)
+            ):
+                error(code, message, f"{location}.{relative}")
             if owner is None:
                 error(UNOWNED_ENCOUNTER, f"encounter {encounter_id!r} has no owner", location)
-            elif owner not in self.patients:
+            elif patient is None:
                 error(
                     UNKNOWN_PATIENT,
                     f"encounter {encounter_id!r} owned by unknown patient {owner!r}",
                     location,
                 )
-            else:
-                birth = self.patients[owner].birth_date
-                if encounter.date < birth:
-                    error(
-                        FIELD_INVALID,
-                        f"encounter date {encounter.date.isoformat()} precedes "
-                        f"birth date {birth.isoformat()} of patient {owner!r}",
-                        f"{location}.date",
-                    )
         for encounter_id, owner in sorted(self.encounter_owner.items()):
             if encounter_id not in self.encounters:
                 error(
                     DANGLING_REFERENCE,
-                    f"ownership entry references missing encounter {encounter_id!r}",
+                    missing_encounter("ownership entry references", encounter_id),
                     f"encounters[{encounter_id}]",
                 )
 
@@ -572,56 +624,18 @@ class JourneyGraph:
         seen: set[tuple[EdgeKind, str, str]] = set()
         for index, edge in enumerate(self.edges):
             location = f"links[{index}]"
-            source = self.encounters.get(edge.from_encounter)
-            target = self.encounters.get(edge.to_encounter)
-            if source is None:
-                error(
-                    DANGLING_REFERENCE,
-                    f"link references missing encounter {edge.from_encounter!r}",
-                    location,
-                )
-            if target is None:
-                error(
-                    DANGLING_REFERENCE,
-                    f"link references missing encounter {edge.to_encounter!r}",
-                    location,
-                )
-            if source is None or target is None:
-                continue
-            if edge.from_encounter == edge.to_encounter:
-                error(
-                    SELF_LINK,
-                    f"link connects {edge.from_encounter!r} to itself",
-                    location,
-                )
-                continue
-            from_owner = self.encounter_owner.get(edge.from_encounter)
-            to_owner = self.encounter_owner.get(edge.to_encounter)
-            if from_owner != to_owner or from_owner is None:
-                error(
-                    CROSS_PATIENT_LINK,
-                    f"{edge.kind.value} link {edge.from_encounter!r} -> "
-                    f"{edge.to_encounter!r} crosses patients",
-                    location,
-                )
-            if not edge_dates_consistent(edge.kind, source.date, target.date):
-                error(
-                    TEMPORAL_VIOLATION,
-                    f"{edge.kind.value} link {edge.from_encounter!r} -> {edge.to_encounter!r} "
-                    f"contradicts encounter dates {source.date.isoformat()} "
-                    f"and {target.date.isoformat()}",
-                    location,
-                )
+            problems = link_problems(self, edge)
+            for _, code, message in problems:
+                error(code, message, location)
+            if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
+                continue  # no pair of encounters to compare
             key = (edge.kind, edge.from_encounter, edge.to_encounter)
             if key in seen:
-                error(
-                    DUPLICATE_EDGE,
-                    f"duplicate {edge.kind.value} link {edge.from_encounter!r} -> "
-                    f"{edge.to_encounter!r}",
-                    location,
-                )
+                error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", location)
             seen.add(key)
-            if edge.via is not None and not via_resolves(edge.via, source, target):
+            if edge.via is not None and not via_resolves(
+                edge.via, self.encounters[edge.from_encounter], self.encounters[edge.to_encounter]
+            ):
                 warning(
                     UNRESOLVED_VIA,
                     f"via {edge.via!r} names no care plan or diagnosis in either endpoint",

@@ -135,14 +135,15 @@ def link_by_kahn(
     source = graph.encounters.get(from_encounter)
     target = graph.encounters.get(to_encounter)
     if source is None:
-        raise UnknownEncounterError(f"unknown encounter {from_encounter!r}")
+        raise UnknownEncounterError(f"link references missing encounter {from_encounter!r}")
     if target is None:
-        raise UnknownEncounterError(f"unknown encounter {to_encounter!r}")
+        raise UnknownEncounterError(f"link references missing encounter {to_encounter!r}")
     if from_encounter == to_encounter:
-        raise FieldInvalidError(f"link cannot connect {from_encounter!r} to itself")
-    if graph.encounter_owner[from_encounter] != graph.encounter_owner[to_encounter]:
+        raise FieldInvalidError(f"link connects {from_encounter!r} to itself")
+    owner = graph.encounter_owner.get(from_encounter)
+    if owner is None or owner != graph.encounter_owner.get(to_encounter):
         raise CrossPatientLinkError(
-            f"{from_encounter!r} and {to_encounter!r} belong to different patients"
+            f"{kind.value} link {from_encounter!r} -> {to_encounter!r} crosses patients"
         )
     if not edge_dates_consistent(kind, source.date, target.date):
         raise TemporalViolationError(

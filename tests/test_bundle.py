@@ -487,6 +487,57 @@ class TestDocumentedBoundaries:
         assert parse_doc(doc).ok is ok
 
 
+class TestLoneSurrogates:
+    """A string holding a lone surrogate could not be written back as UTF-8."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "patient.patientName",
+            "patient.contactInformation.email",
+            "providers[0].providerID",
+            "intakeForm.socialHistory.diet",
+            "encounters[1].specialty",
+            "encounters[0].symptoms[0].severity",
+            "links[0].via",
+        ],
+    )
+    def test_a_string_field_is_an_invalid_value(self, path):
+        doc = seed_doc()
+        steps = [int(step) if step.isdigit() else step for step in re.findall(r"[^.\[\]]+", path)]
+        target = doc
+        for step in steps[:-1]:
+            target = target[step]
+        target[steps[-1]] = "caf\u00e9 \ud800"
+        result = parse_doc(doc)
+        assert not result.ok
+        assert [(d.code, d.location) for d in result.errors] == [("invalid-value", path)]
+
+    def test_a_string_array_entry_is_an_invalid_value(self):
+        doc = seed_doc()
+        doc["intakeForm"]["medicalHistory"]["hadSurgery"] = ["Appendectomy", "\udfff"]
+        assert error_index(parse_doc(doc)) == {
+            ("invalid-value", "intakeForm.medicalHistory.hadSurgery[1]")
+        }
+
+    def test_other_non_ascii_text_round_trips(self):
+        doc = seed_doc()
+        doc["patient"]["patientName"] = "Jos\u00e9 \U0001f600"
+        result = parse_doc(doc)
+        assert result.ok
+        text = serialize_bundle(result.graph, "JohnDoe")
+        assert parse_bundle(text.encode("utf-8")).ok
+
+    def test_an_unknown_key_is_shown_escaped(self):
+        doc = seed_doc()
+        doc["patient"]["\ud800"] = 1
+        result = parse_doc(doc)
+        assert result.ok
+        [warning] = result.warnings
+        assert warning.location == "patient.\\ud800"
+        serialize_bundle(result.graph, "JohnDoe").encode("utf-8")
+
+
 class TestDiagnosticOrder:
     """Diagnostics follow document order, and canonical key order within a record."""
 
@@ -553,7 +604,11 @@ class TestDiagnosticOrder:
             ),
             ("duplicate-id", "encounters[2].encounterID", f"encounter ID {e1!r} already used"),
             ("unknown-provider", "encounters[3].providerRef", ghost),
-            ("reference-error", "links[0].from", "link.from names missing encounter 'Encounter-Ghost'"),
+            (
+                "reference-error",
+                "links[0].from",
+                "link.from names missing encounter 'Encounter-Ghost'",
+            ),
             (
                 "temporal-violation",
                 "links[1]",

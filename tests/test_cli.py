@@ -92,6 +92,20 @@ class TestSeedAndValidate:
         assert "syntax-error" in proc.stdout
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("where", ["value", "key"])
+    def test_validate_reports_lone_surrogates_without_a_traceback(self, where, output):
+        document = json.loads(john_doe_bundle())
+        if where == "value":
+            document["patient"]["patientName"] = "John \ud800"
+        else:
+            document["patient"]["\ud800"] = "x"
+            document["patient"]["patientName"] = ""
+        stdin = json.dumps(document)  # ASCII: the surrogate is a JSON escape
+        proc = run_cli("validate", "--format", output, "-", stdin=stdin, check_rc=1)
+        assert "patient." in proc.stdout
+        assert "Traceback" not in proc.stderr
+
 
 class TestQueries:
     def test_timeline_four_row_table(self, bundle_path):

@@ -315,6 +315,17 @@ class TestCheckInvariants:
         assert gap[0].location == "patients[P1]"
         assert "P1-E1" in gap[0].message and "P1-E2" in gap[0].message
 
+    def test_gap_means_date_neighbours_without_a_direct_link(self):
+        graph = small_graph(n_encounters=3)
+        graph.link(EdgeKind.NEXT, "P1-E1", "P1-E3")
+        graph.link(EdgeKind.CAUSED_BY, "P1-E3", "P1-E2")
+        gaps = [d.message for d in graph.check_invariants().warnings if d.code == JOURNEY_GAP]
+        # E1 and E2 are connected through E3, but not directly; E1 and E3
+        # are directly linked, but not neighbours.
+        assert gaps == [
+            "journey gap: no link between 'P1-E1' (2021-01-01) and 'P1-E2' (2021-02-01)"
+        ]
+
     def test_checker_is_idempotent(self):
         graph = small_graph(n_encounters=3)
         graph.link(EdgeKind.NEXT, "P1-E1", "P1-E2")
