@@ -46,7 +46,7 @@ def validate_fhir_label(code: str) -> bool:
     return bool(code) and not any(ch.isspace() for ch in code)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptCode:
     """A code together with the system it is drawn from."""
 

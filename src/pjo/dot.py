@@ -71,17 +71,12 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
 
     encounters_by_owner = graph.encounters_by_owner()
-    form_by_owner: dict[str, IntakeForm] = {}
-    for form_id, owner in graph.intake_form_owner.items():
-        if form_id in graph.intake_forms:
-            form_by_owner.setdefault(owner, graph.intake_forms[form_id])
-
     writer = _Writer()
     selected_encounters: set[str] = set()
     for pid in patient_ids:
         patient = graph.patients[pid]
         writer.node(pid, patient.patient_name, "Patient")
-        form = form_by_owner.get(pid)
+        form = graph.intake_form_of(pid)
         if form is not None:
             writer.node(form.intake_form_id, form.intake_form_id, "IntakeForm")
             writer.edge(pid, form.intake_form_id, "hasIntakeForm")

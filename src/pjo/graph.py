@@ -10,6 +10,7 @@ refused.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -340,24 +341,153 @@ def cyclic_nodes(nodes: list[str], arcs: list[tuple[str, str]]) -> list[str]:
     return sorted(node for node in nodes if indegree[node] > 0)
 
 
+def _counted(method):
+    """``method``, adding one to the container's ``writes`` on each call."""
+
+    @functools.wraps(method)
+    def counted(self, *args, **kwargs):
+        self.writes += 1
+        return method(self, *args, **kwargs)
+
+    return counted
+
+
+def _counting(cls):
+    """Make each of ``cls.MUTATORS``, a method of its base type, counted."""
+    for name in cls.MUTATORS:
+        setattr(cls, name, _counted(getattr(cls.__base__, name)))
+    return cls
+
+
+@_counting
+class CountedDict(dict):
+    """A dict whose ``writes`` counts calls to its mutating methods."""
+
+    MUTATORS = (
+        "__init__", "__setitem__", "__delitem__", "__ior__",
+        "clear", "pop", "popitem", "setdefault", "update",
+    )  # fmt: skip
+    writes = 0
+
+
+@_counting
+class CountedList(list):
+    """A list whose ``writes`` counts calls to its mutating methods."""
+
+    MUTATORS = (
+        "__init__", "__setitem__", "__delitem__", "__iadd__", "__imul__",
+        "append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+    )  # fmt: skip
+    writes = 0
+
+
+# The graph containers the owner index is built from, and their types.
+_COUNTED_FIELDS = {
+    "encounter_owner": CountedDict,
+    "intake_form_owner": CountedDict,
+    "edges": CountedList,
+}
+
+
+class _OwnerIndex:
+    """Per-patient references into the ownership maps and the links.
+
+    ``encounters`` and ``forms`` map an owner to the keys it owns, in
+    ``encounter_owner`` and ``intake_form_owner`` order; ``edges`` maps a
+    patient to the links whose two ends it owns, in storage order; ``loose``
+    holds both ends of every other link.  Record fields are never copied.
+    The index matches the graph while the three containers are the ones it
+    was built from with the write counts it last saw.
+    """
+
+    __slots__ = ("encounters", "forms", "edges", "loose", "containers", "writes")
+
+    def __init__(self, graph: JourneyGraph) -> None:
+        self.encounters: dict[str, list[str]] = {}
+        for key, owner in graph.encounter_owner.items():
+            self.encounters.setdefault(owner, []).append(key)
+        self.forms: dict[str, list[str]] = {}
+        for key, owner in graph.intake_form_owner.items():
+            self.forms.setdefault(owner, []).append(key)
+        self.edges: dict[str, list[JourneyEdge]] = {}
+        self.loose: set[str] = set()
+        owner_of = graph.encounter_owner.get
+        for edge in graph.edges:
+            owner = owner_of(edge.from_encounter)
+            if owner is not None and owner == owner_of(edge.to_encounter):
+                self.edges.setdefault(owner, []).append(edge)
+            else:
+                self.loose.update((edge.from_encounter, edge.to_encounter))
+        self.containers = (graph.encounter_owner, graph.intake_form_owner, graph.edges)
+        self.saw_writes()
+
+    def _counts(self) -> tuple[int, int, int]:
+        owners, form_owners, edges = self.containers
+        return owners.writes, form_owners.writes, edges.writes
+
+    def matches(self, graph: JourneyGraph) -> bool:
+        owners, form_owners, edges = self.containers
+        return (
+            owners is graph.encounter_owner
+            and form_owners is graph.intake_form_owner
+            and edges is graph.edges
+            and self.writes == self._counts()
+        )
+
+    def saw_writes(self) -> None:
+        """Record the current write counts, after updating for a write."""
+        self.writes = self._counts()
+
+
 @dataclass
 class JourneyGraph:
     """One store of patients, their intake forms, encounters, and links.
 
-    ``encounter_owner`` and ``intake_form_owner`` map record IDs to the
+    ``encounter_owner`` and ``intake_form_owner`` map record keys to the
     owning patient ID; together they realize the ownership relations.  The
     graph also carries the class annotation table it is checked against,
     defaulting to the canonical one.
+
+    Every container may be written to directly.  ``encounter_owner``,
+    ``intake_form_owner`` and ``edges`` are a ``CountedDict``, a
+    ``CountedDict`` and a ``CountedList``, which count every call to a
+    mutating method; a plain dict or list given to the constructor or
+    assigned as one of these attributes is stored as a counted copy.  The
+    graph keeps a per-patient index of those three containers that is
+    exact: after a direct write, or a replaced container, the next lookup
+    rebuilds it in one O(V + E) pass, and ``add_encounter``,
+    ``add_intake_form`` and ``link`` update it in place.  So
+    ``encounters_of``, ``edges_of``, ``intake_form_of`` and ``link`` cost
+    O(the patient's records), and go by container key: a patient's
+    encounters are the records stored under the keys ``encounter_owner``
+    gives that patient.  Records themselves are read live, never indexed;
+    they are slotted dataclasses, without ``__dict__``.
     """
 
     patients: dict[str, Patient] = field(default_factory=dict)
     providers: dict[str, Provider] = field(default_factory=dict)
     intake_forms: dict[str, IntakeForm] = field(default_factory=dict)
     encounters: dict[str, Encounter] = field(default_factory=dict)
-    encounter_owner: dict[str, str] = field(default_factory=dict)
-    intake_form_owner: dict[str, str] = field(default_factory=dict)
-    edges: list[JourneyEdge] = field(default_factory=list)
+    encounter_owner: dict[str, str] = field(default_factory=CountedDict)
+    intake_form_owner: dict[str, str] = field(default_factory=CountedDict)
+    edges: list[JourneyEdge] = field(default_factory=CountedList)
     annotations: AnnotationTable = field(default_factory=lambda: dict(CLASS_ANNOTATIONS))
+
+    def __post_init__(self) -> None:
+        self._index: _OwnerIndex | None = None
+
+    def __setattr__(self, name: str, value) -> None:
+        counted = _COUNTED_FIELDS.get(name)
+        if counted is not None and not isinstance(value, counted):
+            value = counted(value)
+        super().__setattr__(name, value)
+
+    def _owners(self) -> _OwnerIndex:
+        """The owner index, rebuilt first if the graph was written to directly."""
+        index = self._index
+        if index is None or not index.matches(self):
+            index = self._index = _OwnerIndex(self)
+        return index
 
     # -- mutation ---------------------------------------------------------
 
@@ -383,12 +513,20 @@ class JourneyGraph:
         problems = intake_form_problems(form)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
-        if form.intake_form_id in self.intake_forms:
-            raise DuplicateIDError(f"intake form ID {form.intake_form_id!r} already exists")
-        if patient_id in self.intake_form_owner.values():
+        form_id = form.intake_form_id
+        if form_id in self.intake_forms:
+            raise DuplicateIDError(f"intake form ID {form_id!r} already exists")
+        index = self._owners()
+        if patient_id in index.forms:
             raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
-        self.intake_forms[form.intake_form_id] = form
-        self.intake_form_owner[form.intake_form_id] = patient_id
+        # Re-owning a stray ownership entry keeps its place in the map; the
+        # next lookup rebuilds the index in that order.
+        stray = form_id in self.intake_form_owner
+        self.intake_forms[form_id] = form
+        self.intake_form_owner[form_id] = patient_id
+        if not stray:
+            index.forms[patient_id] = [form_id]
+            index.saw_writes()
 
     def add_encounter(self, patient_id: str, encounter: Encounter) -> None:
         patient = self.patients.get(patient_id)
@@ -397,11 +535,26 @@ class JourneyGraph:
         problems = encounter_problems(encounter)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
-        if encounter.encounter_id in self.encounters:
-            raise DuplicateIDError(f"encounter ID {encounter.encounter_id!r} already exists")
+        key = encounter.encounter_id
+        if key in self.encounters:
+            raise DuplicateIDError(f"encounter ID {key!r} already exists")
         _raise_first(encounter_reference_problems(self, encounter, patient))
-        self.encounters[encounter.encounter_id] = encounter
-        self.encounter_owner[encounter.encounter_id] = patient_id
+        index = self._index
+        # An index that is already stale stays so; one that matches is
+        # updated in place unless a stray ownership entry is re-owned or a
+        # stored link already names the key, which would move links between
+        # patients: then the next lookup rebuilds it.
+        in_place = (
+            index is not None
+            and index.matches(self)
+            and key not in self.encounter_owner
+            and key not in index.loose
+        )
+        self.encounters[key] = encounter
+        self.encounter_owner[key] = patient_id
+        if in_place:
+            index.encounters.setdefault(patient_id, []).append(key)
+            index.saw_writes()
 
     def link(
         self,
@@ -417,26 +570,34 @@ class JourneyGraph:
         across patients or against the endpoint dates), or when the edge
         repeats a stored ``(kind, from, to)`` or closes a cycle.
 
-        The cycle check runs Kahn's algorithm only for a same-day link, and
-        only over the edges among encounters of that day.  The temporal check
-        orients every stored edge forward in time (see ``oriented_edges``),
-        so along any oriented path dates never decrease.  A cycle through the
-        new arc ``u -> v`` needs a path ``v -> ... -> u``, which forces every
-        node on it, ``u`` and ``v`` included, onto one date: date order is
-        already a topological order of the rest.  On every graph this API
-        can build (temporally consistent and acyclic), the scoped check
-        therefore refuses exactly the links that whole-graph Kahn would.  A
-        graph written to directly may break those premises; audit it with
-        ``check_invariants``, which still runs Kahn over the whole graph.
+        Both checks look only at the owner's links, the stored links whose
+        two ends that patient owns: a duplicate has the same ends, so it is
+        among them.  The cycle check runs Kahn's algorithm only for a
+        same-day link, and only over the owner's links among encounters of
+        that day.  The temporal check orients every stored edge forward in
+        time (see ``oriented_edges``), so along any oriented path dates never
+        decrease.  A cycle through the new arc ``u -> v`` needs a path
+        ``v -> ... -> u``, which forces every node on it, ``u`` and ``v``
+        included, onto one date: date order is already a topological order
+        of the rest.  On every graph ``check_invariants`` accepts, every
+        stored link joins two encounters of one patient in date order, so
+        the scoped check refuses exactly the links that whole-graph Kahn
+        would.  On a graph it rejects the two can differ: a cycle that runs
+        through a stored link across patients or against the dates is not
+        seen, so such a link is accepted where whole-graph Kahn refuses it.
+        ``check_invariants`` still runs Kahn over the whole graph.
         """
         edge = JourneyEdge(kind, from_encounter, to_encounter, via)
         _raise_first(link_problems(self, edge))
-        # One pass: find a duplicate and, for a same-day link, collect the
-        # edges among encounters of that day.
+        owner = self.encounter_owner[from_encounter]
+        index = self._owners()
+        owned = index.edges.get(owner, [])
+        # One pass over the owner's links: find a duplicate and, for a
+        # same-day link, collect the links among encounters of that day.
         source, target = self.encounters[from_encounter], self.encounters[to_encounter]
         day = source.date if source.date == target.date else None
         same_day: list[JourneyEdge] = []
-        for e in self.edges:
+        for e in owned:
             if (
                 e.from_encounter == from_encounter
                 and e.to_encounter == to_encounter
@@ -453,38 +614,43 @@ class JourneyGraph:
             if cyclic_nodes(list(dict.fromkeys(node for arc in arcs for node in arc)), arcs):
                 raise CycleIntroducedError(f"{_arrow(edge)} introduces a cycle")
         self.edges.append(edge)
+        index.edges.setdefault(owner, owned).append(edge)
+        index.saw_writes()
         return edge
 
     # -- lookup -----------------------------------------------------------
 
+    def _sorted_encounters(self, keys: list[str]) -> list[Encounter]:
+        """The records stored under ``keys``, ordered by (date, key)."""
+        encounters = self.encounters
+        stored = [key for key in keys if key in encounters]
+        stored.sort(key=lambda key: (encounters[key].date, key))
+        return [encounters[key] for key in stored]
+
     def encounters_of(self, patient_id: str) -> list[Encounter]:
-        """The patient's encounters ordered by (date, encounter ID)."""
+        """The encounters stored under the patient's keys in
+        ``encounter_owner``, ordered by (date, key)."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        owned = [
-            encounter
-            for encounter in self.encounters.values()
-            if self.encounter_owner.get(encounter.encounter_id) == patient_id
-        ]
-        return sorted(owned, key=lambda e: (e.date, e.encounter_id))
+        return self._sorted_encounters(self._owners().encounters.get(patient_id, []))
 
     def encounters_by_owner(self) -> dict[str, list[Encounter]]:
         """Owned encounters grouped by owner ID, each group ordered as in
-        ``encounters_of``; grouped in one pass on each call, never cached."""
-        groups: dict[str, list[Encounter]] = {}
-        for encounter in self.encounters.values():
-            owner = self.encounter_owner.get(encounter.encounter_id)
-            if owner is not None:
-                groups.setdefault(owner, []).append(encounter)
-        for group in groups.values():
-            group.sort(key=lambda e: (e.date, e.encounter_id))
+        ``encounters_of``; owners without a stored encounter are left out."""
+        groups = {}
+        for owner, keys in self._owners().encounters.items():
+            group = self._sorted_encounters(keys)
+            if group:
+                groups[owner] = group
         return groups
 
     def intake_form_of(self, patient_id: str) -> IntakeForm | None:
+        """The first stored intake form the patient owns, in
+        ``intake_form_owner`` order, or None."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        for form_id, owner in self.intake_form_owner.items():
-            if owner == patient_id and form_id in self.intake_forms:
+        for form_id in self._owners().forms.get(patient_id, []):
+            if form_id in self.intake_forms:
                 return self.intake_forms[form_id]
         return None
 
@@ -494,15 +660,10 @@ class JourneyGraph:
         return self.encounter_owner[encounter_id]
 
     def edges_of(self, patient_id: str) -> list[JourneyEdge]:
-        """Edges whose endpoints are both owned by the patient."""
+        """Edges whose endpoints are both owned by the patient, in storage order."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        return [
-            edge
-            for edge in self.edges
-            if self.encounter_owner.get(edge.from_encounter) == patient_id
-            and self.encounter_owner.get(edge.to_encounter) == patient_id
-        ]
+        return list(self._owners().edges.get(patient_id, []))
 
     # -- validation -------------------------------------------------------
 

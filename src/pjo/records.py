@@ -29,7 +29,7 @@ HEART_RATE_MAX = 300.0
 WEIGHT_MAX = 500.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ContactInformation:
     address: str | None = None
     phone_number: str | None = None
@@ -37,7 +37,7 @@ class ContactInformation:
     emergency_contact: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Patient:
     patient_id: str
     patient_name: str
@@ -49,7 +49,7 @@ class Patient:
     insurance_id: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Provider:
     provider_id: str
     provider_name: str
@@ -58,7 +58,7 @@ class Provider:
     years_of_experience: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MedicalHistory:
     had_surgery: list[str] = field(default_factory=list)
     chronic_illness: list[str] = field(default_factory=list)
@@ -66,7 +66,7 @@ class MedicalHistory:
     family_medical_history: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class SocialHistory:
     smoking_habit: str
     drinking_habit: str
@@ -78,20 +78,20 @@ class SocialHistory:
     annual_income: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class IntakeForm:
     intake_form_id: str
     medical_history: MedicalHistory
     social_history: SocialHistory
 
 
-@dataclass
+@dataclass(slots=True)
 class Symptom:
     symptom_name: str
     severity: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class VitalSign:
     body_temperature: float | None = None
     blood_pressure: str | None = None
@@ -99,34 +99,34 @@ class VitalSign:
     heart_rate: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DiagTest:
     test_name: str
     results: str = ""
     normal_range: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnosis:
     diagnosis_name: str
     icd10: ConceptCode | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Medication:
     medication_name: str
     dosage: str = ""
     frequency: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class CarePlan:
     plan_id: str
     description: str = ""
     referral_specialty: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Encounter:
     encounter_id: str
     date: date
@@ -161,7 +161,7 @@ EDGE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JourneyEdge:
     """A typed link between two encounters of the same patient.
 

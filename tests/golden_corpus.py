@@ -21,6 +21,13 @@ Regenerate ``tests/data/golden_corpus.jsonl`` after an intended change with::
     PYTHONPATH=src:tests python tests/golden_corpus.py [KIND ...]
 
 Naming kinds re-records only their entries and keeps every other line.
+When only the order of some entries' diagnostics changed on purpose,
+re-record just that order with::
+
+    PYTHONPATH=src:tests python tests/golden_corpus.py --order "double 71" ...
+
+Each name is an entry's ID or its leading words; the script refuses an
+entry whose ``ok`` flag, output or multiset of diagnostics changed.
 """
 
 from __future__ import annotations
@@ -312,15 +319,37 @@ def load() -> dict[str, dict]:
     return {entry["id"]: entry for entry in entries}
 
 
+def _write(entries) -> None:
+    CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
+    with CORPUS_PATH.open("w", encoding="utf-8") as out:
+        for entry in entries:
+            out.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def reorder(names: list[str]) -> None:
+    """Re-record the diagnostic order of the named entries, nothing else."""
+    recorded = load()
+    texts = {name: text for kind in CASE_KINDS.values() for name, text in kind()}
+    for name in names:
+        [entry_id] = [i for i in recorded if i == name or i.startswith(f"{name} ")]
+        entry, actual = recorded[entry_id], outcome(entry_id, texts[entry_id])
+        assert {k: v for k, v in actual.items() if k != "diagnostics"} == {
+            k: v for k, v in entry.items() if k != "diagnostics"
+        }, entry_id
+        assert sorted(actual["diagnostics"]) == sorted(entry["diagnostics"]), entry_id
+        recorded[entry_id] = actual
+    _write(recorded.values())
+
+
 def main(kinds: list[str]) -> None:
     kept = []
     if kinds:
         kept = [e for e in load().values() if e["id"].split(" ", 1)[0] not in kinds]
-    CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with CORPUS_PATH.open("w", encoding="utf-8") as out:
-        for entry in kept + generate(kinds or list(CASE_KINDS)):
-            out.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+    _write(kept + generate(kinds or list(CASE_KINDS)))
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    if sys.argv[1:2] == ["--order"]:
+        reorder(sys.argv[2:])
+    else:
+        main(sys.argv[1:])

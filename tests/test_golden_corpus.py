@@ -1,8 +1,8 @@
 """The parser's outcomes on the golden corpus stay as recorded.
 
-``ok`` flags and re-serialized bytes must match exactly; diagnostics must
-match as a multiset, so a change of report order alone is not a failure.
-See ``golden_corpus.py`` for the inputs and how to regenerate the record.
+``ok`` flags, re-serialized bytes and diagnostics, in report order, must
+match exactly.  See ``golden_corpus.py`` for the inputs and how to
+regenerate the record.
 """
 
 import pytest
@@ -31,7 +31,7 @@ def test_outcomes_match_the_recorded_corpus(kind, recorded):
             continue
         if actual["ok"] != expected["ok"] or actual.get("output") != expected.get("output"):
             mismatches.append(f"{name}: ok/output {actual['ok']} != {expected['ok']}")
-        if sorted(actual["diagnostics"]) != sorted(expected["diagnostics"]):
+        if actual["diagnostics"] != expected["diagnostics"]:
             mismatches.append(
                 f"{name}: diagnostics {actual['diagnostics']} != {expected['diagnostics']}"
             )

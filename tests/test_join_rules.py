@@ -267,3 +267,63 @@ class TestStoredIDsMatchTheirKeys:
         graph.intake_forms["F1"] = IntakeForm("F1", MedicalHistory(), SocialHistory("no", "no"))
         graph.intake_form_owner["F1"] = "P1"
         assert graph.check_invariants().errors == []
+
+
+class TestLookupsGoByKey:
+    """``encounters_of``, ``edges_of``, ``intake_form_of`` and
+    ``serialize_bundle`` find a patient's records by their keys in the
+    ownership maps, not by the IDs the records carry; the checker reports
+    every record whose ID differs from its key."""
+
+    def renamed(self):
+        graph = john_doe_graph()
+        key = "Encounter-Pulmonology-20210315"
+        graph.encounters[key].encounter_id = "Encounter-Other"
+        form = graph.intake_forms.pop("IntakeForm-JohnDoe")
+        graph.intake_forms["IntakeForm-Key"] = form
+        graph.intake_form_owner = {"IntakeForm-Key": "JohnDoe"}
+        return graph, key, form
+
+    def test_lookups(self):
+        graph, key, form = self.renamed()
+        assert [e.encounter_id for e in graph.encounters_of("JohnDoe")] == [
+            "Encounter-GeneralMedicine-20210105",
+            "Encounter-Other",
+            "Encounter-Allergy-20210725",
+            "Encounter-AllergyFollowUp-20220418",
+        ]
+        assert graph.edges_of("JohnDoe") == graph.edges
+        assert graph.intake_form_of("JohnDoe") is form
+        assert graph.encounters_by_owner()["JohnDoe"] == graph.encounters_of("JohnDoe")
+
+    def test_checker_reports_each_key(self):
+        graph, key, _ = self.renamed()
+        assert [(d.code, d.location) for d in graph.check_invariants().errors] == [
+            (FIELD_INVALID, "intakeForms[IntakeForm-Key].intakeFormID"),
+            (FIELD_INVALID, f"encounters[{key}].encounterID"),
+        ]
+
+    def test_serialized_under_the_ids_the_links_miss(self):
+        graph, key, _ = self.renamed()
+        document = json.loads(serialize_bundle(graph, "JohnDoe"))
+        assert document["intakeForm"]["intakeFormID"] == "IntakeForm-JohnDoe"
+        assert [e["encounterID"] for e in document["encounters"]][1] == "Encounter-Other"
+        result = parse_bundle(json.dumps(document))
+        assert not result.ok
+        assert [(d.code, d.location) for d in result.errors] == [
+            ("reference-error", "links[0].from"),
+            ("reference-error", "links[2].from"),
+        ]
+
+    def test_same_day_encounters_are_ordered_by_key(self):
+        graph = JourneyGraph()
+        graph.add_provider(Provider(PROVIDER, "Dr. Ada Lane"))
+        graph.add_patient(Patient(PATIENT, "Pat", BIRTH))
+        for key in ("A", "B"):
+            graph.add_encounter(PATIENT, Encounter(key, date(2021, 1, 1), "Allergy", PROVIDER))
+        graph.encounters["A"].encounter_id, graph.encounters["B"].encounter_id = "B", "A"
+        assert [e.encounter_id for e in graph.encounters_of(PATIENT)] == ["B", "A"]
+        assert [(d.code, d.location) for d in graph.check_invariants().errors] == [
+            (FIELD_INVALID, "encounters[A].encounterID"),
+            (FIELD_INVALID, "encounters[B].encounterID"),
+        ]
