@@ -12,17 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from statistics import fmean, pstdev
 from typing import Mapping, Sequence
 
 from .errors import DegenerateAgreementError, ShapeError
+from .records import slotted
 
 AGREE_CATEGORIES = (4, 5)
 LIKERT_RANGE = (1, 5)
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class RatingMatrix:
     """Counts of ratings per subject (row) and category (column)."""
 
@@ -62,7 +62,7 @@ class RatingMatrix:
         return len(self.counts[0])
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class KappaResult:
     kappa: float
     standard_error: float
@@ -109,7 +109,7 @@ def fleiss_kappa(matrix: RatingMatrix) -> KappaResult:
     )
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class DimensionSummary:
     dimension: str
     n_responses: int
@@ -118,7 +118,7 @@ class DimensionSummary:
     agree_fraction: float
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class LikertSummary:
     dimensions: tuple[DimensionSummary, ...]
     overall_mean: float
@@ -170,11 +170,14 @@ def likert_summary(responses: Mapping[str, Sequence[int]]) -> LikertSummary:
 
 
 def _csv_rows(text: str) -> list[list[str]]:
-    rows = [
-        [cell.strip() for cell in row]
-        for row in csv.reader(io.StringIO(text))
-        if any(cell.strip() for cell in row)
-    ]
+    try:
+        rows = [
+            [cell.strip() for cell in row]
+            for row in csv.reader(io.StringIO(text))
+            if any(cell.strip() for cell in row)
+        ]
+    except csv.Error as exc:  # such as a field over the reader's size limit
+        raise ShapeError(f"CSV input could not be read: {exc}") from None
     if not rows:
         raise ShapeError("CSV input is empty")
     return rows

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from datetime import date
 
 from .codes import CodeSystem, ConceptCode, validate_icd10
@@ -56,10 +55,12 @@ from .records import (
     EdgeKind,
     Encounter,
     Field,
+    Fresh,
     IntakeForm,
     JourneyEdge,
     Patient,
     Provider,
+    slotted,
 )
 
 FORMAT_VERSION = "pjo-1"
@@ -71,7 +72,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
-@dataclass
+@slotted
 class ParseResult(SeverityViews):
     """Outcome of parsing a bundle: a graph when no errors were found.
 
@@ -80,7 +81,7 @@ class ParseResult(SeverityViews):
     """
 
     graph: JourneyGraph | None
-    problems: list[Diagnostic] = field(default_factory=list)
+    problems: list[Diagnostic] = Fresh(list)
     report: ValidationReport | None = None
 
     @property
@@ -478,7 +479,8 @@ def _assemble(
         if head in index_of:
             index = index_of[head]
             location = f"encounters[{index}]{location[len(head):]}"
-            by_encounter.append((index, replace(diagnostic, location=location)))
+            moved = Diagnostic(diagnostic.severity, diagnostic.code, diagnostic.message, location)
+            by_encounter.append((index, moved))
         elif diagnostic.code != DANGLING_REFERENCE or not location.startswith("links["):
             rest.append(diagnostic)
         elif not (rest and rest[-1].location.startswith(f"{location}.")):

@@ -15,26 +15,13 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from .agreement import (
-    fleiss_kappa,
-    likert_responses_from_csv,
-    likert_summary,
-    rating_matrix_from_csv,
-)
 from .bundle import parse_bundle
-from .dot import to_dot
 from .errors import PjoError
 from .graph import Diagnostic, JourneyGraph, Severity, ValidationReport
-from .queries import (
-    cause_trace,
-    find_encounters,
-    followup_chain,
-    symptom_diagnosis_links,
-    symptom_progression,
-    timeline,
-)
 from .records import EDGE_LABELS
-from .seed import john_doe_bundle
+
+# Each command imports the modules that only it uses (queries, dot, agreement,
+# seed), so that ``pjo validate`` loads none of them.
 
 
 def _color_enabled() -> bool:
@@ -109,6 +96,8 @@ def _load_graph(path: str) -> JourneyGraph:
 
 
 def _cmd_seed(args) -> int:
+    from .seed import john_doe_bundle
+
     print(john_doe_bundle(), end="")
     return 0
 
@@ -135,6 +124,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_query_timeline(args) -> int:
+    from .queries import timeline
+
     graph = _load_graph(args.bundle)
     entries = timeline(graph, args.patient)
     if args.format == "json":
@@ -176,6 +167,8 @@ def _cmd_query_timeline(args) -> int:
 
 
 def _cmd_query_symptom_progression(args) -> int:
+    from .queries import symptom_progression
+
     graph = _load_graph(args.bundle)
     occurrences = symptom_progression(graph, args.patient, args.symptom)
     if args.format == "json":
@@ -219,16 +212,22 @@ def _chain_output(encounters, key: str, output_format: str) -> int:
 
 
 def _cmd_query_followup_chain(args) -> int:
+    from .queries import followup_chain
+
     graph = _load_graph(args.bundle)
     return _chain_output(followup_chain(graph, args.encounter), "chain", args.format)
 
 
 def _cmd_query_cause_trace(args) -> int:
+    from .queries import cause_trace
+
     graph = _load_graph(args.bundle)
     return _chain_output(cause_trace(graph, args.encounter), "trace", args.format)
 
 
 def _cmd_query_symptom_diagnosis(args) -> int:
+    from .queries import symptom_diagnosis_links
+
     graph = _load_graph(args.bundle)
     rows = symptom_diagnosis_links(graph, args.patient)
     if args.format == "json":
@@ -251,6 +250,8 @@ def _cmd_query_symptom_diagnosis(args) -> int:
 
 
 def _cmd_query_find(args) -> int:
+    from .queries import find_encounters
+
     graph = _load_graph(args.bundle)
     encounter_ids = find_encounters(
         graph,
@@ -269,6 +270,8 @@ def _cmd_query_find(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .dot import to_dot
+
     graph = _load_graph(args.bundle)
     text = to_dot(graph, patient_id=args.patient, detail=args.detail)
     if args.output is None or args.output == "-":
@@ -279,6 +282,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_stats_kappa(args) -> int:
+    from .agreement import fleiss_kappa, rating_matrix_from_csv
+
     matrix = rating_matrix_from_csv(_read_input(args.csv).decode("utf-8"))
     result = fleiss_kappa(matrix)
     if args.format == "json":
@@ -307,6 +312,8 @@ def _cmd_stats_kappa(args) -> int:
 
 
 def _cmd_stats_likert(args) -> int:
+    from .agreement import likert_responses_from_csv, likert_summary
+
     responses = likert_responses_from_csv(_read_input(args.csv).decode("utf-8"))
     summary = likert_summary(responses)
     if args.format == "json":

@@ -9,9 +9,10 @@ codes annotated on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Container
+
+from .records import slotted
 
 # [0-9] rather than \d: only ASCII digits are acceptable in codes.
 CUI_PATTERN = re.compile(r"C[0-9]{7}")
@@ -46,7 +47,7 @@ def validate_fhir_label(code: str) -> bool:
     return bool(code) and not any(ch.isspace() for ch in code)
 
 
-@dataclass(frozen=True, slots=True)
+@slotted(frozen=True)
 class ConceptCode:
     """A code together with the system it is drawn from."""
 

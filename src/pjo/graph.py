@@ -11,7 +11,6 @@ refused.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .codes import CLASS_ANNOTATIONS, AnnotationTable, CodeSystem, duplicate_cuis
@@ -27,15 +26,21 @@ from .errors import (
     UnknownProviderError,
 )
 from .records import (
+    FIELDS,
+    ICD10,
+    OBJECT,
+    OBJECTS,
+    STR,
+    STRS,
     Encounter,
     EdgeKind,
+    Fresh,
     IntakeForm,
     JourneyEdge,
     Patient,
     Provider,
-    check_years_of_experience,
     edge_dates_consistent,
-    vital_sign_problems,
+    slotted,
 )
 
 
@@ -44,7 +49,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class Diagnostic:
     severity: Severity
     code: str
@@ -55,6 +60,7 @@ class Diagnostic:
 class SeverityViews:
     """``errors`` and ``warnings`` views of a subclass's ``diagnostics``."""
 
+    __slots__ = ()
     diagnostics: list[Diagnostic]
 
     @property
@@ -66,9 +72,9 @@ class SeverityViews:
         return [d for d in self.diagnostics if d.severity is Severity.WARNING]
 
 
-@dataclass
+@slotted
 class ValidationReport(SeverityViews):
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = Fresh(list)
 
     @property
     def ok(self) -> bool:
@@ -108,114 +114,79 @@ UNRESOLVED_VIA = "unresolved-via"
 FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 
 
-def patient_problems(patient: Patient) -> list[FieldProblem]:
-    problems: list[FieldProblem] = []
-    if not patient.patient_id:
-        problems.append(("patientID", FIELD_INVALID, "patientID must be nonempty"))
-    if not patient.patient_name:
-        problems.append(("patientName", FIELD_INVALID, "patientName must be nonempty"))
-    return problems
+def field_problems(record, key: str | None = None) -> list[FieldProblem]:
+    """The field rules ``record`` breaks, with locations relative to it.
+
+    The rules come from its ``FIELDS`` entry, and from those of the
+    records it holds: a required string must be nonempty, as must every
+    entry of a string array; a value with a check must pass it; an ICD-10
+    code must be valid.  For a record stored under ``key``, its ID (its
+    first field) must also be that key: a record whose ID differs is
+    written out under its ID, where references to the key no longer find
+    it.
+    """
+    return _FIELD_PROBLEMS[record.__class__](record, key)
 
 
-def provider_problems(provider: Provider) -> list[FieldProblem]:
-    problems: list[FieldProblem] = []
-    if not provider.provider_id:
-        problems.append(("providerID", FIELD_INVALID, "providerID must be nonempty"))
-    if not provider.provider_name:
-        problems.append(("providerName", FIELD_INVALID, "providerName must be nonempty"))
-    years = provider.years_of_experience
-    if years is not None and (message := check_years_of_experience(years)) is not None:
-        problems.append(("yearsOfExperience", FIELD_INVALID, message))
-    return problems
+def _rule(condition: str, at: str, code: str, message: str) -> list[str]:
+    """Source lines adding a problem at the f-string ``at`` when ``condition`` holds."""
+    return [f"if {condition}:", f"    problems.append((f{at!r}, {code}, {message}))"]
 
 
-def intake_form_problems(form: IntakeForm) -> list[FieldProblem]:
-    problems: list[FieldProblem] = []
-    if not form.intake_form_id:
-        problems.append(("intakeFormID", FIELD_INVALID, "intakeFormID must be nonempty"))
-    history = form.medical_history
-    for key, entries in (
-        ("hadSurgery", history.had_surgery),
-        ("chronicIllness", history.chronic_illness),
-        ("medicationAllergies", history.medication_allergies),
-        ("familyMedicalHistory", history.family_medical_history),
-    ):
-        for index, entry in enumerate(entries):
-            if not entry:
-                problems.append(
-                    (
-                        f"medicalHistory.{key}[{index}]",
-                        FIELD_INVALID,
-                        f"{key} entries must be nonempty",
-                    )
-                )
-    social = form.social_history
-    if not social.smoking_habit:
-        problems.append(
-            ("socialHistory.smokingHabit", FIELD_INVALID, "smokingHabit must be nonempty")
-        )
-    if not social.drinking_habit:
-        problems.append(
-            ("socialHistory.drinkingHabit", FIELD_INVALID, "drinkingHabit must be nonempty")
-        )
-    return problems
+def _rule_lines(record_type: type, var: str, where: str, depth: int, scope: dict) -> list[str]:
+    """Source lines that check the record held in the local ``var``.
+
+    ``where`` is the f-string text of the record's location prefix.  Held
+    records and array entries are checked inline, in loops over their
+    arrays, so the generated function is straight-line code per record
+    type that formats a location only when a rule fails.
+    """
+    lines = []
+    for spec in FIELDS[record_type]:
+        value, at = f"{var}.{spec.attr}", where + spec.key
+        if spec.type == STR and spec.required:
+            lines += _rule(f"not {value}", at, "FIELD_INVALID", repr(f"{spec.key} must be nonempty"))
+        elif spec.check is not None:
+            scope[spec.check.__name__] = spec.check
+            test = f"(m := {spec.check.__name__}(v)) is not None"
+            lines += _rule(f"(v := {value}) is not None and {test}", at, "FIELD_INVALID", "m")
+        elif spec.type == ICD10:
+            message = 'f"{v.code!r} is not a valid {v.system.value} code"'
+            lines += _rule(f"(v := {value}) is not None and not v.is_valid()", at, "BAD_ICD10", message)
+        elif spec.type in (STRS, OBJECT, OBJECTS):
+            index, inner = f"i{depth + 1}", f"r{depth + 1}"
+            if spec.type == OBJECT:
+                nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1, scope)
+                lines += [f"{inner} = {value}", *nested] if nested else []
+                continue
+            at += f"[{{{index}}}]"
+            if spec.type == STRS:
+                message = repr(f"{spec.key} entries must be nonempty")
+                nested = _rule(f"not {inner}", at, "FIELD_INVALID", message)
+            else:
+                nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1, scope)
+            if nested:
+                lines += [f"for {index}, {inner} in enumerate({value}):"]
+                lines += [f"    {line}" for line in nested]
+    return lines
 
 
-def encounter_problems(encounter: Encounter) -> list[FieldProblem]:
-    """Field-level problems, with locations relative to the encounter."""
-    problems: list[FieldProblem] = []
-    if not encounter.encounter_id:
-        problems.append(("encounterID", FIELD_INVALID, "encounterID must be nonempty"))
-    if not encounter.specialty:
-        problems.append(("specialty", FIELD_INVALID, "specialty must be nonempty"))
-    if not encounter.provider_ref:
-        problems.append(("providerRef", FIELD_INVALID, "providerRef must be nonempty"))
-    for index, symptom in enumerate(encounter.symptoms):
-        if not symptom.symptom_name:
-            problems.append(
-                (f"symptoms[{index}].symptomName", FIELD_INVALID, "symptomName must be nonempty")
-            )
-    for index, vital in enumerate(encounter.vitals):
-        for field_name, message in vital_sign_problems(vital):
-            problems.append((f"vitals[{index}].{field_name}", FIELD_INVALID, message))
-    for index, test in enumerate(encounter.tests):
-        if not test.test_name:
-            problems.append(
-                (f"tests[{index}].testName", FIELD_INVALID, "testName must be nonempty")
-            )
-    for index, diagnosis in enumerate(encounter.diagnoses):
-        if not diagnosis.diagnosis_name:
-            problems.append(
-                (
-                    f"diagnoses[{index}].diagnosisName",
-                    FIELD_INVALID,
-                    "diagnosisName must be nonempty",
-                )
-            )
-        code = diagnosis.icd10
-        if code is not None and not code.is_valid():
-            problems.append(
-                (
-                    f"diagnoses[{index}].icd10",
-                    BAD_ICD10,
-                    f"{code.code!r} is not a valid {code.system.value} code",
-                )
-            )
-    for index, medication in enumerate(encounter.medications):
-        if not medication.medication_name:
-            problems.append(
-                (
-                    f"medications[{index}].medicationName",
-                    FIELD_INVALID,
-                    "medicationName must be nonempty",
-                )
-            )
-    for index, plan in enumerate(encounter.care_plans):
-        if not plan.plan_id:
-            problems.append(
-                (f"carePlans[{index}].planID", FIELD_INVALID, "planID must be nonempty")
-            )
-    return problems
+def _compile_field_problems(record_type: type):
+    scope = {"FIELD_INVALID": FIELD_INVALID, "BAD_ICD10": BAD_ICD10}
+    id_field = FIELDS[record_type][0]
+    message = f'f"{id_field.key} {{v!r}} differs from its key {{key!r}}"'
+    stored = f"key is not None and (v := record.{id_field.attr}) != key"
+    lines = [
+        "problems = []",
+        *_rule_lines(record_type, "record", "", 0, scope),
+        *_rule(stored, id_field.key, "FIELD_INVALID", message),
+        "return problems",
+    ]
+    exec("def problems(record, key):\n    " + "\n    ".join(lines), scope)
+    return scope["problems"]
+
+
+_FIELD_PROBLEMS = {record_type: _compile_field_problems(record_type) for record_type in FIELDS}
 
 
 def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
@@ -279,14 +250,6 @@ def encounter_reference_problems(
         dates = f"{encounter.date.isoformat()} precedes birth date {owner.birth_date.isoformat()}"
         problems.append(("date", FIELD_INVALID, f"encounter date {dates}"))
     return problems
-
-
-def key_problems(key: str, record_id: str, id_field: str) -> list[FieldProblem]:
-    """A stored record whose ID differs from its key is written out under
-    its ID, where references to the key no longer find it."""
-    if record_id == key:
-        return []
-    return [(id_field, FIELD_INVALID, f"{id_field} {record_id!r} differs from its key {key!r}")]
 
 
 _RAISES = {
@@ -439,7 +402,7 @@ class _OwnerIndex:
         self.writes = self._counts()
 
 
-@dataclass
+@slotted
 class JourneyGraph:
     """One store of patients, their intake forms, encounters, and links.
 
@@ -461,17 +424,18 @@ class JourneyGraph:
     O(the patient's records), and go by container key: a patient's
     encounters are the records stored under the keys ``encounter_owner``
     gives that patient.  Records themselves are read live, never indexed;
-    they are slotted dataclasses, without ``__dict__``.
+    they are slotted, without ``__dict__``.
     """
 
-    patients: dict[str, Patient] = field(default_factory=dict)
-    providers: dict[str, Provider] = field(default_factory=dict)
-    intake_forms: dict[str, IntakeForm] = field(default_factory=dict)
-    encounters: dict[str, Encounter] = field(default_factory=dict)
-    encounter_owner: dict[str, str] = field(default_factory=CountedDict)
-    intake_form_owner: dict[str, str] = field(default_factory=CountedDict)
-    edges: list[JourneyEdge] = field(default_factory=CountedList)
-    annotations: AnnotationTable = field(default_factory=lambda: dict(CLASS_ANNOTATIONS))
+    __slots__ = ("_index",)
+    patients: dict[str, Patient] = Fresh(dict)
+    providers: dict[str, Provider] = Fresh(dict)
+    intake_forms: dict[str, IntakeForm] = Fresh(dict)
+    encounters: dict[str, Encounter] = Fresh(dict)
+    encounter_owner: dict[str, str] = Fresh(CountedDict)
+    intake_form_owner: dict[str, str] = Fresh(CountedDict)
+    edges: list[JourneyEdge] = Fresh(CountedList)
+    annotations: AnnotationTable = Fresh(lambda: dict(CLASS_ANNOTATIONS))
 
     def __post_init__(self) -> None:
         self._index: _OwnerIndex | None = None
@@ -480,7 +444,7 @@ class JourneyGraph:
         counted = _COUNTED_FIELDS.get(name)
         if counted is not None and not isinstance(value, counted):
             value = counted(value)
-        super().__setattr__(name, value)
+        object.__setattr__(self, name, value)
 
     def _owners(self) -> _OwnerIndex:
         """The owner index, rebuilt first if the graph was written to directly."""
@@ -492,17 +456,13 @@ class JourneyGraph:
     # -- mutation ---------------------------------------------------------
 
     def add_patient(self, patient: Patient) -> None:
-        problems = patient_problems(patient)
-        if problems:
-            raise FieldInvalidError(problems[0][2])
+        _raise_first(field_problems(patient))
         if patient.patient_id in self.patients:
             raise DuplicateIDError(f"patient ID {patient.patient_id!r} already exists")
         self.patients[patient.patient_id] = patient
 
     def add_provider(self, provider: Provider) -> None:
-        problems = provider_problems(provider)
-        if problems:
-            raise FieldInvalidError(problems[0][2])
+        _raise_first(field_problems(provider))
         if provider.provider_id in self.providers:
             raise DuplicateIDError(f"provider ID {provider.provider_id!r} already exists")
         self.providers[provider.provider_id] = provider
@@ -510,7 +470,7 @@ class JourneyGraph:
     def add_intake_form(self, patient_id: str, form: IntakeForm) -> None:
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        problems = intake_form_problems(form)
+        problems = field_problems(form)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
         form_id = form.intake_form_id
@@ -532,7 +492,7 @@ class JourneyGraph:
         patient = self.patients.get(patient_id)
         if patient is None:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        problems = encounter_problems(encounter)
+        problems = field_problems(encounter)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
         key = encounter.encounter_id
@@ -682,18 +642,10 @@ class JourneyGraph:
             report.diagnostics.append(Diagnostic(Severity.WARNING, code, message, location))
 
         self._check_annotations(error, warning)
-        for patient_id in sorted(self.patients):
-            patient = self.patients[patient_id]
-            for relative, code, message in patient_problems(patient) + key_problems(
-                patient_id, patient.patient_id, "patientID"
-            ):
-                error(code, message, f"patients[{patient_id}].{relative}")
-        for provider_id in sorted(self.providers):
-            provider = self.providers[provider_id]
-            for relative, code, message in provider_problems(provider) + key_problems(
-                provider_id, provider.provider_id, "providerID"
-            ):
-                error(code, message, f"providers[{provider_id}].{relative}")
+        for name, records in (("patients", self.patients), ("providers", self.providers)):
+            for key in sorted(records):
+                for relative, code, message in field_problems(records[key], key):
+                    error(code, message, f"{name}[{key}].{relative}")
         self._check_intake_forms(error)
         self._check_encounters(error)
         self._check_edges(error, warning)
@@ -726,10 +678,7 @@ class JourneyGraph:
         owners_seen: dict[str, str] = {}
         for form_id in sorted(self.intake_forms):
             location = f"intakeForms[{form_id}]"
-            form = self.intake_forms[form_id]
-            for relative, code, message in intake_form_problems(form) + key_problems(
-                form_id, form.intake_form_id, "intakeFormID"
-            ):
+            for relative, code, message in field_problems(self.intake_forms[form_id], form_id):
                 error(code, message, f"{location}.{relative}")
             owner = self.intake_form_owner.get(form_id)
             if owner is None:
@@ -759,11 +708,9 @@ class JourneyGraph:
             location = f"encounters[{encounter_id}]"
             owner = self.encounter_owner.get(encounter_id)
             patient = self.patients.get(owner)
-            for relative, code, message in (
-                encounter_problems(encounter)
-                + key_problems(encounter_id, encounter.encounter_id, "encounterID")
-                + encounter_reference_problems(self, encounter, patient)
-            ):
+            for relative, code, message in field_problems(
+                encounter, encounter_id
+            ) + encounter_reference_problems(self, encounter, patient):
                 error(code, message, f"{location}.{relative}")
             if owner is None:
                 error(UNOWNED_ENCOUNTER, f"encounter {encounter_id!r} has no owner", location)

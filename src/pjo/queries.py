@@ -7,15 +7,14 @@ the same result, and no query mutates the graph.  Name matching
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .graph import JourneyGraph
-from .records import EdgeKind, Encounter
+from .records import EdgeKind, Encounter, slotted
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class LinkRef:
     """One end of a journey edge as seen from a timeline entry."""
 
@@ -23,7 +22,7 @@ class LinkRef:
     encounter_id: str
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class TimelineEntry:
     encounter_id: str
     date: date
@@ -33,7 +32,7 @@ class TimelineEntry:
     headline_diagnoses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class SymptomOccurrence:
     encounter_id: str
     date: date
@@ -41,7 +40,7 @@ class SymptomOccurrence:
     severity: str
 
 
-@dataclass(frozen=True)
+@slotted(frozen=True)
 class SymptomDiagnosisLink:
     symptom_name: str
     diagnosis_name: str

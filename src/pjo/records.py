@@ -5,20 +5,19 @@ number of dated encounters.  Encounters carry clinical subrecords (symptoms,
 vital signs, diagnostic tests, diagnoses, medications, care plans) and are
 linked to each other by typed journey edges.
 
-``FIELDS`` describes each record's bundle document: its keys in canonical
-order, their value types, which are required, and the value checks that
-the graph checker also applies.
+``FIELDS`` declares each record type: its bundle document's keys in
+canonical order, their value types, which are required, their defaults and
+the value checks that the graph checker also applies.  ``record`` builds
+each record class from that declaration, and ``slotted`` gives pjo's other
+value classes the same generated methods.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from typing import Any, Callable
-
-from .codes import ConceptCode
 
 BLOOD_PRESSURE_PATTERN = re.compile(r"([0-9]+)/([0-9]+)")
 
@@ -29,163 +28,175 @@ HEART_RATE_MAX = 300.0
 WEIGHT_MAX = 500.0
 
 
-@dataclass(slots=True)
-class ContactInformation:
-    address: str | None = None
-    phone_number: str | None = None
-    email: str | None = None
-    emergency_contact: str | None = None
+# -- slotted value classes ------------------------------------------------
 
 
-@dataclass(slots=True)
-class Patient:
-    patient_id: str
-    patient_name: str
-    birth_date: date
-    race: str | None = None
-    gender: str | None = None
-    contact: ContactInformation = field(default_factory=ContactInformation)
-    insurance_name: str | None = None
-    insurance_id: str | None = None
+class Fresh:
+    """A default made anew for each instance by calling ``make``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Any]) -> None:
+        self.make = make
 
 
-@dataclass(slots=True)
-class Provider:
-    provider_id: str
-    provider_name: str
-    specialization: str | None = None
-    affiliated_institution: str | None = None
-    years_of_experience: int | None = None
+_MISSING = object()
 
 
-@dataclass(slots=True)
-class MedicalHistory:
-    had_surgery: list[str] = field(default_factory=list)
-    chronic_illness: list[str] = field(default_factory=list)
-    medication_allergies: list[str] = field(default_factory=list)
-    family_medical_history: list[str] = field(default_factory=list)
+def _refuse_change(self, name, value=None):
+    raise AttributeError(f"{self.__class__.__name__} is frozen: cannot change {name!r}")
 
 
-@dataclass(slots=True)
-class SocialHistory:
-    smoking_habit: str
-    drinking_habit: str
-    diet: str | None = None
-    exercise_routine: str | None = None
-    marital_status: str | None = None
-    occupation: str | None = None
-    education_level: str | None = None
-    annual_income: str | None = None
+def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dict, frozen: bool):
+    """The slotted class ``name`` holding ``attrs``, with generated methods.
+
+    ``__init__`` takes the attributes positionally or by keyword, in order;
+    ``defaults`` maps the optional ones, which follow the required ones, to
+    a default value or a ``Fresh`` factory.  ``__init__`` ends by calling
+    ``__post_init__`` when the class has one.  ``__eq__`` compares the
+    attributes of two instances of one class; ``__reduce__`` rebuilds an
+    instance through ``__init__`` for ``pickle`` and ``copy``.  A frozen
+    class refuses assignment and hashes by value; a mutable one is
+    unhashable.
+    """
+    scope: dict[str, Any] = {"_MISSING": _MISSING, "_set": object.__setattr__}
+    params, body = ["self"], []
+    for attr in attrs:
+        value = attr
+        default = defaults.get(attr, _MISSING)
+        if isinstance(default, Fresh):
+            scope[f"_make_{attr}"] = default.make
+            params.append(f"{attr}=_MISSING")
+            value = f"_make_{attr}() if {attr} is _MISSING else {attr}"
+        elif default is not _MISSING:
+            scope[f"_default_{attr}"] = default
+            params.append(f"{attr}=_default_{attr}")
+        else:
+            params.append(attr)
+        body.append(f"_set(self, {attr!r}, {value})" if frozen else f"self.{attr} = {value}")
+    if "__post_init__" in namespace:
+        body.append("self.__post_init__()")
+    mine = "(" + "".join(f"self.{attr}, " for attr in attrs) + ")"
+    shown = ", ".join(f"{attr}={{self.{attr}!r}}" for attr in attrs)
+    source = "\n".join(
+        [
+            f"def __init__({', '.join(params)}):",
+            *(f"    {line}" for line in body),
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return {mine} == {mine.replace('self.', 'other.')}",
+            "    return NotImplemented",
+            "def __repr__(self):",
+            f'    return f"{{self.__class__.__qualname__}}({shown})"',
+            "def __reduce__(self):",
+            f"    return self.__class__, {mine}",
+            "def __hash__(self):",
+            f"    return hash({mine})",
+        ]
+    )
+    exec(source, scope)
+    for method in ("__init__", "__eq__", "__repr__", "__reduce__"):
+        namespace[method] = scope[method]
+        scope[method].__qualname__ = f"{name}.{method}"
+    if frozen:
+        namespace.update(
+            __hash__=scope["__hash__"],
+            __setattr__=_refuse_change,
+            __delattr__=_refuse_change,
+        )
+    else:
+        namespace["__hash__"] = None
+    namespace["__slots__"] = attrs + tuple(namespace.pop("__slots__", ()))
+    return type(name, bases, namespace)
 
 
-@dataclass(slots=True)
-class IntakeForm:
-    intake_form_id: str
-    medical_history: MedicalHistory
-    social_history: SocialHistory
+def slotted(cls=None, /, *, frozen: bool = False):
+    """Class decorator: ``cls`` rebuilt as a slotted class (see ``_build``).
 
-
-@dataclass(slots=True)
-class Symptom:
-    symptom_name: str
-    severity: str = ""
-
-
-@dataclass(slots=True)
-class VitalSign:
-    body_temperature: float | None = None
-    blood_pressure: str | None = None
-    weight: float | None = None
-    heart_rate: float | None = None
-
-
-@dataclass(slots=True)
-class DiagTest:
-    test_name: str
-    results: str = ""
-    normal_range: str | None = None
-
-
-@dataclass(slots=True)
-class Diagnosis:
-    diagnosis_name: str
-    icd10: ConceptCode | None = None
-
-
-@dataclass(slots=True)
-class Medication:
-    medication_name: str
-    dosage: str = ""
-    frequency: str = ""
-
-
-@dataclass(slots=True)
-class CarePlan:
-    plan_id: str
-    description: str = ""
-    referral_specialty: str | None = None
-
-
-@dataclass(slots=True)
-class Encounter:
-    encounter_id: str
-    date: date
-    specialty: str
-    provider_ref: str
-    symptoms: list[Symptom] = field(default_factory=list)
-    vitals: list[VitalSign] = field(default_factory=list)
-    tests: list[DiagTest] = field(default_factory=list)
-    diagnoses: list[Diagnosis] = field(default_factory=list)
-    medications: list[Medication] = field(default_factory=list)
-    care_plans: list[CarePlan] = field(default_factory=list)
-
-
-class EdgeKind(str, Enum):
-    """Journey link kinds, spelled as they appear in bundle documents.
-
-    ``HAS_FOLLOWUP`` and ``NEXT`` run forward in time (the source encounter
-    is no later than the target).  ``CAUSED_BY`` points from an effect back
-    to its cause, so the source is no earlier than the target.
+    The attributes are the names annotated in the class body, in order; a
+    name assigned there is optional, with that value (or ``Fresh``
+    factory) as its default.  Names in the body's own ``__slots__`` become
+    extra slots outside ``__init__``.  Methods must not use zero-argument
+    ``super()``, which would name the class before it was rebuilt.
     """
 
-    HAS_FOLLOWUP = "hasFollowup"
-    CAUSED_BY = "causedBy"
-    NEXT = "next"
+    def rebuild(cls):
+        attrs = tuple(cls.__dict__.get("__annotations__", {}))
+        namespace = dict(cls.__dict__)
+        for name in (*namespace.get("__slots__", ()), "__dict__", "__weakref__"):
+            namespace.pop(name, None)
+        defaults = {attr: namespace.pop(attr) for attr in attrs if attr in namespace}
+        return _build(cls.__name__, cls.__bases__, namespace, attrs, defaults, frozen)
+
+    return rebuild if cls is None else rebuild(cls)
 
 
-# How CLI tables and DOT exports spell each link kind.
-EDGE_LABELS = {
-    EdgeKind.HAS_FOLLOWUP: "hasFollowup",
-    EdgeKind.CAUSED_BY: "causedBy",
-    EdgeKind.NEXT: "NEXT",
-}
+# -- the field table ------------------------------------------------------
+
+# Value types of bundle fields.  Strings, dates, ICD-10 codes and link kinds
+# are JSON strings; integers and numbers never accept booleans.
+STR = "string"
+INT = "int"
+NUMBER = "number"
+DATE = "date"
+ICD10 = "icd10"
+KIND = "kind"
+STRS = "string array"
+OBJECT = "object"
+OBJECTS = "object array"
 
 
-@dataclass(frozen=True, slots=True)
-class JourneyEdge:
-    """A typed link between two encounters of the same patient.
+@slotted(frozen=True)
+class Field:
+    """One key of a record's bundle document, and one attribute of its class.
 
-    ``via`` optionally names a care plan (by plan ID) or diagnosis (by name)
-    inside either endpoint that explains a causal link, such as the referral
-    that produced a visit.
+    A required field must be present and not ``null``; a required string
+    must also be nonempty.  ``record`` is the record type held by an
+    ``OBJECT`` or ``OBJECTS`` field.  ``check`` returns a problem message
+    for a well-typed value outside its plausible bounds, else None.  An
+    optional scalar left out reads as ``default``; a left-out array as an
+    empty list, a left-out object as its empty record.
     """
 
-    kind: EdgeKind
-    from_encounter: str
-    to_encounter: str
-    via: str | None = None
+    key: str
+    attr: str
+    type: str = STR
+    required: bool = False
+    record: type | None = None
+    check: Callable[[Any], str | None] | None = None
+    default: Any = None
 
 
-def edge_dates_consistent(kind: EdgeKind, from_date: date, to_date: date) -> bool:
-    """Whether an edge of ``kind`` is compatible with its endpoint dates."""
-    if kind is EdgeKind.CAUSED_BY:
-        return from_date >= to_date
-    return from_date <= to_date
+# Every record's fields, in canonical key order, by record type.  The
+# table drives the record classes, parsing, serialization, unknown-field
+# warnings and the graph's field checks.
+FIELDS: dict[type, tuple[Field, ...]] = {}
+
+
+def record(name: str, *fields: Field, frozen: bool = False, doc: str | None = None) -> type:
+    """The record class declared by ``fields``, entered in ``FIELDS``.
+
+    Its attributes are the fields' in table order.  Required fields have
+    no default, nor has any field before a required one, as a positional
+    signature needs; the others default as ``Field`` describes.
+    """
+    last_required = max((i for i, spec in enumerate(fields) if spec.required), default=-1)
+    defaults = {
+        spec.attr: Fresh(list) if spec.type in (STRS, OBJECTS)
+        else Fresh(spec.record) if spec.type == OBJECT
+        else spec.default
+        for spec in fields[last_required + 1 :]
+    }  # fmt: skip
+    namespace = {"__module__": __name__, "__doc__": doc}
+    attrs = tuple(spec.attr for spec in fields)
+    cls = _build(name, (), namespace, attrs, defaults, frozen)
+    FIELDS[cls] = fields
+    return cls
 
 
 # Value checks: a problem message for a value outside plausible bounds,
-# else None.  The bundle reader applies them through ``FIELDS``; the graph
-# checker calls them directly.
+# else None.  The bundle reader and the graph checker apply them through
+# ``FIELDS``.
 
 
 def check_body_temperature(value: float) -> str | None:
@@ -223,148 +234,156 @@ def check_years_of_experience(value: int) -> str | None:
     return None
 
 
-# Value types of bundle fields.  Strings, dates, ICD-10 codes and link kinds
-# are JSON strings; integers and numbers never accept booleans.
-STR = "string"
-INT = "int"
-NUMBER = "number"
-DATE = "date"
-ICD10 = "icd10"
-KIND = "kind"
-STRS = "string array"
-OBJECT = "object"
-OBJECTS = "object array"
+ContactInformation = record(
+    "ContactInformation",
+    Field("address", "address"),
+    Field("phoneNumber", "phone_number"),
+    Field("email", "email"),
+    Field("emergencyContact", "emergency_contact"),
+)
+
+Patient = record(
+    "Patient",
+    Field("patientID", "patient_id", required=True),
+    Field("patientName", "patient_name", required=True),
+    Field("birthDate", "birth_date", DATE, required=True),
+    Field("race", "race"),
+    Field("gender", "gender"),
+    Field("contactInformation", "contact", OBJECT, record=ContactInformation),
+    Field("insuranceName", "insurance_name"),
+    Field("insuranceID", "insurance_id"),
+)
+
+Provider = record(
+    "Provider",
+    Field("providerID", "provider_id", required=True),
+    Field("providerName", "provider_name", required=True),
+    Field("specialization", "specialization"),
+    Field("affiliatedInstitution", "affiliated_institution"),
+    Field("yearsOfExperience", "years_of_experience", INT, check=check_years_of_experience),
+)
+
+MedicalHistory = record(
+    "MedicalHistory",
+    Field("hadSurgery", "had_surgery", STRS),
+    Field("chronicIllness", "chronic_illness", STRS),
+    Field("medicationAllergies", "medication_allergies", STRS),
+    Field("familyMedicalHistory", "family_medical_history", STRS),
+)
+
+SocialHistory = record(
+    "SocialHistory",
+    Field("smokingHabit", "smoking_habit", required=True),
+    Field("drinkingHabit", "drinking_habit", required=True),
+    Field("diet", "diet"),
+    Field("exerciseRoutine", "exercise_routine"),
+    Field("maritalStatus", "marital_status"),
+    Field("occupation", "occupation"),
+    Field("educationLevel", "education_level"),
+    Field("annualIncome", "annual_income"),
+)
+
+IntakeForm = record(
+    "IntakeForm",
+    Field("intakeFormID", "intake_form_id", required=True),
+    Field("medicalHistory", "medical_history", OBJECT, record=MedicalHistory),
+    Field("socialHistory", "social_history", OBJECT, required=True, record=SocialHistory),
+)
+
+Symptom = record(
+    "Symptom",
+    Field("symptomName", "symptom_name", required=True),
+    Field("severity", "severity", default=""),
+)
+
+VitalSign = record(
+    "VitalSign",
+    Field("bodyTemperature", "body_temperature", NUMBER, check=check_body_temperature),
+    Field("bloodPressure", "blood_pressure", check=check_blood_pressure),
+    Field("weight", "weight", NUMBER, check=check_weight),
+    Field("heartRate", "heart_rate", NUMBER, check=check_heart_rate),
+)
+
+DiagTest = record(
+    "DiagTest",
+    Field("testName", "test_name", required=True),
+    Field("results", "results", default=""),
+    Field("normalRange", "normal_range"),
+)
+
+Diagnosis = record(
+    "Diagnosis",
+    Field("diagnosisName", "diagnosis_name", required=True),
+    Field("icd10", "icd10", ICD10),
+)
+
+Medication = record(
+    "Medication",
+    Field("medicationName", "medication_name", required=True),
+    Field("dosage", "dosage", default=""),
+    Field("frequency", "frequency", default=""),
+)
+
+CarePlan = record(
+    "CarePlan",
+    Field("planID", "plan_id", required=True),
+    Field("description", "description", default=""),
+    Field("referralSpecialty", "referral_specialty"),
+)
+
+Encounter = record(
+    "Encounter",
+    Field("encounterID", "encounter_id", required=True),
+    Field("date", "date", DATE, required=True),
+    Field("specialty", "specialty", required=True),
+    Field("providerRef", "provider_ref", required=True),
+    Field("symptoms", "symptoms", OBJECTS, record=Symptom),
+    Field("vitals", "vitals", OBJECTS, record=VitalSign),
+    Field("tests", "tests", OBJECTS, record=DiagTest),
+    Field("diagnoses", "diagnoses", OBJECTS, record=Diagnosis),
+    Field("medications", "medications", OBJECTS, record=Medication),
+    Field("carePlans", "care_plans", OBJECTS, record=CarePlan),
+)
 
 
-@dataclass(frozen=True)
-class Field:
-    """One key of a record's bundle document.
+class EdgeKind(str, Enum):
+    """Journey link kinds, spelled as they appear in bundle documents.
 
-    A required field must be present and not ``null``; a required string
-    must also be nonempty.  ``record`` is the record type held by an
-    ``OBJECT`` or ``OBJECTS`` field.  ``check`` returns a problem message
-    for a well-typed value outside its plausible bounds, else None.
+    ``HAS_FOLLOWUP`` and ``NEXT`` run forward in time (the source encounter
+    is no later than the target).  ``CAUSED_BY`` points from an effect back
+    to its cause, so the source is no earlier than the target.
     """
 
-    key: str
-    attr: str
-    type: str = STR
-    required: bool = False
-    record: type | None = None
-    check: Callable[[Any], str | None] | None = None
+    HAS_FOLLOWUP = "hasFollowup"
+    CAUSED_BY = "causedBy"
+    NEXT = "next"
 
 
-# Every record's bundle fields, in canonical key order.  The table drives
-# parsing, serialization and unknown-field warnings.  An absent optional
-# object reads as its empty record; an empty one is left out on output.
-FIELDS: dict[type, tuple[Field, ...]] = {
-    Patient: (
-        Field("patientID", "patient_id", required=True),
-        Field("patientName", "patient_name", required=True),
-        Field("birthDate", "birth_date", DATE, required=True),
-        Field("race", "race"),
-        Field("gender", "gender"),
-        Field("contactInformation", "contact", OBJECT, record=ContactInformation),
-        Field("insuranceName", "insurance_name"),
-        Field("insuranceID", "insurance_id"),
-    ),
-    ContactInformation: (
-        Field("address", "address"),
-        Field("phoneNumber", "phone_number"),
-        Field("email", "email"),
-        Field("emergencyContact", "emergency_contact"),
-    ),
-    Provider: (
-        Field("providerID", "provider_id", required=True),
-        Field("providerName", "provider_name", required=True),
-        Field("specialization", "specialization"),
-        Field("affiliatedInstitution", "affiliated_institution"),
-        Field("yearsOfExperience", "years_of_experience", INT, check=check_years_of_experience),
-    ),
-    IntakeForm: (
-        Field("intakeFormID", "intake_form_id", required=True),
-        Field("medicalHistory", "medical_history", OBJECT, record=MedicalHistory),
-        Field("socialHistory", "social_history", OBJECT, required=True, record=SocialHistory),
-    ),
-    MedicalHistory: (
-        Field("hadSurgery", "had_surgery", STRS),
-        Field("chronicIllness", "chronic_illness", STRS),
-        Field("medicationAllergies", "medication_allergies", STRS),
-        Field("familyMedicalHistory", "family_medical_history", STRS),
-    ),
-    SocialHistory: (
-        Field("smokingHabit", "smoking_habit", required=True),
-        Field("drinkingHabit", "drinking_habit", required=True),
-        Field("diet", "diet"),
-        Field("exerciseRoutine", "exercise_routine"),
-        Field("maritalStatus", "marital_status"),
-        Field("occupation", "occupation"),
-        Field("educationLevel", "education_level"),
-        Field("annualIncome", "annual_income"),
-    ),
-    Encounter: (
-        Field("encounterID", "encounter_id", required=True),
-        Field("date", "date", DATE, required=True),
-        Field("specialty", "specialty", required=True),
-        Field("providerRef", "provider_ref", required=True),
-        Field("symptoms", "symptoms", OBJECTS, record=Symptom),
-        Field("vitals", "vitals", OBJECTS, record=VitalSign),
-        Field("tests", "tests", OBJECTS, record=DiagTest),
-        Field("diagnoses", "diagnoses", OBJECTS, record=Diagnosis),
-        Field("medications", "medications", OBJECTS, record=Medication),
-        Field("carePlans", "care_plans", OBJECTS, record=CarePlan),
-    ),
-    Symptom: (
-        Field("symptomName", "symptom_name", required=True),
-        Field("severity", "severity"),
-    ),
-    VitalSign: (
-        Field("bodyTemperature", "body_temperature", NUMBER, check=check_body_temperature),
-        Field("bloodPressure", "blood_pressure", check=check_blood_pressure),
-        Field("weight", "weight", NUMBER, check=check_weight),
-        Field("heartRate", "heart_rate", NUMBER, check=check_heart_rate),
-    ),
-    DiagTest: (
-        Field("testName", "test_name", required=True),
-        Field("results", "results"),
-        Field("normalRange", "normal_range"),
-    ),
-    Diagnosis: (
-        Field("diagnosisName", "diagnosis_name", required=True),
-        Field("icd10", "icd10", ICD10),
-    ),
-    Medication: (
-        Field("medicationName", "medication_name", required=True),
-        Field("dosage", "dosage"),
-        Field("frequency", "frequency"),
-    ),
-    CarePlan: (
-        Field("planID", "plan_id", required=True),
-        Field("description", "description"),
-        Field("referralSpecialty", "referral_specialty"),
-    ),
-    JourneyEdge: (
-        Field("kind", "kind", KIND, required=True),
-        Field("from", "from_encounter", required=True),
-        Field("to", "to_encounter", required=True),
-        Field("via", "via"),
-    ),
+# How CLI tables and DOT exports spell each link kind.
+EDGE_LABELS = {
+    EdgeKind.HAS_FOLLOWUP: "hasFollowup",
+    EdgeKind.CAUSED_BY: "causedBy",
+    EdgeKind.NEXT: "NEXT",
 }
 
+JourneyEdge = record(
+    "JourneyEdge",
+    Field("kind", "kind", KIND, required=True),
+    Field("from", "from_encounter", required=True),
+    Field("to", "to_encounter", required=True),
+    Field("via", "via"),
+    frozen=True,
+    doc="""A typed link between two encounters of the same patient.
 
-def vital_sign_problems(vital: VitalSign) -> list[tuple[str, str]]:
-    """(field name, problem) pairs for values outside plausible bounds."""
-    problems: list[tuple[str, str]] = []
-    value = vital.body_temperature
-    if value is not None and (message := check_body_temperature(value)) is not None:
-        problems.append(("bodyTemperature", message))
-    value = vital.blood_pressure
-    if value is not None and (message := check_blood_pressure(value)) is not None:
-        problems.append(("bloodPressure", message))
-    value = vital.weight
-    if value is not None and (message := check_weight(value)) is not None:
-        problems.append(("weight", message))
-    value = vital.heart_rate
-    if value is not None and (message := check_heart_rate(value)) is not None:
-        problems.append(("heartRate", message))
-    return problems
+    ``via`` optionally names a care plan (by plan ID) or diagnosis (by name)
+    inside either endpoint that explains a causal link, such as the referral
+    that produced a visit.
+    """,
+)
+
+
+def edge_dates_consistent(kind: EdgeKind, from_date: date, to_date: date) -> bool:
+    """Whether an edge of ``kind`` is compatible with its endpoint dates."""
+    if kind is EdgeKind.CAUSED_BY:
+        return from_date >= to_date
+    return from_date <= to_date

@@ -27,7 +27,7 @@ from pjo.graph import (
     Diagnostic,
     Severity,
     cyclic_nodes,
-    intake_form_problems,
+    field_problems,
     oriented_edges,
 )
 from pjo.queries import LinkRef, TimelineEntry
@@ -91,7 +91,7 @@ def add_intake_form_by_scan(graph: JourneyGraph, patient_id: str, form: IntakeFo
     """The refusals of ``JourneyGraph.add_intake_form``, found by scans;
     stores nothing."""
     _known(graph, patient_id)
-    problems = intake_form_problems(form)
+    problems = field_problems(form)
     if problems:
         raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
     if form.intake_form_id in graph.intake_forms:

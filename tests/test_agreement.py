@@ -347,6 +347,11 @@ class TestCsvLoaders:
         with pytest.raises(ShapeError):
             likert_responses_from_csv(text)
 
+    @pytest.mark.parametrize("load", [rating_matrix_from_csv, likert_responses_from_csv])
+    def test_field_over_the_csv_field_limit_is_a_shape_error(self, load):
+        with pytest.raises(ShapeError, match="CSV"):
+            load("subject,a,b\n" + "x" * 200_000 + ",1,1\n")
+
     def test_long_and_counts_layouts_agree(self):
         long_text = (
             "rater,subject,category\n"

@@ -180,6 +180,36 @@ class TestNullAbsenceEquivalence:
         assert json.loads(serialize_bundle(result.graph, "P1"))["links"] == []
 
 
+class TestEmptyStringDefaults:
+    """Five optional strings read as "" when left out, and "" is written back."""
+
+    @pytest.mark.parametrize(
+        "array, records, key",
+        [
+            ("symptoms", "symptoms", "severity"),
+            ("tests", "tests", "results"),
+            ("medications", "medications", "dosage"),
+            ("medications", "medications", "frequency"),
+            ("carePlans", "care_plans", "description"),
+        ],
+    )
+    @pytest.mark.parametrize("absent", [None, "omitted"])
+    def test_left_out_reads_and_serializes_as_empty(self, array, records, key, absent):
+        doc = json.loads(john_doe_bundle())
+        index, encounter = next((i, e) for i, e in enumerate(doc["encounters"]) if e[array])
+        entry = encounter[array][0]
+        if absent is None:
+            entry[key] = None
+        else:
+            del entry[key]
+        result = parse_doc(doc)
+        assert result.ok and result.problems == []
+        record = result.graph.encounters[encounter["encounterID"]]
+        assert getattr(getattr(record, records)[0], key) == ""
+        written = json.loads(serialize_bundle(result.graph, "JohnDoe"))
+        assert written["encounters"][index][array][0][key] == ""
+
+
 class TestFieldDiagnostics:
     def test_empty_patient_id(self):
         doc = minimal_doc()

@@ -279,6 +279,13 @@ class TestStats:
         proc = run_cli("stats", "kappa", "-", stdin="not,a,matrix\n1,2,3\n")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("command", ["kappa", "likert"])
+    def test_field_over_the_csv_field_limit_is_exit_1(self, command):
+        proc = run_cli("stats", command, "-", stdin="subject,a,b\n" + "x" * 200_000 + ",1,1\n")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_likert_summary(self):
         proc = run_cli("stats", "likert", "-", stdin=LIKERT_CSV, check_rc=0)
         assert "overall: mean 4.5000, sd 0.5000" in proc.stdout

@@ -1,9 +1,9 @@
-"""The field table and the graph's hand-written field checks agree.
+"""The bundle reader and the graph's field checks agree.
 
-``records.FIELDS`` drives the bundle reader; ``graph.*_problems`` check
-records built through the API.  Blanking a required string must be caught
-by both, once, at matching locations; blanking an optional string by
-neither.
+``records.FIELDS`` drives the bundle reader, and ``graph.field_problems``,
+generated from the same table, checks records built through the API.
+Blanking a required string must be caught by both, once, at matching
+locations; blanking an optional string by neither.
 """
 
 import json
@@ -20,21 +20,15 @@ from pjo import (
     john_doe_graph,
     parse_bundle,
 )
-from pjo.graph import (
-    FIELD_INVALID,
-    encounter_problems,
-    intake_form_problems,
-    patient_problems,
-    provider_problems,
-)
+from pjo.graph import FIELD_INVALID, field_problems
 from pjo.records import FIELDS, OBJECT, OBJECTS, STR
 
 PATIENT_ID = "JohnDoe"
 GRAPH_CHECKS = {
-    Patient: patient_problems,
-    Provider: provider_problems,
-    IntakeForm: intake_form_problems,
-    Encounter: encounter_problems,
+    Patient: field_problems,
+    Provider: field_problems,
+    IntakeForm: field_problems,
+    Encounter: field_problems,
 }
 
 
