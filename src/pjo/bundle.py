@@ -58,6 +58,7 @@ from .records import (
     Fresh,
     IntakeForm,
     JourneyEdge,
+    OnDemand,
     Patient,
     Provider,
     slotted,
@@ -76,8 +77,9 @@ _LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 class ParseResult(SeverityViews):
     """Outcome of parsing a bundle: a graph when no errors were found.
 
-    ``report`` is the invariant checker's report on that graph, whose
-    errors were already copied into ``problems``.
+    ``report`` is the invariant checker's report on that graph, equal to
+    ``graph.check_invariants()``; its errors were already copied into
+    ``problems``.
     """
 
     graph: JourneyGraph | None
@@ -94,6 +96,17 @@ class ParseResult(SeverityViews):
 
 
 # -- serialization --------------------------------------------------------
+#
+# The text is written straight from the records, by a writer generated from
+# ``FIELDS`` per record type and nesting level on first use.  It equals
+# ``json.dumps(document, indent=2, ensure_ascii=False)`` of the document the
+# records describe: through Python 3.12 that call takes the pure-Python
+# encoder whenever ``indent`` is set, which is several times slower.
+
+# The string encoder ``json.dumps`` uses with ``ensure_ascii=False``: C code
+# where the interpreter has it.
+_encode = json.encoder.encode_basestring
+_INFINITY = float("inf")
 
 
 def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
@@ -101,42 +114,104 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     patient = graph.patients.get(patient_id)
     if patient is None:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
-    doc: dict = {"formatVersion": FORMAT_VERSION, "patient": _doc(patient)}
-    doc["providers"] = [_doc(graph.providers[pid]) for pid in sorted(graph.providers)]
+    providers = [_object(graph.providers[pid], 2) for pid in sorted(graph.providers)]
+    members = [
+        ("formatVersion", _encode(FORMAT_VERSION)),
+        ("patient", _object(patient, 1)),
+        ("providers", _array(providers, 1)),
+    ]
     form = graph.intake_form_of(patient_id)
     if form is not None:
-        doc["intakeForm"] = _doc(form)
-    doc["encounters"] = [_doc(e) for e in graph.encounters_of(patient_id)]
-    doc["links"] = [
-        _doc(edge)
-        for edge in sorted(
-            graph.edges_of(patient_id),
-            key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
-        )
-    ]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        members.append(("intakeForm", _object(form, 1)))
+    encounters = [_object(e, 2) for e in graph.encounters_of(patient_id)]
+    members.append(("encounters", _array(encounters, 1)))
+    links = sorted(
+        graph.edges_of(patient_id),
+        key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
+    )
+    members.append(("links", _array([_object(edge, 2) for edge in links], 1)))
+    return "{" + ",".join(f'\n  "{key}": {text}' for key, text in members) + "\n}\n"
 
 
-def _doc(record) -> dict:
-    """A record's document: unset fields left out, keys in canonical order."""
-    doc: dict = {}
-    for key, attr, _, _, write in _SCHEMA[record.__class__][1]:
-        value = getattr(record, attr)
-        if value is not None and write is not None:
-            value = write(value)
-        if value is not None:
-            doc[key] = value
-    return doc
+def _array(texts: list[str], level: int) -> str:
+    """A JSON array of ``texts`` at nesting ``level``."""
+    if not texts:
+        return "[]"
+    indent = "\n" + "  " * (level + 1)
+    return "[" + indent + f",{indent}".join(texts) + "\n" + "  " * level + "]"
 
 
-_WRITERS = {
-    DATE: date.isoformat,
-    ICD10: lambda code: code.code,
-    KIND: lambda kind: kind.value,
-    STRS: list,
-    OBJECT: lambda record: _doc(record) or None,
-    OBJECTS: lambda records: [_doc(record) for record in records],
-}
+def _object(record, level: int) -> str:
+    """The record's JSON object at nesting ``level``: its set fields in
+    canonical key order, ``{}`` when none is set."""
+    return _WRITERS_AT[level][record.__class__](record)
+
+
+def _scalar(value, level: int) -> str:
+    """A field value at nesting ``level``, as ``json.dumps`` writes it."""
+    kind = value.__class__
+    if kind is str:
+        return _encode(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    # Anything else a record was given directly: json.dumps itself, indented.
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
+
+
+def _compile_writer(record_type: type, level: int):
+    """``write(record)``: ``_object`` for one record type at one level.
+
+    One line per field appends the field's key and value text when the
+    field is set.  A date, code or link kind is written as its string; a
+    held record that sets no field is left out; an array of records is
+    written inline, each entry by its own class's writer.
+    """
+    inner = level + 1
+    scope = {
+        "_encode": _encode, "_scalar": _scalar, "isoformat": date.isoformat,
+        "objects": _WRITERS_AT[inner], "entries": _WRITERS_AT[inner + 1],
+    }  # fmt: skip
+    # An array at ``inner`` of the texts in ``a``, as ``_array`` writes it.
+    entry = "\n" + "  " * (inner + 1)
+    opened, between, closed = repr("[" + entry), repr("," + entry), repr("\n" + "  " * inner + "]")
+    lines = ["parts = []"]
+    for spec in FIELDS[record_type]:
+        head = repr(f"\n{'  ' * inner}{_encode(spec.key)}: ")
+        test = f"(v := r.{spec.attr}) is not None"
+        if spec.type in (STR, INT, NUMBER):
+            text = f"(_encode(v) if v.__class__ is str else _scalar(v, {inner}))"
+        elif spec.type == DATE:
+            text = "_encode(isoformat(v))"
+        elif spec.type in (ICD10, KIND):
+            test += f" and (v := v.{'code' if spec.type == ICD10 else 'value'}) is not None"
+            text = f"_scalar(v, {inner})"
+        elif spec.type == OBJECT:
+            test += " and (t := objects[v.__class__](v)) != '{}'"
+            text = "t"
+        else:
+            item = f"_scalar(x, {inner + 1})" if spec.type == STRS else "entries[x.__class__](x)"
+            entries = f"(a := [{item} for x in v])"
+            text = f"({opened} + {between}.join(a) + {closed} if {entries} else '[]')"
+        lines.append(f"if {test}: parts.append({head} + {text})")
+    close = repr("\n" + "  " * level + "}")
+    lines.append(f"return '{{' + ','.join(parts) + {close} if parts else '{{}}'")
+    source = "def write(r):\n    " + "\n    ".join(lines)
+    exec(compile(source, f"<{record_type.__name__} writer>", "exec"), scope)
+    return scope["write"]
+
+
+# Generated writers by nesting level, then by record type.
+_WRITERS_AT = OnDemand(
+    lambda level: OnDemand(lambda record_type: _compile_writer(record_type, level))
+)
 
 
 # -- parsing --------------------------------------------------------------
@@ -168,40 +243,32 @@ def _warn_unknown(obj: dict, known, path: str, problems: _Problems) -> None:
             problems.warning(_join(path, shown), UNKNOWN_FIELD, f"unknown field {key!r} ignored")
 
 
-# A field reads as its value, as _INVALID after a reported problem, or as
-# _ABSENT when an optional scalar is left out.  A left-out array reads as
-# empty, a left-out object as its empty record.
+# A field reads as its value, or as _INVALID after a reported problem.  A
+# left-out optional scalar reads as its default, a left-out array as empty,
+# a left-out object as its empty record.
 _INVALID = object()
-_ABSENT = object()
+_KNOWN = {
+    record_type: frozenset(spec.key for spec in fields) for record_type, fields in FIELDS.items()
+}
 
 
 def _walk(record_type: type, obj: dict, path: str, problems: _Problems):
-    """The record ``obj`` describes, or None when a field could not be read.
+    """The record ``obj`` describes, or _INVALID once a field's problem is reported.
 
-    Unknown keys are warned about first; fields are then read in canonical
-    key order, each reporting its own problems.  A bad array entry is left
-    out of its array; after any error the parse returns no graph.
+    This is the reader every document object can take.  Unknown keys are
+    warned about first; fields are then read in canonical key order, each
+    reporting its own problems.  A bad array entry is left out of its
+    array; after any error the parse returns no graph.
     """
-    known, entries = _SCHEMA[record_type]
+    known = _KNOWN[record_type]
     if not known.issuperset(obj):
         _warn_unknown(obj, known, path, problems)
-    values = {}
-    valid = True
-    for key, attr, spec, plain, _ in entries:
-        value = obj.get(key)
-        if plain and value.__class__ is str and (value or not spec.required) and value.isascii():
-            values[attr] = value
-            continue
-        value = _read(spec, value, path, problems)
-        if value is _INVALID:
-            valid = False
-        elif value is not _ABSENT:
-            values[attr] = value
-    return record_type(**values) if valid else None
+    values = [_read(spec, obj.get(spec.key), path, problems) for spec in FIELDS[record_type]]
+    return _INVALID if any(value is _INVALID for value in values) else record_type(*values)
 
 
 def _read(spec: Field, value, path: str, problems: _Problems):
-    """Check and convert one field's document value."""
+    """Check and convert one field's document value, reporting its problems."""
     if value is None:
         if spec.required:
             problems.error(
@@ -210,7 +277,7 @@ def _read(spec: Field, value, path: str, problems: _Problems):
             return _INVALID
         if spec.type == OBJECT:
             return spec.record()
-        return [] if spec.type in (STRS, OBJECTS) else _ABSENT
+        return [] if spec.type in (STRS, OBJECTS) else spec.default
     value = _READERS[spec.type](spec, value, path, problems)
     if spec.check is not None and value is not _INVALID:
         message = spec.check(value)
@@ -310,8 +377,7 @@ def _read_object(spec: Field, value, path: str, problems: _Problems):
     if not isinstance(value, dict):
         problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an object")
         return _INVALID
-    record = _walk(spec.record, value, _join(path, spec.key), problems)
-    return _INVALID if record is None else record
+    return _RECORD_READERS[spec.record](value, _join(path, spec.key), problems)
 
 
 def _read_objects(spec: Field, value, path: str, problems: _Problems):
@@ -321,13 +387,17 @@ def _read_objects(spec: Field, value, path: str, problems: _Problems):
     base = _join(path, spec.key)
     records = []
     for index, item in enumerate(value):
-        if isinstance(item, dict):
-            record = _walk(spec.record, item, f"{base}[{index}]", problems)
-            if record is not None:
-                records.append(record)
-        else:
-            problems.error(f"{base}[{index}]", INVALID_TYPE, "entry must be an object")
+        record = _read_entry(spec.record, item, f"{base}[{index}]", problems)
+        if record is not _INVALID:
+            records.append(record)
     return records
+
+
+def _read_entry(record_type: type, item, path: str, problems: _Problems):
+    if not isinstance(item, dict):
+        problems.error(path, INVALID_TYPE, "entry must be an object")
+        return _INVALID
+    return _RECORD_READERS[record_type](item, path, problems)
 
 
 _READERS = {
@@ -342,25 +412,131 @@ _READERS = {
     OBJECTS: _read_objects,
 }
 
-# Per record type: the known keys, and one entry per field in canonical
-# order: key, attribute, field, whether a string is taken as it is (a
-# string field without a check), and the writer.
-_SCHEMA = {
-    record_type: (
-        frozenset(spec.key for spec in fields),
-        tuple(
-            (
-                spec.key,
-                spec.attr,
-                spec,
-                spec.type == STR and spec.check is None,
-                _WRITERS.get(spec.type),
-            )
-            for spec in fields
-        ),
-    )
-    for record_type, fields in FIELDS.items()
+
+# -- generated record readers ----------------------------------------------
+#
+# Each record type gets a reader generated from ``FIELDS`` on first use.  It
+# first tests, without reporting anything, that the object has no unknown
+# key and that every scalar field holds a value ``_read`` would take without
+# a problem; an object that fails is read by ``_walk`` instead.  It then
+# reads the other fields in canonical order: an array of flat records (all
+# of whose fields are scalars) in a loop that tests each entry the same way
+# and sends an entry that fails to ``_read_entry``, any other field through
+# ``_read``.  So each diagnostic is still made by ``_read`` and its helpers,
+# in the same order.
+
+
+def _iso_date(value):
+    if value.__class__ is str and _DATE_PATTERN.fullmatch(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    return None
+
+
+def _icd10_code(value):
+    if value.__class__ is str and validate_icd10(value):
+        return ConceptCode(CodeSystem.ICD10, value)
+    return None
+
+
+def _link_kind(value):
+    return _LINK_KINDS.get(value) if value.__class__ is str else None
+
+
+# Per scalar type, a test of the document value in ``v`` (first use
+# ``first``) for a value ``_read`` takes unchanged, or a conversion that
+# returns the field's value, or None where ``_read`` would report a problem.
+_TAKEN = {
+    STR: "{first}.__class__ is str and {v}.isascii()",
+    INT: "{first}.__class__ is int",
+    NUMBER: "({first}.__class__ is float or {v}.__class__ is int)",
 }
+_CONVERTED = {DATE: "_iso_date", ICD10: "_icd10_code", KIND: "_link_kind"}
+_SCALARS = (*_TAKEN, *_CONVERTED)
+
+
+def _flat(record_type: type) -> bool:
+    """Whether every field of the record type is a scalar."""
+    return all(spec.type in _SCALARS for spec in FIELDS[record_type])
+
+
+def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
+    """Source of a test on the document object in local ``obj``, and of each
+    scalar field's value by field index.  The test passes when the object
+    has no unknown key and ``_read`` would take every scalar field without
+    a problem; the values are then what ``_read`` would return."""
+    name = record_type.__name__
+    scope[name], scope[f"K_{name}"] = record_type, _KNOWN[record_type]
+    tests, values = [f"K_{name}.issuperset({obj})"], {}
+    for n, spec in enumerate(FIELDS[record_type]):
+        if spec.type not in _SCALARS:
+            continue
+        v, get = f"v{depth}_{n}", f"(v{depth}_{n} := {obj}.get({spec.key!r}))"
+        first = get if spec.required else v
+        if spec.type in _CONVERTED:
+            value = f"c{depth}_{n}"
+            test = f"({value} := {_CONVERTED[spec.type]}({first})) is not None"
+        else:
+            value, test = v, _TAKEN[spec.type].format(first=first, v=v)
+            if spec.required and spec.type == STR:
+                test += f" and {v}"
+        if spec.check is not None:
+            scope[spec.check.__name__] = spec.check
+            test += f" and {spec.check.__name__}({value}) is None"
+        if not spec.required:
+            test = f"({get} is None or {test})"
+            if value != v or spec.default is not None:
+                scope[f"D_{name}_{n}"] = spec.default
+                value = f"(D_{name}_{n} if {v} is None else {value})"
+        tests.append(test)
+        values[n] = value
+    return " and ".join(tests), values
+
+
+def _compile_reader(record_type: type):
+    """``read(obj, path, problems)`` for one record type: the record or
+    _INVALID, with the problems reported, exactly as ``_walk`` would."""
+    name = record_type.__name__
+    scope = {
+        "_INVALID": _INVALID, "_walk": _walk, "_read": _read, "_read_entry": _read_entry,
+        "_iso_date": _iso_date, "_icd10_code": _icd10_code, "_link_kind": _link_kind,
+        f"F_{name}": FIELDS[record_type],
+    }  # fmt: skip
+    test, values = _scalar_tests(record_type, "o", 0, scope)
+    lines = [f"if not ({test}): return _walk({name}, o, path, problems)"]
+    invalid = []
+    for n, spec in enumerate(FIELDS[record_type]):
+        if n in values:
+            continue
+        values[n] = f"x{n}"
+        if spec.type == OBJECTS and _flat(spec.record):
+            item, at = spec.record.__name__, f'f"{{path}}.{spec.key}[{{i}}]"'
+            item_test, item_values = _scalar_tests(spec.record, "e", 1, scope)
+            built = f"{item}({', '.join(item_values[k] for k in sorted(item_values))})"
+            entry = f"(r := _read_entry({item}, e, {at}, problems)) is not _INVALID"
+            lines += [
+                f"x{n} = []",
+                f"if (v := o.get({spec.key!r})).__class__ is not list:",
+                f"    x{n} = _read(F_{name}[{n}], v, path, problems)",
+                "else:",
+                "    for i, e in enumerate(v):",
+                f"        if e.__class__ is dict and {item_test}: x{n}.append({built})",
+                f"        elif {entry}: x{n}.append(r)",
+            ]
+        else:
+            lines.append(f"x{n} = _read(F_{name}[{n}], o.get({spec.key!r}), path, problems)")
+        invalid.append(f"x{n} is _INVALID")
+    if invalid:
+        lines.append(f"if {' or '.join(invalid)}: return _INVALID")
+    lines.append(f"return {name}({', '.join(values[n] for n in sorted(values))})")
+    source = "def read(o, path, problems):\n    " + "\n    ".join(lines)
+    exec(compile(source, f"<{name} reader>", "exec"), scope)
+    return scope["read"]
+
+
+_RECORD_READERS = OnDemand(_compile_reader)
 
 # The top-level document.
 _DOCUMENT_KEYS = ("formatVersion", "patient", "providers", "intakeForm", "encounters", "links")
@@ -432,7 +608,9 @@ def _assemble(
     """Join the records into a graph and report the checker's errors on it.
 
     Only duplicate IDs are found here: a graph keyed by ID cannot hold
-    them.  Every other join rule is the invariant checker's; its errors are
+    them.  Every other join rule is the invariant checker's.  It runs only
+    its join pass: the records passed every field rule as they were read,
+    so the report equals the full check's.  Its errors are
     moved to document paths (``encounters[<id>]`` becomes
     ``encounters[<index>]``) and into document order.  A missing link
     endpoint, a ``dangling-reference`` at ``links[<i>]``, is reported as a
@@ -468,7 +646,7 @@ def _assemble(
             index_of[f"encounters[{encounter.encounter_id}]"] = index
     graph.edges.extend(links)
 
-    report = graph.check_invariants()
+    report = graph._check_joins()
     rest: list[Diagnostic] = []
     for diagnostic in report.errors:
         head = location = diagnostic.location

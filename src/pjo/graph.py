@@ -37,6 +37,7 @@ from .records import (
     Fresh,
     IntakeForm,
     JourneyEdge,
+    OnDemand,
     Patient,
     Provider,
     edge_dates_consistent,
@@ -114,18 +115,33 @@ UNRESOLVED_VIA = "unresolved-via"
 FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 
 
-def field_problems(record, key: str | None = None) -> list[FieldProblem]:
+def field_problems(record) -> list[FieldProblem]:
     """The field rules ``record`` breaks, with locations relative to it.
 
     The rules come from its ``FIELDS`` entry, and from those of the
     records it holds: a required string must be nonempty, as must every
     entry of a string array; a value with a check must pass it; an ICD-10
-    code must be valid.  For a record stored under ``key``, its ID (its
-    first field) must also be that key: a record whose ID differs is
-    written out under its ID, where references to the key no longer find
-    it.
+    code must be valid.
     """
-    return _FIELD_PROBLEMS[record.__class__](record, key)
+    return _FIELD_PROBLEMS[record.__class__](record)
+
+
+def _no_field_problems(record) -> list[FieldProblem]:
+    return []
+
+
+def key_problems(record, key: str) -> list[FieldProblem]:
+    """A record stored under ``key`` must have that ID (its first field).
+
+    A record whose ID differs is written out under its ID, where references
+    to the key no longer find it.
+    """
+    id_field = FIELDS[record.__class__][0]
+    value = getattr(record, id_field.attr)
+    if value != key:
+        message = f"{id_field.key} {value!r} differs from its key {key!r}"
+        return [(id_field.key, FIELD_INVALID, message)]
+    return []
 
 
 def _rule(condition: str, at: str, code: str, message: str) -> list[str]:
@@ -173,20 +189,13 @@ def _rule_lines(record_type: type, var: str, where: str, depth: int, scope: dict
 
 def _compile_field_problems(record_type: type):
     scope = {"FIELD_INVALID": FIELD_INVALID, "BAD_ICD10": BAD_ICD10}
-    id_field = FIELDS[record_type][0]
-    message = f'f"{id_field.key} {{v!r}} differs from its key {{key!r}}"'
-    stored = f"key is not None and (v := record.{id_field.attr}) != key"
-    lines = [
-        "problems = []",
-        *_rule_lines(record_type, "record", "", 0, scope),
-        *_rule(stored, id_field.key, "FIELD_INVALID", message),
-        "return problems",
-    ]
-    exec("def problems(record, key):\n    " + "\n    ".join(lines), scope)
+    lines = ["problems = []", *_rule_lines(record_type, "record", "", 0, scope), "return problems"]
+    exec("def problems(record):\n    " + "\n    ".join(lines), scope)
     return scope["problems"]
 
 
-_FIELD_PROBLEMS = {record_type: _compile_field_problems(record_type) for record_type in FIELDS}
+# Compiled on first use: the bundle parser never needs them.
+_FIELD_PROBLEMS = OnDemand(_compile_field_problems)
 
 
 def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
@@ -632,7 +641,24 @@ class JourneyGraph:
 
         The report lists one diagnostic per violated invariant, in a
         deterministic order; a report without errors marks a valid graph.
+        It is the join pass (see ``_check_joins``) with each record's
+        ``field_problems`` reported just before its own joins.
         """
+        return self._check(field_problems)
+
+    def _check_joins(self) -> ValidationReport:
+        """The join pass: ``check_invariants`` without the field rules.
+
+        It checks the annotation table, record keys, ownership, references,
+        links, cycles and gaps.  On a graph whose records all pass
+        ``field_problems`` its report equals ``check_invariants()``; the
+        bundle parser, whose reader has applied the field rules, runs only
+        this pass.
+        """
+        return self._check(_no_field_problems)
+
+    def _check(self, fields) -> ValidationReport:
+        """The checker's report, with ``fields(record)`` as the field rules."""
         report = ValidationReport()
 
         def error(code: str, message: str, location: str) -> None:
@@ -644,10 +670,11 @@ class JourneyGraph:
         self._check_annotations(error, warning)
         for name, records in (("patients", self.patients), ("providers", self.providers)):
             for key in sorted(records):
-                for relative, code, message in field_problems(records[key], key):
+                record = records[key]
+                for relative, code, message in fields(record) + key_problems(record, key):
                     error(code, message, f"{name}[{key}].{relative}")
-        self._check_intake_forms(error)
-        self._check_encounters(error)
+        self._check_intake_forms(error, fields)
+        self._check_encounters(error, fields)
         self._check_edges(error, warning)
         self._check_gaps(warning)
         return report
@@ -674,11 +701,12 @@ class JourneyGraph:
                 "annotations",
             )
 
-    def _check_intake_forms(self, error) -> None:
+    def _check_intake_forms(self, error, fields) -> None:
         owners_seen: dict[str, str] = {}
         for form_id in sorted(self.intake_forms):
             location = f"intakeForms[{form_id}]"
-            for relative, code, message in field_problems(self.intake_forms[form_id], form_id):
+            form = self.intake_forms[form_id]
+            for relative, code, message in fields(form) + key_problems(form, form_id):
                 error(code, message, f"{location}.{relative}")
             owner = self.intake_form_owner.get(form_id)
             if owner is None:
@@ -702,15 +730,20 @@ class JourneyGraph:
                     f"intakeForms[{form_id}]",
                 )
 
-    def _check_encounters(self, error) -> None:
+    def _check_encounters(self, error, fields) -> None:
         for encounter_id in sorted(self.encounters):
             encounter = self.encounters[encounter_id]
-            location = f"encounters[{encounter_id}]"
             owner = self.encounter_owner.get(encounter_id)
             patient = self.patients.get(owner)
-            for relative, code, message in field_problems(
-                encounter, encounter_id
-            ) + encounter_reference_problems(self, encounter, patient):
+            problems = (
+                fields(encounter)
+                + key_problems(encounter, encounter_id)
+                + encounter_reference_problems(self, encounter, patient)
+            )
+            if not problems and patient is not None:
+                continue
+            location = f"encounters[{encounter_id}]"
+            for relative, code, message in problems:
                 error(code, message, f"{location}.{relative}")
             if owner is None:
                 error(UNOWNED_ENCOUNTER, f"encounter {encounter_id!r} has no owner", location)
@@ -731,15 +764,14 @@ class JourneyGraph:
     def _check_edges(self, error, warning) -> None:
         seen: set[tuple[EdgeKind, str, str]] = set()
         for index, edge in enumerate(self.edges):
-            location = f"links[{index}]"
             problems = link_problems(self, edge)
             for _, code, message in problems:
-                error(code, message, location)
+                error(code, message, f"links[{index}]")
             if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
                 continue  # no pair of encounters to compare
             key = (edge.kind, edge.from_encounter, edge.to_encounter)
             if key in seen:
-                error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", location)
+                error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", f"links[{index}]")
             seen.add(key)
             if edge.via is not None and not via_resolves(
                 edge.via, self.encounters[edge.from_encounter], self.encounters[edge.to_encounter]
@@ -747,7 +779,7 @@ class JourneyGraph:
                 warning(
                     UNRESOLVED_VIA,
                     f"via {edge.via!r} names no care plan or diagnosis in either endpoint",
-                    f"{location}.via",
+                    f"links[{index}].via",
                 )
         in_cycle = cyclic_nodes(list(self.encounters), oriented_edges(self.edges))
         if in_cycle:

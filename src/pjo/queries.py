@@ -11,7 +11,7 @@ from datetime import date
 
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .graph import JourneyGraph
-from .records import EdgeKind, Encounter, slotted
+from .records import EdgeKind, Encounter, JourneyEdge, slotted
 
 
 @slotted(frozen=True)
@@ -98,9 +98,16 @@ def symptom_progression(
     return occurrences
 
 
-def _require_encounter(graph: JourneyGraph, encounter_id: str) -> Encounter:
-    graph.patient_of(encounter_id)  # raises UnknownEncounterError
-    return graph.encounters[encounter_id]
+def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
+    """The links whose two ends the encounter's owner owns (``edges_of``).
+
+    Raises :class:`UnknownEncounterError` for an encounter the graph does
+    not hold, and :class:`UnknownPatientError` when its owner is not a
+    stored patient.  On every graph ``check_invariants`` accepts these are
+    all the links that touch the encounter's journey; on a graph it
+    rejects, a stored link across patients is not among them.
+    """
+    return graph.edges_of(graph.patient_of(encounter_id))
 
 
 def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
@@ -108,12 +115,12 @@ def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
 
     Raises :class:`AmbiguousChainError` when the path branches: an
     encounter on the walk has two or more outgoing, or two or more
-    incoming, follow-up edges.
+    incoming, follow-up edges.  Only the owner's links are read (see
+    ``_owner_links``), so the cost is O(l) in the patient's links.
     """
-    _require_encounter(graph, encounter_id)
     outgoing: dict[str, list[str]] = {}
     incoming: dict[str, list[str]] = {}
-    for edge in graph.edges:
+    for edge in _owner_links(graph, encounter_id):
         if edge.kind is EdgeKind.HAS_FOLLOWUP:
             outgoing.setdefault(edge.from_encounter, []).append(edge.to_encounter)
             incoming.setdefault(edge.to_encounter, []).append(edge.from_encounter)
@@ -159,11 +166,11 @@ def cause_trace(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
 
     Follows caused-by edges from effect to cause; raises
     :class:`AmbiguousTraceError` when an encounter on the walk has two or
-    more outgoing caused-by edges.
+    more outgoing caused-by edges.  Only the owner's links are read (see
+    ``_owner_links``), so the cost is O(l) in the patient's links.
     """
-    _require_encounter(graph, encounter_id)
     causes: dict[str, list[str]] = {}
-    for edge in graph.edges:
+    for edge in _owner_links(graph, encounter_id):
         if edge.kind is EdgeKind.CAUSED_BY:
             causes.setdefault(edge.from_encounter, []).append(edge.to_encounter)
     trace = [encounter_id]

@@ -131,6 +131,24 @@ def slotted(cls=None, /, *, frozen: bool = False):
     return rebuild if cls is None else rebuild(cls)
 
 
+class OnDemand(dict):
+    """A dict whose missing entry for ``key`` is ``build(key)``, made on first use.
+
+    It holds code generated per record type, so that a process compiles
+    only the functions it calls.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        built = self[key] = self.build(key)
+        return built
+
+
 # -- the field table ------------------------------------------------------
 
 # Value types of bundle fields.  Strings, dates, ICD-10 codes and link kinds

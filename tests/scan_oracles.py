@@ -5,14 +5,22 @@ of the graph per patient or per encounter, so the grouped and indexed
 implementations in ``pjo`` can be checked against it byte for byte.  None
 of them reads the graph's owner index.  ``link_by_kahn`` re-runs Kahn's
 algorithm over the whole graph after a tentative append, which is the
-definition of a link that "introduces a cycle".
+definition of a link that "introduces a cycle".  ``serialize_bundle_by_dumps``
+builds the bundle document as dicts and hands it to ``json.dumps``, which
+is what the direct writer's bytes must equal.
 """
 
 from __future__ import annotations
 
+import json
+from datetime import date
+
 from pjo import EdgeKind, JourneyEdge, JourneyGraph
+from pjo.bundle import FORMAT_VERSION
 from pjo.dot import _encounter_detail, _intake_detail, _Writer
 from pjo.errors import (
+    AmbiguousChainError,
+    AmbiguousTraceError,
     CrossPatientLinkError,
     CycleIntroducedError,
     DuplicateEdgeError,
@@ -31,7 +39,18 @@ from pjo.graph import (
     oriented_edges,
 )
 from pjo.queries import LinkRef, TimelineEntry
-from pjo.records import Encounter, IntakeForm, edge_dates_consistent
+from pjo.records import (
+    DATE,
+    FIELDS,
+    ICD10,
+    KIND,
+    OBJECT,
+    OBJECTS,
+    STRS,
+    Encounter,
+    IntakeForm,
+    edge_dates_consistent,
+)
 
 LABELS = {
     EdgeKind.HAS_FOLLOWUP: "hasFollowup",
@@ -251,3 +270,113 @@ def checked_link(graph: JourneyGraph, edge: JourneyEdge, whole_graph: bool = Tru
             f"{kind.value} link {from_encounter!r} -> {to_encounter!r} introduces a cycle"
         )
     return edge
+
+
+def followup_chain_by_scan(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
+    """``followup_chain`` over every stored link, not only the owner's."""
+    graph.patient_of(encounter_id)  # raises UnknownEncounterError
+    outgoing: dict[str, list[str]] = {}
+    incoming: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        if edge.kind is EdgeKind.HAS_FOLLOWUP:
+            outgoing.setdefault(edge.from_encounter, []).append(edge.to_encounter)
+            incoming.setdefault(edge.to_encounter, []).append(edge.from_encounter)
+
+    def step(neighbors: dict[str, list[str]], node: str) -> str | None:
+        step_targets = neighbors.get(node, [])
+        if len(step_targets) > 1:
+            raise AmbiguousChainError(f"follow-up chain branches at {node!r}", branch_point=node)
+        return step_targets[0] if step_targets else None
+
+    predecessors = []
+    seen = {encounter_id}
+    current = encounter_id
+    while (previous := step(incoming, current)) is not None:
+        if len(outgoing.get(previous, [])) > 1:
+            raise AmbiguousChainError(
+                f"follow-up chain branches at {previous!r}", branch_point=previous
+            )
+        if previous in seen:
+            raise CycleIntroducedError(f"follow-up edges cycle through {previous!r}")
+        predecessors.append(previous)
+        seen.add(previous)
+        current = previous
+    chain = predecessors[::-1] + [encounter_id]
+    current = encounter_id
+    while (successor := step(outgoing, current)) is not None:
+        if len(incoming.get(successor, [])) > 1:
+            raise AmbiguousChainError(
+                f"follow-up chain branches at {successor!r}", branch_point=successor
+            )
+        if successor in seen:
+            raise CycleIntroducedError(f"follow-up edges cycle through {successor!r}")
+        chain.append(successor)
+        seen.add(successor)
+        current = successor
+    return [graph.encounters[eid] for eid in chain]
+
+
+def cause_trace_by_scan(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
+    """``cause_trace`` over every stored link, not only the owner's."""
+    graph.patient_of(encounter_id)  # raises UnknownEncounterError
+    causes: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        if edge.kind is EdgeKind.CAUSED_BY:
+            causes.setdefault(edge.from_encounter, []).append(edge.to_encounter)
+    trace = [encounter_id]
+    seen = {encounter_id}
+    current = encounter_id
+    while True:
+        step_targets = causes.get(current, [])
+        if len(step_targets) > 1:
+            raise AmbiguousTraceError(f"cause trace branches at {current!r}", branch_point=current)
+        if not step_targets:
+            break
+        cause = step_targets[0]
+        if cause in seen:
+            raise CycleIntroducedError(f"caused-by edges cycle through {cause!r}")
+        trace.append(cause)
+        seen.add(cause)
+        current = cause
+    return [graph.encounters[eid] for eid in trace]
+
+
+def serialize_bundle_by_dumps(graph: JourneyGraph, patient_id: str) -> str:
+    """``serialize_bundle`` as the bundle document ``json.dumps`` writes."""
+    _known(graph, patient_id)
+    doc: dict = {"formatVersion": FORMAT_VERSION, "patient": _document(graph.patients[patient_id])}
+    doc["providers"] = [_document(graph.providers[pid]) for pid in sorted(graph.providers)]
+    form = graph.intake_form_of(patient_id)
+    if form is not None:
+        doc["intakeForm"] = _document(form)
+    doc["encounters"] = [_document(e) for e in graph.encounters_of(patient_id)]
+    doc["links"] = [
+        _document(edge)
+        for edge in sorted(
+            graph.edges_of(patient_id),
+            key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
+        )
+    ]
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _document(record) -> dict:
+    """A record's document: unset fields left out, keys in canonical order."""
+    doc: dict = {}
+    for spec in FIELDS[record.__class__]:
+        value = getattr(record, spec.attr)
+        if value is not None and spec.type in _DOCUMENT_VALUES:
+            value = _DOCUMENT_VALUES[spec.type](value)
+        if value is not None:
+            doc[spec.key] = value
+    return doc
+
+
+_DOCUMENT_VALUES = {
+    DATE: date.isoformat,
+    ICD10: lambda code: code.code,
+    KIND: lambda kind: kind.value,
+    STRS: list,
+    OBJECT: lambda record: _document(record) or None,
+    OBJECTS: lambda records: [_document(record) for record in records],
+}

@@ -349,16 +349,18 @@ def gap_bundle() -> str:
 
 
 class TestValidateChecksOnce:
+    """``pjo validate`` runs the checker's join pass once, inside the parser."""
+
     @pytest.fixture
     def check_calls(self, monkeypatch):
         calls = []
-        check = JourneyGraph.check_invariants
+        check = JourneyGraph._check_joins
 
         def counted(graph):
             calls.append(graph)
             return check(graph)
 
-        monkeypatch.setattr(JourneyGraph, "check_invariants", counted)
+        monkeypatch.setattr(JourneyGraph, "_check_joins", counted)
         monkeypatch.setenv("PJO_NO_COLOR", "1")
         return calls
 

@@ -4,7 +4,9 @@
 per call; ``link`` checks for cycles among same-day encounters only.  Each
 must give exactly what the plain scans in ``scan_oracles`` give, on valid
 generated journeys, on every corrupted journey of the mutation corpus, and
-on graphs written to directly.
+on graphs written to directly.  ``followup_chain`` and ``cause_trace`` read
+only the owner's links; they must match the scans that follow every stored
+link on every graph the checker accepts.
 """
 
 from __future__ import annotations
@@ -31,8 +33,15 @@ from pjo import (
 )
 from pjo.errors import CycleIntroducedError, PjoError
 from pjo.graph import JOURNEY_GAP
-from pjo.queries import timeline
-from scan_oracles import gap_warnings_by_scan, link_by_kahn, timeline_by_scan, to_dot_by_scan
+from pjo.queries import cause_trace, followup_chain, timeline
+from scan_oracles import (
+    cause_trace_by_scan,
+    followup_chain_by_scan,
+    gap_warnings_by_scan,
+    link_by_kahn,
+    timeline_by_scan,
+    to_dot_by_scan,
+)
 
 
 def assert_matches_oracles(graph: JourneyGraph) -> None:
@@ -42,8 +51,17 @@ def assert_matches_oracles(graph: JourneyGraph) -> None:
             assert to_dot(graph, patient_id, detail) == to_dot_by_scan(graph, patient_id, detail)
     for detail in ("journey", "full"):
         assert to_dot(graph, detail=detail) == to_dot_by_scan(graph, detail=detail)
-    gaps = [d for d in graph.check_invariants().diagnostics if d.code == JOURNEY_GAP]
+    report = graph.check_invariants()
+    gaps = [d for d in report.diagnostics if d.code == JOURNEY_GAP]
     assert gaps == gap_warnings_by_scan(graph)
+    if report.ok:
+        for encounter_id in graph.encounters:
+            for query, scan in (
+                (followup_chain, followup_chain_by_scan),
+                (cause_trace, cause_trace_by_scan),
+            ):
+                expected = _outcome(lambda: scan(graph, encounter_id))
+                assert _outcome(lambda: query(graph, encounter_id)) == expected
 
 
 @pytest.mark.parametrize("seed", range(40))

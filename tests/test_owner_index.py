@@ -32,13 +32,15 @@ from pjo import (
 )
 from pjo.errors import CycleIntroducedError, PjoError
 from pjo.graph import CountedDict, CountedList
-from pjo.queries import timeline
+from pjo.queries import cause_trace, followup_chain, timeline
 from scan_oracles import (
     add_intake_form_by_scan,
+    cause_trace_by_scan,
     checked_link,
     edges_of_by_scan,
     encounters_by_owner_by_scan,
     encounters_of_by_scan,
+    followup_chain_by_scan,
     intake_form_of_by_scan,
     timeline_by_scan,
 )
@@ -126,6 +128,16 @@ def assert_lookups_match_the_scans(graph: JourneyGraph) -> None:
             assert _identities(_outcome(lambda: indexed(patient_id))) == expected
         expected = _outcome(lambda: timeline_by_scan(graph, patient_id))
         assert _outcome(lambda: timeline(graph, patient_id)) == expected
+    if graph.check_invariants().ok:
+        # The chain queries read only the owner's links, which on a graph
+        # the checker accepts are all the links a walk can take.
+        for key in ENCOUNTERS:
+            for query, scan in (
+                (followup_chain, followup_chain_by_scan),
+                (cause_trace, cause_trace_by_scan),
+            ):
+                expected = _identities(_outcome(lambda: scan(graph, key)))
+                assert _identities(_outcome(lambda: query(graph, key))) == expected
     groups = {owner: [id(e) for e in group] for owner, group in graph.encounters_by_owner().items()}
     expected = {
         owner: [id(e) for e in group]

@@ -7,6 +7,7 @@ from pjo import (
     AmbiguousTraceError,
     EdgeKind,
     Encounter,
+    JourneyEdge,
     JourneyGraph,
     Patient,
     Provider,
@@ -21,6 +22,7 @@ from pjo import (
     symptom_progression,
     timeline,
 )
+from pjo.graph import CROSS_PATIENT_LINK, UNKNOWN_PATIENT
 from pjo.seed import (
     ENCOUNTER_ALLERGY,
     ENCOUNTER_ALLERGY_FOLLOWUP,
@@ -28,6 +30,7 @@ from pjo.seed import (
     ENCOUNTER_PULMONOLOGY,
     JOHN_DOE_ID,
 )
+from scan_oracles import cause_trace_by_scan, followup_chain_by_scan
 
 
 def chain_graph(*dated_ids, kind=EdgeKind.HAS_FOLLOWUP, link_pairs=None):
@@ -237,6 +240,44 @@ class TestCauseTrace:
     def test_trace_ignores_other_kinds(self, john_graph):
         trace = cause_trace(john_graph, ENCOUNTER_ALLERGY_FOLLOWUP)
         assert [e.encounter_id for e in trace] == [ENCOUNTER_ALLERGY_FOLLOWUP]
+
+
+class TestChainsOnGraphsTheCheckerRejects:
+    """``followup_chain`` and ``cause_trace`` read only the owner's links
+    (``edges_of(patient_of(encounter))``).  On a graph the checker accepts
+    that is every link a walk can take; these graphs show where the
+    result differs from a walk over every stored link."""
+
+    def two_patients(self):
+        graph = chain_graph(("E1", date(2021, 1, 1)), ("E2", date(2021, 2, 1)))
+        graph.add_patient(Patient("P2", "Pat Two", date(1980, 1, 1)))
+        graph.add_encounter("P2", Encounter("E3", date(2021, 3, 1), "Allergy", "Provider-1"))
+        return graph
+
+    def test_a_cross_patient_followup_is_not_followed(self):
+        graph = self.two_patients()
+        graph.edges.append(JourneyEdge(EdgeKind.HAS_FOLLOWUP, "E2", "E3"))
+        assert CROSS_PATIENT_LINK in {d.code for d in graph.check_invariants().errors}
+        for start in ("E1", "E2"):
+            assert [e.encounter_id for e in followup_chain(graph, start)] == ["E1", "E2"]
+            by_scan = followup_chain_by_scan(graph, start)
+            assert [e.encounter_id for e in by_scan] == ["E1", "E2", "E3"]
+        assert [e.encounter_id for e in followup_chain(graph, "E3")] == ["E3"]
+
+    def test_a_cross_patient_cause_is_not_followed(self):
+        graph = self.two_patients()
+        graph.edges.append(JourneyEdge(EdgeKind.CAUSED_BY, "E3", "E2"))
+        assert CROSS_PATIENT_LINK in {d.code for d in graph.check_invariants().errors}
+        assert [e.encounter_id for e in cause_trace(graph, "E3")] == ["E3"]
+        assert [e.encounter_id for e in cause_trace_by_scan(graph, "E3")] == ["E3", "E2"]
+
+    def test_an_encounter_owned_by_no_stored_patient(self):
+        graph = self.two_patients()
+        graph.encounter_owner["E3"] = "Ghost"
+        assert UNKNOWN_PATIENT in {d.code for d in graph.check_invariants().errors}
+        for query in (followup_chain, cause_trace):
+            with pytest.raises(UnknownPatientError):
+                query(graph, "E3")
 
 
 class TestSymptomDiagnosisLinks:
