@@ -252,145 +252,80 @@ _KNOWN = {
 }
 
 
-def _walk(record_type: type, obj: dict, path: str, problems: _Problems):
-    """The record ``obj`` describes, or _INVALID once a field's problem is reported.
+def _report(spec: Field, value, at: str, problems: _Problems) -> bool:
+    """Report at ``at`` the first rule broken by ``value``, the document value
+    of scalar field ``spec`` or an entry of string-array field ``spec``;
+    whether one was.  The rules, in order: present if required, the JSON
+    type (no boolean is a number), nonempty if required (always, for an
+    entry), no lone surrogate, a date's pattern and calendar day, an ICD-10
+    code's shape, a link kind, and last ``check`` on the value read."""
+    kind, name = spec.type, "entry" if spec.type == STRS else repr(spec.key)
+    if value is None and kind != STRS:
+        if not spec.required:
+            return False
+        code, message = MISSING_FIELD, f"required field {spec.key!r} is missing"
+    elif kind == INT or kind == NUMBER:
+        if value.__class__ is int or (kind == NUMBER and value.__class__ is float):
+            code, message = FIELD_INVALID, spec.check and spec.check(value)
+        else:
+            code = INVALID_TYPE
+            message = f"{name} must be {'an integer' if kind == INT else 'a number'}"
+    elif value.__class__ is not str:
+        code, message = INVALID_TYPE, f"{name} must be a string"
+    elif not value and (spec.required or kind == STRS):
+        code, message = FIELD_INVALID, f"{name} must be nonempty"
+    elif not value.isascii() and _SURROGATE.search(value):
+        code, message = INVALID_VALUE, f"{name} holds a lone surrogate"
+    elif kind == DATE and not _DATE_PATTERN.fullmatch(value):
+        code, message = INVALID_VALUE, f"{value!r} is not an ISO-8601 date (YYYY-MM-DD)"
+    elif kind == DATE and _iso_date(value) is None:
+        code, message = INVALID_VALUE, f"{value!r} is not a calendar date"
+    elif kind == ICD10 and not validate_icd10(value):
+        code, message = BAD_ICD10, f"{value!r} is not a valid ICD10 code"
+    elif kind == KIND and value not in _LINK_KINDS:
+        code = INVALID_VALUE
+        message = f"link kind must be one of {sorted(_LINK_KINDS)}, got {value!r}"
+    else:
+        read = _CONVERTED[kind](value) if kind in _CONVERTED else value
+        code, message = FIELD_INVALID, spec.check and spec.check(read)
+    if message:
+        problems.error(at, code, message)
+    return bool(message)
 
-    This is the reader every document object can take.  Unknown keys are
-    warned about first; fields are then read in canonical key order, each
-    reporting its own problems.  A bad array entry is left out of its
-    array; after any error the parse returns no graph.
-    """
-    known = _KNOWN[record_type]
-    if not known.issuperset(obj):
-        _warn_unknown(obj, known, path, problems)
-    values = [_read(spec, obj.get(spec.key), path, problems) for spec in FIELDS[record_type]]
-    return _INVALID if any(value is _INVALID for value in values) else record_type(*values)
+
+def _report_fields(record_type: type, obj: dict, path: str, problems: _Problems):
+    """_INVALID, after reporting why the reader refused ``obj``: its fields
+    in canonical key order, a scalar by its first broken rule, an object or
+    array by reading it, so nested problems come out in document order."""
+    for spec in FIELDS[record_type]:
+        if spec.type in _SCALARS:
+            _report(spec, obj.get(spec.key), _join(path, spec.key), problems)
+        else:
+            _read(spec, obj.get(spec.key), path, problems)
+    return _INVALID
 
 
 def _read(spec: Field, value, path: str, problems: _Problems):
-    """Check and convert one field's document value, reporting its problems."""
+    """An object or array field's value, or _INVALID after its problems are
+    reported.  A bad array entry is reported and left out."""
+    at = _join(path, spec.key)
     if value is None:
         if spec.required:
-            problems.error(
-                _join(path, spec.key), MISSING_FIELD, f"required field {spec.key!r} is missing"
-            )
+            _report(spec, value, at, problems)
             return _INVALID
-        if spec.type == OBJECT:
-            return spec.record()
-        return [] if spec.type in (STRS, OBJECTS) else spec.default
-    value = _READERS[spec.type](spec, value, path, problems)
-    if spec.check is not None and value is not _INVALID:
-        message = spec.check(value)
-        if message is not None:
-            problems.error(_join(path, spec.key), FIELD_INVALID, message)
+        return spec.record() if spec.type == OBJECT else []
+    if spec.type == OBJECT:
+        if not isinstance(value, dict):
+            problems.error(at, INVALID_TYPE, f"{spec.key!r} must be an object")
             return _INVALID
-    return value
-
-
-def _read_str(spec: Field, value, path: str, problems: _Problems):
-    if not isinstance(value, str):
-        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be a string")
-        return _INVALID
-    if spec.required and not value:
-        problems.error(_join(path, spec.key), FIELD_INVALID, f"{spec.key!r} must be nonempty")
-        return _INVALID
-    if not value.isascii() and _SURROGATE.search(value):
-        message = f"{spec.key!r} holds a lone surrogate"
-        problems.error(_join(path, spec.key), INVALID_VALUE, message)
-        return _INVALID
-    return value
-
-
-_NUMBERS = {INT: (int, "an integer"), NUMBER: ((int, float), "a number")}
-
-
-def _read_number(spec: Field, value, path: str, problems: _Problems):
-    accepted, name = _NUMBERS[spec.type]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be {name}")
-        return _INVALID
-    return value
-
-
-def _read_date(spec: Field, value, path: str, problems: _Problems):
-    value = _read_str(spec, value, path, problems)
-    if value is _INVALID:
-        return value
-    if not _DATE_PATTERN.fullmatch(value):
-        problems.error(
-            _join(path, spec.key),
-            INVALID_VALUE,
-            f"{value!r} is not an ISO-8601 date (YYYY-MM-DD)",
-        )
-        return _INVALID
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        problems.error(_join(path, spec.key), INVALID_VALUE, f"{value!r} is not a calendar date")
-        return _INVALID
-
-
-def _read_icd10(spec: Field, value, path: str, problems: _Problems):
-    value = _read_str(spec, value, path, problems)
-    if value is _INVALID:
-        return value
-    if not validate_icd10(value):
-        problems.error(_join(path, spec.key), BAD_ICD10, f"{value!r} is not a valid ICD10 code")
-        return _INVALID
-    return ConceptCode(CodeSystem.ICD10, value)
-
-
-def _read_kind(spec: Field, value, path: str, problems: _Problems):
-    value = _read_str(spec, value, path, problems)
-    if value is _INVALID:
-        return value
-    kind = _LINK_KINDS.get(value)
-    if kind is None:
-        problems.error(
-            _join(path, spec.key),
-            INVALID_VALUE,
-            f"link kind must be one of {sorted(_LINK_KINDS)}, got {value!r}",
-        )
-        return _INVALID
-    return kind
-
-
-def _read_strs(spec: Field, value, path: str, problems: _Problems):
+        return _RECORD_READERS[spec.record](value, at, problems)
     if not isinstance(value, list):
-        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an array")
+        problems.error(at, INVALID_TYPE, f"{spec.key!r} must be an array")
         return _INVALID
-    base = _join(path, spec.key)
-    items: list[str] = []
-    for index, item in enumerate(value):
-        if not isinstance(item, str):
-            problems.error(f"{base}[{index}]", INVALID_TYPE, "entry must be a string")
-        elif not item:
-            problems.error(f"{base}[{index}]", FIELD_INVALID, "entry must be nonempty")
-        elif not item.isascii() and _SURROGATE.search(item):
-            problems.error(f"{base}[{index}]", INVALID_VALUE, "entry holds a lone surrogate")
-        else:
-            items.append(item)
-    return items
-
-
-def _read_object(spec: Field, value, path: str, problems: _Problems):
-    if not isinstance(value, dict):
-        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an object")
-        return _INVALID
-    return _RECORD_READERS[spec.record](value, _join(path, spec.key), problems)
-
-
-def _read_objects(spec: Field, value, path: str, problems: _Problems):
-    if not isinstance(value, list):
-        problems.error(_join(path, spec.key), INVALID_TYPE, f"{spec.key!r} must be an array")
-        return _INVALID
-    base = _join(path, spec.key)
-    records = []
-    for index, item in enumerate(value):
-        record = _read_entry(spec.record, item, f"{base}[{index}]", problems)
-        if record is not _INVALID:
-            records.append(record)
-    return records
+    if spec.type == STRS:
+        return [s for i, s in enumerate(value) if not _report(spec, s, f"{at}[{i}]", problems)]
+    entries = (_read_entry(spec.record, e, f"{at}[{i}]", problems) for i, e in enumerate(value))
+    return [record for record in entries if record is not _INVALID]
 
 
 def _read_entry(record_type: type, item, path: str, problems: _Problems):
@@ -400,30 +335,17 @@ def _read_entry(record_type: type, item, path: str, problems: _Problems):
     return _RECORD_READERS[record_type](item, path, problems)
 
 
-_READERS = {
-    STR: _read_str,
-    INT: _read_number,
-    NUMBER: _read_number,
-    DATE: _read_date,
-    ICD10: _read_icd10,
-    KIND: _read_kind,
-    STRS: _read_strs,
-    OBJECT: _read_object,
-    OBJECTS: _read_objects,
-}
-
-
 # -- generated record readers ----------------------------------------------
 #
 # Each record type gets a reader generated from ``FIELDS`` on first use.  It
-# first tests, without reporting anything, that the object has no unknown
-# key and that every scalar field holds a value ``_read`` would take without
-# a problem; an object that fails is read by ``_walk`` instead.  It then
-# reads the other fields in canonical order: an array of flat records (all
-# of whose fields are scalars) in a loop that tests each entry the same way
-# and sends an entry that fails to ``_read_entry``, any other field through
-# ``_read``.  So each diagnostic is still made by ``_read`` and its helpers,
-# in the same order.
+# warns about unknown keys, then tests, without reporting anything, that
+# every scalar field holds a value ``_report`` finds no problem in.  An
+# object that fails breaks a rule for certain: ``_report_fields`` reports
+# why and it reads as _INVALID.  Otherwise the reader reads the other fields
+# in canonical order: an array of flat records (all of whose fields are
+# scalars) in a loop that tests each entry the same way and sends an entry
+# that fails, or has an unknown key, to ``_read_entry``; any other field
+# through ``_read``.
 
 
 def _iso_date(value):
@@ -445,15 +367,17 @@ def _link_kind(value):
     return _LINK_KINDS.get(value) if value.__class__ is str else None
 
 
-# Per scalar type, a test of the document value in ``v`` (first use
-# ``first``) for a value ``_read`` takes unchanged, or a conversion that
-# returns the field's value, or None where ``_read`` would report a problem.
+# Per scalar type taken unchanged, a test of the document value in ``v``
+# (first use ``first``) that passes exactly when ``_report`` finds no
+# problem in it, the field's ``check`` aside.
 _TAKEN = {
-    STR: "{first}.__class__ is str and {v}.isascii()",
+    STR: "{first}.__class__ is str and ({v}.isascii() or not _SURROGATE({v}))",
     INT: "{first}.__class__ is int",
     NUMBER: "({first}.__class__ is float or {v}.__class__ is int)",
 }
-_CONVERTED = {DATE: "_iso_date", ICD10: "_icd10_code", KIND: "_link_kind"}
+# Per scalar type converted, the field value a document string reads as, or
+# None where ``_report`` finds a problem in it.
+_CONVERTED = {DATE: _iso_date, ICD10: _icd10_code, KIND: _link_kind}
 _SCALARS = (*_TAKEN, *_CONVERTED)
 
 
@@ -464,12 +388,12 @@ def _flat(record_type: type) -> bool:
 
 def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
     """Source of a test on the document object in local ``obj``, and of each
-    scalar field's value by field index.  The test passes when the object
-    has no unknown key and ``_read`` would take every scalar field without
-    a problem; the values are then what ``_read`` would return."""
+    scalar field's value by field index.  The test passes when ``_report``
+    would find no problem in any scalar field; the values are then what the
+    fields read as."""
     name = record_type.__name__
     scope[name], scope[f"K_{name}"] = record_type, _KNOWN[record_type]
-    tests, values = [f"K_{name}.issuperset({obj})"], {}
+    tests, values = [], {}
     for n, spec in enumerate(FIELDS[record_type]):
         if spec.type not in _SCALARS:
             continue
@@ -477,7 +401,7 @@ def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
         first = get if spec.required else v
         if spec.type in _CONVERTED:
             value = f"c{depth}_{n}"
-            test = f"({value} := {_CONVERTED[spec.type]}({first})) is not None"
+            test = f"({value} := {_CONVERTED[spec.type].__name__}({first})) is not None"
         else:
             value, test = v, _TAKEN[spec.type].format(first=first, v=v)
             if spec.required and spec.type == STR:
@@ -496,16 +420,19 @@ def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
 
 
 def _compile_reader(record_type: type):
-    """``read(obj, path, problems)`` for one record type: the record or
-    _INVALID, with the problems reported, exactly as ``_walk`` would."""
+    """``read(obj, path, problems)`` for one record type: the record, or
+    _INVALID after its problems are reported."""
     name = record_type.__name__
     scope = {
-        "_INVALID": _INVALID, "_walk": _walk, "_read": _read, "_read_entry": _read_entry,
+        "_INVALID": _INVALID, "_SURROGATE": _SURROGATE.search, "_warn_unknown": _warn_unknown,
+        "_report_fields": _report_fields, "_read": _read, "_read_entry": _read_entry,
         "_iso_date": _iso_date, "_icd10_code": _icd10_code, "_link_kind": _link_kind,
         f"F_{name}": FIELDS[record_type],
     }  # fmt: skip
     test, values = _scalar_tests(record_type, "o", 0, scope)
-    lines = [f"if not ({test}): return _walk({name}, o, path, problems)"]
+    lines = [f"if not K_{name}.issuperset(o): _warn_unknown(o, K_{name}, path, problems)"]
+    if test:
+        lines.append(f"if not ({test}): return _report_fields({name}, o, path, problems)")
     invalid = []
     for n, spec in enumerate(FIELDS[record_type]):
         if n in values:
@@ -514,6 +441,7 @@ def _compile_reader(record_type: type):
         if spec.type == OBJECTS and _flat(spec.record):
             item, at = spec.record.__name__, f'f"{{path}}.{spec.key}[{{i}}]"'
             item_test, item_values = _scalar_tests(spec.record, "e", 1, scope)
+            item_test = f"K_{item}.issuperset(e) and {item_test}"
             built = f"{item}({', '.join(item_values[k] for k in sorted(item_values))})"
             entry = f"(r := _read_entry({item}, e, {at}, problems)) is not _INVALID"
             lines += [
@@ -575,8 +503,10 @@ def parse_bundle(data: str | bytes) -> ParseResult:
         return ParseResult(None, problems.items)
 
     _warn_unknown(root, _DOCUMENT_KEYS, "", problems)
-    version = _read(_FORMAT_VERSION, root.get("formatVersion"), "", problems)
-    if version is not _INVALID and version != FORMAT_VERSION:
+    version = root.get("formatVersion")
+    if version != FORMAT_VERSION and not _report(
+        _FORMAT_VERSION, version, "formatVersion", problems
+    ):
         problems.error(
             "formatVersion",
             UNSUPPORTED_FORMAT_VERSION,

@@ -14,9 +14,11 @@ names produce valid DOT.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import UnknownPatientError
 from .graph import JourneyGraph
-from .records import EDGE_LABELS, Encounter, IntakeForm
+from .records import EDGE_LABELS, FIELDS, OBJECT, OBJECTS, Encounter, IntakeForm
 
 # Shape and fill color per class; every node also gets style=filled.
 STYLE_TABLE = {
@@ -34,9 +36,36 @@ STYLE_TABLE = {
 }
 
 
+# ``full`` detail: per subrecord field of an intake form or encounter, the
+# label of the edge to each subrecord it holds, and a getter of the label of
+# the subrecord's node (None: the node's numbered ID).
+_DETAIL_LABELS = {
+    "medicalHistory": ("hasMedicalHistory", None),
+    "socialHistory": ("hasSocialHistory", None),
+    "symptoms": ("hasSymptom", attrgetter("symptom_name")),
+    "vitals": ("hasVitals", None),
+    "tests": ("hasTest", attrgetter("test_name")),
+    "diagnoses": ("hasDiagnosis", attrgetter("diagnosis_name")),
+    "medications": ("hasMedication", attrgetter("medication_name")),
+    "carePlans": ("hasPlan", attrgetter("plan_id")),
+}
+# Per record type, its subrecord fields in canonical order: a getter of the
+# field, whether it holds an array, the subrecord class name and the labels.
+_DETAIL = {
+    record_type: tuple(
+        (attrgetter(spec.attr), spec.type == OBJECTS, spec.record.__name__)
+        + _DETAIL_LABELS[spec.key]
+        for spec in FIELDS[record_type]
+        if spec.type in (OBJECT, OBJECTS)
+    )
+    for record_type in (IntakeForm, Encounter)
+}
+
+
 def _quote(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    if "\\" in value or '"' in value or "\n" in value:
+        value = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{value}"'
 
 
 class _Writer:
@@ -58,8 +87,8 @@ class _Writer:
         )
 
     def numbered(self, class_name: str) -> str:
-        self._counters[class_name] = self._counters.get(class_name, 0) + 1
-        return f"{class_name}-{self._counters[class_name]}"
+        count = self._counters[class_name] = self._counters.get(class_name, 0) + 1
+        return f"{class_name}-{count}"
 
 
 def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "journey") -> str:
@@ -81,13 +110,13 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
             writer.node(form.intake_form_id, form.intake_form_id, "IntakeForm")
             writer.edge(pid, form.intake_form_id, "hasIntakeForm")
             if detail == "full":
-                _intake_detail(writer, form)
+                _detail(writer, form.intake_form_id, form)
         for encounter in encounters_by_owner.get(pid, []):
             selected_encounters.add(encounter.encounter_id)
             writer.node(encounter.encounter_id, encounter.encounter_id, "Encounter")
             writer.edge(pid, encounter.encounter_id, "hasEncounter")
             if detail == "full":
-                _encounter_detail(writer, encounter)
+                _detail(writer, encounter.encounter_id, encounter)
 
     journey_edges = sorted(
         (
@@ -108,38 +137,12 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     return "\n".join(lines) + "\n"
 
 
-def _intake_detail(writer: _Writer, form: IntakeForm) -> None:
-    history_id = writer.numbered("MedicalHistory")
-    writer.node(history_id, history_id, "MedicalHistory")
-    writer.edge(form.intake_form_id, history_id, "hasMedicalHistory")
-    social_id = writer.numbered("SocialHistory")
-    writer.node(social_id, social_id, "SocialHistory")
-    writer.edge(form.intake_form_id, social_id, "hasSocialHistory")
-
-
-def _encounter_detail(writer: _Writer, encounter: Encounter) -> None:
-    eid = encounter.encounter_id
-    for symptom in encounter.symptoms:
-        node_id = writer.numbered("Symptom")
-        writer.node(node_id, symptom.symptom_name, "Symptom")
-        writer.edge(eid, node_id, "hasSymptom")
-    for _ in encounter.vitals:
-        node_id = writer.numbered("VitalSign")
-        writer.node(node_id, node_id, "VitalSign")
-        writer.edge(eid, node_id, "hasVitals")
-    for test in encounter.tests:
-        node_id = writer.numbered("DiagTest")
-        writer.node(node_id, test.test_name, "DiagTest")
-        writer.edge(eid, node_id, "hasTest")
-    for diagnosis in encounter.diagnoses:
-        node_id = writer.numbered("Diagnosis")
-        writer.node(node_id, diagnosis.diagnosis_name, "Diagnosis")
-        writer.edge(eid, node_id, "hasDiagnosis")
-    for medication in encounter.medications:
-        node_id = writer.numbered("Medication")
-        writer.node(node_id, medication.medication_name, "Medication")
-        writer.edge(eid, node_id, "hasMedication")
-    for plan in encounter.care_plans:
-        node_id = writer.numbered("CarePlan")
-        writer.node(node_id, plan.plan_id, "CarePlan")
-        writer.edge(eid, node_id, "hasPlan")
+def _detail(writer: _Writer, parent_id: str, record) -> None:
+    """Draw each subrecord the record holds, linked from ``parent_id``."""
+    numbered, node, edge = writer.numbered, writer.node, writer.edge
+    for held_by, many, class_name, edge_label, label_of in _DETAIL[record.__class__]:
+        held = held_by(record)
+        for subrecord in held if many else (held,):
+            node_id = numbered(class_name)
+            node(node_id, label_of(subrecord) if label_of else node_id, class_name)
+            edge(parent_id, node_id, edge_label)

@@ -626,7 +626,9 @@ class JourneyGraph:
     def patient_of(self, encounter_id: str) -> str:
         if encounter_id not in self.encounters:
             raise UnknownEncounterError(f"unknown encounter {encounter_id!r}")
-        return self.encounter_owner[encounter_id]
+        if (owner := self.encounter_owner.get(encounter_id)) is None:
+            raise UnknownPatientError(f"encounter {encounter_id!r} has no owner")
+        return owner
 
     def edges_of(self, patient_id: str) -> list[JourneyEdge]:
         """Edges whose endpoints are both owned by the patient, in storage order."""

@@ -7,7 +7,9 @@ of them reads the graph's owner index.  ``link_by_kahn`` re-runs Kahn's
 algorithm over the whole graph after a tentative append, which is the
 definition of a link that "introduces a cycle".  ``serialize_bundle_by_dumps``
 builds the bundle document as dicts and hands it to ``json.dumps``, which
-is what the direct writer's bytes must equal.
+is what the direct writer's bytes must equal.  ``to_dot_by_scan`` draws
+each kind of subrecord by hand, where ``to_dot`` reads them from the field
+table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from datetime import date
 
 from pjo import EdgeKind, JourneyEdge, JourneyGraph
 from pjo.bundle import FORMAT_VERSION
-from pjo.dot import _encounter_detail, _intake_detail, _Writer
+from pjo.dot import _Writer
 from pjo.errors import (
     AmbiguousChainError,
     AmbiguousTraceError,
@@ -200,6 +202,43 @@ def to_dot_by_scan(
         writer.edge(edge.from_encounter, edge.to_encounter, LABELS[edge.kind])
     lines = ["digraph pjo {", "  rankdir=LR;", *writer.node_lines, *writer.edge_lines, "}"]
     return "\n".join(lines) + "\n"
+
+
+def _intake_detail(writer: _Writer, form: IntakeForm) -> None:
+    history_id = writer.numbered("MedicalHistory")
+    writer.node(history_id, history_id, "MedicalHistory")
+    writer.edge(form.intake_form_id, history_id, "hasMedicalHistory")
+    social_id = writer.numbered("SocialHistory")
+    writer.node(social_id, social_id, "SocialHistory")
+    writer.edge(form.intake_form_id, social_id, "hasSocialHistory")
+
+
+def _encounter_detail(writer: _Writer, encounter: Encounter) -> None:
+    eid = encounter.encounter_id
+    for symptom in encounter.symptoms:
+        node_id = writer.numbered("Symptom")
+        writer.node(node_id, symptom.symptom_name, "Symptom")
+        writer.edge(eid, node_id, "hasSymptom")
+    for _ in encounter.vitals:
+        node_id = writer.numbered("VitalSign")
+        writer.node(node_id, node_id, "VitalSign")
+        writer.edge(eid, node_id, "hasVitals")
+    for test in encounter.tests:
+        node_id = writer.numbered("DiagTest")
+        writer.node(node_id, test.test_name, "DiagTest")
+        writer.edge(eid, node_id, "hasTest")
+    for diagnosis in encounter.diagnoses:
+        node_id = writer.numbered("Diagnosis")
+        writer.node(node_id, diagnosis.diagnosis_name, "Diagnosis")
+        writer.edge(eid, node_id, "hasDiagnosis")
+    for medication in encounter.medications:
+        node_id = writer.numbered("Medication")
+        writer.node(node_id, medication.medication_name, "Medication")
+        writer.edge(eid, node_id, "hasMedication")
+    for plan in encounter.care_plans:
+        node_id = writer.numbered("CarePlan")
+        writer.node(node_id, plan.plan_id, "CarePlan")
+        writer.edge(eid, node_id, "hasPlan")
 
 
 def link_by_kahn(

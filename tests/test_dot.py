@@ -14,6 +14,7 @@ from pjo.seed import (
     ENCOUNTER_PULMONOLOGY,
     JOHN_DOE_ID,
 )
+from scan_oracles import to_dot_by_scan
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -117,6 +118,17 @@ class TestFullDetail:
         assert labels[("Encounter-1", "Diagnosis-1")] == "hasDiagnosis"
         assert labels[("Encounter-1", "Medication-1")] == "hasMedication"
         assert labels[("Encounter-1", "CarePlan-1")] == "hasPlan"
+
+    @given(seeds, st.booleans())
+    @settings(max_examples=30)
+    def test_full_detail_matches_the_hand_written_oracle(self, seed, hostile):
+        """The subrecords drawn from the field table, byte for byte as
+        ``to_dot_by_scan`` draws each kind by hand."""
+        graph = random_journey(random.Random(seed), min_encounters=1, hostile_names=hostile)
+        assert to_dot(graph, detail="full") == to_dot_by_scan(graph, detail="full")
+        for patient_id in graph.patients:
+            expected = to_dot_by_scan(graph, patient_id, detail="full")
+            assert to_dot(graph, patient_id, detail="full") == expected
 
     def test_full_includes_journey_links_too(self, john_graph):
         summary = check_dot(to_dot(john_graph, JOHN_DOE_ID, detail="full"))

@@ -22,7 +22,7 @@ from pjo import (
     symptom_progression,
     timeline,
 )
-from pjo.graph import CROSS_PATIENT_LINK, UNKNOWN_PATIENT
+from pjo.graph import CROSS_PATIENT_LINK, UNKNOWN_PATIENT, UNOWNED_ENCOUNTER
 from pjo.seed import (
     ENCOUNTER_ALLERGY,
     ENCOUNTER_ALLERGY_FOLLOWUP,
@@ -275,6 +275,16 @@ class TestChainsOnGraphsTheCheckerRejects:
         graph = self.two_patients()
         graph.encounter_owner["E3"] = "Ghost"
         assert UNKNOWN_PATIENT in {d.code for d in graph.check_invariants().errors}
+        for query in (followup_chain, cause_trace):
+            with pytest.raises(UnknownPatientError):
+                query(graph, "E3")
+
+    def test_an_encounter_with_no_owner_entry(self):
+        graph = self.two_patients()
+        del graph.encounter_owner["E3"]
+        assert UNOWNED_ENCOUNTER in {d.code for d in graph.check_invariants().errors}
+        with pytest.raises(UnknownPatientError):
+            graph.patient_of("E3")
         for query in (followup_chain, cause_trace):
             with pytest.raises(UnknownPatientError):
                 query(graph, "E3")
