@@ -15,6 +15,7 @@ no error-severity problem was found.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from datetime import date
@@ -126,7 +127,7 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     encounters = [_object(e, 2) for e in graph.encounters_of(patient_id)]
     members.append(("encounters", _array(encounters, 1)))
     links = sorted(
-        graph.edges_of(patient_id),
+        graph._edges_of(patient_id),
         key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
     )
     members.append(("links", _array([_object(edge, 2) for edge in links], 1)))
@@ -477,7 +478,27 @@ _LINKS = Field("links", "", OBJECTS, record=JourneyEdge)
 
 
 def parse_bundle(data: str | bytes) -> ParseResult:
-    """Parse bundle text into a journey graph, collecting all problems."""
+    """Parse bundle text into a journey graph, collecting all problems.
+
+    The cyclic garbage collector is paused for the whole parse and resumed
+    on every way out, if it was enabled on entry.  Its passes would find
+    nothing to free: the decoded document, the records and the graph form
+    trees, which reference counting frees on its own, while the containers
+    a large bundle decodes into would set off dozens of passes.  One
+    caveat: the collector's switch is global to the process, so if another
+    thread disables it while this parse runs, the end of the parse enables
+    it again.
+    """
+    if not gc.isenabled():
+        return _parse(data)
+    gc.disable()
+    try:
+        return _parse(data)
+    finally:
+        gc.enable()
+
+
+def _parse(data: str | bytes) -> ParseResult:
     problems = _Problems()
     if isinstance(data, bytes):
         try:

@@ -8,6 +8,7 @@ the same result, and no query mutates the graph.  Name matching
 from __future__ import annotations
 
 from datetime import date
+from typing import Sequence
 
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .graph import JourneyGraph
@@ -52,30 +53,38 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
 
     The link annotations are exactly the stored journey edges restricted to
     the patient: each edge appears once as an outbound link of its source
-    and once as an inbound link of its target.
+    and once as an inbound link of its target, ordered by (kind value, the
+    other end's ID).
     """
     inbound: dict[str, list[LinkRef]] = {}
     outbound: dict[str, list[LinkRef]] = {}
-    for edge in graph.edges_of(patient_id):
-        inbound.setdefault(edge.to_encounter, []).append(LinkRef(edge.kind, edge.from_encounter))
-        outbound.setdefault(edge.from_encounter, []).append(LinkRef(edge.kind, edge.to_encounter))
+    for edge in graph._edges_of(patient_id):
+        kind = edge.kind
+        inbound.setdefault(edge.to_encounter, []).append(LinkRef(kind, edge.from_encounter))
+        outbound.setdefault(edge.from_encounter, []).append(LinkRef(kind, edge.to_encounter))
 
-    def ordered(refs: list[LinkRef]) -> tuple[LinkRef, ...]:
-        return tuple(sorted(refs, key=lambda ref: (ref.kind.value, ref.encounter_id)))
+    def ordered(refs: list[LinkRef] | None) -> tuple[LinkRef, ...]:
+        if refs is None:
+            return ()
+        if len(refs) > 1:
+            refs.sort(key=_link_order)
+        return tuple(refs)
 
-    entries = []
-    for encounter in graph.encounters_of(patient_id):
-        entries.append(
-            TimelineEntry(
-                encounter_id=encounter.encounter_id,
-                date=encounter.date,
-                specialty=encounter.specialty,
-                inbound_links=ordered(inbound.get(encounter.encounter_id, [])),
-                outbound_links=ordered(outbound.get(encounter.encounter_id, [])),
-                headline_diagnoses=tuple(d.diagnosis_name for d in encounter.diagnoses),
-            )
+    return [
+        TimelineEntry(
+            encounter.encounter_id,
+            encounter.date,
+            encounter.specialty,
+            ordered(inbound.get(encounter.encounter_id)),
+            ordered(outbound.get(encounter.encounter_id)),
+            tuple(d.diagnosis_name for d in encounter.diagnoses),
         )
-    return entries
+        for encounter in graph.encounters_of(patient_id)
+    ]
+
+
+def _link_order(ref: LinkRef) -> tuple[str, str]:
+    return ref.kind.value, ref.encounter_id
 
 
 def symptom_progression(
@@ -98,7 +107,7 @@ def symptom_progression(
     return occurrences
 
 
-def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
+def _owner_links(graph: JourneyGraph, encounter_id: str) -> Sequence[JourneyEdge]:
     """The links whose two ends the encounter's owner owns (``edges_of``).
 
     Raises :class:`UnknownEncounterError` for an encounter the graph does
@@ -107,7 +116,7 @@ def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
     all the links that touch the encounter's journey; on a graph it
     rejects, a stored link across patients is not among them.
     """
-    return graph.edges_of(graph.patient_of(encounter_id))
+    return graph._edges_of(graph.patient_of(encounter_id))
 
 
 def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:

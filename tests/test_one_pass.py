@@ -24,6 +24,7 @@ from pjo import (
     EdgeKind,
     Encounter,
     IntakeForm,
+    JourneyEdge,
     JourneyGraph,
     MedicalHistory,
     Patient,
@@ -91,12 +92,16 @@ def test_directly_written_ownership_faults_match_the_scans():
     graph = random_journey(rng, min_patients=3, max_patients=3, min_encounters=3)
     first, second, _ = sorted(graph.patients)
     # An encounter owned by an unknown patient, one with no owner, an
-    # ownership entry without its encounter, a second intake form for a
-    # patient that has one and an ownership entry for a missing intake form.
-    moved, orphan = graph.encounters_of(first)[:2]
+    # ownership entry without its encounter and a link from it, a link
+    # across patients, a second intake form for a patient that has one and
+    # an ownership entry for a missing intake form.
+    moved, orphan, kept = graph.encounters_of(first)[:3]
     graph.encounter_owner[moved.encounter_id] = "Patient-Ghost"
     del graph.encounter_owner[orphan.encounter_id]
     graph.encounter_owner["Encounter-Ghost"] = second
+    later = graph.encounters_of(second)[-1].encounter_id
+    graph.edges.append(JourneyEdge(EdgeKind.NEXT, "Encounter-Ghost", later))
+    graph.edges.append(JourneyEdge(EdgeKind.NEXT, kept.encounter_id, later))
     form = IntakeForm(
         intake_form_id="IntakeForm-Extra",
         medical_history=MedicalHistory(),
@@ -105,6 +110,20 @@ def test_directly_written_ownership_faults_match_the_scans():
     graph.intake_forms[form.intake_form_id] = form
     graph.intake_form_owner[form.intake_form_id] = next(iter(graph.intake_form_owner.values()))
     graph.intake_form_owner["IntakeForm-Ghost"] = second
+    assert_matches_oracles(graph)
+
+
+def test_a_record_renamed_to_another_patients_key_matches_the_scans():
+    """``to_dot`` of one patient draws the links between the IDs of the
+    records it draws, also when a record's ID names another patient's key."""
+    rng = random.Random(3)
+    graph = random_journey(rng, min_patients=2, max_patients=2, min_encounters=2)
+    first, second = sorted(graph.patients)
+    mine, renamed = graph.encounters_of(first)[:2]
+    theirs = graph.encounters_of(second)[-1].encounter_id
+    renamed.encounter_id = theirs
+    graph.edges.append(JourneyEdge(EdgeKind.NEXT, mine.encounter_id, theirs))
+    assert f'"{mine.encounter_id}" -> "{theirs}" [label="NEXT"];' in to_dot(graph, first)
     assert_matches_oracles(graph)
 
 

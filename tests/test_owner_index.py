@@ -6,7 +6,8 @@ and ``link`` from a per-patient index of ``encounter_owner``,
 writes the graph: its own API, direct writes through every mutating method
 of those containers, replaced containers, deep copies, and writes to the
 containers and record fields the index never reads.  After every step each
-lookup must equal the plain scans in ``scan_oracles``.
+lookup, and the queries and one-patient ``to_dot`` that read the index, must
+equal the plain scans in ``scan_oracles``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pjo import (
     Patient,
     Provider,
     SocialHistory,
+    to_dot,
 )
 from pjo.errors import CycleIntroducedError, PjoError
 from pjo.graph import CountedDict, CountedList
@@ -43,6 +45,7 @@ from scan_oracles import (
     followup_chain_by_scan,
     intake_form_of_by_scan,
     timeline_by_scan,
+    to_dot_by_scan,
 )
 
 START = date(2022, 3, 1)
@@ -128,6 +131,8 @@ def assert_lookups_match_the_scans(graph: JourneyGraph) -> None:
             assert _identities(_outcome(lambda: indexed(patient_id))) == expected
         expected = _outcome(lambda: timeline_by_scan(graph, patient_id))
         assert _outcome(lambda: timeline(graph, patient_id)) == expected
+        if patient_id in graph.patients:
+            assert to_dot(graph, patient_id) == to_dot_by_scan(graph, patient_id)
     if graph.check_invariants().ok:
         # The chain queries read only the owner's links, which on a graph
         # the checker accepts are all the links a walk can take.
@@ -381,6 +386,15 @@ def test_records_have_no_instance_dict():
     records = [graph.patients["P0"], graph.providers[PROVIDER], graph.encounters["E1"]]
     records += [graph.intake_forms["F0"], graph.edges[0]]
     assert not any(hasattr(record, "__dict__") for record in records)
+
+
+def test_edges_of_returns_a_copy():
+    graph = start_graph()
+    before = graph.edges_of("P0")
+    links = graph.edges_of("P0")
+    links.reverse()
+    links.pop()
+    assert len(before) == 3 and graph.edges_of("P0") == before
 
 
 def test_link_updates_the_index_in_place():
