@@ -127,7 +127,7 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     encounters = [_object(e, 2) for e in graph.encounters_of(patient_id)]
     members.append(("encounters", _array(encounters, 1)))
     links = sorted(
-        graph._edges_of(patient_id),
+        graph.edges_of(patient_id),
         key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
     )
     members.append(("links", _array([_object(edge, 2) for edge in links], 1)))

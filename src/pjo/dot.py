@@ -97,13 +97,9 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
         raise ValueError(f"detail must be 'journey' or 'full', got {detail!r}")
     if patient_id is not None and patient_id not in graph.patients:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
-    if patient_id is None:
-        patient_ids = sorted(graph.patients)
-        encounters_by_owner = graph.encounters_by_owner()
-    else:
-        patient_ids = [patient_id]
-        encounters_by_owner = {patient_id: graph.encounters_of(patient_id)}
+    patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
 
+    encounters_by_owner = graph.encounters_by_owner()
     writer = _Writer()
     selected_encounters: set[str] = set()
     for pid in patient_ids:
@@ -125,7 +121,7 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     journey_edges = sorted(
         (
             edge
-            for edge in _candidate_edges(graph, patient_id, selected_encounters)
+            for edge in graph.edges
             if edge.from_encounter in selected_encounters
             and edge.to_encounter in selected_encounters
         ),
@@ -139,18 +135,6 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     lines.extend(writer.edge_lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _candidate_edges(graph: JourneyGraph, patient_id: str | None, selected: set[str]):
-    """Stored links that include every one whose two ends are in ``selected``:
-    all of them, or for one patient only the links the patient owns both
-    ends of.  That holds when every selected encounter ID is a key the
-    patient owns, which a record whose ID differs from its key can break."""
-    if patient_id is not None:
-        owner_of = graph.encounter_owner.get
-        if all(owner_of(encounter_id) == patient_id for encounter_id in selected):
-            return graph._edges_of(patient_id)
-    return graph.edges
 
 
 def _detail(writer: _Writer, parent_id: str, record) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from typing import Sequence
 
 from .codes import CLASS_ANNOTATIONS, AnnotationTable, CodeSystem, duplicate_cuis
 from .errors import (
@@ -633,14 +632,9 @@ class JourneyGraph:
 
     def edges_of(self, patient_id: str) -> list[JourneyEdge]:
         """Edges whose endpoints are both owned by the patient, in storage order."""
-        return list(self._edges_of(patient_id))
-
-    def _edges_of(self, patient_id: str) -> Sequence[JourneyEdge]:
-        """``edges_of`` without the copy: the owner index's own list, which
-        only pjo's readers get, and which they must not change."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        return self._owners().edges.get(patient_id, ())
+        return list(self._owners().edges.get(patient_id, []))
 
     # -- validation -------------------------------------------------------
 

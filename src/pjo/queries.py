@@ -8,7 +8,6 @@ the same result, and no query mutates the graph.  Name matching
 from __future__ import annotations
 
 from datetime import date
-from typing import Sequence
 
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .graph import JourneyGraph
@@ -58,7 +57,7 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
     """
     inbound: dict[str, list[LinkRef]] = {}
     outbound: dict[str, list[LinkRef]] = {}
-    for edge in graph._edges_of(patient_id):
+    for edge in graph.edges_of(patient_id):
         kind = edge.kind
         inbound.setdefault(edge.to_encounter, []).append(LinkRef(kind, edge.from_encounter))
         outbound.setdefault(edge.from_encounter, []).append(LinkRef(kind, edge.to_encounter))
@@ -107,7 +106,7 @@ def symptom_progression(
     return occurrences
 
 
-def _owner_links(graph: JourneyGraph, encounter_id: str) -> Sequence[JourneyEdge]:
+def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
     """The links whose two ends the encounter's owner owns (``edges_of``).
 
     Raises :class:`UnknownEncounterError` for an encounter the graph does
@@ -116,7 +115,7 @@ def _owner_links(graph: JourneyGraph, encounter_id: str) -> Sequence[JourneyEdge
     all the links that touch the encounter's journey; on a graph it
     rejects, a stored link across patients is not among them.
     """
-    return graph._edges_of(graph.patient_of(encounter_id))
+    return graph.edges_of(graph.patient_of(encounter_id))
 
 
 def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:

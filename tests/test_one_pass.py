@@ -113,20 +113,6 @@ def test_directly_written_ownership_faults_match_the_scans():
     assert_matches_oracles(graph)
 
 
-def test_a_record_renamed_to_another_patients_key_matches_the_scans():
-    """``to_dot`` of one patient draws the links between the IDs of the
-    records it draws, also when a record's ID names another patient's key."""
-    rng = random.Random(3)
-    graph = random_journey(rng, min_patients=2, max_patients=2, min_encounters=2)
-    first, second = sorted(graph.patients)
-    mine, renamed = graph.encounters_of(first)[:2]
-    theirs = graph.encounters_of(second)[-1].encounter_id
-    renamed.encounter_id = theirs
-    graph.edges.append(JourneyEdge(EdgeKind.NEXT, mine.encounter_id, theirs))
-    assert f'"{mine.encounter_id}" -> "{theirs}" [label="NEXT"];' in to_dot(graph, first)
-    assert_matches_oracles(graph)
-
-
 # -- link(): the same-day cycle check against whole-graph Kahn ------------
 
 START = date(2022, 3, 1)
