@@ -2,7 +2,9 @@
 
 A bundle is a UTF-8 JSON document describing exactly one patient: the
 patient record, the providers involved, an optional intake form, the dated
-encounters, and the journey links between them.  Serialization is
+encounters, and the journey links between them.  The document is itself a
+record, ``records.Bundle``, read and written by the code generated from
+``records.FIELDS`` for every record it holds.  Serialization is
 canonical: keys appear in a fixed order, encounters are sorted by (date,
 encounter ID), links by (kind, from, to), and optional fields are omitted
 when absent, so equal graphs serialize to byte-identical documents.
@@ -53,15 +55,13 @@ from .records import (
     OBJECTS,
     STR,
     STRS,
+    VERSION,
+    Bundle,
     EdgeKind,
-    Encounter,
     Field,
     Fresh,
-    IntakeForm,
-    JourneyEdge,
     OnDemand,
-    Patient,
-    Provider,
+    holds_required,
     slotted,
 )
 
@@ -115,31 +115,18 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     patient = graph.patients.get(patient_id)
     if patient is None:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
-    providers = [_object(graph.providers[pid], 2) for pid in sorted(graph.providers)]
-    members = [
-        ("formatVersion", _encode(FORMAT_VERSION)),
-        ("patient", _object(patient, 1)),
-        ("providers", _array(providers, 1)),
-    ]
-    form = graph.intake_form_of(patient_id)
-    if form is not None:
-        members.append(("intakeForm", _object(form, 1)))
-    encounters = [_object(e, 2) for e in graph.encounters_of(patient_id)]
-    members.append(("encounters", _array(encounters, 1)))
-    links = sorted(
-        graph.edges_of(patient_id),
-        key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
+    document = Bundle(
+        FORMAT_VERSION,
+        patient,
+        [graph.providers[pid] for pid in sorted(graph.providers)],
+        graph.intake_form_of(patient_id),
+        graph.encounters_of(patient_id),
+        sorted(
+            graph.edges_of(patient_id),
+            key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
+        ),
     )
-    members.append(("links", _array([_object(edge, 2) for edge in links], 1)))
-    return "{" + ",".join(f'\n  "{key}": {text}' for key, text in members) + "\n}\n"
-
-
-def _array(texts: list[str], level: int) -> str:
-    """A JSON array of ``texts`` at nesting ``level``."""
-    if not texts:
-        return "[]"
-    indent = "\n" + "  " * (level + 1)
-    return "[" + indent + f",{indent}".join(texts) + "\n" + "  " * level + "]"
+    return _object(document, 0) + "\n"
 
 
 def _object(record, level: int) -> str:
@@ -172,7 +159,8 @@ def _compile_writer(record_type: type, level: int):
 
     One line per field appends the field's key and value text when the
     field is set.  A date, code or link kind is written as its string; a
-    held record that sets no field is left out; an array of records is
+    held record that sets no field is left out, except by the document (at
+    level 0), which writes every record it holds; an array of records is
     written inline, each entry by its own class's writer.
     """
     inner = level + 1
@@ -180,20 +168,22 @@ def _compile_writer(record_type: type, level: int):
         "_encode": _encode, "_scalar": _scalar, "isoformat": date.isoformat,
         "objects": _WRITERS_AT[inner], "entries": _WRITERS_AT[inner + 1],
     }  # fmt: skip
-    # An array at ``inner`` of the texts in ``a``, as ``_array`` writes it.
+    # An array at ``inner`` of the texts in ``a``, one entry per line.
     entry = "\n" + "  " * (inner + 1)
     opened, between, closed = repr("[" + entry), repr("," + entry), repr("\n" + "  " * inner + "]")
     lines = ["parts = []"]
     for spec in FIELDS[record_type]:
         head = repr(f"\n{'  ' * inner}{_encode(spec.key)}: ")
         test = f"(v := r.{spec.attr}) is not None"
-        if spec.type in (STR, INT, NUMBER):
+        if spec.type in (STR, INT, NUMBER, VERSION):
             text = f"(_encode(v) if v.__class__ is str else _scalar(v, {inner}))"
         elif spec.type == DATE:
             text = "_encode(isoformat(v))"
         elif spec.type in (ICD10, KIND):
             test += f" and (v := v.{'code' if spec.type == ICD10 else 'value'}) is not None"
             text = f"_scalar(v, {inner})"
+        elif spec.type == OBJECT and level == 0:
+            text = "objects[v.__class__](v)"
         elif spec.type == OBJECT:
             test += " and (t := objects[v.__class__](v)) != '{}'"
             text = "t"
@@ -218,48 +208,35 @@ _WRITERS_AT = OnDemand(
 # -- parsing --------------------------------------------------------------
 
 
-class _Problems:
-    def __init__(self) -> None:
-        self.items: list[Diagnostic] = []
-
-    def error(self, path: str, code: str, message: str) -> None:
-        self.items.append(Diagnostic(Severity.ERROR, code, message, path))
-
-    def warning(self, path: str, code: str, message: str) -> None:
-        self.items.append(Diagnostic(Severity.WARNING, code, message, path))
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.items)
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _warn_unknown(obj: dict, known, path: str, problems: _Problems) -> None:
+def _warn_unknown(obj: dict, known, path: str, problems: ValidationReport) -> None:
     for key in obj:
         if key not in known:
             shown = key.encode("utf-8", "backslashreplace").decode("utf-8")
-            problems.warning(_join(path, shown), UNKNOWN_FIELD, f"unknown field {key!r} ignored")
+            problems.warning(UNKNOWN_FIELD, f"unknown field {key!r} ignored", _join(path, shown))
 
 
 # A field reads as its value, or as _INVALID after a reported problem.  A
 # left-out optional scalar reads as its default, a left-out array as empty,
-# a left-out object as its empty record.
+# a left-out object as its empty record, or as None if the record has a
+# required field (the intake form).
 _INVALID = object()
 _KNOWN = {
     record_type: frozenset(spec.key for spec in fields) for record_type, fields in FIELDS.items()
 }
 
 
-def _report(spec: Field, value, at: str, problems: _Problems) -> bool:
+def _report(spec: Field, value, at: str, problems: ValidationReport) -> bool:
     """Report at ``at`` the first rule broken by ``value``, the document value
     of scalar field ``spec`` or an entry of string-array field ``spec``;
     whether one was.  The rules, in order: present if required, the JSON
     type (no boolean is a number), nonempty if required (always, for an
     entry), no lone surrogate, a date's pattern and calendar day, an ICD-10
-    code's shape, a link kind, and last ``check`` on the value read."""
+    code's shape, a link kind, the format version, and last ``check`` on
+    the value read."""
     kind, name = spec.type, "entry" if spec.type == STRS else repr(spec.key)
     if value is None and kind != STRS:
         if not spec.required:
@@ -286,15 +263,18 @@ def _report(spec: Field, value, at: str, problems: _Problems) -> bool:
     elif kind == KIND and value not in _LINK_KINDS:
         code = INVALID_VALUE
         message = f"link kind must be one of {sorted(_LINK_KINDS)}, got {value!r}"
+    elif kind == VERSION and value != FORMAT_VERSION:
+        code = UNSUPPORTED_FORMAT_VERSION
+        message = f"unsupported format version {value!r}, expected {FORMAT_VERSION!r}"
     else:
         read = _CONVERTED[kind](value) if kind in _CONVERTED else value
         code, message = FIELD_INVALID, spec.check and spec.check(read)
     if message:
-        problems.error(at, code, message)
+        problems.error(code, message, at)
     return bool(message)
 
 
-def _report_fields(record_type: type, obj: dict, path: str, problems: _Problems):
+def _report_fields(record_type: type, obj: dict, path: str, problems: ValidationReport):
     """_INVALID, after reporting why the reader refused ``obj``: its fields
     in canonical key order, a scalar by its first broken rule, an object or
     array by reading it, so nested problems come out in document order."""
@@ -306,7 +286,7 @@ def _report_fields(record_type: type, obj: dict, path: str, problems: _Problems)
     return _INVALID
 
 
-def _read(spec: Field, value, path: str, problems: _Problems):
+def _read(spec: Field, value, path: str, problems: ValidationReport):
     """An object or array field's value, or _INVALID after its problems are
     reported.  A bad array entry is reported and left out."""
     at = _join(path, spec.key)
@@ -314,14 +294,16 @@ def _read(spec: Field, value, path: str, problems: _Problems):
         if spec.required:
             _report(spec, value, at, problems)
             return _INVALID
-        return spec.record() if spec.type == OBJECT else []
+        if spec.type != OBJECT:
+            return []
+        return None if holds_required(spec.record) else spec.record()
     if spec.type == OBJECT:
         if not isinstance(value, dict):
-            problems.error(at, INVALID_TYPE, f"{spec.key!r} must be an object")
+            problems.error(INVALID_TYPE, f"{spec.key!r} must be an object", at)
             return _INVALID
         return _RECORD_READERS[spec.record](value, at, problems)
     if not isinstance(value, list):
-        problems.error(at, INVALID_TYPE, f"{spec.key!r} must be an array")
+        problems.error(INVALID_TYPE, f"{spec.key!r} must be an array", at)
         return _INVALID
     if spec.type == STRS:
         return [s for i, s in enumerate(value) if not _report(spec, s, f"{at}[{i}]", problems)]
@@ -329,9 +311,9 @@ def _read(spec: Field, value, path: str, problems: _Problems):
     return [record for record in entries if record is not _INVALID]
 
 
-def _read_entry(record_type: type, item, path: str, problems: _Problems):
+def _read_entry(record_type: type, item, path: str, problems: ValidationReport):
     if not isinstance(item, dict):
-        problems.error(path, INVALID_TYPE, "entry must be an object")
+        problems.error(INVALID_TYPE, "entry must be an object", path)
         return _INVALID
     return _RECORD_READERS[record_type](item, path, problems)
 
@@ -368,6 +350,10 @@ def _link_kind(value):
     return _LINK_KINDS.get(value) if value.__class__ is str else None
 
 
+def _format_version(value):
+    return value if value == FORMAT_VERSION else None
+
+
 # Per scalar type taken unchanged, a test of the document value in ``v``
 # (first use ``first``) that passes exactly when ``_report`` finds no
 # problem in it, the field's ``check`` aside.
@@ -378,7 +364,7 @@ _TAKEN = {
 }
 # Per scalar type converted, the field value a document string reads as, or
 # None where ``_report`` finds a problem in it.
-_CONVERTED = {DATE: _iso_date, ICD10: _icd10_code, KIND: _link_kind}
+_CONVERTED = {DATE: _iso_date, ICD10: _icd10_code, KIND: _link_kind, VERSION: _format_version}
 _SCALARS = (*_TAKEN, *_CONVERTED)
 
 
@@ -427,8 +413,8 @@ def _compile_reader(record_type: type):
     scope = {
         "_INVALID": _INVALID, "_SURROGATE": _SURROGATE.search, "_warn_unknown": _warn_unknown,
         "_report_fields": _report_fields, "_read": _read, "_read_entry": _read_entry,
-        "_iso_date": _iso_date, "_icd10_code": _icd10_code, "_link_kind": _link_kind,
-        f"F_{name}": FIELDS[record_type],
+        "_join": _join, f"F_{name}": FIELDS[record_type],
+        **{convert.__name__: convert for convert in _CONVERTED.values()},
     }  # fmt: skip
     test, values = _scalar_tests(record_type, "o", 0, scope)
     lines = [f"if not K_{name}.issuperset(o): _warn_unknown(o, K_{name}, path, problems)"]
@@ -440,7 +426,7 @@ def _compile_reader(record_type: type):
             continue
         values[n] = f"x{n}"
         if spec.type == OBJECTS and _flat(spec.record):
-            item, at = spec.record.__name__, f'f"{{path}}.{spec.key}[{{i}}]"'
+            item, at = spec.record.__name__, f'f"{{_join(path, {spec.key!r})}}[{{i}}]"'
             item_test, item_values = _scalar_tests(spec.record, "e", 1, scope)
             item_test = f"K_{item}.issuperset(e) and {item_test}"
             built = f"{item}({', '.join(item_values[k] for k in sorted(item_values))})"
@@ -467,15 +453,6 @@ def _compile_reader(record_type: type):
 
 _RECORD_READERS = OnDemand(_compile_reader)
 
-# The top-level document.
-_DOCUMENT_KEYS = ("formatVersion", "patient", "providers", "intakeForm", "encounters", "links")
-_FORMAT_VERSION = Field("formatVersion", "", required=True)
-_PATIENT = Field("patient", "", OBJECT, required=True, record=Patient)
-_PROVIDERS = Field("providers", "", OBJECTS, record=Provider)
-_INTAKE_FORM = Field("intakeForm", "", OBJECT, record=IntakeForm)
-_ENCOUNTERS = Field("encounters", "", OBJECTS, record=Encounter)
-_LINKS = Field("links", "", OBJECTS, record=JourneyEdge)
-
 
 def parse_bundle(data: str | bytes) -> ParseResult:
     """Parse bundle text into a journey graph, collecting all problems.
@@ -499,62 +476,40 @@ def parse_bundle(data: str | bytes) -> ParseResult:
 
 
 def _parse(data: str | bytes) -> ParseResult:
-    problems = _Problems()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            problems.error("", SYNTAX_ERROR, f"document is not valid UTF-8: {exc.reason}")
-            return ParseResult(None, problems.items)
+    problems = ValidationReport()
+    root = _decode(data, problems)
+    if isinstance(root, dict):
+        document = _RECORD_READERS[Bundle](root, "", problems)
+        if problems.ok:
+            graph, report = _assemble(document, problems)
+            if problems.ok:
+                return ParseResult(graph, problems.diagnostics, report)
+    elif problems.ok:
+        problems.error(INVALID_TYPE, "top-level value must be an object", "")
+    return ParseResult(None, problems.diagnostics)
+
+
+def _decode(data: str | bytes, problems: ValidationReport):
+    """The JSON value of ``data``, or None after a syntax error is reported."""
     try:
-        root = json.loads(data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        problems.error(SYNTAX_ERROR, f"document is not valid UTF-8: {exc.reason}", "")
+        return None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        problems.error(
-            "", SYNTAX_ERROR, f"document is not valid JSON: {exc.msg} at line {exc.lineno}"
-        )
-        return ParseResult(None, problems.items)
+        message = f"document is not valid JSON: {exc.msg} at line {exc.lineno}"
     except RecursionError:
-        problems.error("", SYNTAX_ERROR, "document is nested too deeply to decode")
-        return ParseResult(None, problems.items)
+        message = "document is nested too deeply to decode"
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        problems.error("", SYNTAX_ERROR, f"document could not be decoded: {exc}")
-        return ParseResult(None, problems.items)
-    if not isinstance(root, dict):
-        problems.error("", INVALID_TYPE, "top-level value must be an object")
-        return ParseResult(None, problems.items)
-
-    _warn_unknown(root, _DOCUMENT_KEYS, "", problems)
-    version = root.get("formatVersion")
-    if version != FORMAT_VERSION and not _report(
-        _FORMAT_VERSION, version, "formatVersion", problems
-    ):
-        problems.error(
-            "formatVersion",
-            UNSUPPORTED_FORMAT_VERSION,
-            f"unsupported format version {version!r}, expected {FORMAT_VERSION!r}",
-        )
-    patient = _read(_PATIENT, root.get("patient"), "", problems)
-    providers = _read(_PROVIDERS, root.get("providers"), "", problems)
-    intake_obj = root.get("intakeForm")
-    intake_form = None if intake_obj is None else _read(_INTAKE_FORM, intake_obj, "", problems)
-    encounters = _read(_ENCOUNTERS, root.get("encounters"), "", problems)
-    links = _read(_LINKS, root.get("links"), "", problems)
-    if problems.has_errors:
-        return ParseResult(None, problems.items)
-
-    graph, report = _assemble(patient, providers, intake_form, encounters, links, problems)
-    if problems.has_errors:
-        return ParseResult(None, problems.items)
-    return ParseResult(graph, problems.items, report)
+        message = f"document could not be decoded: {exc}"
+    problems.error(SYNTAX_ERROR, message, "")
+    return None
 
 
 def _assemble(
-    patient: Patient,
-    providers: list[Provider],
-    intake_form: IntakeForm | None,
-    encounters: list[Encounter],
-    links: list[JourneyEdge],
-    problems: _Problems,
+    document: Bundle, problems: ValidationReport
 ) -> tuple[JourneyGraph, ValidationReport]:
     """Join the records into a graph and report the checker's errors on it.
 
@@ -567,15 +522,12 @@ def _assemble(
     endpoint, a ``dangling-reference`` at ``links[<i>]``, is reported as a
     ``reference-error`` at ``links[<i>].from`` or ``.to``.
     """
-    graph = JourneyGraph()
+    graph, patient, intake_form = JourneyGraph(), document.patient, document.intake_form
     graph.patients[patient.patient_id] = patient
-    for index, provider in enumerate(providers):
+    for index, provider in enumerate(document.providers):
         if provider.provider_id in graph.providers:
-            problems.error(
-                f"providers[{index}].providerID",
-                DUPLICATE_ID,
-                f"provider ID {provider.provider_id!r} already used",
-            )
+            message = f"provider ID {provider.provider_id!r} already used"
+            problems.error(DUPLICATE_ID, message, f"providers[{index}].providerID")
         else:
             graph.providers[provider.provider_id] = provider
     if intake_form is not None:
@@ -586,7 +538,7 @@ def _assemble(
     # cannot hold, and the checker's errors on the stored encounters.
     by_encounter: list[tuple[int, Diagnostic]] = []
     index_of: dict[str, int] = {}
-    for index, encounter in enumerate(encounters):
+    for index, encounter in enumerate(document.encounters):
         if encounter.encounter_id in graph.encounters:
             message = f"encounter ID {encounter.encounter_id!r} already used"
             at = f"encounters[{index}].encounterID"
@@ -595,7 +547,7 @@ def _assemble(
             graph.encounters[encounter.encounter_id] = encounter
             graph.encounter_owner[encounter.encounter_id] = patient.patient_id
             index_of[f"encounters[{encounter.encounter_id}]"] = index
-    graph.edges.extend(links)
+    graph.edges.extend(document.links)
 
     report = graph._check_joins()
     rest: list[Diagnostic] = []
@@ -614,13 +566,13 @@ def _assemble(
             rest.append(diagnostic)
         elif not (rest and rest[-1].location.startswith(f"{location}.")):
             # The first of a link's missing ends reports them all.
-            edge = links[int(location[len("links[") : -1])]
+            edge = document.links[int(location[len("links[") : -1])]
             for end, _, _ in link_problems(graph, edge):
                 named = edge.from_encounter if end == "from" else edge.to_encounter
                 message = missing_encounter(f"link.{end} names", named)
                 at = f"{location}.{end}"
                 rest.append(Diagnostic(Severity.ERROR, REFERENCE_ERROR, message, at))
     by_encounter.sort(key=lambda item: item[0])
-    problems.items.extend(diagnostic for _, diagnostic in by_encounter)
-    problems.items.extend(rest)
+    problems.diagnostics.extend(diagnostic for _, diagnostic in by_encounter)
+    problems.diagnostics.extend(rest)
     return graph, report

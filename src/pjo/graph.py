@@ -82,6 +82,12 @@ class ValidationReport(SeverityViews):
         """A graph is valid exactly when the report carries no errors."""
         return not self.errors
 
+    def error(self, code: str, message: str, location: str) -> None:
+        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, location))
+
+    def warning(self, code: str, message: str, location: str) -> None:
+        self.diagnostics.append(Diagnostic(Severity.WARNING, code, message, location))
+
 
 # Diagnostic codes.  The first block are errors, the second warnings.
 BAD_CUI = "bad-cui"
@@ -662,26 +668,19 @@ class JourneyGraph:
     def _check(self, fields) -> ValidationReport:
         """The checker's report, with ``fields(record)`` as the field rules."""
         report = ValidationReport()
-
-        def error(code: str, message: str, location: str) -> None:
-            report.diagnostics.append(Diagnostic(Severity.ERROR, code, message, location))
-
-        def warning(code: str, message: str, location: str) -> None:
-            report.diagnostics.append(Diagnostic(Severity.WARNING, code, message, location))
-
-        self._check_annotations(error, warning)
+        self._check_annotations(report)
         for name, records in (("patients", self.patients), ("providers", self.providers)):
             for key in sorted(records):
                 record = records[key]
                 for relative, code, message in fields(record) + key_problems(record, key):
-                    error(code, message, f"{name}[{key}].{relative}")
-        self._check_intake_forms(error, fields)
-        self._check_encounters(error, fields)
-        self._check_edges(error, warning)
-        self._check_gaps(warning)
+                    report.error(code, message, f"{name}[{key}].{relative}")
+        self._check_intake_forms(report, fields)
+        self._check_encounters(report, fields)
+        self._check_edges(report)
+        self._check_gaps(report)
         return report
 
-    def _check_annotations(self, error, warning) -> None:
+    def _check_annotations(self, report: ValidationReport) -> None:
         for class_name in sorted(self.annotations):
             for code in self.annotations[class_name]:
                 if code.is_valid():
@@ -691,32 +690,33 @@ class JourneyGraph:
                     CodeSystem.ICD10: BAD_ICD10,
                     CodeSystem.FHIR_LABEL: BAD_FHIR_LABEL,
                 }
-                error(
+                report.error(
                     by_system[code.system],
                     f"{code.code!r} is not a valid {code.system.value} code",
                     f"annotations[{class_name}]",
                 )
         for cui, class_names in sorted(duplicate_cuis(self.annotations).items()):
-            warning(
+            report.warning(
                 DUPLICATE_CUI_ANNOTATION,
                 f"duplicate CUI annotation: {cui} annotates {' and '.join(class_names)}",
                 "annotations",
             )
 
-    def _check_intake_forms(self, error, fields) -> None:
+    def _check_intake_forms(self, report: ValidationReport, fields) -> None:
         owners_seen: dict[str, str] = {}
         for form_id in sorted(self.intake_forms):
             location = f"intakeForms[{form_id}]"
             form = self.intake_forms[form_id]
             for relative, code, message in fields(form) + key_problems(form, form_id):
-                error(code, message, f"{location}.{relative}")
+                report.error(code, message, f"{location}.{relative}")
             owner = self.intake_form_owner.get(form_id)
             if owner is None:
-                error(UNOWNED_INTAKE_FORM, f"intake form {form_id!r} has no owner", location)
+                report.error(UNOWNED_INTAKE_FORM, f"intake form {form_id!r} has no owner", location)
             elif owner not in self.patients:
-                error(UNKNOWN_PATIENT, f"intake form {form_id!r} owned by unknown patient {owner!r}", location)
+                message = f"intake form {form_id!r} owned by unknown patient {owner!r}"
+                report.error(UNKNOWN_PATIENT, message, location)
             elif owner in owners_seen:
-                error(
+                report.error(
                     FIELD_INVALID,
                     f"patient {owner!r} has multiple intake forms "
                     f"({owners_seen[owner]!r} and {form_id!r})",
@@ -726,13 +726,13 @@ class JourneyGraph:
                 owners_seen[owner] = form_id
         for form_id, owner in sorted(self.intake_form_owner.items()):
             if form_id not in self.intake_forms:
-                error(
+                report.error(
                     DANGLING_REFERENCE,
                     f"ownership entry references missing intake form {form_id!r}",
                     f"intakeForms[{form_id}]",
                 )
 
-    def _check_encounters(self, error, fields) -> None:
+    def _check_encounters(self, report: ValidationReport, fields) -> None:
         for encounter_id in sorted(self.encounters):
             encounter = self.encounters[encounter_id]
             owner = self.encounter_owner.get(encounter_id)
@@ -746,52 +746,53 @@ class JourneyGraph:
                 continue
             location = f"encounters[{encounter_id}]"
             for relative, code, message in problems:
-                error(code, message, f"{location}.{relative}")
+                report.error(code, message, f"{location}.{relative}")
             if owner is None:
-                error(UNOWNED_ENCOUNTER, f"encounter {encounter_id!r} has no owner", location)
+                message = f"encounter {encounter_id!r} has no owner"
+                report.error(UNOWNED_ENCOUNTER, message, location)
             elif patient is None:
-                error(
+                report.error(
                     UNKNOWN_PATIENT,
                     f"encounter {encounter_id!r} owned by unknown patient {owner!r}",
                     location,
                 )
         for encounter_id, owner in sorted(self.encounter_owner.items()):
             if encounter_id not in self.encounters:
-                error(
+                report.error(
                     DANGLING_REFERENCE,
                     missing_encounter("ownership entry references", encounter_id),
                     f"encounters[{encounter_id}]",
                 )
 
-    def _check_edges(self, error, warning) -> None:
+    def _check_edges(self, report: ValidationReport) -> None:
         seen: set[tuple[EdgeKind, str, str]] = set()
         for index, edge in enumerate(self.edges):
             problems = link_problems(self, edge)
             for _, code, message in problems:
-                error(code, message, f"links[{index}]")
+                report.error(code, message, f"links[{index}]")
             if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
                 continue  # no pair of encounters to compare
             key = (edge.kind, edge.from_encounter, edge.to_encounter)
             if key in seen:
-                error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", f"links[{index}]")
+                report.error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", f"links[{index}]")
             seen.add(key)
             if edge.via is not None and not via_resolves(
                 edge.via, self.encounters[edge.from_encounter], self.encounters[edge.to_encounter]
             ):
-                warning(
+                report.warning(
                     UNRESOLVED_VIA,
                     f"via {edge.via!r} names no care plan or diagnosis in either endpoint",
                     f"links[{index}].via",
                 )
         in_cycle = cyclic_nodes(list(self.encounters), oriented_edges(self.edges))
         if in_cycle:
-            error(
+            report.error(
                 CYCLE,
                 "journey links form a cycle through: " + ", ".join(in_cycle),
                 "links",
             )
 
-    def _check_gaps(self, warning) -> None:
+    def _check_gaps(self, report: ValidationReport) -> None:
         connected: set[frozenset[str]] = set()
         for edge in self.edges:
             connected.add(frozenset((edge.from_encounter, edge.to_encounter)))
@@ -801,7 +802,7 @@ class JourneyGraph:
             for earlier, later in zip(owned, owned[1:]):
                 pair = frozenset((earlier.encounter_id, later.encounter_id))
                 if pair not in connected:
-                    warning(
+                    report.warning(
                         JOURNEY_GAP,
                         f"journey gap: no link between {earlier.encounter_id!r} "
                         f"({earlier.date.isoformat()}) and {later.encounter_id!r} "

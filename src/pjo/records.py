@@ -151,14 +151,15 @@ class OnDemand(dict):
 
 # -- the field table ------------------------------------------------------
 
-# Value types of bundle fields.  Strings, dates, ICD-10 codes and link kinds
-# are JSON strings; integers and numbers never accept booleans.
+# Value types of bundle fields.  Strings, dates, ICD-10 codes, link kinds and
+# format versions are JSON strings; integers and numbers never accept booleans.
 STR = "string"
 INT = "int"
 NUMBER = "number"
 DATE = "date"
 ICD10 = "icd10"
 KIND = "kind"
+VERSION = "version"
 STRS = "string array"
 OBJECT = "object"
 OBJECTS = "object array"
@@ -173,7 +174,8 @@ class Field:
     ``OBJECT`` or ``OBJECTS`` field.  ``check`` returns a problem message
     for a well-typed value outside its plausible bounds, else None.  An
     optional scalar left out reads as ``default``; a left-out array as an
-    empty list, a left-out object as its empty record.
+    empty list, a left-out object as its empty record, or as None if its
+    record type has a required field (see ``holds_required``).
     """
 
     key: str
@@ -191,6 +193,12 @@ class Field:
 FIELDS: dict[type, tuple[Field, ...]] = {}
 
 
+def holds_required(record_type: type) -> bool:
+    """Whether the record type has a required field: an optional field that
+    holds one reads as None when left out, not as its empty record."""
+    return any(spec.required for spec in FIELDS[record_type])
+
+
 def record(name: str, *fields: Field, frozen: bool = False, doc: str | None = None) -> type:
     """The record class declared by ``fields``, entered in ``FIELDS``.
 
@@ -201,7 +209,7 @@ def record(name: str, *fields: Field, frozen: bool = False, doc: str | None = No
     last_required = max((i for i, spec in enumerate(fields) if spec.required), default=-1)
     defaults = {
         spec.attr: Fresh(list) if spec.type in (STRS, OBJECTS)
-        else Fresh(spec.record) if spec.type == OBJECT
+        else Fresh(spec.record) if spec.type == OBJECT and not holds_required(spec.record)
         else spec.default
         for spec in fields[last_required + 1 :]
     }  # fmt: skip
@@ -397,6 +405,18 @@ JourneyEdge = record(
     inside either endpoint that explains a causal link, such as the referral
     that produced a visit.
     """,
+)
+
+
+# The bundle document itself: one patient's journey.
+Bundle = record(
+    "Bundle",
+    Field("formatVersion", "format_version", VERSION, required=True),
+    Field("patient", "patient", OBJECT, required=True, record=Patient),
+    Field("providers", "providers", OBJECTS, record=Provider),
+    Field("intakeForm", "intake_form", OBJECT, record=IntakeForm),
+    Field("encounters", "encounters", OBJECTS, record=Encounter),
+    Field("links", "links", OBJECTS, record=JourneyEdge),
 )
 
 

@@ -172,6 +172,19 @@ class TestNullAbsenceEquivalence:
         rendered = json.loads(serialize_bundle(result.graph, "P1"))
         assert "contactInformation" not in rendered["patient"]
 
+    @pytest.mark.parametrize("absent", [None, "omitted"])
+    def test_a_left_out_intake_form_is_none(self, absent):
+        """An optional object whose record has a required field reads as None."""
+        doc = minimal_doc()
+        if absent is None:
+            doc["intakeForm"] = None
+        else:
+            doc.pop("intakeForm", None)
+        result = parse_doc(doc)
+        assert result.ok and result.problems == []
+        assert result.graph.intake_forms == {} and result.graph.intake_form_of("P1") is None
+        assert "intakeForm" not in json.loads(serialize_bundle(result.graph, "P1"))
+
     def test_null_list_field_equals_absent(self):
         doc = minimal_doc()
         doc["links"] = None

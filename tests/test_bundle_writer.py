@@ -161,6 +161,38 @@ def test_edge_case_values_are_written_as_json_dumps_writes_them():
 
 
 @pytest.mark.parametrize(
+    "patient, form, written, left_out",
+    [
+        (Patient(None, None, None), None, '"patient": {}', '"intakeForm"'),
+        (
+            Patient(PATIENT, "N", None),
+            IntakeForm(None, None, None),
+            '"intakeForm": {}',
+            '"intakeFormID"',
+        ),
+        (
+            Patient(PATIENT, "N", None),
+            IntakeForm("F", MedicalHistory(), SocialHistory(None, None)),
+            '"medicalHistory": {',
+            '"socialHistory"',
+        ),
+    ],
+    ids=["empty-patient", "empty-intake-form", "empty-social-history"],
+)
+def test_records_that_set_no_field(patient, form, written, left_out):
+    """The document writes every record it holds, ``{}`` included; below it,
+    a held record that sets no field is left out."""
+    graph = JourneyGraph()
+    graph.patients[PATIENT] = patient
+    if form is not None:
+        graph.intake_forms["F"] = form
+        graph.intake_form_owner["F"] = PATIENT
+    text = serialize_bundle(graph, PATIENT)
+    assert text == serialize_bundle_by_dumps(graph, PATIENT)
+    assert written in text and left_out not in text
+
+
+@pytest.mark.parametrize(
     "value",
     [True, None, [], {}, [1, [2, {}]], {"k": [None, {"n": 1.5}]}, "x" * 3],
     ids=["true", "null", "empty-array", "empty-object", "nested-array", "nested-object", "text"],

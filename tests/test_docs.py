@@ -17,7 +17,10 @@ The README's ``python`` block is executed; an expression followed by a
 ``# value`` comment line must have that ``repr``, and a ``print`` with a
 trailing comment must print it, where ``...`` ends a shortened number.
 The annotated example of ``docs/bundle_format.md`` must be the document
-``pjo seed john-doe`` prints, and expand to those exact bytes.
+``pjo seed john-doe`` prints, and expand to those exact bytes.  Each key
+table of that file lists its record type's ``FIELDS`` entry: the keys in
+order, whether each is required and its type; its error and warning
+tables list exactly the diagnostic codes of ``pjo.graph``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,27 @@ from pathlib import Path
 
 import pytest
 
-from pjo import cli
+from pjo import cli, graph
+from pjo.records import (
+    DATE,
+    FIELDS,
+    ICD10,
+    INT,
+    KIND,
+    NUMBER,
+    OBJECT,
+    OBJECTS,
+    STR,
+    STRS,
+    VERSION,
+    Bundle,
+    Encounter,
+    IntakeForm,
+    JourneyEdge,
+    Patient,
+    Provider,
+    VitalSign,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -176,3 +199,57 @@ def test_stdin_is_read_as_the_readme_says(command):
     _, seed = run_pjo(["seed", "john-doe"])
     code, _ = run_pjo(shlex.split(command)[1:], seed.encode("utf-8"))
     assert code == 0
+
+
+# How the format document names each field type.
+TYPE_WORDS = {
+    STR: "string", INT: "integer", NUMBER: "number", DATE: "date", ICD10: "string",
+    KIND: "string", VERSION: "string", STRS: "array", OBJECT: "object", OBJECTS: "array",
+}  # fmt: skip
+# The record type of each key table of the format document, in document order.
+KEY_TABLES = [Bundle, Patient, Provider, IntakeForm, Encounter, VitalSign, JourneyEdge]
+
+
+def tables(text: str) -> list[tuple[list[str], list[list[str]]]]:
+    """(header cells, rows of cells) for each Markdown table of ``text``."""
+    found = []
+    for block in re.findall(r"(?:^\|.*\|\n)+", text, re.M):
+        rows = [[cell.strip() for cell in line[1:-1].split("|")] for line in block.splitlines()]
+        found.append((rows[0], rows[2:]))
+    return found
+
+
+@pytest.mark.parametrize(
+    "index, record_type", enumerate(KEY_TABLES), ids=[t.__name__ for t in KEY_TABLES]
+)
+def test_each_key_table_lists_its_field_table_entry(index, record_type):
+    key_tables = [table for table in tables(FORMAT_DOC) if table[0][0] == "Key"]
+    assert len(key_tables) == len(KEY_TABLES)
+    header, rows = key_tables[index]
+    fields = FIELDS[record_type]
+    assert [row[0] for row in rows] == [f"`{spec.key}`" for spec in fields]
+    types = [row[header.index("Type")] for row in rows]
+    assert types == [TYPE_WORDS[spec.type] for spec in fields]
+    required = ["yes" if spec.required else "no" for spec in fields]
+    if "Required" in header:
+        assert [row[header.index("Required")] for row in rows] == required
+    else:
+        assert set(required) == {"no"}
+
+
+def graph_codes() -> tuple[list[str], list[str]]:
+    """The error and warning codes of ``pjo.graph``: the first and second
+    block of constants after its ``# Diagnostic codes.`` comment."""
+    source = Path(graph.__file__).read_text(encoding="utf-8")
+    errors, warnings = source.split("# Diagnostic codes.", 1)[1].split("\n\n")[:2]
+    names = (re.findall(r"^([A-Z0-9_]+) = ", block, re.M) for block in (errors, warnings))
+    return tuple(sorted(getattr(graph, name) for name in block) for block in names)
+
+
+@pytest.mark.parametrize("severity", ["Error", "Warning"])
+def test_the_code_tables_list_exactly_the_diagnostic_codes(severity):
+    header, rows = tables(FORMAT_DOC.split(f"{severity} codes:", 1)[1])[0]
+    assert header == ["Code", "Meaning"]
+    listed = sorted(code for row in rows for code in re.findall(r"`([^`]+)`", row[0]))
+    errors, warnings = graph_codes()
+    assert listed == (errors if severity == "Error" else warnings)

@@ -20,28 +20,20 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pjo import john_doe_bundle, parse_bundle
-from pjo.bundle import _INVALID, _RECORD_READERS, _SCALARS, _Problems, _report
-from pjo.records import (
-    FIELDS,
-    OBJECT,
-    OBJECTS,
-    STRS,
-    Encounter,
-    IntakeForm,
-    JourneyEdge,
-    Patient,
-    Provider,
-)
+from pjo.bundle import _INVALID, _RECORD_READERS, _SCALARS, _report
+from pjo.graph import ValidationReport
+from pjo.records import FIELDS, OBJECT, OBJECTS, STRS, Bundle
 
 SEED = json.loads(john_doe_bundle())
 
 
 def first_objects() -> dict[type, tuple]:
-    """The document path of the first object of each record type in the seed."""
+    """The document path of the first object of each record type in the
+    seed, the document itself included."""
     found: dict[type, tuple] = {}
 
     def walk(record_type: type, obj: dict, path: tuple) -> None:
@@ -54,14 +46,7 @@ def first_objects() -> dict[type, tuple]:
                 for index, entry in enumerate(value or []):
                     walk(spec.record, entry, (*path, spec.key, index))
 
-    walk(Patient, SEED["patient"], ("patient",))
-    walk(IntakeForm, SEED["intakeForm"], ("intakeForm",))
-    for record_type, key in (
-        (Provider, "providers"),
-        (Encounter, "encounters"),
-        (JourneyEdge, "links"),
-    ):
-        walk(record_type, SEED[key][0], (key, 0))
+    walk(Bundle, SEED, ())
     return found
 
 
@@ -101,7 +86,7 @@ hostile = st.one_of(
         [
             "", " ", "x", "café", "日本", "\ud800", "a\udfffb", "2021-02-30", "2021-13-01",
             "2021-1-01", "２０２１-01-01", "2021-01-01T00:00", "E55.9", "e55.9", "E5", "next",
-            "causedBy", "hasFollowup", "NEXT", "120/80", "80/120", "0/0",
+            "causedBy", "hasFollowup", "NEXT", "120/80", "80/120", "0/0", "pjo-1", "pjo-2",
             float("nan"), float("inf"), float("-inf"), 36.6, 37, 0, -1, 10**30,
         ]  # fmt: skip
     ),
@@ -112,17 +97,19 @@ hostile = st.one_of(
 
 @pytest.mark.parametrize("record_type, spec", FIELD_CASES)
 @given(value=hostile)
+@example(value="pjo-1")
+@example(value="pjo-2")
 @settings(max_examples=40, deadline=None)
 def test_the_reader_takes_a_value_exactly_when_report_finds_no_problem(record_type, spec, value):
     obj = {**first_object(SEED, record_type), spec.key: [value] if spec.type == STRS else value}
-    problems = _Problems()
+    problems = ValidationReport()
     result = _RECORD_READERS[record_type](obj, "doc", problems)
-    reported = _report(spec, value, spec.key, _Problems())
+    reported = _report(spec, value, spec.key, ValidationReport())
     taken = result is not _INVALID and (
         spec.type != STRS or getattr(result, spec.attr) == [value]
     )
-    assert taken is not reported, (value, problems.items)
-    assert problems.has_errors is reported, (value, problems.items)
+    assert taken is not reported, (value, problems.diagnostics)
+    assert problems.ok is not reported, (value, problems.diagnostics)
 
 
 @pytest.mark.parametrize("record_type, spec", FIELD_CASES)
@@ -133,5 +120,5 @@ def test_parse_returns_a_graph_or_an_error(record_type, spec, value):
     first_object(document, record_type)[spec.key] = [value] if spec.type == STRS else value
     result = parse_bundle(json.dumps(document))
     assert result.ok or result.errors, value
-    if _report(spec, value, spec.key, _Problems()):
+    if _report(spec, value, spec.key, ValidationReport()):
         assert not result.ok

@@ -1,6 +1,6 @@
 """What every record and result class promises, whichever way it is built.
 
-Each of the 14 record types of ``records.FIELDS`` and the 14 other value
+Each of the 15 record types of ``records.FIELDS`` and the 14 other value
 classes (``Field``, diagnostics and reports, the parse result, the graph,
 concept codes, query and agreement results) is checked for: positional
 and keyword construction in declaration order, required arguments, fresh
@@ -32,6 +32,7 @@ from pjo.records import (
     OBJECTS,
     STR,
     STRS,
+    VERSION,
     CarePlan,
     DiagTest,
     EdgeKind,
@@ -176,6 +177,7 @@ def field_value(spec, variant):
         DATE: date(2020, 1, 1 + variant),
         ICD10: ConceptCode(CodeSystem.ICD10, ["I10", "E55.9"][variant]),
         KIND: [EdgeKind.NEXT, EdgeKind.CAUSED_BY][variant],
+        VERSION: ["pjo-1", "pjo-2"][variant],
         STRS: [f"x{variant}"],
     }[spec.type]
 
@@ -254,6 +256,8 @@ def test_defaults_are_fresh(cls):
 
 
 def test_record_defaults_follow_the_table():
+    """A left-out object is its empty record, unless that record has a
+    required field (``Bundle.intake_form``): then it is None."""
     for cls, fields in FIELDS.items():
         instance = cls(**{name: values(cls, 0)[name] for name in required(cls)})
         for spec in fields:
@@ -262,6 +266,8 @@ def test_record_defaults_follow_the_table():
             value = getattr(instance, spec.attr)
             if spec.type in (STRS, OBJECTS):
                 assert value == [], spec.attr
+            elif spec.type == OBJECT and any(field.required for field in FIELDS[spec.record]):
+                assert value is None, spec.attr
             elif spec.type == OBJECT:
                 assert value == spec.record(), spec.attr
             elif (cls, spec.attr) in EMPTY_STRING_DEFAULTS:
