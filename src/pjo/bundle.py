@@ -22,25 +22,25 @@ import json
 import re
 from datetime import date
 
-from .codes import CodeSystem, ConceptCode, validate_icd10
 from .errors import UnknownPatientError
 from .graph import (
-    BAD_ICD10,
     DANGLING_REFERENCE,
     DUPLICATE_ID,
-    FIELD_INVALID,
+    FORMAT_VERSION,
     INVALID_TYPE,
-    INVALID_VALUE,
     JourneyGraph,
     MISSING_FIELD,
+    READ,
     REFERENCE_ERROR,
+    RULE_NAMES,
+    RULES,
     SYNTAX_ERROR,
     UNKNOWN_FIELD,
-    UNSUPPORTED_FORMAT_VERSION,
     Diagnostic,
     Severity,
     SeverityViews,
     ValidationReport,
+    field_rules,
     link_problems,
     missing_encounter,
 )
@@ -57,21 +57,12 @@ from .records import (
     STRS,
     VERSION,
     Bundle,
-    EdgeKind,
     Field,
     Fresh,
     OnDemand,
     holds_required,
     slotted,
 )
-
-FORMAT_VERSION = "pjo-1"
-
-_DATE_PATTERN = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# A lone surrogate decodes from a JSON escape such as "\ud800" but cannot be
-# encoded as UTF-8, so a string holding one could not be written back out.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-_LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
 @slotted
@@ -227,51 +218,25 @@ _INVALID = object()
 _KNOWN = {
     record_type: frozenset(spec.key for spec in fields) for record_type, fields in FIELDS.items()
 }
+_TESTS = OnDemand(lambda test: compile(test, "<rule>", "eval"))  # each rule's test, compiled
 
 
 def _report(spec: Field, value, at: str, problems: ValidationReport) -> bool:
-    """Report at ``at`` the first rule broken by ``value``, the document value
-    of scalar field ``spec`` or an entry of string-array field ``spec``;
-    whether one was.  The rules, in order: present if required, the JSON
-    type (no boolean is a number), nonempty if required (always, for an
-    entry), no lone surrogate, a date's pattern and calendar day, an ICD-10
-    code's shape, a link kind, the format version, and last ``check`` on
-    the value read."""
-    kind, name = spec.type, "entry" if spec.type == STRS else repr(spec.key)
-    if value is None and kind != STRS:
-        if not spec.required:
-            return False
-        code, message = MISSING_FIELD, f"required field {spec.key!r} is missing"
-    elif kind == INT or kind == NUMBER:
-        if value.__class__ is int or (kind == NUMBER and value.__class__ is float):
-            code, message = FIELD_INVALID, spec.check and spec.check(value)
-        else:
-            code = INVALID_TYPE
-            message = f"{name} must be {'an integer' if kind == INT else 'a number'}"
-    elif value.__class__ is not str:
-        code, message = INVALID_TYPE, f"{name} must be a string"
-    elif not value and (spec.required or kind == STRS):
-        code, message = FIELD_INVALID, f"{name} must be nonempty"
-    elif not value.isascii() and _SURROGATE.search(value):
-        code, message = INVALID_VALUE, f"{name} holds a lone surrogate"
-    elif kind == DATE and not _DATE_PATTERN.fullmatch(value):
-        code, message = INVALID_VALUE, f"{value!r} is not an ISO-8601 date (YYYY-MM-DD)"
-    elif kind == DATE and _iso_date(value) is None:
-        code, message = INVALID_VALUE, f"{value!r} is not a calendar date"
-    elif kind == ICD10 and not validate_icd10(value):
-        code, message = BAD_ICD10, f"{value!r} is not a valid ICD10 code"
-    elif kind == KIND and value not in _LINK_KINDS:
-        code = INVALID_VALUE
-        message = f"link kind must be one of {sorted(_LINK_KINDS)}, got {value!r}"
-    elif kind == VERSION and value != FORMAT_VERSION:
-        code = UNSUPPORTED_FORMAT_VERSION
-        message = f"unsupported format version {value!r}, expected {FORMAT_VERSION!r}"
-    else:
-        read = _CONVERTED[kind](value) if kind in _CONVERTED else value
-        code, message = FIELD_INVALID, spec.check and spec.check(read)
-    if message:
-        problems.error(code, message, at)
-    return bool(message)
+    """Report at ``at`` the first rule ``value``, a value (or string-array
+    entry) of field ``spec``, breaks: presence, then ``RULES``; whether any."""
+    if value is None and spec.type != STRS:
+        if spec.required:
+            problems.error(MISSING_FIELD, f"required field {spec.key!r} is missing", at)
+        return spec.required
+    scope = {**RULE_NAMES, "v": value}
+    name = "entry" if spec.type == STRS else repr(spec.key)
+    for test, code, message, applies in field_rules(spec, True, name):
+        if not (kept := eval(_TESTS[test], scope)):
+            problems.error(code, eval(f"f{message!r}", scope), at)
+            return True
+        if applies == READ:
+            scope["v"] = kept
+    return False
 
 
 def _report_fields(record_type: type, obj: dict, path: str, problems: ValidationReport):
@@ -291,8 +256,7 @@ def _read(spec: Field, value, path: str, problems: ValidationReport):
     reported.  A bad array entry is reported and left out."""
     at = _join(path, spec.key)
     if value is None:
-        if spec.required:
-            _report(spec, value, at, problems)
+        if spec.required and _report(spec, value, at, problems):
             return _INVALID
         if spec.type != OBJECT:
             return []
@@ -322,50 +286,15 @@ def _read_entry(record_type: type, item, path: str, problems: ValidationReport):
 #
 # Each record type gets a reader generated from ``FIELDS`` on first use.  It
 # warns about unknown keys, then tests, without reporting anything, that
-# every scalar field holds a value ``_report`` finds no problem in.  An
+# every scalar field keeps its rules: their tests in ``RULES``, joined.  An
 # object that fails breaks a rule for certain: ``_report_fields`` reports
 # why and it reads as _INVALID.  Otherwise the reader reads the other fields
 # in canonical order: an array of flat records (all of whose fields are
-# scalars) in a loop that tests each entry the same way and sends an entry
-# that fails, or has an unknown key, to ``_read_entry``; any other field
-# through ``_read``.
+# scalars) in a loop that tests each entry the same way and sends one that
+# fails, or has an unknown key, to ``_read_entry``; any other through ``_read``.
 
-
-def _iso_date(value):
-    if value.__class__ is str and _DATE_PATTERN.fullmatch(value):
-        try:
-            return date.fromisoformat(value)
-        except ValueError:
-            pass
-    return None
-
-
-def _icd10_code(value):
-    if value.__class__ is str and validate_icd10(value):
-        return ConceptCode(CodeSystem.ICD10, value)
-    return None
-
-
-def _link_kind(value):
-    return _LINK_KINDS.get(value) if value.__class__ is str else None
-
-
-def _format_version(value):
-    return value if value == FORMAT_VERSION else None
-
-
-# Per scalar type taken unchanged, a test of the document value in ``v``
-# (first use ``first``) that passes exactly when ``_report`` finds no
-# problem in it, the field's ``check`` aside.
-_TAKEN = {
-    STR: "{first}.__class__ is str and ({v}.isascii() or not _SURROGATE({v}))",
-    INT: "{first}.__class__ is int",
-    NUMBER: "({first}.__class__ is float or {v}.__class__ is int)",
-}
-# Per scalar type converted, the field value a document string reads as, or
-# None where ``_report`` finds a problem in it.
-_CONVERTED = {DATE: _iso_date, ICD10: _icd10_code, KIND: _link_kind, VERSION: _format_version}
-_SCALARS = (*_TAKEN, *_CONVERTED)
+_SCALARS = RULES.keys() - {STRS}
+_TEMPLATES = OnDemand(lambda test: re.sub(r"\bv\b", "{0}", test))  # a test with v as {0}
 
 
 def _flat(record_type: type) -> bool:
@@ -384,19 +313,18 @@ def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
     for n, spec in enumerate(FIELDS[record_type]):
         if spec.type not in _SCALARS:
             continue
-        v, get = f"v{depth}_{n}", f"(v{depth}_{n} := {obj}.get({spec.key!r}))"
-        first = get if spec.required else v
-        if spec.type in _CONVERTED:
-            value = f"c{depth}_{n}"
-            test = f"({value} := {_CONVERTED[spec.type].__name__}({first})) is not None"
+        v = value = f"v{depth}_{n}"
+        terms = []
+        for rule, _, _, applies in field_rules(spec, True, ""):
+            term = _TEMPLATES[rule].format(value)
+            if applies == READ:
+                value = f"c{depth}_{n}"
+                term = f"{value} := {term}"
+            terms.append(f"({term})")
+        test, get = " and ".join(terms), f"({v} := {obj}.get({spec.key!r}))"
+        if spec.required:
+            test = test.replace(v, get, 1)
         else:
-            value, test = v, _TAKEN[spec.type].format(first=first, v=v)
-            if spec.required and spec.type == STR:
-                test += f" and {v}"
-        if spec.check is not None:
-            scope[spec.check.__name__] = spec.check
-            test += f" and {spec.check.__name__}({value}) is None"
-        if not spec.required:
             test = f"({get} is None or {test})"
             if value != v or spec.default is not None:
                 scope[f"D_{name}_{n}"] = spec.default
@@ -411,10 +339,9 @@ def _compile_reader(record_type: type):
     _INVALID after its problems are reported."""
     name = record_type.__name__
     scope = {
-        "_INVALID": _INVALID, "_SURROGATE": _SURROGATE.search, "_warn_unknown": _warn_unknown,
+        **RULE_NAMES, "_INVALID": _INVALID, "_warn_unknown": _warn_unknown,
         "_report_fields": _report_fields, "_read": _read, "_read_entry": _read_entry,
         "_join": _join, f"F_{name}": FIELDS[record_type],
-        **{convert.__name__: convert for convert in _CONVERTED.values()},
     }  # fmt: skip
     test, values = _scalar_tests(record_type, "o", 0, scope)
     lines = [f"if not K_{name}.issuperset(o): _warn_unknown(o, K_{name}, path, problems)"]

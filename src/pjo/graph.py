@@ -11,9 +11,18 @@ refused.
 from __future__ import annotations
 
 import functools
+import re
+from datetime import date
 from enum import Enum
 
-from .codes import CLASS_ANNOTATIONS, AnnotationTable, CodeSystem, duplicate_cuis
+from .codes import (
+    CLASS_ANNOTATIONS,
+    AnnotationTable,
+    CodeSystem,
+    ConceptCode,
+    duplicate_cuis,
+    validate_icd10,
+)
 from .errors import (
     CrossPatientLinkError,
     CycleIntroducedError,
@@ -26,12 +35,17 @@ from .errors import (
     UnknownProviderError,
 )
 from .records import (
+    DATE,
     FIELDS,
     ICD10,
+    INT,
+    KIND,
+    NUMBER,
     OBJECT,
     OBJECTS,
     STR,
     STRS,
+    VERSION,
     Encounter,
     EdgeKind,
     Fresh,
@@ -120,20 +134,86 @@ UNRESOLVED_VIA = "unresolved-via"
 
 FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 
+# -- scalar field rules -----------------------------------------------------
+#
+# Per scalar value type (per entry, for a string array), its rules in order,
+# each (test, code, message, applies): ``test`` is source over the value
+# ``v``, true when the rule is kept, and ``message`` an f-string over ``v``
+# and the field's ``{name}``.  DOCUMENT rules apply to documents only; a READ
+# rule's test is the value read, which later rules see as ``v``.  VALUE rules
+# apply in memory too, REQUIRED ones to a required field or an entry.  The
+# reader's silent test and reporter, and ``field_problems``, come from here.
+DOCUMENT, READ, VALUE, REQUIRED = "document", "read", "value", "required"
+FORMAT_VERSION = "pjo-1"
+_TEXT = (
+    ("v.__class__ is str", INVALID_TYPE, "{name} must be a string", DOCUMENT),
+    # A lone surrogate (from an escape such as "\ud800") cannot be written as UTF-8.
+    ("v.isascii() or not _SURROGATE(v)", INVALID_VALUE, "{name} holds a lone surrogate", DOCUMENT),
+    ("v", FIELD_INVALID, "{name} must be nonempty", REQUIRED),
+)
+RULES = {
+    STR: _TEXT,
+    STRS: _TEXT,
+    INT: (("v.__class__ is int", INVALID_TYPE, "{name} must be an integer", DOCUMENT),),
+    NUMBER: (("v.__class__ is float or v.__class__ is int",  # never a boolean
+              INVALID_TYPE, "{name} must be a number", DOCUMENT),),
+    DATE: (*_TEXT,
+           ("_DATE_SHAPE(v)",
+            INVALID_VALUE, "{v!r} is not an ISO-8601 date (YYYY-MM-DD)", DOCUMENT),
+           ("_calendar_day(v)", INVALID_VALUE, "{v!r} is not a calendar date", READ)),
+    ICD10: (*_TEXT,
+            ("ConceptCode(_ICD10, v)", None, None, READ),
+            ("v.system is _ICD10 and validate_icd10(v.code)",
+             BAD_ICD10, "{v.code!r} is not a valid ICD10 code", VALUE)),
+    KIND: (*_TEXT,
+           ("_LINK_KINDS.get(v)",
+            INVALID_VALUE, "link kind must be one of {sorted(_LINK_KINDS)}, got {v!r}", READ)),
+    VERSION: (*_TEXT,
+              ("v == FORMAT_VERSION", UNSUPPORTED_FORMAT_VERSION,
+               "unsupported format version {v!r}, expected {FORMAT_VERSION!r}", DOCUMENT)),
+}  # fmt: skip
+
+
+def _calendar_day(text: str) -> date | None:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        return None
+
+
+# The names the rules' sources use, and each field check by its name.
+RULE_NAMES = {
+    "_SURROGATE": re.compile("[\ud800-\udfff]").search,
+    "_DATE_SHAPE": re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch,
+    "_LINK_KINDS": {kind.value: kind for kind in EdgeKind},
+    "_ICD10": CodeSystem.ICD10, "ConceptCode": ConceptCode, "validate_icd10": validate_icd10,
+    "_calendar_day": _calendar_day, "FORMAT_VERSION": FORMAT_VERSION,
+    **{f.check.__name__: f.check for fields in FIELDS.values() for f in fields if f.check},
+}  # fmt: skip
+
+
+def field_rules(spec, document: bool, name: str) -> list[tuple]:
+    """The rules on a value of scalar field ``spec`` (an entry, for a string
+    array) in order, worded with ``name``: all when ``document``, else the
+    value rules.  The field's ``check``, if any, is the last value rule."""
+    required = spec.required or spec.type == STRS
+    rules = [
+        (test, code, message and message.replace("{name}", name), applies)
+        for test, code, message, applies in RULES[spec.type]
+        if (document or applies in (VALUE, REQUIRED)) and (required or applies != REQUIRED)
+    ]
+    if spec.check is not None:
+        check = spec.check.__name__
+        rules.append((f"{check}(v) is None", FIELD_INVALID, f"{{{check}(v)}}", VALUE))
+    return rules
+
 
 def field_problems(record) -> list[FieldProblem]:
-    """The field rules ``record`` breaks, with locations relative to it.
-
-    The rules come from its ``FIELDS`` entry, and from those of the
-    records it holds: a required string must be nonempty, as must every
-    entry of a string array; a value with a check must pass it; an ICD-10
-    code must be valid.
-    """
+    """The field rules ``record`` breaks, with locations relative to it: in
+    it and the records it holds, the first value rule of ``RULES`` each value
+    breaks.  A required string and every string-array entry must be nonempty,
+    an ICD-10 code of that system and shape, and a checked value pass."""
     return _FIELD_PROBLEMS[record.__class__](record)
-
-
-def _no_field_problems(record) -> list[FieldProblem]:
-    return []
 
 
 def key_problems(record, key: str) -> list[FieldProblem]:
@@ -150,12 +230,7 @@ def key_problems(record, key: str) -> list[FieldProblem]:
     return []
 
 
-def _rule(condition: str, at: str, code: str, message: str) -> list[str]:
-    """Source lines adding a problem at the f-string ``at`` when ``condition`` holds."""
-    return [f"if {condition}:", f"    problems.append((f{at!r}, {code}, {message}))"]
-
-
-def _rule_lines(record_type: type, var: str, where: str, depth: int, scope: dict) -> list[str]:
+def _rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str]:
     """Source lines that check the record held in the local ``var``.
 
     ``where`` is the f-string text of the record's location prefix.  Held
@@ -166,36 +241,33 @@ def _rule_lines(record_type: type, var: str, where: str, depth: int, scope: dict
     lines = []
     for spec in FIELDS[record_type]:
         value, at = f"{var}.{spec.attr}", where + spec.key
-        if spec.type == STR and spec.required:
-            lines += _rule(f"not {value}", at, "FIELD_INVALID", repr(f"{spec.key} must be nonempty"))
-        elif spec.check is not None:
-            scope[spec.check.__name__] = spec.check
-            test = f"(m := {spec.check.__name__}(v)) is not None"
-            lines += _rule(f"(v := {value}) is not None and {test}", at, "FIELD_INVALID", "m")
-        elif spec.type == ICD10:
-            message = 'f"{v.code!r} is not a valid {v.system.value} code"'
-            lines += _rule(f"(v := {value}) is not None and not v.is_valid()", at, "BAD_ICD10", message)
-        elif spec.type in (STRS, OBJECT, OBJECTS):
-            index, inner = f"i{depth + 1}", f"r{depth + 1}"
-            if spec.type == OBJECT:
-                nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1, scope)
-                lines += [f"{inner} = {value}", *nested] if nested else []
-                continue
+        index, inner = f"i{depth + 1}", f"r{depth + 1}"
+        if spec.type in (STRS, OBJECTS):
             at += f"[{{{index}}}]"
+        if spec.type in (OBJECT, OBJECTS):
+            nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1)
+            loop = f"for {index}, {inner} in enumerate({value}):"
+            head = loop if spec.type == OBJECTS else f"{inner} = {value}"
+        else:
+            name, head = spec.key, f"if (v := {value}) is not None:"
             if spec.type == STRS:
-                message = repr(f"{spec.key} entries must be nonempty")
-                nested = _rule(f"not {inner}", at, "FIELD_INVALID", message)
-            else:
-                nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1, scope)
-            if nested:
-                lines += [f"for {index}, {inner} in enumerate({value}):"]
-                lines += [f"    {line}" for line in nested]
+                name, head = f"{spec.key} entries", f"for {index}, v in enumerate({value}):"
+            elif spec.required:
+                head = f"v = {value}"
+            nested = [
+                f"{'elif' if n else 'if'} not ({test}): "
+                f"problems.append((f{at!r}, {code!r}, f{message!r}))"
+                for n, (test, code, message, _) in enumerate(field_rules(spec, False, name))
+            ]
+        if nested:
+            indent = "    " if head.endswith(":") else ""
+            lines += [head, *(indent + line for line in nested)]
     return lines
 
 
 def _compile_field_problems(record_type: type):
-    scope = {"FIELD_INVALID": FIELD_INVALID, "BAD_ICD10": BAD_ICD10}
-    lines = ["problems = []", *_rule_lines(record_type, "record", "", 0, scope), "return problems"]
+    scope = dict(RULE_NAMES)
+    lines = ["problems = []", *_rule_lines(record_type, "record", "", 0), "return problems"]
     exec("def problems(record):\n    " + "\n    ".join(lines), scope)
     return scope["problems"]
 
@@ -663,7 +735,7 @@ class JourneyGraph:
         bundle parser, whose reader has applied the field rules, runs only
         this pass.
         """
-        return self._check(_no_field_problems)
+        return self._check(lambda record: [])
 
     def _check(self, fields) -> ValidationReport:
         """The checker's report, with ``fields(record)`` as the field rules."""

@@ -90,8 +90,7 @@ def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dic
             f'    return f"{{self.__class__.__qualname__}}({shown})"',
             "def __reduce__(self):",
             f"    return self.__class__, {mine}",
-            "def __hash__(self):",
-            f"    return hash({mine})",
+            *(["def __hash__(self):", f"    return hash({mine})"] if frozen else []),
         ]
     )
     exec(source, scope)

@@ -1,7 +1,11 @@
+import random
 from datetime import date
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from journeygen import random_journey
 from pjo import (
     CarePlan,
     CodeSystem,
@@ -23,10 +27,13 @@ from pjo import (
     UnknownPatientError,
     UnknownProviderError,
     VitalSign,
+    parse_bundle,
+    serialize_bundle,
     structurally_equal,
 )
 from pjo.graph import (
     BAD_CUI,
+    BAD_ICD10,
     BAD_FHIR_LABEL,
     CROSS_PATIENT_LINK,
     CYCLE,
@@ -127,6 +134,18 @@ class TestAddRecords:
             "General Medicine",
             "Provider-1",
             diagnoses=[Diagnosis("Hypertension", ConceptCode(CodeSystem.ICD10, "notacode"))],
+        )
+        with pytest.raises(FieldInvalidError):
+            graph.add_encounter("P1", encounter)
+
+    def test_a_code_of_another_system_rejected_as_icd10(self):
+        graph = small_graph()
+        encounter = Encounter(
+            "E1",
+            date(2021, 1, 1),
+            "General Medicine",
+            "Provider-1",
+            diagnoses=[Diagnosis("Hypertension", ConceptCode(CodeSystem.UMLS_CUI, "C0020538"))],
         )
         with pytest.raises(FieldInvalidError):
             graph.add_encounter("P1", encounter)
@@ -413,6 +432,26 @@ class TestCheckInvariants:
         bad = [d for d in report.diagnostics if d.code == FIELD_INVALID]
         assert bad and bad[0].location == "encounters[P1-E1].specialty"
 
+    @pytest.mark.parametrize(
+        "system, code", [(CodeSystem.UMLS_CUI, "C0020538"), (CodeSystem.FHIR_LABEL, "E11")]
+    )
+    def test_a_code_of_another_system_is_a_bad_icd10(self, system, code):
+        """Even one shaped like an ICD-10 code, which a bundle would read
+        back as a code of the ICD-10 system."""
+        graph = small_graph(n_encounters=1)
+        diagnosis = Diagnosis("Hypertension", ConceptCode(system, code))
+        graph.encounters["P1-E1"].diagnoses.append(diagnosis)
+        bad = [(d.location, d.message) for d in graph.check_invariants().errors]
+        message = f"{code!r} is not a valid ICD10 code"
+        assert bad == [("encounters[P1-E1].diagnoses[0].icd10", message)]
+        assert codes_of(graph.check_invariants(), "error") == [BAD_ICD10]
+
+    def test_a_left_out_birth_date_is_reported(self):
+        graph = small_graph()
+        graph.patients["P1"].birth_date = None
+        bad = [(d.code, d.location, d.message) for d in graph.check_invariants().errors]
+        assert bad == [(FIELD_INVALID, "patients[P1].birthDate", "birthDate must be nonempty")]
+
     def test_unresolved_via_is_a_warning(self):
         graph = small_graph(n_encounters=2)
         graph.link(EdgeKind.CAUSED_BY, "P1-E2", "P1-E1", via="CarePlan-404")
@@ -435,6 +474,30 @@ class TestCheckInvariants:
         graph.add_encounter("P1", Encounter("E2", date(2021, 2, 1), "Allergy", "Provider-1"))
         graph.link(EdgeKind.CAUSED_BY, "E2", "E1", via="CarePlan-1")
         assert UNRESOLVED_VIA not in codes_of(graph.check_invariants())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    system=st.sampled_from(CodeSystem),
+    code=st.sampled_from(["C0020538", "x", "E11", "I10.9", "e11", "Encounter", "two words", ""]),
+)
+@example(seed=0, system=CodeSystem.UMLS_CUI, code="C0020538")
+@example(seed=0, system=CodeSystem.FHIR_LABEL, code="x")
+@example(seed=0, system=CodeSystem.FHIR_LABEL, code="E11")
+@settings(max_examples=40, deadline=None)
+def test_a_graph_the_checker_accepts_parses_back(seed, system, code):
+    """Any graph ``check_invariants`` accepts serializes, per patient, to a
+    bundle ``parse_bundle`` accepts and reads back the same encounters from,
+    whatever system a diagnosis code is of."""
+    graph = random_journey(random.Random(seed), min_encounters=1, require_diagnosis=True)
+    diagnosis = next(d for e in graph.encounters.values() for d in e.diagnoses)
+    diagnosis.icd10 = ConceptCode(system, code)
+    if graph.check_invariants().ok:
+        for patient_id in graph.patients:
+            result = parse_bundle(serialize_bundle(graph, patient_id))
+            assert result.ok, result.problems
+            owned = {e.encounter_id: e for e in graph.encounters_of(patient_id)}
+            assert result.graph.encounters == owned
 
 
 class TestStructuralEquality:

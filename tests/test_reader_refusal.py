@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from pjo import john_doe_bundle, parse_bundle
 from pjo.bundle import _INVALID, _RECORD_READERS, _SCALARS, _report
-from pjo.graph import ValidationReport
+from pjo.graph import ValidationReport, field_problems
 from pjo.records import FIELDS, OBJECT, OBJECTS, STRS, Bundle
 
 SEED = json.loads(john_doe_bundle())
@@ -110,6 +110,8 @@ def test_the_reader_takes_a_value_exactly_when_report_finds_no_problem(record_ty
     )
     assert taken is not reported, (value, problems.diagnostics)
     assert problems.ok is not reported, (value, problems.diagnostics)
+    if taken:
+        assert field_problems(result) == [], value
 
 
 @pytest.mark.parametrize("record_type, spec", FIELD_CASES)
