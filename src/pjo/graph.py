@@ -139,36 +139,57 @@ FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 # Per scalar value type (per entry, for a string array), its rules in order,
 # each (test, code, message, applies): ``test`` is source over the value
 # ``v``, true when the rule is kept, and ``message`` an f-string over ``v``
-# and the field's ``{name}``.  DOCUMENT rules apply to documents only; a READ
-# rule's test is the value read, which later rules see as ``v``.  VALUE rules
-# apply in memory too, REQUIRED ones to a required field or an entry.  The
-# reader's silent test and reporter, and ``field_problems``, come from here.
-DOCUMENT, READ, VALUE, REQUIRED = "document", "read", "value", "required"
+# and the field's ``{name}``.  DOCUMENT rules apply to documents only, and
+# MEMORY rules, that a value held in memory is of its type, to records only.
+# A READ rule's test is the value read, which later rules see as ``v``.
+# VALUE rules apply in memory too, REQUIRED ones to a required field or an
+# entry.  The reader's silent test and reporter, and ``field_problems``,
+# come from here.
+DOCUMENT, MEMORY, READ, VALUE, REQUIRED = "document", "memory", "read", "value", "required"
 FORMAT_VERSION = "pjo-1"
-_TEXT = (
-    ("v.__class__ is str", INVALID_TYPE, "{name} must be a string", DOCUMENT),
-    # A lone surrogate (from an escape such as "\ud800") cannot be written as UTF-8.
-    ("v.isascii() or not _SURROGATE(v)", INVALID_VALUE, "{name} holds a lone surrogate", DOCUMENT),
-    ("v", FIELD_INVALID, "{name} must be nonempty", REQUIRED),
-)
+
+
+def _held(test: str, kind: str) -> tuple:
+    """The MEMORY rule that a value is ``kind``; a left-out (None) value is
+    left to the nonempty rule."""
+    return (f"v is None or {test}", INVALID_TYPE, f"{{name}} must be {kind}", MEMORY)
+
+
+def _typed(test: str, kind: str) -> tuple:
+    """The type rules of a value that a document and a record hold alike."""
+    return _held(test, kind), (test, INVALID_TYPE, f"{{name}} must be {kind}", DOCUMENT)
+
+
+def _text(test: str, kind: str) -> tuple:
+    """The rules on a value that is ``kind`` in memory and text in a document."""
+    return (
+        _held(test, kind),
+        ("v.__class__ is str", INVALID_TYPE, "{name} must be a string", DOCUMENT),
+        # A lone surrogate (from an escape such as "\ud800") cannot be written as UTF-8.
+        ("v.isascii() or not _SURROGATE(v)",
+         INVALID_VALUE, "{name} holds a lone surrogate", DOCUMENT),
+        ("v", FIELD_INVALID, "{name} must be nonempty", REQUIRED),
+    )
+
+
+_STRING = _text("v.__class__ is str", "a string")
 RULES = {
-    STR: _TEXT,
-    STRS: _TEXT,
-    INT: (("v.__class__ is int", INVALID_TYPE, "{name} must be an integer", DOCUMENT),),
-    NUMBER: (("v.__class__ is float or v.__class__ is int",  # never a boolean
-              INVALID_TYPE, "{name} must be a number", DOCUMENT),),
-    DATE: (*_TEXT,
+    STR: _STRING,
+    STRS: _STRING,
+    INT: _typed("v.__class__ is int", "an integer"),
+    NUMBER: _typed("v.__class__ is float or v.__class__ is int", "a number"),  # never a boolean
+    DATE: (*_text("v.__class__ is date", "a date"),
            ("_DATE_SHAPE(v)",
             INVALID_VALUE, "{v!r} is not an ISO-8601 date (YYYY-MM-DD)", DOCUMENT),
            ("_calendar_day(v)", INVALID_VALUE, "{v!r} is not a calendar date", READ)),
-    ICD10: (*_TEXT,
+    ICD10: (*_text("v.__class__ is ConceptCode", "a ConceptCode"),
             ("ConceptCode(_ICD10, v)", None, None, READ),
             ("v.system is _ICD10 and validate_icd10(v.code)",
              BAD_ICD10, "{v.code!r} is not a valid ICD10 code", VALUE)),
-    KIND: (*_TEXT,
+    KIND: (*_text("v.__class__ is EdgeKind", "an EdgeKind"),
            ("_LINK_KINDS.get(v)",
             INVALID_VALUE, "link kind must be one of {sorted(_LINK_KINDS)}, got {v!r}", READ)),
-    VERSION: (*_TEXT,
+    VERSION: (*_STRING,
               ("v == FORMAT_VERSION", UNSUPPORTED_FORMAT_VERSION,
                "unsupported format version {v!r}, expected {FORMAT_VERSION!r}", DOCUMENT)),
 }  # fmt: skip
@@ -188,19 +209,21 @@ RULE_NAMES = {
     "_LINK_KINDS": {kind.value: kind for kind in EdgeKind},
     "_ICD10": CodeSystem.ICD10, "ConceptCode": ConceptCode, "validate_icd10": validate_icd10,
     "_calendar_day": _calendar_day, "FORMAT_VERSION": FORMAT_VERSION,
+    "date": date, "EdgeKind": EdgeKind,
     **{f.check.__name__: f.check for fields in FIELDS.values() for f in fields if f.check},
 }  # fmt: skip
 
 
 def field_rules(spec, document: bool, name: str) -> list[tuple]:
     """The rules on a value of scalar field ``spec`` (an entry, for a string
-    array) in order, worded with ``name``: all when ``document``, else the
-    value rules.  The field's ``check``, if any, is the last value rule."""
+    array) in order, worded with ``name``: the document's when ``document``,
+    else the record's.  The field's ``check``, if any, is the last value rule."""
     required = spec.required or spec.type == STRS
+    kept = (DOCUMENT, READ, VALUE, REQUIRED) if document else (MEMORY, VALUE, REQUIRED)
     rules = [
         (test, code, message and message.replace("{name}", name), applies)
         for test, code, message, applies in RULES[spec.type]
-        if (document or applies in (VALUE, REQUIRED)) and (required or applies != REQUIRED)
+        if applies in kept and (required or applies != REQUIRED)
     ]
     if spec.check is not None:
         check = spec.check.__name__
@@ -346,6 +369,7 @@ _RAISES = {
     TEMPORAL_VIOLATION: TemporalViolationError,
     UNKNOWN_PROVIDER: UnknownProviderError,
     FIELD_INVALID: FieldInvalidError,
+    INVALID_TYPE: FieldInvalidError,
 }
 
 

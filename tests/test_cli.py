@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -395,3 +398,221 @@ class TestValidateChecksOnce:
         path.write_text("{nope", encoding="utf-8")
         assert cli.main(["validate", str(path)]) == 1
         assert check_calls == []
+
+
+# -- every output pinned byte for byte --------------------------------------
+#
+# ``data/cli_outputs.json`` holds, per case below, the exit code, standard
+# output and standard error that ``cli.main`` gave when the case was
+# recorded.  ``data/cli_parser.json`` holds the argparse declaration of each
+# command path: its prog, description and actions.  Help and usage-error
+# texts are formatted by argparse, differently across Python versions, so
+# they are compared with those of a parser rebuilt from that declaration.
+
+DATA = Path(__file__).resolve().parent / "data"
+OUTPUTS = json.loads((DATA / "cli_outputs.json").read_text(encoding="utf-8"))
+DECLARED = json.loads((DATA / "cli_parser.json").read_text(encoding="utf-8"))
+
+INVALID_BUNDLE = (
+    '{"formatVersion": "pjo-1", "patient": {"patientID": "", "birthDate": "2021-02-30"}, '
+    '"extra": 1}'
+)
+BUNDLE_COMMANDS = {
+    "validate": ["validate"],
+    "timeline": ["query", "timeline", "--patient", "JohnDoe"],
+    "symptom-progression": [
+        "query", "symptom-progression", "--patient", "JohnDoe", "--symptom", "Sneezing"
+    ],
+    "followup-chain": ["query", "followup-chain", "--encounter", "Encounter-Allergy-20210725"],
+    "cause-trace": ["query", "cause-trace", "--encounter", "Encounter-Pulmonology-20210315"],
+    "symptom-diagnosis": ["query", "symptom-diagnosis", "--patient", "JohnDoe"],
+    "find": [
+        "query", "find", "--specialty", "Allergy", "--from", "2021-01-01", "--to", "2021-12-31"
+    ],
+}
+
+
+def output_cases() -> dict[str, tuple[list[str], str]]:
+    """Case ID -> (argv, name of the input file its ``{input}`` names)."""
+    cases = {}
+    for bundle in ("seed", "gap"):
+        for name, argv in BUNDLE_COMMANDS.items():
+            for form in ("table", "json"):
+                cases[f"{name}-{form}-{bundle}"] = ([*argv, "--format", form, "{input}"], bundle)
+        for detail in ("journey", "full"):
+            argv = ["export", "--patient", "JohnDoe", "--detail", detail, "{input}"]
+            cases[f"export-{detail}-{bundle}"] = (argv, bundle)
+    for name in ("kappa", "likert"):
+        for form in ("table", "json"):
+            cases[f"{name}-{form}"] = (["stats", name, "--format", form, "{input}"], name)
+    cases["seed"] = (["seed", "john-doe"], "seed")
+    argv = ["query", "timeline", "--patient", "JohnDoe", "{input}"]
+    cases["timeline-invalid"] = (argv, "invalid")
+    return cases
+
+
+INPUTS = {
+    "seed": john_doe_bundle(),
+    "gap": gap_bundle(),
+    "kappa": KAPPA_CSV,
+    "likert": LIKERT_CSV,
+    "invalid": INVALID_BUNDLE,
+}
+COMMAND_PATHS = [
+    "pjo",
+    "pjo seed",
+    "pjo validate",
+    "pjo query",
+    *(f"pjo query {name}" for name in list(BUNDLE_COMMANDS)[1:]),
+    "pjo export",
+    "pjo stats",
+    "pjo stats kappa",
+    "pjo stats likert",
+]
+USAGE_ERRORS = {
+    "unknown-command": ["frobnicate"],
+    "unknown-query": ["query", "frobnicate"],
+    "query-alone": ["query"],
+    "missing-patient": ["query", "timeline", "x.json"],
+    "bad-date": ["query", "find", "--from", "garbage", "x.json"],
+    "bad-format": ["validate", "--format", "xml", "x.json"],
+}
+
+
+@pytest.fixture
+def plain(monkeypatch):
+    """No color, and argparse wrapping at 80 columns whatever the terminal."""
+    monkeypatch.setenv("PJO_NO_COLOR", "1")
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_every_case_has_a_recorded_output():
+    assert set(OUTPUTS) == set(output_cases())
+
+
+@pytest.mark.parametrize("case", list(output_cases()))
+def test_output_is_unchanged(case, plain, tmp_path, capsys):
+    argv, source = output_cases()[case]
+    path = tmp_path / "input"
+    path.write_text(INPUTS[source], encoding="utf-8")
+    code = cli.main([str(path) if word == "{input}" else word for word in argv])
+    out, err = capsys.readouterr()
+    assert {"code": code, "stdout": out, "stderr": err} == OUTPUTS[case]
+
+
+def declared_parser() -> argparse.ArgumentParser:
+    """The parser that ``data/cli_parser.json`` declares, built with the
+    running argparse: its help and errors are what pjo's must print."""
+
+    def iso_date(value: str) -> date:
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not an ISO date (YYYY-MM-DD)")
+
+    types = {None: None, "_date_arg": iso_date}
+
+    def fill(parser: argparse.ArgumentParser, path: str) -> None:
+        assert parser.prog == DECLARED[path]["prog"]
+        for action in DECLARED[path]["actions"]:
+            action = dict(action)
+            options, dest = action.pop("option_strings"), action.pop("dest")
+            if dest == "help":
+                continue
+            children = action.pop("children", None)
+            if children is not None:
+                sub = parser.add_subparsers(dest=dest, required=action["required"])
+                for name, help_line in children:
+                    child = f"{path} {name}"
+                    description = DECLARED[child]["description"]
+                    fill(sub.add_parser(name, help=help_line, description=description), child)
+                continue
+            action["type"] = types[action["type"]]
+            if options:
+                parser.add_argument(*options, dest=dest, **action)
+            else:
+                del action["required"]
+                parser.add_argument(dest, **action)
+
+    parser = argparse.ArgumentParser(prog="pjo", description=DECLARED["pjo"]["description"])
+    fill(parser, "pjo")
+    return parser
+
+
+def exit_of(parse, argv: list[str], capsys) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as stopped:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return stopped.value.code, out, err
+
+
+def declared_parser_of(argv: list[str], monkeypatch, capsys) -> argparse.ArgumentParser:
+    """The parser pjo prints ``--help`` with for the command path ``argv``."""
+    seen = []
+    print_help = argparse.ArgumentParser.print_help
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            argparse.ArgumentParser,
+            "print_help",
+            lambda parser, file=None: seen.append(parser) or print_help(parser, file),
+        )
+        assert exit_of(cli.main, [*argv, "--help"], capsys)[0] == 0
+    return seen[0]
+
+
+def declaration(parser: argparse.ArgumentParser) -> dict:
+    """The prog, description and actions of one parser, as recorded."""
+    actions = []
+    for action in parser._actions:
+        entry = {
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "default": action.default,
+            "choices": None if action.choices is None else list(action.choices),
+            "required": action.required,
+            "type": getattr(action.type, "__name__", action.type),
+            "help": action.help,
+            "metavar": action.metavar,
+            "nargs": action.nargs,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            del entry["default"], entry["choices"], entry["type"], entry["nargs"]
+            entry["children"] = [[a.dest, a.help] for a in action._choices_actions]
+        actions.append(entry)
+    return {"prog": parser.prog, "description": parser.description, "actions": actions}
+
+
+class TestParserDeclaration:
+    def test_every_command_path_is_declared(self):
+        assert list(DECLARED) == COMMAND_PATHS
+
+    @pytest.mark.parametrize("path", list(DECLARED))
+    def test_declaration_is_unchanged(self, path, plain, monkeypatch, capsys):
+        parser = declared_parser_of(path.split()[1:], monkeypatch, capsys)
+        assert declaration(parser) == DECLARED[path]
+
+    @pytest.mark.parametrize("path", list(DECLARED))
+    def test_help_is_the_declared_parsers(self, path, plain, capsys):
+        argv = [*path.split()[1:], "--help"]
+        expected = exit_of(declared_parser().parse_args, argv, capsys)
+        assert exit_of(cli.main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+    def test_usage_error_is_the_declared_parsers(self, argv, plain, capsys):
+        code, out, err = exit_of(cli.main, argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == exit_of(declared_parser().parse_args, argv, capsys)[2]
+
+    def test_only_the_branch_argv_names_gets_arguments(self):
+        def commands(parser: argparse.ArgumentParser) -> dict:
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return action.choices
+
+        def dests(parser: argparse.ArgumentParser) -> list[str]:
+            return [action.dest for action in parser._actions]
+
+        top = commands(cli._build_parser(["query", "timeline", "--patient", "JohnDoe", "-"]))
+        assert dests(top["validate"]) == dests(top["stats"]) == ["help"]
+        queries = commands(top["query"])
+        assert dests(queries["timeline"]) == ["help", "patient", "bundle", "format"]
+        assert dests(queries["find"]) == ["help"]

@@ -41,6 +41,7 @@ from pjo.graph import (
     DUPLICATE_CUI_ANNOTATION,
     DUPLICATE_EDGE,
     FIELD_INVALID,
+    INVALID_TYPE,
     JOURNEY_GAP,
     SELF_LINK,
     TEMPORAL_VIOLATION,
@@ -48,6 +49,7 @@ from pjo.graph import (
     UNKNOWN_PROVIDER,
     UNOWNED_ENCOUNTER,
     UNRESOLVED_VIA,
+    field_problems,
 )
 
 
@@ -451,6 +453,52 @@ class TestCheckInvariants:
         graph.patients["P1"].birth_date = None
         bad = [(d.code, d.location, d.message) for d in graph.check_invariants().errors]
         assert bad == [(FIELD_INVALID, "patients[P1].birthDate", "birthDate must be nonempty")]
+
+    @pytest.mark.parametrize(
+        "array, record, where, message",
+        [
+            ("vitals", VitalSign(blood_pressure=5), "bloodPressure", "must be a string"),
+            ("vitals", VitalSign(weight="heavy"), "weight", "must be a number"),
+            ("vitals", VitalSign(heart_rate=True), "heartRate", "must be a number"),
+            ("diagnoses", Diagnosis("x", icd10="E11"), "icd10", "must be a ConceptCode"),
+        ],
+        ids=["blood-pressure", "weight", "heart-rate", "icd10"],
+    )
+    def test_a_wrongly_typed_value_is_reported_not_raised(
+        self, john_graph, array, record, where, message
+    ):
+        encounter_id = "Encounter-Allergy-20210725"
+        records = getattr(john_graph.encounters[encounter_id], array)
+        records.append(record)
+        bad = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+        location = f"encounters[{encounter_id}].{array}[{len(records) - 1}].{where}"
+        assert bad == [(INVALID_TYPE, location, f"{where} {message}")]
+        encounter = Encounter("E-new", date(2023, 1, 1), "Allergy", "Provider-Allergy")
+        getattr(encounter, array).append(record)
+        with pytest.raises(FieldInvalidError, match=f"{where} {message}"):
+            john_graph.add_encounter("JohnDoe", encounter)
+
+    def test_a_wrongly_typed_patient_name_is_refused_as_the_parser_refuses_it(self):
+        graph = small_graph()
+        graph.patients["P1"].patient_name = 5
+        bad = [(d.code, d.location, d.message) for d in graph.check_invariants().errors]
+        assert bad == [(INVALID_TYPE, "patients[P1].patientName", "patientName must be a string")]
+        assert not parse_bundle(serialize_bundle(graph, "P1")).ok
+        with pytest.raises(FieldInvalidError, match="patientName must be a string"):
+            JourneyGraph().add_patient(Patient("P2", 5, date(1980, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            (Patient("P", "N", "1980-01-01"), ("birthDate", "birthDate must be a date")),
+            (Provider("D", "Dr. D", years_of_experience=True),
+             ("yearsOfExperience", "yearsOfExperience must be an integer")),
+            (JourneyEdge("next", "A", "B"), ("kind", "kind must be an EdgeKind")),
+        ],
+        ids=["date", "int", "kind"],
+    )
+    def test_each_value_type_is_checked_in_memory(self, record, problem):
+        assert field_problems(record) == [(problem[0], INVALID_TYPE, problem[1])]
 
     def test_unresolved_via_is_a_warning(self):
         graph = small_graph(n_encounters=2)
