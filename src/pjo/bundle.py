@@ -60,6 +60,7 @@ from .records import (
     Field,
     Fresh,
     OnDemand,
+    define,
     holds_required,
     slotted,
 )
@@ -186,8 +187,7 @@ def _compile_writer(record_type: type, level: int):
     close = repr("\n" + "  " * level + "}")
     lines.append(f"return '{{' + ','.join(parts) + {close} if parts else '{{}}'")
     source = "def write(r):\n    " + "\n    ".join(lines)
-    exec(compile(source, f"<{record_type.__name__} writer>", "exec"), scope)
-    return scope["write"]
+    return define(source, f"<{record_type.__name__} writer>", scope, "writers")["write"]
 
 
 # Generated writers by nesting level, then by record type.
@@ -291,7 +291,9 @@ def _read_entry(record_type: type, item, path: str, problems: ValidationReport):
 # why and it reads as _INVALID.  Otherwise the reader reads the other fields
 # in canonical order: an array of flat records (all of whose fields are
 # scalars) in a loop that tests each entry the same way and sends one that
-# fails, or has an unknown key, to ``_read_entry``; any other through ``_read``.
+# fails, or has an unknown key, to ``_read_entry``; a string array in a loop
+# that tests each entry by its rules and sends one that fails to ``_report``;
+# any other through ``_read``.
 
 _SCALARS = RULES.keys() - {STRS}
 _TEMPLATES = OnDemand(lambda test: re.sub(r"\bv\b", "{0}", test))  # a test with v as {0}
@@ -300,6 +302,20 @@ _TEMPLATES = OnDemand(lambda test: re.sub(r"\bv\b", "{0}", test))  # a test with
 def _flat(record_type: type) -> bool:
     """Whether every field of the record type is a scalar."""
     return all(spec.type in _SCALARS for spec in FIELDS[record_type])
+
+
+def _kept(spec: Field, v: str, read: str) -> tuple[str, str]:
+    """Source of a test that the value (or string-array entry) in local ``v``
+    of field ``spec`` keeps every rule ``_report`` applies after presence,
+    and of what it reads as: ``read``, bound by the test, after a READ rule."""
+    value, terms = v, []
+    for rule, _, _, applies in field_rules(spec, True, ""):
+        term = _TEMPLATES[rule].format(value)
+        if applies == READ:
+            value = read
+            term = f"{value} := {term}"
+        terms.append(f"({term})")
+    return " and ".join(terms), value
 
 
 def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
@@ -313,15 +329,9 @@ def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
     for n, spec in enumerate(FIELDS[record_type]):
         if spec.type not in _SCALARS:
             continue
-        v = value = f"v{depth}_{n}"
-        terms = []
-        for rule, _, _, applies in field_rules(spec, True, ""):
-            term = _TEMPLATES[rule].format(value)
-            if applies == READ:
-                value = f"c{depth}_{n}"
-                term = f"{value} := {term}"
-            terms.append(f"({term})")
-        test, get = " and ".join(terms), f"({v} := {obj}.get({spec.key!r}))"
+        v = f"v{depth}_{n}"
+        test, value = _kept(spec, v, f"c{depth}_{n}")
+        get = f"({v} := {obj}.get({spec.key!r}))"
         if spec.required:
             test = test.replace(v, get, 1)
         else:
@@ -339,7 +349,7 @@ def _compile_reader(record_type: type):
     _INVALID after its problems are reported."""
     name = record_type.__name__
     scope = {
-        **RULE_NAMES, "_INVALID": _INVALID, "_warn_unknown": _warn_unknown,
+        **RULE_NAMES, "_INVALID": _INVALID, "_warn_unknown": _warn_unknown, "_report": _report,
         "_report_fields": _report_fields, "_read": _read, "_read_entry": _read_entry,
         "_join": _join, f"F_{name}": FIELDS[record_type],
     }  # fmt: skip
@@ -352,30 +362,36 @@ def _compile_reader(record_type: type):
         if n in values:
             continue
         values[n] = f"x{n}"
-        if spec.type == OBJECTS and _flat(spec.record):
-            item, at = spec.record.__name__, f'f"{{_join(path, {spec.key!r})}}[{{i}}]"'
+        invalid.append(f"x{n} is _INVALID")
+        # An entry that passes ``test`` reads as ``built``; any other as ``kept``
+        # when ``other`` holds, once its problems are reported.
+        at = f'f"{{_join(path, {spec.key!r})}}[{{i}}]"'
+        if spec.type == STRS:
+            test, built = _kept(spec, "e", "")[0], "e"
+            other, kept = f"not _report(F_{name}[{n}], e, {at}, problems)", "e"
+        elif spec.type == OBJECTS and _flat(spec.record):
+            item = spec.record.__name__
             item_test, item_values = _scalar_tests(spec.record, "e", 1, scope)
-            item_test = f"K_{item}.issuperset(e) and {item_test}"
+            test = f"e.__class__ is dict and K_{item}.issuperset(e) and {item_test}"
             built = f"{item}({', '.join(item_values[k] for k in sorted(item_values))})"
-            entry = f"(r := _read_entry({item}, e, {at}, problems)) is not _INVALID"
-            lines += [
-                f"x{n} = []",
-                f"if (v := o.get({spec.key!r})).__class__ is not list:",
-                f"    x{n} = _read(F_{name}[{n}], v, path, problems)",
-                "else:",
-                "    for i, e in enumerate(v):",
-                f"        if e.__class__ is dict and {item_test}: x{n}.append({built})",
-                f"        elif {entry}: x{n}.append(r)",
-            ]
+            other, kept = f"(r := _read_entry({item}, e, {at}, problems)) is not _INVALID", "r"
         else:
             lines.append(f"x{n} = _read(F_{name}[{n}], o.get({spec.key!r}), path, problems)")
-        invalid.append(f"x{n} is _INVALID")
+            continue
+        lines += [
+            f"x{n} = []",
+            f"if (v := o.get({spec.key!r})).__class__ is not list:",
+            f"    x{n} = _read(F_{name}[{n}], v, path, problems)",
+            "else:",
+            "    for i, e in enumerate(v):",
+            f"        if {test}: x{n}.append({built})",
+            f"        elif {other}: x{n}.append({kept})",
+        ]
     if invalid:
         lines.append(f"if {' or '.join(invalid)}: return _INVALID")
     lines.append(f"return {name}({', '.join(values[n] for n in sorted(values))})")
     source = "def read(o, path, problems):\n    " + "\n    ".join(lines)
-    exec(compile(source, f"<{name} reader>", "exec"), scope)
-    return scope["read"]
+    return define(source, f"<{name} reader>", scope, "readers")["read"]
 
 
 _RECORD_READERS = OnDemand(_compile_reader)

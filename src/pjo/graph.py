@@ -54,6 +54,7 @@ from .records import (
     OnDemand,
     Patient,
     Provider,
+    define,
     edge_dates_consistent,
     slotted,
 )
@@ -291,12 +292,19 @@ def _rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str
 def _compile_field_problems(record_type: type):
     scope = dict(RULE_NAMES)
     lines = ["problems = []", *_rule_lines(record_type, "record", "", 0), "return problems"]
-    exec("def problems(record):\n    " + "\n    ".join(lines), scope)
-    return scope["problems"]
+    source = "def problems(record):\n    " + "\n    ".join(lines)
+    filename = f"<{record_type.__name__} field problems>"
+    return define(source, filename, scope, "field_problems")["problems"]
 
 
-# Compiled on first use: the bundle parser never needs them.
+# Defined on first use: the bundle parser never needs them.
 _FIELD_PROBLEMS = OnDemand(_compile_field_problems)
+
+
+def _dated(first, second) -> bool:
+    """Whether both values keep the date type rule, so the join pass may
+    compare them: a value that broke the rule was reported by it."""
+    return first.__class__ is date and second.__class__ is date
 
 
 def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
@@ -341,7 +349,8 @@ def link_problems(graph: JourneyGraph, edge: JourneyEdge) -> list[FieldProblem]:
     owner = graph.encounter_owner.get(edge.from_encounter)
     if owner is None or owner != graph.encounter_owner.get(edge.to_encounter):
         problems.append(("", CROSS_PATIENT_LINK, f"{_arrow(edge)} crosses patients"))
-    if not edge_dates_consistent(edge.kind, source.date, target.date):
+    dated = _dated(source.date, target.date)
+    if dated and not edge_dates_consistent(edge.kind, source.date, target.date):
         dates = f"{source.date.isoformat()} and {target.date.isoformat()}"
         message = f"{_arrow(edge)} contradicts encounter dates {dates}"
         problems.append(("", TEMPORAL_VIOLATION, message))
@@ -356,7 +365,8 @@ def encounter_reference_problems(
     if encounter.provider_ref and encounter.provider_ref not in graph.providers:
         message = f"providerRef {encounter.provider_ref!r} does not resolve"
         problems.append(("providerRef", UNKNOWN_PROVIDER, message))
-    if owner is not None and encounter.date < owner.birth_date:
+    dated = owner is not None and _dated(encounter.date, owner.birth_date)
+    if dated and encounter.date < owner.birth_date:
         dates = f"{encounter.date.isoformat()} precedes birth date {owner.birth_date.isoformat()}"
         problems.append(("date", FIELD_INVALID, f"encounter date {dates}"))
     return problems
@@ -892,9 +902,12 @@ class JourneyGraph:
         connected: set[frozenset[str]] = set()
         for edge in self.edges:
             connected.add(frozenset((edge.from_encounter, edge.to_encounter)))
-        by_owner = self.encounters_by_owner()
+        encounters, by_owner = self.encounters, self._owners().encounters
         for patient_id in sorted(self.patients):
-            owned = by_owner.get(patient_id, [])
+            keys = [key for key in by_owner.get(patient_id, []) if key in encounters]
+            if any(encounters[key].date.__class__ is not date for key in keys):
+                continue  # encounters that cannot be put in date order (see ``_dated``)
+            owned = self._sorted_encounters(keys)
             for earlier, later in zip(owned, owned[1:]):
                 pair = frozenset((earlier.encounter_id, later.encounter_id))
                 if pair not in connected:

@@ -9,7 +9,8 @@ linked to each other by typed journey edges.
 canonical order, their value types, which are required, their defaults and
 the value checks that the graph checker also applies.  ``record`` builds
 each record class from that declaration, and ``slotted`` gives pjo's other
-value classes the same generated methods.
+value classes the same generated methods.  ``define`` runs every piece of
+pjo's generated code.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import re
 from datetime import date
 from enum import Enum
+from types import FunctionType
 from typing import Any, Callable
 
 BLOOD_PRESSURE_PATTERN = re.compile(r"([0-9]+)/([0-9]+)")
@@ -93,7 +95,7 @@ def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dic
             *(["def __hash__(self):", f"    return hash({mine})"] if frozen else []),
         ]
     )
-    exec(source, scope)
+    define(source, f"<{name} class>", scope, "classes")
     for method in ("__init__", "__eq__", "__repr__", "__reduce__"):
         namespace[method] = scope[method]
         scope[method].__qualname__ = f"{name}.{method}"
@@ -133,7 +135,7 @@ def slotted(cls=None, /, *, frozen: bool = False):
 class OnDemand(dict):
     """A dict whose missing entry for ``key`` is ``build(key)``, made on first use.
 
-    It holds code generated per record type, so that a process compiles
+    It holds code generated per record type, so that a process defines
     only the functions it calls.
     """
 
@@ -146,6 +148,26 @@ class OnDemand(dict):
     def __missing__(self, key):
         built = self[key] = self.build(key)
         return built
+
+
+# Each generator's sources, mapped to the factories whose bodies they are,
+# from its module of ``pjo._generated`` (see ``scripts/generate_code.py``).
+_GENERATED = OnDemand(
+    lambda part: __import__(f"pjo._generated.{part}", fromlist=["SOURCES"]).SOURCES
+)
+
+
+def define(source: str, filename: str, scope: dict, part: str) -> dict:
+    """``scope`` with the functions ``source``, generated code, defines, as
+    ``exec`` leaves it.  If the generator's ``part`` of ``pjo._generated``
+    holds the exact source, its factory's code, cached as bytecode like any
+    module's, runs instead of a compile of ``source`` under ``filename``."""
+    factory = _GENERATED[part].get(source)
+    if factory is None:
+        exec(compile(source, filename, "exec"), scope)
+    else:
+        scope.update(FunctionType(factory.__code__, scope)())
+    return scope
 
 
 # -- the field table ------------------------------------------------------

@@ -500,6 +500,50 @@ class TestCheckInvariants:
     def test_each_value_type_is_checked_in_memory(self, record, problem):
         assert field_problems(record) == [(problem[0], INVALID_TYPE, problem[1])]
 
+    @pytest.mark.parametrize(
+        "where, location, message",
+        [
+            (("encounters", "Encounter-Allergy-20210725", "date"),
+             "encounters[Encounter-Allergy-20210725].date", "date must be a date"),
+            (("patients", "JohnDoe", "birth_date"),
+             "patients[JohnDoe].birthDate", "birthDate must be a date"),
+        ],
+        ids=["encounter-date", "birth-date"],
+    )
+    def test_a_wrongly_typed_date_is_reported_not_compared(
+        self, john_graph, where, location, message
+    ):
+        warnings = john_graph.check_invariants().warnings
+        records, key, attr = where
+        setattr(getattr(john_graph, records)[key], attr, "2021-07-25")
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (INVALID_TYPE, location, message)
+        ]
+        assert report.warnings == warnings
+
+    @pytest.mark.parametrize("value", ["2021-01-01", None], ids=["string", "left-out"])
+    def test_a_link_endpoint_without_a_date_is_not_compared(self, value):
+        graph = small_graph(n_encounters=2)
+        graph.link(EdgeKind.NEXT, "P1-E1", "P1-E2")
+        graph.encounters["P1-E2"].date = value
+        report = graph.check_invariants()
+        code, message = (INVALID_TYPE, "date must be a date") if value else (
+            FIELD_INVALID, "date must be nonempty")  # fmt: skip
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (code, "encounters[P1-E2].date", message)
+        ]
+        assert codes_of(report, "warning") == [DUPLICATE_CUI_ANNOTATION]
+
+    def test_a_patient_with_an_undated_encounter_is_not_checked_for_gaps(self):
+        graph = small_graph(n_encounters=3)
+        graph.encounters["P1-E2"].date = "2021-02-01"
+        report = graph.check_invariants()
+        assert [(d.code, d.location) for d in report.errors] == [
+            (INVALID_TYPE, "encounters[P1-E2].date")
+        ]
+        assert codes_of(report, "warning") == [DUPLICATE_CUI_ANNOTATION]
+
     def test_unresolved_via_is_a_warning(self):
         graph = small_graph(n_encounters=2)
         graph.link(EdgeKind.CAUSED_BY, "P1-E2", "P1-E1", via="CarePlan-404")

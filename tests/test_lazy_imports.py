@@ -3,7 +3,8 @@
 ``pjo`` imports a module on first use of one of its public names, and
 each CLI command imports only the modules it runs.  The module checks run
 in a fresh interpreter without ``site``, so installed ``.pth`` files cannot
-load a module on pjo's behalf.
+load a module on pjo's behalf.  No command compiles generated code: it
+comes from the checked-in ``pjo._generated``.
 """
 
 import importlib
@@ -51,6 +52,76 @@ def seed_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("seed") / "john.json"
     path.write_text(pjo.john_doe_bundle(), encoding="utf-8")
     return str(path)
+
+
+# Notes each call pjo's own code makes to ``compile``, or to ``exec`` or
+# ``eval`` with a string, while ``import pjo.cli`` and the command run.
+COMPILES = """
+import builtins, contextlib, io, json, sys
+calls = []
+
+def noting(name):
+    run = getattr(builtins, name)
+    def call(source, *args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__") or ""
+        if (name == "compile" or isinstance(source, str)) and caller.split(".")[0] == "pjo":
+            calls.append(f"{name} in {caller}")
+        return run(source, *args, **kwargs)
+    return call
+
+for name in ("compile", "exec", "eval"):
+    setattr(builtins, name, noting(name))
+import pjo.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pjo.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "calls": calls}))
+"""
+
+
+@pytest.fixture(scope="module")
+def csv_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("stats")
+    (folder / "kappa.csv").write_text("subject,yes,no\ns1,2,0\ns2,1,1\n", encoding="utf-8")
+    (folder / "likert.csv").write_text("dimension,response\nq1,4\nq1,5\nq2,3\n", encoding="utf-8")
+    return {"kappa": str(folder / "kappa.csv"), "likert": str(folder / "likert.csv")}
+
+
+LEAF_COMMANDS = {
+    "seed": ["seed", "john-doe"],
+    "validate": ["validate", "{seed}"],
+    "timeline": ["query", "timeline", "--patient", "JohnDoe", "{seed}"],
+    "symptom-progression": [
+        "query", "symptom-progression", "--patient", "JohnDoe", "--symptom", "Sneezing", "{seed}"
+    ],
+    "followup-chain": [
+        "query", "followup-chain", "--encounter", "Encounter-Allergy-20210725", "{seed}"
+    ],
+    "cause-trace": [
+        "query", "cause-trace", "--encounter", "Encounter-AllergyFollowUp-20220418", "{seed}"
+    ],
+    "symptom-diagnosis": ["query", "symptom-diagnosis", "--patient", "JohnDoe", "{seed}"],
+    "find": ["query", "find", "--patient", "JohnDoe", "--specialty", "Allergy", "{seed}"],
+    "export": ["export", "{seed}"],
+    "export-full": ["export", "{seed}", "--detail", "full"],
+    "kappa": ["stats", "kappa", "{kappa}"],
+    "likert": ["stats", "likert", "--format", "json", "{likert}"],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS)
+def test_no_command_compiles_code(command, seed_path, csv_paths):
+    argv = [arg.format(seed=seed_path, **csv_paths) for arg in LEAF_COMMANDS[command]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COMPILES, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0, proc.stderr
+    assert result["calls"] == []
 
 
 def test_importing_the_package_loads_no_submodule():
