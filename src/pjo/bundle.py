@@ -480,21 +480,26 @@ def _assemble(
     # Errors on encounters, by document index: the duplicates the graph
     # cannot hold, and the checker's errors on the stored encounters.
     by_encounter: list[tuple[int, Diagnostic]] = []
-    index_of: dict[str, int] = {}
+    encounters: dict = {}
     for index, encounter in enumerate(document.encounters):
-        if encounter.encounter_id in graph.encounters:
+        if encounter.encounter_id in encounters:
             message = f"encounter ID {encounter.encounter_id!r} already used"
             at = f"encounters[{index}].encounterID"
             by_encounter.append((index, Diagnostic(Severity.ERROR, DUPLICATE_ID, message, at)))
         else:
-            graph.encounters[encounter.encounter_id] = encounter
-            graph.encounter_owner[encounter.encounter_id] = patient.patient_id
-            index_of[f"encounters[{encounter.encounter_id}]"] = index
+            encounters[encounter.encounter_id] = encounter
+    graph.encounters = encounters
+    graph.encounter_owner = dict.fromkeys(encounters, patient.patient_id)
     graph.edges.extend(document.links)
 
     report = graph._check_joins()
+    errors = report.errors
+    index_of: dict[str, int] = {}  # a stored encounter's location, to its index
+    if errors:
+        for index, encounter in enumerate(document.encounters):
+            index_of.setdefault(f"encounters[{encounter.encounter_id}]", index)
     rest: list[Diagnostic] = []
-    for diagnostic in report.errors:
+    for diagnostic in errors:
         head = location = diagnostic.location
         # Drop trailing fields until the head names a stored encounter, if
         # any; an encounter ID may itself hold dots.

@@ -310,10 +310,12 @@ def _dated(first, second) -> bool:
 def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
     """Whether ``via`` names a care plan or diagnosis in either endpoint."""
     for encounter in (from_encounter, to_encounter):
-        if any(plan.plan_id == via for plan in encounter.care_plans):
-            return True
-        if any(diagnosis.diagnosis_name == via for diagnosis in encounter.diagnoses):
-            return True
+        for plan in encounter.care_plans:
+            if plan.plan_id == via:
+                return True
+        for diagnosis in encounter.diagnoses:
+            if diagnosis.diagnosis_name == via:
+                return True
     return False
 
 
@@ -404,7 +406,9 @@ def cyclic_nodes(nodes: list[str], arcs: list[tuple[str, str]]) -> list[str]:
 
     Empty exactly when the arc set is acyclic.  Only arcs between two
     distinct nodes of ``nodes`` are considered: a self arc is a self-link,
-    a rule of its own.
+    a rule of its own.  ``link`` and the checker pass the arcs within one
+    day; the checker passes all arcs when those hold a cycle or one is not
+    forward in time.
     """
     known = set(nodes)
     out: dict[str, list[str]] = {node: [] for node in nodes}
@@ -666,7 +670,7 @@ class JourneyGraph:
         would.  On a graph it rejects the two can differ: a cycle that runs
         through a stored link across patients or against the dates is not
         seen, so such a link is accepted where whole-graph Kahn refuses it.
-        ``check_invariants`` still runs Kahn over the whole graph.
+        ``check_invariants`` reasons the same way (see ``_check_edges``).
         """
         edge = JourneyEdge(kind, from_encounter, to_encounter, via)
         _raise_first(link_problems(self, edge))
@@ -701,26 +705,33 @@ class JourneyGraph:
 
     # -- lookup -----------------------------------------------------------
 
-    def _sorted_encounters(self, keys: list[str]) -> list[Encounter]:
-        """The records stored under ``keys``, ordered by (date, key)."""
+    def _date_rows(self, keys: list[str]) -> list[tuple[date, str, Encounter]]:
+        """``(date, key, record)`` of each record stored under ``keys``, sorted.
+        Raises ``FieldInvalidError``, as ``add_encounter`` would, located at
+        the record, for a date that is not a ``date``: it has no order."""
         encounters = self.encounters
-        stored = [key for key in keys if key in encounters]
-        stored.sort(key=lambda key: (encounters[key].date, key))
-        return [encounters[key] for key in stored]
+        rows = [(e.date, key, e) for key in keys if (e := encounters.get(key)) is not None]
+        for day, key, encounter in rows:
+            if day.__class__ is not date:
+                relative, _, message = next(p for p in field_problems(encounter) if p[0] == "date")
+                raise FieldInvalidError(f"encounters[{key}].{relative}: {message}")
+        rows.sort()
+        return rows
 
     def encounters_of(self, patient_id: str) -> list[Encounter]:
         """The encounters stored under the patient's keys in
-        ``encounter_owner``, ordered by (date, key)."""
+        ``encounter_owner``, ordered by (date, key).  Raises
+        ``FieldInvalidError`` if one of their dates is not a ``date``."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        return self._sorted_encounters(self._owners().encounters.get(patient_id, []))
+        return [e for _, _, e in self._date_rows(self._owners().encounters.get(patient_id, []))]
 
     def encounters_by_owner(self) -> dict[str, list[Encounter]]:
         """Owned encounters grouped by owner ID, each group ordered as in
         ``encounters_of``; owners without a stored encounter are left out."""
         groups = {}
         for owner, keys in self._owners().encounters.items():
-            group = self._sorted_encounters(keys)
+            group = [encounter for _, _, encounter in self._date_rows(keys)]
             if group:
                 groups[owner] = group
         return groups
@@ -830,21 +841,26 @@ class JourneyGraph:
                 )
             else:
                 owners_seen[owner] = form_id
-        for form_id, owner in sorted(self.intake_form_owner.items()):
-            if form_id not in self.intake_forms:
-                report.error(
-                    DANGLING_REFERENCE,
-                    f"ownership entry references missing intake form {form_id!r}",
-                    f"intakeForms[{form_id}]",
-                )
+        for form_id in sorted(self.intake_form_owner.keys() - self.intake_forms.keys()):
+            report.error(
+                DANGLING_REFERENCE,
+                f"ownership entry references missing intake form {form_id!r}",
+                f"intakeForms[{form_id}]",
+            )
 
     def _check_encounters(self, report: ValidationReport, fields) -> None:
-        for encounter_id in sorted(self.encounters):
-            encounter = self.encounters[encounter_id]
-            owner = self.encounter_owner.get(encounter_id)
-            patient = self.patients.get(owner)
+        encounters, owners, patients = self.encounters, self.encounter_owner, self.patients
+        for encounter_id in sorted(encounters):
+            encounter = encounters[encounter_id]
+            owner = owners.get(encounter_id)
+            patient = patients.get(owner)
+            problems = fields(encounter)  # a clean encounter builds no other list
+            if not problems and patient is not None and encounter.encounter_id == encounter_id:
+                ref, day, birth = encounter.provider_ref, encounter.date, patient.birth_date
+                if (not ref or ref in self.providers) and not (_dated(day, birth) and day < birth):
+                    continue
             problems = (
-                fields(encounter)
+                problems
                 + key_problems(encounter, encounter_id)
                 + encounter_reference_problems(self, encounter, patient)
             )
@@ -862,35 +878,60 @@ class JourneyGraph:
                     f"encounter {encounter_id!r} owned by unknown patient {owner!r}",
                     location,
                 )
-        for encounter_id, owner in sorted(self.encounter_owner.items()):
-            if encounter_id not in self.encounters:
-                report.error(
-                    DANGLING_REFERENCE,
-                    missing_encounter("ownership entry references", encounter_id),
-                    f"encounters[{encounter_id}]",
-                )
+        for encounter_id in sorted(owners.keys() - encounters.keys()):
+            report.error(
+                DANGLING_REFERENCE,
+                missing_encounter("ownership entry references", encounter_id),
+                f"encounters[{encounter_id}]",
+            )
 
     def _check_edges(self, report: ValidationReport) -> None:
+        """Each link's endpoint rules, duplicate and ``via``; then cycles.
+
+        ``link_problems`` is asked only about a link whose ends are missing,
+        equal, of two owners or out of date order.  Kahn's algorithm runs
+        over the same-day arcs, and over the whole graph only when those
+        hold a cycle or an arc runs backward or is undated: otherwise dates
+        never decrease along a path, so every cycle lies within one day (the
+        argument of ``link``).  The message names what whole-graph Kahn does.
+        """
+        encounters, owner_of = self.encounters, self.encounter_owner.get
         seen: set[tuple[EdgeKind, str, str]] = set()
+        same_day: list[tuple[str, str]] = []  # oriented arcs within one day
+        forward = True  # whether every arc so far runs forward in dated time
         for index, edge in enumerate(self.edges):
-            problems = link_problems(self, edge)
-            for _, code, message in problems:
-                report.error(code, message, f"links[{index}]")
-            if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
-                continue  # no pair of encounters to compare
-            key = (edge.kind, edge.from_encounter, edge.to_encounter)
+            start, end, kind = edge.from_encounter, edge.to_encounter, edge.kind
+            source, target = encounters.get(start), encounters.get(end)
+            clean = source is not None and target is not None and start != end
+            if clean:
+                arc, first, last = (start, end), source.date, target.date
+                if kind is EdgeKind.CAUSED_BY:
+                    arc, first, last = (end, start), last, first
+                if not (_dated(first, last) and first <= last):
+                    forward = clean = False
+                elif first == last:
+                    same_day.append(arc)
+                clean = clean and (owner := owner_of(start)) is not None and owner == owner_of(end)
+            if not clean:
+                problems = link_problems(self, edge)
+                for _, code, message in problems:
+                    report.error(code, message, f"links[{index}]")
+                if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
+                    continue  # no pair of encounters to compare
+            key = (kind, start, end)
             if key in seen:
                 report.error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", f"links[{index}]")
             seen.add(key)
-            if edge.via is not None and not via_resolves(
-                edge.via, self.encounters[edge.from_encounter], self.encounters[edge.to_encounter]
-            ):
+            if edge.via is not None and not via_resolves(edge.via, source, target):
                 report.warning(
                     UNRESOLVED_VIA,
                     f"via {edge.via!r} names no care plan or diagnosis in either endpoint",
                     f"links[{index}].via",
                 )
-        in_cycle = cyclic_nodes(list(self.encounters), oriented_edges(self.edges))
+        nodes = list(dict.fromkeys(node for arc in same_day for node in arc))
+        if forward and not cyclic_nodes(nodes, same_day):
+            return
+        in_cycle = cyclic_nodes(list(encounters), oriented_edges(self.edges))
         if in_cycle:
             report.error(
                 CYCLE,
@@ -899,22 +940,20 @@ class JourneyGraph:
             )
 
     def _check_gaps(self, report: ValidationReport) -> None:
-        connected: set[frozenset[str]] = set()
-        for edge in self.edges:
-            connected.add(frozenset((edge.from_encounter, edge.to_encounter)))
-        encounters, by_owner = self.encounters, self._owners().encounters
+        linked = {(edge.from_encounter, edge.to_encounter) for edge in self.edges}
+        by_owner = self._owners().encounters
         for patient_id in sorted(self.patients):
-            keys = [key for key in by_owner.get(patient_id, []) if key in encounters]
-            if any(encounters[key].date.__class__ is not date for key in keys):
+            try:
+                rows = self._date_rows(by_owner.get(patient_id, ()))
+            except FieldInvalidError:
                 continue  # encounters that cannot be put in date order (see ``_dated``)
-            owned = self._sorted_encounters(keys)
-            for earlier, later in zip(owned, owned[1:]):
-                pair = frozenset((earlier.encounter_id, later.encounter_id))
-                if pair not in connected:
+            for (_, _, earlier), (_, _, later) in zip(rows, rows[1:]):
+                first, second = earlier.encounter_id, later.encounter_id
+                if (first, second) not in linked and (second, first) not in linked:
                     report.warning(
                         JOURNEY_GAP,
-                        f"journey gap: no link between {earlier.encounter_id!r} "
-                        f"({earlier.date.isoformat()}) and {later.encounter_id!r} "
+                        f"journey gap: no link between {first!r} "
+                        f"({earlier.date.isoformat()}) and {second!r} "
                         f"({later.date.isoformat()})",
                         f"patients[{patient_id}]",
                     )

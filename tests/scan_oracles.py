@@ -9,7 +9,8 @@ definition of a link that "introduces a cycle".  ``serialize_bundle_by_dumps``
 builds the bundle document as dicts and hands it to ``json.dumps``, which
 is what the direct writer's bytes must equal.  ``to_dot_by_scan`` draws
 each kind of subrecord by hand, where ``to_dot`` reads them from the field
-table.
+table.  ``check_by_scan`` is the invariant checker as plain passes that
+allocate per record and run Kahn's algorithm over the whole graph.
 """
 
 from __future__ import annotations
@@ -33,11 +34,25 @@ from pjo.errors import (
     UnknownPatientError,
 )
 from pjo.graph import (
+    CYCLE,
+    DANGLING_REFERENCE,
+    DUPLICATE_EDGE,
+    FIELD_INVALID,
     JOURNEY_GAP,
+    SELF_LINK,
+    UNKNOWN_PATIENT,
+    UNOWNED_ENCOUNTER,
+    UNOWNED_INTAKE_FORM,
+    UNRESOLVED_VIA,
     Diagnostic,
     Severity,
+    ValidationReport,
     cyclic_nodes,
+    encounter_reference_problems,
     field_problems,
+    key_problems,
+    link_problems,
+    missing_encounter,
     oriented_edges,
 )
 from pjo.queries import LinkRef, TimelineEntry
@@ -419,3 +434,161 @@ _DOCUMENT_VALUES = {
     OBJECT: lambda record: _document(record) or None,
     OBJECTS: lambda records: [_document(record) for record in records],
 }
+
+
+# -- the checker's record and join passes, one plain scan each ----------------
+#
+# ``check_by_scan`` is ``JourneyGraph._check`` with every pass that reads the
+# ownership maps or the links written as a scan: each record's problems as one
+# concatenated list, every ownership pair sorted, a frozenset per link and per
+# pair of consecutive encounters, and Kahn's algorithm over the whole graph.
+
+
+def check_by_scan(graph: JourneyGraph, fields=field_problems) -> ValidationReport:
+    """The checker's report with ``fields(record)`` as the field rules:
+    ``check_invariants()`` by default, ``_check_joins()`` with no rules."""
+    report = ValidationReport()
+    graph._check_annotations(report)
+    for name, records in (("patients", graph.patients), ("providers", graph.providers)):
+        for key in sorted(records):
+            record = records[key]
+            for relative, code, message in fields(record) + key_problems(record, key):
+                report.error(code, message, f"{name}[{key}].{relative}")
+    check_intake_forms_by_scan(graph, report, fields)
+    check_encounters_by_scan(graph, report, fields)
+    check_edges_by_scan(graph, report)
+    check_gaps_by_scan(graph, report)
+    return report
+
+
+def assert_checker_matches_the_scans(graph: JourneyGraph) -> None:
+    """``check_invariants()`` and ``_check_joins()`` equal ``check_by_scan``,
+    diagnostic for diagnostic and in order."""
+    assert graph.check_invariants().diagnostics == check_by_scan(graph).diagnostics
+    assert graph._check_joins().diagnostics == check_by_scan(graph, lambda record: []).diagnostics
+
+
+def check_intake_forms_by_scan(graph: JourneyGraph, report: ValidationReport, fields) -> None:
+    owners_seen: dict[str, str] = {}
+    for form_id in sorted(graph.intake_forms):
+        location = f"intakeForms[{form_id}]"
+        form = graph.intake_forms[form_id]
+        for relative, code, message in fields(form) + key_problems(form, form_id):
+            report.error(code, message, f"{location}.{relative}")
+        owner = graph.intake_form_owner.get(form_id)
+        if owner is None:
+            report.error(UNOWNED_INTAKE_FORM, f"intake form {form_id!r} has no owner", location)
+        elif owner not in graph.patients:
+            message = f"intake form {form_id!r} owned by unknown patient {owner!r}"
+            report.error(UNKNOWN_PATIENT, message, location)
+        elif owner in owners_seen:
+            report.error(
+                FIELD_INVALID,
+                f"patient {owner!r} has multiple intake forms "
+                f"({owners_seen[owner]!r} and {form_id!r})",
+                f"patients[{owner}]",
+            )
+        else:
+            owners_seen[owner] = form_id
+    for form_id, owner in sorted(graph.intake_form_owner.items()):
+        if form_id not in graph.intake_forms:
+            report.error(
+                DANGLING_REFERENCE,
+                f"ownership entry references missing intake form {form_id!r}",
+                f"intakeForms[{form_id}]",
+            )
+
+
+def check_encounters_by_scan(graph: JourneyGraph, report: ValidationReport, fields) -> None:
+    for encounter_id in sorted(graph.encounters):
+        encounter = graph.encounters[encounter_id]
+        owner = graph.encounter_owner.get(encounter_id)
+        patient = graph.patients.get(owner)
+        problems = (
+            fields(encounter)
+            + key_problems(encounter, encounter_id)
+            + encounter_reference_problems(graph, encounter, patient)
+        )
+        if not problems and patient is not None:
+            continue
+        location = f"encounters[{encounter_id}]"
+        for relative, code, message in problems:
+            report.error(code, message, f"{location}.{relative}")
+        if owner is None:
+            message = f"encounter {encounter_id!r} has no owner"
+            report.error(UNOWNED_ENCOUNTER, message, location)
+        elif patient is None:
+            report.error(
+                UNKNOWN_PATIENT,
+                f"encounter {encounter_id!r} owned by unknown patient {owner!r}",
+                location,
+            )
+    for encounter_id, owner in sorted(graph.encounter_owner.items()):
+        if encounter_id not in graph.encounters:
+            report.error(
+                DANGLING_REFERENCE,
+                missing_encounter("ownership entry references", encounter_id),
+                f"encounters[{encounter_id}]",
+            )
+
+
+def _via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
+    for encounter in (from_encounter, to_encounter):
+        if any(plan.plan_id == via for plan in encounter.care_plans):
+            return True
+        if any(diagnosis.diagnosis_name == via for diagnosis in encounter.diagnoses):
+            return True
+    return False
+
+
+def check_edges_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
+    seen: set[tuple[EdgeKind, str, str]] = set()
+    for index, edge in enumerate(graph.edges):
+        problems = link_problems(graph, edge)
+        for _, code, message in problems:
+            report.error(code, message, f"links[{index}]")
+        if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
+            continue  # no pair of encounters to compare
+        key = (edge.kind, edge.from_encounter, edge.to_encounter)
+        arrow = f"{edge.kind.value} link {edge.from_encounter!r} -> {edge.to_encounter!r}"
+        if key in seen:
+            report.error(DUPLICATE_EDGE, f"duplicate {arrow}", f"links[{index}]")
+        seen.add(key)
+        if edge.via is not None and not _via_resolves(
+            edge.via, graph.encounters[edge.from_encounter], graph.encounters[edge.to_encounter]
+        ):
+            report.warning(
+                UNRESOLVED_VIA,
+                f"via {edge.via!r} names no care plan or diagnosis in either endpoint",
+                f"links[{index}].via",
+            )
+    in_cycle = cyclic_nodes(list(graph.encounters), oriented_edges(graph.edges))
+    if in_cycle:
+        report.error(CYCLE, "journey links form a cycle through: " + ", ".join(in_cycle), "links")
+
+
+def check_gaps_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
+    connected: set[frozenset[str]] = set()
+    for edge in graph.edges:
+        connected.add(frozenset((edge.from_encounter, edge.to_encounter)))
+    encounters = graph.encounters
+    for patient_id in sorted(graph.patients):
+        keys = [
+            key
+            for key, owner in graph.encounter_owner.items()
+            if owner == patient_id and key in encounters
+        ]
+        if any(encounters[key].date.__class__ is not date for key in keys):
+            continue  # encounters that cannot be put in date order
+        keys.sort(key=lambda key: (encounters[key].date, key))
+        owned = [encounters[key] for key in keys]
+        for earlier, later in zip(owned, owned[1:]):
+            pair = frozenset((earlier.encounter_id, later.encounter_id))
+            if pair not in connected:
+                report.warning(
+                    JOURNEY_GAP,
+                    f"journey gap: no link between {earlier.encounter_id!r} "
+                    f"({earlier.date.isoformat()}) and {later.encounter_id!r} "
+                    f"({later.date.isoformat()})",
+                    f"patients[{patient_id}]",
+                )

@@ -1,5 +1,5 @@
 import random
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +51,8 @@ from pjo.graph import (
     UNRESOLVED_VIA,
     field_problems,
 )
+from pjo.dot import to_dot
+from pjo.queries import timeline
 
 
 def small_graph(n_encounters: int = 0, n_patients: int = 1) -> JourneyGraph:
@@ -311,6 +313,31 @@ class TestLookups:
     def test_intake_form_of_missing_is_none(self):
         graph = small_graph()
         assert graph.intake_form_of("P1") is None
+
+    @pytest.mark.parametrize(
+        "value", ["2021-07-25", None, datetime(2021, 7, 25)], ids=["string", "left-out", "datetime"]
+    )
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda graph: timeline(graph, "JohnDoe"),
+            lambda graph: to_dot(graph),
+            lambda graph: serialize_bundle(graph, "JohnDoe"),
+            lambda graph: graph.encounters_by_owner(),
+        ],
+        ids=["timeline", "to_dot", "serialize_bundle", "encounters_by_owner"],
+    )
+    def test_date_ordered_reads_refuse_an_encounter_without_a_date(self, john_graph, value, read):
+        key = "Encounter-Allergy-20210725"
+        encounter = john_graph.encounters[key]
+        encounter.date = value
+        # add_encounter refuses the same record with the same error, unlocated.
+        with pytest.raises(FieldInvalidError) as refused:
+            john_graph.add_encounter("JohnDoe", encounter)
+        with pytest.raises(FieldInvalidError) as raised:
+            read(john_graph)
+        assert str(raised.value) == f"encounters[{key}].{refused.value}"
+        assert str(refused.value) in ("date: date must be a date", "date: date must be nonempty")
 
 
 class TestCheckInvariants:

@@ -6,7 +6,8 @@ and ``link`` from a per-patient index of ``encounter_owner``,
 writes the graph: its own API, direct writes through every mutating method
 of those containers, replaced containers, deep copies, and writes to the
 containers and record fields the index never reads.  After every step each
-lookup must equal the plain scans in ``scan_oracles``.
+lookup, and the checker's report, must equal the plain scans in
+``scan_oracles``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pjo.graph import CountedDict, CountedList
 from pjo.queries import cause_trace, followup_chain, timeline
 from scan_oracles import (
     add_intake_form_by_scan,
+    assert_checker_matches_the_scans,
     cause_trace_by_scan,
     checked_link,
     edges_of_by_scan,
@@ -145,6 +147,9 @@ def assert_lookups_match_the_scans(graph: JourneyGraph) -> None:
         if group
     }
     assert groups == expected
+    # Stray and dangling ownership entries, links across patients, against
+    # the dates or to missing encounters: the report, in order.
+    assert_checker_matches_the_scans(graph)
 
 
 # -- steps -----------------------------------------------------------------
