@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Write the modules of src/pjo/_generated, the code pjo generates.
 
-pjo generates the methods of its record classes, its bundle readers and
-writers and its field checks from ``records.FIELDS``.  ``records.define``
-takes a generated source from its generator's module here, when that holds
-the exact text, instead of compiling it.  This script imports pjo with
-empty tables and builds, in a fixed order, every class, every record type's
-reader, the field checks of the records a graph stores, and the writers
-``serialize_bundle`` reaches from the bundle document.  It writes each
-source that was compiled as the body of a factory function, in the order
-built, one module per generator.
+pjo generates the ``__init__`` and ``_values`` of its record classes, its
+bundle readers and writers and its field checks from ``records.FIELDS``.
+``records.define`` takes a generated source from its generator's module
+here, when that holds the exact text, instead of compiling it.  This
+script imports pjo with empty tables and builds, in a fixed order, every
+class, every record type's reader, the field checks of the records a graph
+stores, and the writers ``serialize_bundle`` reaches from the bundle
+document.  It writes each source that was compiled as the body of a
+factory function, in the order built, one module per generator.
 
     python scripts/generate_code.py          # rewrite the modules
     python scripts/generate_code.py --check  # exit 1 if one is out of date

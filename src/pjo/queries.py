@@ -10,6 +10,7 @@ from __future__ import annotations
 from datetime import date
 
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
+from .errors import UnknownEncounterError
 from .graph import JourneyGraph
 from .records import EdgeKind, Encounter, JourneyEdge, slotted
 
@@ -107,15 +108,19 @@ def symptom_progression(
 
 
 def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
-    """The links whose two ends the encounter's owner owns (``edges_of``).
-
-    Raises :class:`UnknownEncounterError` for an encounter the graph does
-    not hold, and :class:`UnknownPatientError` when its owner is not a
-    stored patient.  On every graph ``check_invariants`` accepts these are
-    all the links that touch the encounter's journey; on a graph it
-    rejects, a stored link across patients is not among them.
-    """
+    """The links whose two ends the encounter's owner owns (``edges_of``):
+    on a graph ``check_invariants`` accepts, every link of the encounter's
+    journey; on one it rejects, no link across patients.  Raises as
+    ``patient_of`` and ``edges_of`` do for an unknown encounter or owner."""
     return graph.edges_of(graph.patient_of(encounter_id))
+
+
+def _stored(graph: JourneyGraph, keys: list[str]) -> list[Encounter]:
+    """The encounters under ``keys``, refusing a key the graph does not hold."""
+    try:
+        return [graph.encounters[key] for key in keys]
+    except KeyError as missing:
+        raise UnknownEncounterError(f"unknown encounter {missing.args[0]!r}") from None
 
 
 def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
@@ -166,7 +171,7 @@ def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
         chain.append(successor)
         seen.add(successor)
         current = successor
-    return [graph.encounters[eid] for eid in chain]
+    return _stored(graph, chain)
 
 
 def cause_trace(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
@@ -198,7 +203,7 @@ def cause_trace(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
         trace.append(cause)
         seen.add(cause)
         current = cause
-    return [graph.encounters[eid] for eid in trace]
+    return _stored(graph, trace)
 
 
 def symptom_diagnosis_links(graph: JourneyGraph, patient_id: str) -> list[SymptomDiagnosisLink]:
@@ -239,7 +244,7 @@ def find_encounters(
     if patient_id is not None:
         candidates = graph.encounters_of(patient_id)
     else:
-        candidates = sorted(graph.encounters.values(), key=lambda e: (e.date, e.encounter_id))
+        candidates = [e for _, _, e in graph._date_rows(list(graph.encounters))]
     matches = []
     for encounter in candidates:
         if specialty is not None and encounter.specialty.casefold() != specialty.casefold():

@@ -8,8 +8,8 @@ linked to each other by typed journey edges.
 ``FIELDS`` declares each record type: its bundle document's keys in
 canonical order, their value types, which are required, their defaults and
 the value checks that the graph checker also applies.  ``record`` builds
-each record class from that declaration, and ``slotted`` gives pjo's other
-value classes the same generated methods.  ``define`` runs every piece of
+each record class from that declaration, and ``slotted`` builds pjo's other
+value classes the same way (see ``_build``).  ``define`` runs every piece of
 pjo's generated code.
 """
 
@@ -49,17 +49,36 @@ def _refuse_change(self, name, value=None):
     raise AttributeError(f"{self.__class__.__name__} is frozen: cannot change {name!r}")
 
 
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._values() == other._values()
+    return NotImplemented
+
+
+def _repr(self):
+    shown = ", ".join(f"{attr}={value!r}" for attr, value in zip(self._attrs, self._values()))
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _reduce(self):
+    return self.__class__, self._values()
+
+
+def _hash(self):
+    return hash(self._values())
+
+
 def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dict, frozen: bool):
-    """The slotted class ``name`` holding ``attrs``, with generated methods.
+    """The slotted class ``name`` holding ``attrs``, with its methods.
 
     ``__init__`` takes the attributes positionally or by keyword, in order;
     ``defaults`` maps the optional ones, which follow the required ones, to
     a default value or a ``Fresh`` factory.  ``__init__`` ends by calling
-    ``__post_init__`` when the class has one.  ``__eq__`` compares the
-    attributes of two instances of one class; ``__reduce__`` rebuilds an
-    instance through ``__init__`` for ``pickle`` and ``copy``.  A frozen
-    class refuses assignment and hashes by value; a mutable one is
-    unhashable.
+    ``__post_init__`` when the class has one; ``_values`` returns the values.
+    The rest is shared, over ``_values`` and ``_attrs``: ``__eq__`` compares
+    instances of one class, ``__repr__`` names each value and ``__reduce__``
+    rebuilds one through ``__init__`` for ``pickle`` and ``copy``.  A frozen
+    class refuses assignment and hashes by value; a mutable one is unhashable.
     """
     scope: dict[str, Any] = {"_MISSING": _MISSING, "_set": object.__setattr__}
     params, body = ["self"], []
@@ -78,35 +97,21 @@ def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dic
         body.append(f"_set(self, {attr!r}, {value})" if frozen else f"self.{attr} = {value}")
     if "__post_init__" in namespace:
         body.append("self.__post_init__()")
-    mine = "(" + "".join(f"self.{attr}, " for attr in attrs) + ")"
-    shown = ", ".join(f"{attr}={{self.{attr}!r}}" for attr in attrs)
     source = "\n".join(
         [
             f"def __init__({', '.join(params)}):",
             *(f"    {line}" for line in body),
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return {mine} == {mine.replace('self.', 'other.')}",
-            "    return NotImplemented",
-            "def __repr__(self):",
-            f'    return f"{{self.__class__.__qualname__}}({shown})"',
-            "def __reduce__(self):",
-            f"    return self.__class__, {mine}",
-            *(["def __hash__(self):", f"    return hash({mine})"] if frozen else []),
+            "def _values(self):",
+            "    return (" + "".join(f"self.{attr}, " for attr in attrs) + ")",
         ]
     )
     define(source, f"<{name} class>", scope, "classes")
-    for method in ("__init__", "__eq__", "__repr__", "__reduce__"):
+    for method in ("__init__", "_values"):
         namespace[method] = scope[method]
         scope[method].__qualname__ = f"{name}.{method}"
+    namespace.update(_attrs=attrs, __eq__=_eq, __repr__=_repr, __reduce__=_reduce, __hash__=None)
     if frozen:
-        namespace.update(
-            __hash__=scope["__hash__"],
-            __setattr__=_refuse_change,
-            __delattr__=_refuse_change,
-        )
-    else:
-        namespace["__hash__"] = None
+        namespace.update(__hash__=_hash, __setattr__=_refuse_change, __delattr__=_refuse_change)
     namespace["__slots__"] = attrs + tuple(namespace.pop("__slots__", ()))
     return type(name, bases, namespace)
 

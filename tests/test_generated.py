@@ -6,12 +6,15 @@ compiling the same source.
 """
 
 import importlib
+import pkgutil
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import pytest
+
+from pjo.records import FIELDS
 
 PARTS = ("classes", "readers", "writers", "field_problems")
 
@@ -44,3 +47,41 @@ def test_each_factory_defines_its_sources_functions_with_the_same_bytecode(part)
         functions = [_shape(c) for c in compiled if isinstance(c, types.CodeType)]
         assert functions == [_shape(c) for c in stored if isinstance(c, types.CodeType)]
         assert functions and factory.__code__.co_cellvars == ()
+
+
+def _built_classes() -> list[type]:
+    """Every class of a pjo module whose ``__init__`` a class factory defines:
+    the classes ``records._build`` made."""
+    factories = importlib.import_module("pjo._generated.classes").SOURCES.values()
+    defined = {c for f in factories for c in f.__code__.co_consts if isinstance(c, types.CodeType)}
+    package = importlib.import_module("pjo")
+    modules = [
+        importlib.import_module(f"pjo.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+        if not info.name.startswith("_")
+    ]
+    return [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and getattr(vars(value).get("__init__"), "__code__", None) in defined
+    ]
+
+
+def test_every_built_class_shares_one_eq_repr_reduce_and_frozen_hash():
+    built = _built_classes()
+    assert set(FIELDS) < set(built)
+    for method in ("__eq__", "__repr__", "__reduce__"):
+        assert len({vars(cls)[method] for cls in built}) == 1, method
+    frozen = [cls for cls in built if "__delattr__" in vars(cls)]
+    assert frozen and len({vars(cls)["__hash__"] for cls in frozen}) == 1
+    assert all(vars(cls)["__hash__"] is None for cls in built if cls not in frozen)
+
+
+def test_each_class_factory_defines_only_init_and_the_value_tuple():
+    for factory in importlib.import_module("pjo._generated.classes").SOURCES.values():
+        consts = factory.__code__.co_consts
+        names = [c.co_name for c in consts if isinstance(c, types.CodeType)]
+        assert names == ["__init__", "_values"]

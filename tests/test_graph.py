@@ -52,7 +52,7 @@ from pjo.graph import (
     field_problems,
 )
 from pjo.dot import to_dot
-from pjo.queries import timeline
+from pjo.queries import find_encounters, timeline
 
 
 def small_graph(n_encounters: int = 0, n_patients: int = 1) -> JourneyGraph:
@@ -324,8 +324,9 @@ class TestLookups:
             lambda graph: to_dot(graph),
             lambda graph: serialize_bundle(graph, "JohnDoe"),
             lambda graph: graph.encounters_by_owner(),
+            lambda graph: find_encounters(graph),
         ],
-        ids=["timeline", "to_dot", "serialize_bundle", "encounters_by_owner"],
+        ids=["timeline", "to_dot", "serialize_bundle", "encounters_by_owner", "find_encounters"],
     )
     def test_date_ordered_reads_refuse_an_encounter_without_a_date(self, john_graph, value, read):
         key = "Encounter-Allergy-20210725"

@@ -22,7 +22,9 @@ from pjo import (
     symptom_progression,
     timeline,
 )
-from pjo.graph import CROSS_PATIENT_LINK, UNKNOWN_PATIENT, UNOWNED_ENCOUNTER
+from pjo.graph import (
+    CROSS_PATIENT_LINK, DANGLING_REFERENCE, UNKNOWN_PATIENT, UNOWNED_ENCOUNTER,
+)  # fmt: skip
 from pjo.seed import (
     ENCOUNTER_ALLERGY,
     ENCOUNTER_ALLERGY_FOLLOWUP,
@@ -288,6 +290,18 @@ class TestChainsOnGraphsTheCheckerRejects:
         for query in (followup_chain, cause_trace):
             with pytest.raises(UnknownPatientError):
                 query(graph, "E3")
+
+    def test_a_walk_reaching_an_owned_key_the_graph_does_not_store(self, john_graph):
+        first = ENCOUNTER_GENERAL_MEDICINE
+        john_graph.encounter_owner["Ghost"] = JOHN_DOE_ID
+        john_graph.edges.append(JourneyEdge(EdgeKind.HAS_FOLLOWUP, "Ghost", first))
+        john_graph.edges.append(JourneyEdge(EdgeKind.CAUSED_BY, first, "Ghost"))
+        assert DANGLING_REFERENCE in {d.code for d in john_graph.check_invariants().errors}
+        for query in (followup_chain, cause_trace):
+            with pytest.raises(UnknownEncounterError) as raised:
+                query(john_graph, first)
+            # The message patient_of gives for an encounter the graph does not hold.
+            assert str(raised.value) == "unknown encounter 'Ghost'"
 
 
 class TestSymptomDiagnosisLinks:
