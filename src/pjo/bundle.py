@@ -94,7 +94,9 @@ class ParseResult(SeverityViews):
 # ``FIELDS`` per record type and nesting level on first use.  It equals
 # ``json.dumps(document, indent=2, ensure_ascii=False)`` of the document the
 # records describe: through Python 3.12 that call takes the pure-Python
-# encoder whenever ``indent`` is set, which is several times slower.
+# encoder whenever ``indent`` is set, which is several times slower.  An
+# entry of an array of flat records is written with one f-string in its
+# holder's loop, as the reader reads it there (see ``_inline``).
 
 # The string encoder ``json.dumps`` uses with ``ensure_ascii=False``: C code
 # where the interpreter has it.
@@ -146,14 +148,96 @@ def _scalar(value, level: int) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
 
 
+# Per scalar value type, source of a test that a value is of its plain type,
+# with ``{0}`` its first use and ``{1}`` the others, and of its text then, as
+# ``json.dumps`` writes it.  A number is plain when finite: NaN and the
+# infinities minus themselves are NaN.  A code or link kind is written as its
+# string (see ``_set``).  A value that is not plain is written by ``_scalar``;
+# a date always as its ISO text.
+_PLAIN = {
+    STR: ("{0}.__class__ is str", "_encode({0})"),
+    INT: ("{0}.__class__ is int", "int.__repr__({0})"),
+    NUMBER: ("({0}.__class__ is float or {1}.__class__ is int) and {1} - {1} == 0", "repr({0})"),
+    DATE: ("{0}.__class__ is date", "_encode(isoformat({0}))"),
+}
+_PLAIN[VERSION] = _PLAIN[ICD10] = _PLAIN[KIND] = _PLAIN[STR]
+_STRING_OF = {ICD10: "code", KIND: "value"}  # the attribute written for a code or link kind
+
+
+def _set(spec: Field, v: str, get: str, plain: bool = False) -> str:
+    """Source of a test that scalar field ``spec``'s value, read by ``get``,
+    is set (and, if ``plain``, of its plain type), which binds it to ``v``."""
+    test = ""
+    if spec.type in _STRING_OF:
+        test = f"({v} := {get}) is not None and "
+        get = f"{v}.{_STRING_OF[spec.type]}"
+    if plain:
+        return test + _PLAIN[spec.type][0].format(f"({v} := {get})", v)
+    return test + f"({v} := {get}) is not None"
+
+
+def _text(value_type: str, v: str, level: int) -> str:
+    """Source of the text at nesting ``level`` of a set value in ``v`` of a
+    scalar field of ``value_type``."""
+    test, text = _PLAIN[value_type]
+    if value_type == DATE:
+        return text.format(v)
+    return f"({text.format(v)} if {test.format(v, v)} else _scalar({v}, {level}))"
+
+
+def _literal(text: str) -> str:
+    """``text`` as the literal part of an f-string between single quotes."""
+    for plain, escaped in (("\\", "\\\\"), ("'", "\\'"), ("\n", "\\n"), ("{", "{{"), ("}", "}}")):
+        text = text.replace(plain, escaped)
+    return text
+
+
+def _inline(record_type: type, level: int, scope: dict) -> tuple[str, str]:
+    """Sources of a test on the array entry in local ``x``, and of its
+    ``_object`` text at nesting ``level`` when the test holds: one f-string
+    per entry of an array of the flat ``record_type``, written in the
+    holder's loop as the readers read such entries.
+
+    The test holds for a record of exactly that class whose fields that a
+    read record always sets (required ones, and those with a default) are
+    set and of their plain types.  Any other field is written when set,
+    whatever its type, after ``P_<key>`` (put in ``scope``): a comma, the
+    key and a colon.  When the first field may be left out, every field's
+    text starts with a comma, and the first comma is cut (``{}`` when no
+    field is set).
+    """
+    name, inner = record_type.__name__, level + 1
+    scope[name] = record_type
+    fields = FIELDS[record_type]
+    sure = [spec.required or spec.default is not None for spec in fields]
+    tests, pieces = [f"x.__class__ is {name}"], []
+    for n, spec in enumerate(fields):
+        e, get, key = f"e{n}", f"x.{spec.attr}", f"\n{'  ' * inner}{_encode(spec.key)}: "
+        if sure[n]:
+            tests.append(_set(spec, e, get, plain=True))
+            text = _PLAIN[spec.type][1].format(e)
+            pieces.append(_literal("," * (n > 0) + key) + f"{{{text}}}")
+        else:
+            scope[f"P_{spec.key}"] = "," + key
+            text = f"P_{spec.key} + {_text(spec.type, e, inner)}"
+            pieces.append(f'{{{text} if {_set(spec, e, get)} else ""}}')
+    opened, body, closed = _literal("{"), "".join(pieces), _literal("\n" + "  " * level + "}")
+    if sure[0]:
+        text = f"f'{opened}{body}{closed}'"
+    else:
+        text = f"(f'{opened}{{t[1:]}}{closed}' if (t := f'{body}') else '{{}}')"
+    return " and ".join(tests), text
+
+
 def _compile_writer(record_type: type, level: int):
     """``write(record)``: ``_object`` for one record type at one level.
 
-    One line per field appends the field's key and value text when the
-    field is set.  A date, code or link kind is written as its string; a
-    held record that sets no field is left out, except by the document (at
-    level 0), which writes every record it holds; an array of records is
-    written inline, each entry by its own class's writer.
+    One statement per field appends the field's key and value text when
+    the field is set.  A held record that sets no field is left out,
+    except by the document (at level 0), which writes every record it
+    holds.  An array is written inline: an entry of an array of flat
+    records in the loop over the array when ``_inline``'s test takes it,
+    any other entry by its own class's writer.
     """
     inner = level + 1
     scope = {
@@ -166,23 +250,31 @@ def _compile_writer(record_type: type, level: int):
     lines = ["parts = []"]
     for spec in FIELDS[record_type]:
         head = repr(f"\n{'  ' * inner}{_encode(spec.key)}: ")
-        test = f"(v := r.{spec.attr}) is not None"
-        if spec.type in (STR, INT, NUMBER, VERSION):
-            text = f"(_encode(v) if v.__class__ is str else _scalar(v, {inner}))"
-        elif spec.type == DATE:
-            text = "_encode(isoformat(v))"
-        elif spec.type in (ICD10, KIND):
-            test += f" and (v := v.{'code' if spec.type == ICD10 else 'value'}) is not None"
-            text = f"_scalar(v, {inner})"
+        get = f"r.{spec.attr}"
+        if spec.type in _PLAIN:
+            test, text = _set(spec, "v", get), _text(spec.type, "v", inner)
         elif spec.type == OBJECT and level == 0:
-            text = "objects[v.__class__](v)"
+            test, text = f"(v := {get}) is not None", "objects[v.__class__](v)"
         elif spec.type == OBJECT:
-            test += " and (t := objects[v.__class__](v)) != '{}'"
+            test = f"(v := {get}) is not None and (t := objects[v.__class__](v)) != '{{}}'"
             text = "t"
         else:
-            item = f"_scalar(x, {inner + 1})" if spec.type == STRS else "entries[x.__class__](x)"
-            entries = f"(a := [{item} for x in v])"
-            text = f"({opened} + {between}.join(a) + {closed} if {entries} else '[]')"
+            if spec.type == STRS:
+                texts = [f"a = [{_text(STR, 'x', inner + 1)} for x in v]"]
+            elif _flat(spec.record):
+                entry_test, entry_text = _inline(spec.record, inner + 1, scope)
+                texts = [
+                    "a = []",
+                    "for x in v:",
+                    f"    if {entry_test}: a.append({entry_text})",
+                    "    else: a.append(entries[x.__class__](x))",
+                ]
+            else:
+                texts = ["a = [entries[x.__class__](x) for x in v]"]
+            text = f"({opened} + {between}.join(a) + {closed} if a else '[]')"
+            lines.append(f"if (v := {get}) is not None:")
+            lines += [f"    {line}" for line in (*texts, f"parts.append({head} + {text})")]
+            continue
         lines.append(f"if {test}: parts.append({head} + {text})")
     close = repr("\n" + "  " * level + "}")
     lines.append(f"return '{{' + ','.join(parts) + {close} if parts else '{{}}'")

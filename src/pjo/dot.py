@@ -36,6 +36,12 @@ STYLE_TABLE = {
 }
 
 
+# Each node line's text after its label: the class's shape and fill color.
+_STYLE_TAILS = {
+    class_name: f', shape={shape}, style=filled, fillcolor="{color}"];'
+    for class_name, (shape, color) in STYLE_TABLE.items()
+}
+
 # ``full`` detail: per subrecord field of an intake form or encounter, the
 # label of the edge to each subrecord it holds, and a getter of the label of
 # the subrecord's node (None: the node's numbered ID).
@@ -50,16 +56,20 @@ _DETAIL_LABELS = {
     "carePlans": ("hasPlan", attrgetter("plan_id")),
 }
 # Per record type, its subrecord fields in canonical order: a getter of the
-# field, whether it holds an array, the subrecord class name and the labels.
+# field, whether it holds an array, the subrecord class name, the getter of
+# its node's label, its node line's tail and its edge line's tail.
 _DETAIL = {
     record_type: tuple(
-        (attrgetter(spec.attr), spec.type == OBJECTS, spec.record.__name__)
-        + _DETAIL_LABELS[spec.key]
+        (
+            attrgetter(spec.attr), spec.type == OBJECTS, spec.record.__name__,
+            _DETAIL_LABELS[spec.key][1], _STYLE_TAILS[spec.record.__name__],
+            f' [label="{_DETAIL_LABELS[spec.key][0]}"];',
+        )
         for spec in FIELDS[record_type]
         if spec.type in (OBJECT, OBJECTS)
     )
     for record_type in (IntakeForm, Encounter)
-}
+}  # fmt: skip
 
 
 def _quote(value: str) -> str:
@@ -68,31 +78,13 @@ def _quote(value: str) -> str:
     return f'"{value}"'
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.node_lines: list[str] = []
-        self.edge_lines: list[str] = []
-        self._counters: dict[str, int] = {}
-
-    def node(self, node_id: str, label: str, class_name: str) -> None:
-        shape, color = STYLE_TABLE[class_name]
-        self.node_lines.append(
-            f"  {_quote(node_id)} [label={_quote(label)}, shape={shape}, "
-            f'style=filled, fillcolor="{color}"];'
-        )
-
-    def edge(self, source: str, target: str, label: str) -> None:
-        self.edge_lines.append(
-            f"  {_quote(source)} -> {_quote(target)} [label={_quote(label)}];"
-        )
-
-    def numbered(self, class_name: str) -> str:
-        count = self._counters[class_name] = self._counters.get(class_name, 0) + 1
-        return f"{class_name}-{count}"
-
-
 def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "journey") -> str:
-    """Render the graph (or one patient's journey) as DOT text."""
+    """Render the graph (or one patient's journey) as DOT text.
+
+    Each patient, intake form and encounter ID is quoted once, and its
+    quoted text reused for its node and every edge that names it.  Numbered
+    IDs and edge labels need no escaping; each line is one f-string.
+    """
     if detail not in ("journey", "full"):
         raise ValueError(f"detail must be 'journey' or 'full', got {detail!r}")
     if patient_id is not None and patient_id not in graph.patients:
@@ -100,49 +92,52 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
 
     encounters_by_owner = graph.encounters_by_owner()
-    writer = _Writer()
-    selected_encounters: set[str] = set()
+    full = detail == "full"
+    nodes: list[str] = []
+    edges: list[str] = []
+    counts = dict.fromkeys(STYLE_TABLE, 0)  # subrecords numbered so far, per class
+    patient_tail, form_tail, encounter_tail = (
+        _STYLE_TAILS[class_name] for class_name in ("Patient", "IntakeForm", "Encounter")
+    )
+    quoted: dict[str, str] = {}  # each selected encounter's quoted ID
     for pid in patient_ids:
-        patient = graph.patients[pid]
-        writer.node(pid, patient.patient_name, "Patient")
+        patient, name = _quote(pid), _quote(graph.patients[pid].patient_name)
+        nodes.append(f"  {patient} [label={name}{patient_tail}")
         form = graph.intake_form_of(pid)
         if form is not None:
-            writer.node(form.intake_form_id, form.intake_form_id, "IntakeForm")
-            writer.edge(pid, form.intake_form_id, "hasIntakeForm")
-            if detail == "full":
-                _detail(writer, form.intake_form_id, form)
+            form_id = _quote(form.intake_form_id)
+            nodes.append(f"  {form_id} [label={form_id}{form_tail}")
+            edges.append(f'  {patient} -> {form_id} [label="hasIntakeForm"];')
+            if full:
+                _detail(nodes, edges, counts, form_id, form)
         for encounter in encounters_by_owner.get(pid, []):
-            selected_encounters.add(encounter.encounter_id)
-            writer.node(encounter.encounter_id, encounter.encounter_id, "Encounter")
-            writer.edge(pid, encounter.encounter_id, "hasEncounter")
-            if detail == "full":
-                _detail(writer, encounter.encounter_id, encounter)
+            encounter_id = quoted[encounter.encounter_id] = _quote(encounter.encounter_id)
+            nodes.append(f"  {encounter_id} [label={encounter_id}{encounter_tail}")
+            edges.append(f'  {patient} -> {encounter_id} [label="hasEncounter"];')
+            if full:
+                _detail(nodes, edges, counts, encounter_id, encounter)
 
     journey_edges = sorted(
-        (
-            edge
-            for edge in graph.edges
-            if edge.from_encounter in selected_encounters
-            and edge.to_encounter in selected_encounters
-        ),
-        key=lambda e: (EDGE_LABELS[e.kind], e.from_encounter, e.to_encounter),
+        (EDGE_LABELS[edge.kind], edge.from_encounter, edge.to_encounter)
+        for edge in graph.edges
+        if edge.from_encounter in quoted and edge.to_encounter in quoted
     )
-    for edge in journey_edges:
-        writer.edge(edge.from_encounter, edge.to_encounter, EDGE_LABELS[edge.kind])
+    for label, source, target in journey_edges:
+        edges.append(f'  {quoted[source]} -> {quoted[target]} [label="{label}"];')
 
-    lines = ["digraph pjo {", "  rankdir=LR;"]
-    lines.extend(writer.node_lines)
-    lines.extend(writer.edge_lines)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["digraph pjo {", "  rankdir=LR;", *nodes, *edges, "}"]) + "\n"
 
 
-def _detail(writer: _Writer, parent_id: str, record) -> None:
-    """Draw each subrecord the record holds, linked from ``parent_id``."""
-    numbered, node, edge = writer.numbered, writer.node, writer.edge
-    for held_by, many, class_name, edge_label, label_of in _DETAIL[record.__class__]:
+def _detail(nodes: list[str], edges: list[str], counts: dict, parent: str, record) -> None:
+    """Draw each subrecord the record holds, linked from ``parent``, the
+    record's quoted ID; ``counts`` numbers the subrecords per class."""
+    for held_by, many, class_name, label_of, node_tail, edge_tail in _DETAIL[record.__class__]:
         held = held_by(record)
+        count = counts[class_name]
         for subrecord in held if many else (held,):
-            node_id = numbered(class_name)
-            node(node_id, label_of(subrecord) if label_of else node_id, class_name)
-            edge(parent_id, node_id, edge_label)
+            count += 1
+            node = f'"{class_name}-{count}"'
+            label = _quote(label_of(subrecord)) if label_of else node
+            nodes.append(f"  {node} [label={label}{node_tail}")
+            edges.append(f"  {parent} -> {node}{edge_tail}")
+        counts[class_name] = count

@@ -46,6 +46,8 @@ from .records import (
     STR,
     STRS,
     VERSION,
+    CarePlan,
+    Diagnosis,
     Encounter,
     EdgeKind,
     Fresh,
@@ -145,7 +147,8 @@ FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 # A READ rule's test is the value read, which later rules see as ``v``.
 # VALUE rules apply in memory too, REQUIRED ones to a required field or an
 # entry.  The reader's silent test and reporter, and ``field_problems``,
-# come from here.
+# come from here; ``holder_rules`` gives the MEMORY rules of the fields that
+# hold records or arrays.
 DOCUMENT, MEMORY, READ, VALUE, REQUIRED = "document", "memory", "read", "value", "required"
 FORMAT_VERSION = "pjo-1"
 
@@ -232,11 +235,34 @@ def field_rules(spec, document: bool, name: str) -> list[tuple]:
     return rules
 
 
+def holder_rules(spec) -> list[tuple]:
+    """The MEMORY type rules of a field that holds a record or an array, each
+    (test, code, message) with the test a template over the value as ``{0}``:
+    the field's value, then each entry of an array of records.  A held record
+    is of the field's record type, or None unless required; an array is a
+    list.  The checks on what a value holds run only when it keeps these."""
+    if spec.type == OBJECT:
+        held = spec.record.__name__
+        test = f"{{0}}.__class__ is {held}"
+        if not spec.required:
+            test = f"{{0}} is None or {test}"
+        return [(test, INVALID_TYPE, f"{spec.key} must be a {held}")]
+    rules = [("{0}.__class__ is list", INVALID_TYPE, f"{spec.key} must be a list")]
+    if spec.type == OBJECTS:
+        entry = spec.record.__name__
+        rules.append(
+            (f"{{0}}.__class__ is {entry}", INVALID_TYPE, f"{spec.key} entries must be a {entry}")
+        )
+    return rules
+
+
 def field_problems(record) -> list[FieldProblem]:
     """The field rules ``record`` breaks, with locations relative to it: in
     it and the records it holds, the first value rule of ``RULES`` each value
     breaks.  A required string and every string-array entry must be nonempty,
-    an ICD-10 code of that system and shape, and a checked value pass."""
+    an ICD-10 code of that system and shape, and a checked value pass.  A
+    held record, an array or an array entry of the wrong type (see
+    ``holder_rules``) is reported, and what it holds is not checked."""
     return _FIELD_PROBLEMS[record.__class__](record)
 
 
@@ -254,43 +280,64 @@ def key_problems(record, key: str) -> list[FieldProblem]:
     return []
 
 
+def _report_line(test: str, at: str, code: str, message: str) -> str:
+    """Source of a statement that reports the rule when ``test`` fails."""
+    return f"if not ({test}): problems.append((f{at!r}, {code!r}, f{message!r}))"
+
+
 def _rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str]:
     """Source lines that check the record held in the local ``var``.
 
     ``where`` is the f-string text of the record's location prefix.  Held
     records and array entries are checked inline, in loops over their
     arrays, so the generated function is straight-line code per record
-    type that formats a location only when a rule fails.
+    type that formats a location only when a rule fails.  What a held
+    record, an array or an entry holds is checked in the ``else`` (for a
+    held record left out, the ``elif``) of its type rule's report.
     """
     lines = []
     for spec in FIELDS[record_type]:
         value, at = f"{var}.{spec.attr}", where + spec.key
+        if spec.type not in (OBJECT, OBJECTS, STRS):
+            head = f"v = {value}" if spec.required else f"if (v := {value}) is not None:"
+            nested = _scalar_lines(spec, at, spec.key)
+            lines += [head, *(f"    {line}" if head.endswith(":") else line for line in nested)]
+            continue
         index, inner = f"i{depth + 1}", f"r{depth + 1}"
-        if spec.type in (STRS, OBJECTS):
-            at += f"[{{{index}}}]"
-        if spec.type in (OBJECT, OBJECTS):
-            nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1)
-            loop = f"for {index}, {inner} in enumerate({value}):"
-            head = loop if spec.type == OBJECTS else f"{inner} = {value}"
+        (test, code, message), *entry_rules = holder_rules(spec)
+        held = inner if spec.type == OBJECT else f"a{depth + 1}"
+        lines += [f"{held} = {value}", _report_line(test.format(held), at, code, message)]
+        if spec.type == OBJECT:
+            lines.append(f"elif {held} is not None:")
+            body = _rule_lines(spec.record, inner, f"{at}.", depth + 1)
         else:
-            name, head = spec.key, f"if (v := {value}) is not None:"
+            at += f"[{{{index}}}]"
             if spec.type == STRS:
-                name, head = f"{spec.key} entries", f"for {index}, v in enumerate({value}):"
-            elif spec.required:
-                head = f"v = {value}"
-            nested = [
-                f"{'elif' if n else 'if'} not ({test}): "
-                f"problems.append((f{at!r}, {code!r}, f{message!r}))"
-                for n, (test, code, message, _) in enumerate(field_rules(spec, False, name))
-            ]
-        if nested:
-            indent = "    " if head.endswith(":") else ""
-            lines += [head, *(indent + line for line in nested)]
+                loop = f"for {index}, v in enumerate({held}):"
+                entry = _scalar_lines(spec, at, f"{spec.key} entries")
+            else:
+                ((test, code, message),) = entry_rules
+                loop = f"for {index}, {inner} in enumerate({held}):"
+                nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1)
+                entry = [_report_line(test.format(inner), at, code, message), "else:"]
+                entry += [f"    {line}" for line in nested]
+            lines.append("else:")
+            body = [loop, *(f"    {line}" for line in entry)]
+        lines += [f"    {line}" for line in body]
     return lines
 
 
+def _scalar_lines(spec, at: str, name: str) -> list[str]:
+    """Source lines that report the first rule the scalar value (or
+    string-array entry) in the local ``v`` breaks."""
+    return [
+        ("el" if n else "") + _report_line(test, at, code, message)
+        for n, (test, code, message, _) in enumerate(field_rules(spec, False, name))
+    ]
+
+
 def _compile_field_problems(record_type: type):
-    scope = dict(RULE_NAMES)
+    scope = {**RULE_NAMES, **{held.__name__: held for held in FIELDS}}
     lines = ["problems = []", *_rule_lines(record_type, "record", "", 0), "return problems"]
     source = "def problems(record):\n    " + "\n    ".join(lines)
     filename = f"<{record_type.__name__} field problems>"
@@ -308,14 +355,19 @@ def _dated(first, second) -> bool:
 
 
 def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
-    """Whether ``via`` names a care plan or diagnosis in either endpoint."""
+    """Whether ``via`` names a care plan or diagnosis in either endpoint.  An
+    array or entry of the wrong type, which the field rules report, names
+    nothing."""
     for encounter in (from_encounter, to_encounter):
-        for plan in encounter.care_plans:
-            if plan.plan_id == via:
-                return True
-        for diagnosis in encounter.diagnoses:
-            if diagnosis.diagnosis_name == via:
-                return True
+        plans, diagnoses = encounter.care_plans, encounter.diagnoses
+        if plans.__class__ is list:
+            for plan in plans:
+                if plan.__class__ is CarePlan and plan.plan_id == via:
+                    return True
+        if diagnoses.__class__ is list:
+            for diagnosis in diagnoses:
+                if diagnosis.__class__ is Diagnosis and diagnosis.diagnosis_name == via:
+                    return True
     return False
 
 

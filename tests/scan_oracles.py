@@ -9,7 +9,9 @@ definition of a link that "introduces a cycle".  ``serialize_bundle_by_dumps``
 builds the bundle document as dicts and hands it to ``json.dumps``, which
 is what the direct writer's bytes must equal.  ``to_dot_by_scan`` draws
 each kind of subrecord by hand, where ``to_dot`` reads them from the field
-table.  ``check_by_scan`` is the invariant checker as plain passes that
+table, and writes each line through its own ``_Writer``, quoting every
+identifier and label as it goes; it shares only ``STYLE_TABLE`` with
+``to_dot``.  ``check_by_scan`` is the invariant checker as plain passes that
 allocate per record and run Kahn's algorithm over the whole graph.
 """
 
@@ -20,7 +22,7 @@ from datetime import date
 
 from pjo import EdgeKind, JourneyEdge, JourneyGraph
 from pjo.bundle import FORMAT_VERSION
-from pjo.dot import _Writer
+from pjo.dot import STYLE_TABLE
 from pjo.errors import (
     AmbiguousChainError,
     AmbiguousTraceError,
@@ -187,6 +189,38 @@ def gap_warnings_by_scan(graph: JourneyGraph) -> list[Diagnostic]:
                     )
                 )
     return warnings
+
+
+def _quote(value: str) -> str:
+    if "\\" in value or '"' in value or "\n" in value:
+        value = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{value}"'
+
+
+class _Writer:
+    """DOT node and edge lines, each identifier and label quoted as written,
+    and subrecord IDs numbered per class in the order asked for."""
+
+    def __init__(self) -> None:
+        self.node_lines: list[str] = []
+        self.edge_lines: list[str] = []
+        self._counters: dict[str, int] = {}
+
+    def node(self, node_id: str, label: str, class_name: str) -> None:
+        shape, color = STYLE_TABLE[class_name]
+        self.node_lines.append(
+            f"  {_quote(node_id)} [label={_quote(label)}, shape={shape}, "
+            f'style=filled, fillcolor="{color}"];'
+        )
+
+    def edge(self, source: str, target: str, label: str) -> None:
+        self.edge_lines.append(
+            f"  {_quote(source)} -> {_quote(target)} [label={_quote(label)}];"
+        )
+
+    def numbered(self, class_name: str) -> str:
+        count = self._counters[class_name] = self._counters.get(class_name, 0) + 1
+        return f"{class_name}-{count}"
 
 
 def to_dot_by_scan(

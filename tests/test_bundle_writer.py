@@ -8,6 +8,12 @@ are generated from ``FIELDS`` and stored directly, so they hold what the
 parser never produces: ``NaN``, infinities, ``-0.0``, integers past 2**64,
 control, quote, backslash and non-BMP characters, lone surrogates, empty
 arrays, records with no field set, and values of the wrong JSON type.
+
+An entry of an array of flat records is written inline, in its holder's
+loop, unless a field a read record always sets is left out or not of its
+plain type, or the entry is of another class: then its own class's writer
+writes it.  The ``entry_writers`` fixture records each entry of an
+encounter's arrays that went that way.
 """
 
 from __future__ import annotations
@@ -20,15 +26,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pjo import (
+    CarePlan,
     CodeSystem,
     ConceptCode,
     ContactInformation,
+    Diagnosis,
+    DiagTest,
     EdgeKind,
     Encounter,
     IntakeForm,
     JourneyEdge,
     JourneyGraph,
     MedicalHistory,
+    Medication,
     Patient,
     Provider,
     SocialHistory,
@@ -48,6 +58,7 @@ from pjo.records import (
     STR,
     STRS,
 )
+from pjo.bundle import _WRITERS_AT
 from scan_oracles import serialize_bundle_by_dumps
 
 PATIENT = "P"
@@ -219,3 +230,76 @@ def test_json_dumps_is_the_reference():
     document = json.loads(serialize_bundle_by_dumps(graph, PATIENT))
     expected = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
     assert serialize_bundle(graph, PATIENT) == expected
+
+
+@pytest.fixture
+def entry_writers(monkeypatch) -> list[type]:
+    """The class of each encounter array entry written by its own class's
+    writer, not inline, in order."""
+    written = []
+    entries = _WRITERS_AT[4]  # document, encounters array, encounter, entry
+    for record_type in {spec.record for spec in FIELDS[Encounter] if spec.type == OBJECTS}:
+        write = entries[record_type]
+        spy = lambda record, write=write: written.append(record.__class__) or write(record)
+        monkeypatch.setitem(entries, record_type, spy)
+    return written
+
+
+def one_encounter_graph(**arrays) -> JourneyGraph:
+    graph = JourneyGraph()
+    graph.patients[PATIENT] = Patient(PATIENT, "N", date(1970, 1, 1))
+    graph.encounters["E"] = Encounter("E", date(2021, 1, 1), "A", "B", **arrays)
+    graph.encounter_owner["E"] = PATIENT
+    return graph
+
+
+def test_the_edge_case_vitals_are_written_inline(entry_writers):
+    """NaN, the infinities, -0.0 and a lone surrogate in the inlined loop."""
+    assert serialize_bundle(edge_case_graph(), PATIENT) == serialize_bundle_by_dumps(
+        edge_case_graph(), PATIENT
+    )
+    assert entry_writers == []
+
+
+@pytest.mark.parametrize(
+    "symptom",
+    [Symptom(5), Symptom("S", 5), Symptom("S", None), Symptom(None, "mild"), Symptom(1.5, [1])],
+    ids=["int-name", "int-severity", "left-out-severity", "left-out-name", "float-name"],
+)
+def test_a_flat_entry_not_of_its_plain_types_is_written_by_its_writer(symptom, entry_writers):
+    graph = one_encounter_graph(symptoms=[Symptom("S"), symptom, Symptom("T", "mild")])
+    assert serialize_bundle(graph, PATIENT) == serialize_bundle_by_dumps(graph, PATIENT)
+    assert entry_writers == [Symptom]
+
+
+def test_flat_entries_with_left_out_optional_fields_are_written_inline(entry_writers):
+    graph = one_encounter_graph(
+        vitals=[VitalSign(), VitalSign(None, "120/80"), VitalSign(heart_rate=70.0), VitalSign(5)],
+        tests=[DiagTest("T"), DiagTest("T", "R", "N")],
+        diagnoses=[Diagnosis("D"), Diagnosis("D", ConceptCode(CodeSystem.ICD10, None))],
+        medications=[Medication("M")],
+        care_plans=[CarePlan("C"), CarePlan("C", "d", "Allergy")],
+    )
+    graph.providers["D"] = Provider("D", "Dr. D")
+    graph.edges.append(JourneyEdge(EdgeKind.NEXT, "E", "E"))
+    text = serialize_bundle(graph, PATIENT)
+    assert text == serialize_bundle_by_dumps(graph, PATIENT)
+    assert entry_writers == []
+    assert '"vitals": [\n        {},\n        {\n          "bloodPressure": "120/80"\n' in text
+    assert '"diagnosisName": "D"\n        },\n        {\n          "diagnosisName": "D"\n' in text
+
+
+def test_a_diagnosis_among_the_symptoms_is_written_by_its_own_writer(entry_writers):
+    asthma = Diagnosis("Asthma", ConceptCode(CodeSystem.ICD10, "J45"))
+    graph = one_encounter_graph(symptoms=[Symptom("S"), asthma])
+    assert serialize_bundle(graph, PATIENT) == (
+        '{\n  "formatVersion": "pjo-1",\n  "patient": {\n    "patientID": "P",\n'
+        '    "patientName": "N",\n    "birthDate": "1970-01-01"\n  },\n  "providers": [],\n'
+        '  "encounters": [\n    {\n      "encounterID": "E",\n      "date": "2021-01-01",\n'
+        '      "specialty": "A",\n      "providerRef": "B",\n      "symptoms": [\n        {\n'
+        '          "symptomName": "S",\n          "severity": ""\n        },\n        {\n'
+        '          "diagnosisName": "Asthma",\n          "icd10": "J45"\n        }\n      ],\n'
+        '      "vitals": [],\n      "tests": [],\n      "diagnoses": [],\n'
+        '      "medications": [],\n      "carePlans": []\n    }\n  ],\n  "links": []\n}\n'
+    )
+    assert entry_writers == [Diagnosis]

@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date, datetime
 
 import pytest
@@ -22,6 +23,7 @@ from pjo import (
     JourneyGraph,
     Patient,
     Provider,
+    Symptom,
     TemporalViolationError,
     UnknownEncounterError,
     UnknownPatientError,
@@ -53,6 +55,7 @@ from pjo.graph import (
 )
 from pjo.dot import to_dot
 from pjo.queries import find_encounters, timeline
+from pjo.records import FIELDS, OBJECTS
 
 
 def small_graph(n_encounters: int = 0, n_patients: int = 1) -> JourneyGraph:
@@ -71,6 +74,18 @@ def small_graph(n_encounters: int = 0, n_patients: int = 1) -> JourneyGraph:
                 ),
             )
     return graph
+
+
+def errors_of(graph: JourneyGraph) -> list[tuple[str, str, str]]:
+    return [(d.code, d.location, d.message) for d in graph.check_invariants().errors]
+
+
+# The seed's referral link names a care plan of this encounter as its ``via``.
+GENERAL_MEDICINE = "Encounter-GeneralMedicine-20210105"
+ENCOUNTER_ARRAYS = [
+    (spec.key, spec.attr, spec.record) for spec in FIELDS[Encounter] if spec.type == OBJECTS
+]
+ENCOUNTER_ARRAY_KEYS = [key for key, _, _ in ENCOUNTER_ARRAYS]
 
 
 def codes_of(report, severity=None):
@@ -505,6 +520,84 @@ class TestCheckInvariants:
         getattr(encounter, array).append(record)
         with pytest.raises(FieldInvalidError, match=f"{where} {message}"):
             john_graph.add_encounter("JohnDoe", encounter)
+
+    @pytest.mark.parametrize("entry", ["text", None, "record"], ids=["text", "none", "record"])
+    @pytest.mark.parametrize("key, attr, record_type", ENCOUNTER_ARRAYS, ids=ENCOUNTER_ARRAY_KEYS)
+    def test_a_wrongly_typed_array_entry_is_reported_not_raised(
+        self, john_graph, key, attr, record_type, entry
+    ):
+        """First in its array, so the ``via`` of the seed's referral link
+        (into the general-medicine encounter) meets it too."""
+        if entry == "record":
+            entry = Symptom("x") if record_type is Diagnosis else Diagnosis("x")
+        getattr(john_graph.encounters[GENERAL_MEDICINE], attr).insert(0, entry)
+        message = f"{key} entries must be a {record_type.__name__}"
+        location = f"encounters[{GENERAL_MEDICINE}].{key}[0]"
+        assert errors_of(john_graph) == [(INVALID_TYPE, location, message)]
+        encounter = Encounter("E-new", date(2023, 1, 1), "Allergy", "Provider-Allergy")
+        getattr(encounter, attr).append(entry)
+        with pytest.raises(FieldInvalidError, match=re.escape(f"{key}[0]: {message}")):
+            john_graph.add_encounter("JohnDoe", encounter)
+
+    @pytest.mark.parametrize("value", [None, "text"], ids=["none", "text"])
+    @pytest.mark.parametrize("key, attr, record_type", ENCOUNTER_ARRAYS, ids=ENCOUNTER_ARRAY_KEYS)
+    def test_an_array_that_is_not_a_list_is_reported_not_raised(
+        self, john_graph, key, attr, record_type, value
+    ):
+        setattr(john_graph.encounters[GENERAL_MEDICINE], attr, value)
+        location = f"encounters[{GENERAL_MEDICINE}].{key}"
+        assert errors_of(john_graph) == [(INVALID_TYPE, location, f"{key} must be a list")]
+        encounter = Encounter("E-new", date(2023, 1, 1), "Allergy", "Provider-Allergy")
+        setattr(encounter, attr, value)
+        with pytest.raises(FieldInvalidError, match=f"{key}: {key} must be a list"):
+            john_graph.add_encounter("JohnDoe", encounter)
+
+    @pytest.mark.parametrize(
+        "where, value, location, message",
+        [
+            (("intake_forms", "IntakeForm-JohnDoe", "medical_history"), "x",
+             "intakeForms[IntakeForm-JohnDoe].medicalHistory",
+             "medicalHistory must be a MedicalHistory"),
+            (("intake_forms", "IntakeForm-JohnDoe", "social_history"), None,
+             "intakeForms[IntakeForm-JohnDoe].socialHistory",
+             "socialHistory must be a SocialHistory"),
+            (("patients", "JohnDoe", "contact"), Symptom("x"),
+             "patients[JohnDoe].contactInformation",
+             "contactInformation must be a ContactInformation"),
+        ],
+        ids=["medical-history", "required-social-history", "contact-information"],
+    )  # fmt: skip
+    def test_a_wrongly_typed_held_record_is_reported_not_raised(
+        self, john_graph, where, value, location, message
+    ):
+        records, key, attr = where
+        record = getattr(john_graph, records)[key]
+        setattr(record, attr, value)
+        assert errors_of(john_graph) == [(INVALID_TYPE, location, message)]
+        graph = JourneyGraph()
+        graph.add_patient(Patient("P", "N", date(1980, 1, 1)))
+        with pytest.raises(FieldInvalidError, match=message):
+            if records == "patients":
+                graph.add_patient(record)
+            else:
+                graph.add_intake_form("P", record)
+
+    def test_an_optional_held_record_may_be_left_out(self, john_graph):
+        form = john_graph.intake_forms["IntakeForm-JohnDoe"]
+        form.medical_history = None
+        john_graph.patients["JohnDoe"].contact = None
+        assert errors_of(john_graph) == []
+        assert field_problems(form) == []
+
+    def test_a_wrongly_typed_string_array_is_reported_not_raised(self, john_graph):
+        form = john_graph.intake_forms["IntakeForm-JohnDoe"]
+        form.medical_history.had_surgery = None
+        location = "intakeForms[IntakeForm-JohnDoe].medicalHistory.hadSurgery"
+        assert errors_of(john_graph) == [(INVALID_TYPE, location, "hadSurgery must be a list")]
+        graph = JourneyGraph()
+        graph.add_patient(Patient("P", "N", date(1980, 1, 1)))
+        with pytest.raises(FieldInvalidError, match="medicalHistory.hadSurgery: hadSurgery"):
+            graph.add_intake_form("P", form)
 
     def test_a_wrongly_typed_patient_name_is_refused_as_the_parser_refuses_it(self):
         graph = small_graph()
