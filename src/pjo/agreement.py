@@ -187,8 +187,9 @@ def rating_matrix_from_csv(text: str) -> RatingMatrix:
     """Load a rating matrix from CSV text, in either supported layout.
 
     Counts layout: header ``subject,<category>,...`` with one count row per
-    subject.  Long layout: header ``rater,subject,category`` with one rating
-    per row; categories and subjects are ordered by sorted label.
+    subject; a row that repeats a subject label is refused.  Long layout:
+    header ``rater,subject,category`` with one rating per row; categories
+    and subjects are ordered by sorted label.
     """
     rows = _csv_rows(text)
     header = [cell.casefold() for cell in rows[0]]
@@ -206,9 +207,13 @@ def _matrix_from_count_rows(rows: list[list[str]], expected_width: int) -> Ratin
     if not rows:
         raise ShapeError("counts CSV has no subject rows")
     counts = []
+    subjects = set()
     for index, row in enumerate(rows):
         if len(row) != expected_width:
             raise ShapeError(f"row {index + 1} has {len(row)} cells, expected {expected_width}")
+        if row[0] in subjects:
+            raise ShapeError(f"row {index + 1} repeats subject {row[0]!r}")
+        subjects.add(row[0])
         try:
             counts.append([int(cell) for cell in row[1:]])
         except ValueError:

@@ -105,7 +105,12 @@ _INFINITY = float("inf")
 
 
 def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
-    """Render one patient's journey as a canonical bundle document."""
+    """Render one patient's journey as a canonical bundle document.
+
+    A wrongly typed structure that cannot be written raises
+    ``FieldInvalidError`` for the checker's first ``invalid-type`` error
+    on the records written (see ``JourneyGraph.type_error``).
+    """
     patient = graph.patients.get(patient_id)
     if patient is None:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
@@ -120,7 +125,13 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
             key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
         ),
     )
-    return _object(document, 0) + "\n"
+    try:
+        return _object(document, 0) + "\n"
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        problem = graph.type_error([patient_id], providers=True)
+        if problem is None:
+            raise
+        raise problem from error
 
 
 def _object(record, level: int) -> str:
@@ -496,17 +507,35 @@ def parse_bundle(data: str | bytes) -> ParseResult:
     on every way out, if it was enabled on entry.  Its passes would find
     nothing to free: the decoded document, the records and the graph form
     trees, which reference counting frees on its own, while the containers
-    a large bundle decodes into would set off dozens of passes.  One
-    caveat: the collector's switch is global to the process, so if another
-    thread disables it while this parse runs, the end of the parse enables
-    it again.
+    a large bundle decodes into would set off dozens of passes.
+
+    What the parse built is then handed to the oldest generation, so no
+    young or middle pass after the parse walks it again.  On entry one
+    middle pass (``gc.collect(1)``) collects the caller's young and middle
+    objects, as their own passes would have; on the way out ``gc.freeze()``
+    and ``gc.unfreeze()`` move what the young and middle generations then
+    hold, the parse's survivors alone, into the oldest one, in constant
+    time.  The handoff is skipped, and the parse only paused, when objects
+    are frozen on entry (a pre-fork server's heap, or the interpreter's
+    own objects on CPython 3.12), since ``unfreeze`` would thaw them too.
+
+    One caveat: the collector is global to the process.  If another thread
+    disables it while this parse runs, the end of the parse enables it
+    again, and the objects another thread allocates during the parse are
+    handed to the oldest generation too.
     """
     if not gc.isenabled():
         return _parse(data)
+    handoff = gc.get_freeze_count() == 0
+    if handoff:
+        gc.collect(1)
     gc.disable()
     try:
         return _parse(data)
     finally:
+        if handoff:
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()
 
 

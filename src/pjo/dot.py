@@ -83,7 +83,10 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
 
     Each patient, intake form and encounter ID is quoted once, and its
     quoted text reused for its node and every edge that names it.  Numbered
-    IDs and edge labels need no escaping; each line is one f-string.
+    IDs and edge labels need no escaping; each line is one f-string.  A
+    drawing that fails on a wrongly typed structure raises
+    ``FieldInvalidError`` for the checker's first ``invalid-type`` error on
+    the records drawn (see ``JourneyGraph.type_error``).
     """
     if detail not in ("journey", "full"):
         raise ValueError(f"detail must be 'journey' or 'full', got {detail!r}")
@@ -92,7 +95,18 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
 
     encounters_by_owner = graph.encounters_by_owner()
-    full = detail == "full"
+    try:
+        return _draw(graph, patient_ids, encounters_by_owner, detail == "full")
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        problem = graph.type_error(patient_ids, providers=False)
+        if problem is None:
+            raise
+        raise problem from error
+
+
+def _draw(graph: JourneyGraph, patient_ids: list[str], encounters_by_owner, full: bool) -> str:
+    """The DOT text of the patients ``patient_ids``, with their subrecords
+    if ``full``."""
     nodes: list[str] = []
     edges: list[str] = []
     counts = dict.fromkeys(STYLE_TABLE, 0)  # subrecords numbered so far, per class

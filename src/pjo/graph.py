@@ -823,6 +823,31 @@ class JourneyGraph:
         """
         return self._check(field_problems)
 
+    def type_error(self, patient_ids: list[str], providers: bool) -> FieldInvalidError | None:
+        """``FieldInvalidError`` for the checker's first ``invalid-type``
+        error on the records of the patients ``patient_ids`` (each patient,
+        its intake forms and its encounters) and, if ``providers``, on every
+        provider, worded ``"<location>: <message>"``; None when it reports
+        none.  What ``to_dot`` and ``serialize_bundle`` raise when writing
+        those records failed."""
+        index = self._owners()
+        forms = [key for pid in patient_ids for key in index.forms.get(pid, ())]
+        encounters = [key for pid in patient_ids for key in index.encounters.get(pid, ())]
+        groups = (
+            ("patients", self.patients, patient_ids),
+            ("providers", self.providers, self.providers if providers else ()),
+            ("intakeForms", self.intake_forms, forms),
+            ("encounters", self.encounters, encounters),
+        )
+        for name, records, keys in groups:
+            for key in sorted(keys):
+                if key not in records:
+                    continue
+                for relative, code, message in field_problems(records[key]):
+                    if code == INVALID_TYPE:
+                        return FieldInvalidError(f"{name}[{key}].{relative}: {message}")
+        return None
+
     def _check_joins(self) -> ValidationReport:
         """The join pass: ``check_invariants`` without the field rules.
 

@@ -307,6 +307,11 @@ class TestCsvLoaders:
         # Subjects and categories are ordered by sorted label: (no, yes).
         assert matrix.counts == ((0, 2), (1, 1))
 
+    def test_counts_layout_rejects_a_repeated_subject(self):
+        text = "subject,yes,no\ns1,2,0\ns2,1,1\ns1,0,2\n"
+        with pytest.raises(ShapeError, match=r"^row 3 repeats subject 's1'$"):
+            rating_matrix_from_csv(text)
+
     def test_long_layout_rejects_duplicate_rating(self):
         text = "rater,subject,category\nr1,s1,yes\nr1,s1,no\n"
         with pytest.raises(ShapeError):

@@ -34,6 +34,7 @@ from pjo import (
     DiagTest,
     EdgeKind,
     Encounter,
+    FieldInvalidError,
     IntakeForm,
     JourneyEdge,
     JourneyGraph,
@@ -59,6 +60,7 @@ from pjo.records import (
     STRS,
 )
 from pjo.bundle import _WRITERS_AT
+from pjo.seed import ENCOUNTER_ALLERGY, JOHN_DOE_ID
 from scan_oracles import serialize_bundle_by_dumps
 
 PATIENT = "P"
@@ -216,12 +218,15 @@ def test_a_value_of_another_type_is_written_as_json_dumps_writes_it(value):
 
 
 def test_a_value_json_dumps_refuses_is_refused():
+    """As the checker's type problem, raised from ``json.dumps``'s error."""
     graph = edge_case_graph()
     graph.patients[PATIENT].race = {1, 2}
     with pytest.raises(TypeError):
         serialize_bundle_by_dumps(graph, PATIENT)
-    with pytest.raises(TypeError):
+    with pytest.raises(FieldInvalidError) as raised:
         serialize_bundle(graph, PATIENT)
+    assert str(raised.value) == f"patients[{PATIENT}].race: race must be a string"
+    assert isinstance(raised.value.__cause__, TypeError)
 
 
 def test_json_dumps_is_the_reference():
@@ -303,3 +308,48 @@ def test_a_diagnosis_among_the_symptoms_is_written_by_its_own_writer(entry_write
         '      "medications": [],\n      "carePlans": []\n    }\n  ],\n  "links": []\n}\n'
     )
     assert entry_writers == [Diagnosis]
+
+
+def _symptom_text(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].symptoms.append("text")
+
+
+def _symptoms_text(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].symptoms = "text"
+
+
+def _contact_number(graph):
+    graph.patients[JOHN_DOE_ID].contact = 5
+
+
+@pytest.mark.parametrize(
+    "break_graph, problem",
+    [
+        (_symptom_text, f"encounters[{ENCOUNTER_ALLERGY}].symptoms[2]: "
+         "symptoms entries must be a Symptom"),
+        (_symptoms_text, f"encounters[{ENCOUNTER_ALLERGY}].symptoms: symptoms must be a list"),
+        (_contact_number, f"patients[{JOHN_DOE_ID}].contactInformation: "
+         "contactInformation must be a ContactInformation"),
+    ],
+    ids=["entry", "array", "held record"],
+)  # fmt: skip
+def test_a_failed_write_raises_the_checkers_type_problem(john_graph, break_graph, problem):
+    break_graph(john_graph)
+    with pytest.raises(FieldInvalidError) as raised:
+        serialize_bundle(john_graph, JOHN_DOE_ID)
+    assert str(raised.value) == problem
+    assert isinstance(raised.value.__cause__, KeyError)
+
+
+def test_only_the_written_patients_records_are_named(john_graph):
+    _symptom_text(john_graph)
+    john_graph.patients["A"] = Patient("A", "N", date(1970, 1, 1), contact=5)
+    with pytest.raises(FieldInvalidError, match=r"^encounters\[Encounter-Allergy"):
+        serialize_bundle(john_graph, JOHN_DOE_ID)
+    with pytest.raises(FieldInvalidError, match=r"^patients\[A\]\.contactInformation: "):
+        serialize_bundle(john_graph, "A")
+
+
+def test_a_clean_write_asks_the_checker_nothing(john_graph, john_text, monkeypatch):
+    monkeypatch.setattr(JourneyGraph, "type_error", None)
+    assert serialize_bundle(john_graph, JOHN_DOE_ID) == john_text

@@ -278,6 +278,12 @@ class TestStats:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
+    def test_a_repeated_subject_is_exit_1(self):
+        proc = run_cli("stats", "kappa", "-", stdin=KAPPA_CSV + "s1,1,1\n")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: row 3 repeats subject 's1'\n"
+
     def test_malformed_csv_is_exit_1(self):
         proc = run_cli("stats", "kappa", "-", stdin="not,a,matrix\n1,2,3\n")
         assert proc.returncode == 1

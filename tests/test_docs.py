@@ -19,8 +19,10 @@ trailing comment must print it, where ``...`` ends a shortened number.
 The annotated example of ``docs/bundle_format.md`` must be the document
 ``pjo seed john-doe`` prints, and expand to those exact bytes.  Each key
 table of that file lists its record type's ``FIELDS`` entry: the keys in
-order, whether each is required and its type; its error and warning
-tables list exactly the diagnostic codes of ``pjo.graph``.
+order, whether each is required and its type; so do its prose lists of
+the members of ``contactInformation``, ``medicalHistory`` and
+``socialHistory``, and the notes on each encounter subrecord.  Its error
+and warning tables list exactly the diagnostic codes of ``pjo.graph``.
 """
 
 from __future__ import annotations
@@ -50,11 +52,14 @@ from pjo.records import (
     STRS,
     VERSION,
     Bundle,
+    ContactInformation,
     Encounter,
     IntakeForm,
     JourneyEdge,
+    MedicalHistory,
     Patient,
     Provider,
+    SocialHistory,
     VitalSign,
 )
 
@@ -235,6 +240,57 @@ def test_each_key_table_lists_its_field_table_entry(index, record_type):
         assert [row[header.index("Required")] for row in rows] == required
     else:
         assert set(required) == {"no"}
+
+
+def paragraph(start: str) -> str:
+    """The format document's paragraph that starts with ``start``, on one line."""
+    texts = (" ".join(text.split()) for text in FORMAT_DOC.split("\n\n"))
+    [found] = [text for text in texts if text.startswith(start)]
+    return found
+
+
+def listed(text: str) -> list[str]:
+    """The names quoted in ``text`` before its first full stop."""
+    return re.findall(r"`([^`]+)`", text.split(". ")[0])
+
+
+@pytest.mark.parametrize(
+    "start, record_type, value_type",
+    [
+        ("`contactInformation` holds four optional strings: ", ContactInformation, STR),
+        ("`medicalHistory` carries four string arrays, each defaulting to empty: ",
+         MedicalHistory, STRS),
+    ],
+    ids=["contactInformation", "medicalHistory"],
+)  # fmt: skip
+def test_each_member_list_names_its_field_table_entry(start, record_type, value_type):
+    fields = FIELDS[record_type]
+    assert listed(paragraph(start)[len(start) :]) == [spec.key for spec in fields]
+    assert {(spec.type, spec.required) for spec in fields} == {(value_type, False)}
+
+
+def test_the_social_history_list_names_its_required_then_its_optional_members():
+    text = paragraph("`socialHistory` requires ")
+    required, optional = text.split("; the remaining members are optional strings: ")
+    fields = FIELDS[SocialHistory]
+    assert listed(required)[1:] == [spec.key for spec in fields if spec.required]
+    assert listed(optional) == [spec.key for spec in fields if not spec.required]
+    assert [spec.key for spec in fields] == listed(required)[1:] + listed(optional)
+    assert {spec.type for spec in fields} == {STR}
+
+
+def test_the_encounter_table_notes_each_subrecord_s_keys():
+    """The ``vitals`` row points to the range table, which
+    ``test_each_key_table_lists_its_field_table_entry`` checks."""
+    key_tables = [table for table in tables(FORMAT_DOC) if table[0][0] == "Key"]
+    header, rows = key_tables[KEY_TABLES.index(Encounter)]
+    notes = {row[0]: row[header.index("Notes")] for row in rows}
+    for spec in FIELDS[Encounter]:
+        if spec.type != OBJECTS:
+            continue
+        keys = ", ".join(held.key for held in FIELDS[spec.record])
+        expected = "See plausibility ranges below." if spec.record is VitalSign else f"`{{{keys}}}`"
+        assert notes[f"`{spec.key}`"] == expected
 
 
 def graph_codes() -> tuple[list[str], list[str]]:

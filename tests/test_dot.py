@@ -1,4 +1,5 @@
 import random
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,15 @@ from hypothesis import strategies as st
 
 from dotcheck import check_dot
 from journeygen import random_journey
-from pjo import JourneyGraph, UnknownPatientError, to_dot
+from pjo import (
+    FieldInvalidError,
+    JourneyGraph,
+    Patient,
+    UnknownPatientError,
+    dot,
+    john_doe_graph,
+    to_dot,
+)
 from pjo.seed import (
     ENCOUNTER_ALLERGY,
     ENCOUNTER_ALLERGY_FOLLOWUP,
@@ -188,3 +197,62 @@ class TestRobustness:
         )
         assert summary.node_count == expected_nodes
         assert summary.edge_count == expected_edges
+
+
+def _symptom_text(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].symptoms.append("text")
+
+
+def _symptoms_text(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].symptoms = "text"
+
+
+class TestWronglyTypedStructure:
+    """A full drawing that fails on a structure the checker reports as
+    ``invalid-type`` raises ``FieldInvalidError`` for the checker's first
+    such problem, at its location, from the original error."""
+
+    @pytest.mark.parametrize(
+        "break_graph, problem",
+        [
+            (_symptom_text, f"encounters[{ENCOUNTER_ALLERGY}].symptoms[2]: "
+             "symptoms entries must be a Symptom"),
+            (_symptoms_text, f"encounters[{ENCOUNTER_ALLERGY}].symptoms: symptoms must be a list"),
+        ],
+        ids=["entry", "array"],
+    )  # fmt: skip
+    @pytest.mark.parametrize("patient_id", [None, JOHN_DOE_ID])
+    def test_full_detail_raises_the_checkers_problem(
+        self, john_graph, break_graph, problem, patient_id
+    ):
+        break_graph(john_graph)
+        with pytest.raises(FieldInvalidError) as raised:
+            to_dot(john_graph, patient_id, detail="full")
+        assert str(raised.value) == problem
+        assert isinstance(raised.value.__cause__, AttributeError)
+
+    def test_journey_detail_still_draws_the_graph(self, john_graph):
+        _symptom_text(john_graph)
+        assert to_dot(john_graph, detail="journey") == to_dot(john_doe_graph())
+
+    def test_only_the_drawn_patients_records_are_named(self, john_graph):
+        """Patient A's contact does not stop a drawing, but it is the
+        checker's first type problem on the whole graph."""
+        _symptom_text(john_graph)
+        john_graph.patients["A"] = Patient("A", "N", date(1970, 1, 1), contact=5)
+        with pytest.raises(FieldInvalidError, match=r"^encounters\[Encounter-Allergy"):
+            to_dot(john_graph, JOHN_DOE_ID, detail="full")
+        with pytest.raises(FieldInvalidError, match=r"^patients\[A\]\.contactInformation: "):
+            to_dot(john_graph, detail="full")
+
+    def test_a_clean_drawing_asks_the_checker_nothing(self, john_graph, monkeypatch):
+        monkeypatch.setattr(JourneyGraph, "type_error", None)
+        check_dot(to_dot(john_graph, detail="full"))
+
+    def test_a_failure_with_no_type_problem_is_raised_as_it_is(self, john_graph, monkeypatch):
+        def failing(value):
+            raise TypeError("quote failed")
+
+        monkeypatch.setattr(dot, "_quote", failing)
+        with pytest.raises(TypeError, match="quote failed"):
+            to_dot(john_graph, detail="full")
