@@ -70,14 +70,15 @@ def collect() -> dict:
             importlib.import_module("pjo" if path.stem == "__init__" else f"pjo.{path.stem}")
     from pjo import bundle, graph
     from pjo.records import (
-        FIELDS, OBJECT, OBJECTS, Bundle, Encounter, IntakeForm, Patient, Provider,
+        FIELDS, OBJECT, OBJECTS, Bundle, Encounter, IntakeForm, JourneyEdge, Patient, Provider,
     )  # fmt: skip
 
     for record_type in FIELDS:
         bundle._RECORD_READERS[record_type]
-    # The records check_invariants and the add_* methods check: a held
-    # record's checks are inline in its holder's.
-    for record_type in (Patient, Provider, IntakeForm, Encounter):
+    # The records check_invariants and the add_* methods check, and the
+    # link whose kind check_invariants checks: a held record's checks are
+    # inline in its holder's.
+    for record_type in (Patient, Provider, IntakeForm, Encounter, JourneyEdge):
         graph._FIELD_PROBLEMS[record_type]
     for record_type, level in writers(Bundle, 0, FIELDS, (OBJECT, OBJECTS)):
         bundle._WRITERS_AT[level][record_type]

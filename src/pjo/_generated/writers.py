@@ -25,7 +25,7 @@ def _0():  # <Bundle writer>
         if (v := r.links) is not None:
             a = []
             for x in v:
-                if x.__class__ is JourneyEdge and (e0 := x.kind) is not None and (e0 := e0.value).__class__ is str and (e1 := x.from_encounter).__class__ is str and (e2 := x.to_encounter).__class__ is str: a.append(f'{{\n      "kind": {_encode(e0)},\n      "from": {_encode(e1)},\n      "to": {_encode(e2)}{P_via + (_encode(e3) if e3.__class__ is str else _scalar(e3, 3)) if (e3 := x.via) is not None else ""}\n    }}')
+                if x.__class__ is JourneyEdge and (e0 := x.kind) is not None and (e0 := KIND_TEXT[e0]).__class__ is str and (e1 := x.from_encounter).__class__ is str and (e2 := x.to_encounter).__class__ is str: a.append(f'{{\n      "kind": {_encode(e0)},\n      "from": {_encode(e1)},\n      "to": {_encode(e2)}{P_via + (_encode(e3) if e3.__class__ is str else _scalar(e3, 3)) if (e3 := x.via) is not None else ""}\n    }}')
                 else: a.append(entries[x.__class__](x))
             parts.append('\n  "links": ' + ('[\n    ' + ',\n    '.join(a) + '\n  ]' if a else '[]'))
         return '{' + ','.join(parts) + '\n}' if parts else '{}'
@@ -223,7 +223,7 @@ def _13():  # <CarePlan writer>
 def _14():  # <JourneyEdge writer>
     def write(r):
         parts = []
-        if (v := r.kind) is not None and (v := v.value) is not None: parts.append('\n      "kind": ' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))
+        if (v := r.kind) is not None and (v := KIND_TEXT[v]) is not None: parts.append('\n      "kind": ' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))
         if (v := r.from_encounter) is not None: parts.append('\n      "from": ' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))
         if (v := r.to_encounter) is not None: parts.append('\n      "to": ' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))
         if (v := r.via) is not None: parts.append('\n      "via": ' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))
@@ -232,7 +232,7 @@ def _14():  # <JourneyEdge writer>
 
 
 SOURCES = {
-    'def write(r):\n    parts = []\n    if (v := r.format_version) is not None: parts.append(\'\\n  "formatVersion": \' + (_encode(v) if v.__class__ is str else _scalar(v, 1)))\n    if (v := r.patient) is not None: parts.append(\'\\n  "patient": \' + objects[v.__class__](v))\n    if (v := r.providers) is not None:\n        a = []\n        for x in v:\n            if x.__class__ is Provider and (e0 := x.provider_id).__class__ is str and (e1 := x.provider_name).__class__ is str: a.append(f\'{{\\n      "providerID": {_encode(e0)},\\n      "providerName": {_encode(e1)}{P_specialization + (_encode(e2) if e2.__class__ is str else _scalar(e2, 3)) if (e2 := x.specialization) is not None else ""}{P_affiliatedInstitution + (_encode(e3) if e3.__class__ is str else _scalar(e3, 3)) if (e3 := x.affiliated_institution) is not None else ""}{P_yearsOfExperience + (int.__repr__(e4) if e4.__class__ is int else _scalar(e4, 3)) if (e4 := x.years_of_experience) is not None else ""}\\n    }}\')\n            else: a.append(entries[x.__class__](x))\n        parts.append(\'\\n  "providers": \' + (\'[\\n    \' + \',\\n    \'.join(a) + \'\\n  ]\' if a else \'[]\'))\n    if (v := r.intake_form) is not None: parts.append(\'\\n  "intakeForm": \' + objects[v.__class__](v))\n    if (v := r.encounters) is not None:\n        a = [entries[x.__class__](x) for x in v]\n        parts.append(\'\\n  "encounters": \' + (\'[\\n    \' + \',\\n    \'.join(a) + \'\\n  ]\' if a else \'[]\'))\n    if (v := r.links) is not None:\n        a = []\n        for x in v:\n            if x.__class__ is JourneyEdge and (e0 := x.kind) is not None and (e0 := e0.value).__class__ is str and (e1 := x.from_encounter).__class__ is str and (e2 := x.to_encounter).__class__ is str: a.append(f\'{{\\n      "kind": {_encode(e0)},\\n      "from": {_encode(e1)},\\n      "to": {_encode(e2)}{P_via + (_encode(e3) if e3.__class__ is str else _scalar(e3, 3)) if (e3 := x.via) is not None else ""}\\n    }}\')\n            else: a.append(entries[x.__class__](x))\n        parts.append(\'\\n  "links": \' + (\'[\\n    \' + \',\\n    \'.join(a) + \'\\n  ]\' if a else \'[]\'))\n    return \'{\' + \',\'.join(parts) + \'\\n}\' if parts else \'{}\'': _0,
+    'def write(r):\n    parts = []\n    if (v := r.format_version) is not None: parts.append(\'\\n  "formatVersion": \' + (_encode(v) if v.__class__ is str else _scalar(v, 1)))\n    if (v := r.patient) is not None: parts.append(\'\\n  "patient": \' + objects[v.__class__](v))\n    if (v := r.providers) is not None:\n        a = []\n        for x in v:\n            if x.__class__ is Provider and (e0 := x.provider_id).__class__ is str and (e1 := x.provider_name).__class__ is str: a.append(f\'{{\\n      "providerID": {_encode(e0)},\\n      "providerName": {_encode(e1)}{P_specialization + (_encode(e2) if e2.__class__ is str else _scalar(e2, 3)) if (e2 := x.specialization) is not None else ""}{P_affiliatedInstitution + (_encode(e3) if e3.__class__ is str else _scalar(e3, 3)) if (e3 := x.affiliated_institution) is not None else ""}{P_yearsOfExperience + (int.__repr__(e4) if e4.__class__ is int else _scalar(e4, 3)) if (e4 := x.years_of_experience) is not None else ""}\\n    }}\')\n            else: a.append(entries[x.__class__](x))\n        parts.append(\'\\n  "providers": \' + (\'[\\n    \' + \',\\n    \'.join(a) + \'\\n  ]\' if a else \'[]\'))\n    if (v := r.intake_form) is not None: parts.append(\'\\n  "intakeForm": \' + objects[v.__class__](v))\n    if (v := r.encounters) is not None:\n        a = [entries[x.__class__](x) for x in v]\n        parts.append(\'\\n  "encounters": \' + (\'[\\n    \' + \',\\n    \'.join(a) + \'\\n  ]\' if a else \'[]\'))\n    if (v := r.links) is not None:\n        a = []\n        for x in v:\n            if x.__class__ is JourneyEdge and (e0 := x.kind) is not None and (e0 := KIND_TEXT[e0]).__class__ is str and (e1 := x.from_encounter).__class__ is str and (e2 := x.to_encounter).__class__ is str: a.append(f\'{{\\n      "kind": {_encode(e0)},\\n      "from": {_encode(e1)},\\n      "to": {_encode(e2)}{P_via + (_encode(e3) if e3.__class__ is str else _scalar(e3, 3)) if (e3 := x.via) is not None else ""}\\n    }}\')\n            else: a.append(entries[x.__class__](x))\n        parts.append(\'\\n  "links": \' + (\'[\\n    \' + \',\\n    \'.join(a) + \'\\n  ]\' if a else \'[]\'))\n    return \'{\' + \',\'.join(parts) + \'\\n}\' if parts else \'{}\'': _0,
     'def write(r):\n    parts = []\n    if (v := r.patient_id) is not None: parts.append(\'\\n    "patientID": \' + (_encode(v) if v.__class__ is str else _scalar(v, 2)))\n    if (v := r.patient_name) is not None: parts.append(\'\\n    "patientName": \' + (_encode(v) if v.__class__ is str else _scalar(v, 2)))\n    if (v := r.birth_date) is not None: parts.append(\'\\n    "birthDate": \' + _encode(isoformat(v)))\n    if (v := r.race) is not None: parts.append(\'\\n    "race": \' + (_encode(v) if v.__class__ is str else _scalar(v, 2)))\n    if (v := r.gender) is not None: parts.append(\'\\n    "gender": \' + (_encode(v) if v.__class__ is str else _scalar(v, 2)))\n    if (v := r.contact) is not None and (t := objects[v.__class__](v)) != \'{}\': parts.append(\'\\n    "contactInformation": \' + t)\n    if (v := r.insurance_name) is not None: parts.append(\'\\n    "insuranceName": \' + (_encode(v) if v.__class__ is str else _scalar(v, 2)))\n    if (v := r.insurance_id) is not None: parts.append(\'\\n    "insuranceID": \' + (_encode(v) if v.__class__ is str else _scalar(v, 2)))\n    return \'{\' + \',\'.join(parts) + \'\\n  }\' if parts else \'{}\'': _1,
     'def write(r):\n    parts = []\n    if (v := r.address) is not None: parts.append(\'\\n      "address": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.phone_number) is not None: parts.append(\'\\n      "phoneNumber": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.email) is not None: parts.append(\'\\n      "email": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.emergency_contact) is not None: parts.append(\'\\n      "emergencyContact": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    return \'{\' + \',\'.join(parts) + \'\\n    }\' if parts else \'{}\'': _2,
     'def write(r):\n    parts = []\n    if (v := r.provider_id) is not None: parts.append(\'\\n      "providerID": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.provider_name) is not None: parts.append(\'\\n      "providerName": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.specialization) is not None: parts.append(\'\\n      "specialization": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.affiliated_institution) is not None: parts.append(\'\\n      "affiliatedInstitution": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.years_of_experience) is not None: parts.append(\'\\n      "yearsOfExperience": \' + (int.__repr__(v) if v.__class__ is int else _scalar(v, 3)))\n    return \'{\' + \',\'.join(parts) + \'\\n    }\' if parts else \'{}\'': _3,
@@ -246,5 +246,5 @@ SOURCES = {
     'def write(r):\n    parts = []\n    if (v := r.diagnosis_name) is not None: parts.append(\'\\n          "diagnosisName": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    if (v := r.icd10) is not None and (v := v.code) is not None: parts.append(\'\\n          "icd10": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    return \'{\' + \',\'.join(parts) + \'\\n        }\' if parts else \'{}\'': _11,
     'def write(r):\n    parts = []\n    if (v := r.medication_name) is not None: parts.append(\'\\n          "medicationName": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    if (v := r.dosage) is not None: parts.append(\'\\n          "dosage": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    if (v := r.frequency) is not None: parts.append(\'\\n          "frequency": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    return \'{\' + \',\'.join(parts) + \'\\n        }\' if parts else \'{}\'': _12,
     'def write(r):\n    parts = []\n    if (v := r.plan_id) is not None: parts.append(\'\\n          "planID": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    if (v := r.description) is not None: parts.append(\'\\n          "description": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    if (v := r.referral_specialty) is not None: parts.append(\'\\n          "referralSpecialty": \' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))\n    return \'{\' + \',\'.join(parts) + \'\\n        }\' if parts else \'{}\'': _13,
-    'def write(r):\n    parts = []\n    if (v := r.kind) is not None and (v := v.value) is not None: parts.append(\'\\n      "kind": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.from_encounter) is not None: parts.append(\'\\n      "from": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.to_encounter) is not None: parts.append(\'\\n      "to": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.via) is not None: parts.append(\'\\n      "via": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    return \'{\' + \',\'.join(parts) + \'\\n    }\' if parts else \'{}\'': _14,
+    'def write(r):\n    parts = []\n    if (v := r.kind) is not None and (v := KIND_TEXT[v]) is not None: parts.append(\'\\n      "kind": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.from_encounter) is not None: parts.append(\'\\n      "from": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.to_encounter) is not None: parts.append(\'\\n      "to": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    if (v := r.via) is not None: parts.append(\'\\n      "via": \' + (_encode(v) if v.__class__ is str else _scalar(v, 3)))\n    return \'{\' + \',\'.join(parts) + \'\\n    }\' if parts else \'{}\'': _14,
 }

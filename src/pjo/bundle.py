@@ -50,6 +50,7 @@ from .records import (
     ICD10,
     INT,
     KIND,
+    KIND_TEXT,
     NUMBER,
     OBJECT,
     OBJECTS,
@@ -122,7 +123,7 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
         graph.encounters_of(patient_id),
         sorted(
             graph.edges_of(patient_id),
-            key=lambda e: (e.kind.value, e.from_encounter, e.to_encounter),
+            key=lambda e: (KIND_TEXT[e.kind], e.from_encounter, e.to_encounter),
         ),
     )
     try:
@@ -163,8 +164,8 @@ def _scalar(value, level: int) -> str:
 # with ``{0}`` its first use and ``{1}`` the others, and of its text then, as
 # ``json.dumps`` writes it.  A number is plain when finite: NaN and the
 # infinities minus themselves are NaN.  A code or link kind is written as its
-# string (see ``_set``).  A value that is not plain is written by ``_scalar``;
-# a date always as its ISO text.
+# string, ``_STRING_OF`` over it (see ``_set``).  A value that is not plain is
+# written by ``_scalar``; a date always as its ISO text.
 _PLAIN = {
     STR: ("{0}.__class__ is str", "_encode({0})"),
     INT: ("{0}.__class__ is int", "int.__repr__({0})"),
@@ -172,7 +173,7 @@ _PLAIN = {
     DATE: ("{0}.__class__ is date", "_encode(isoformat({0}))"),
 }
 _PLAIN[VERSION] = _PLAIN[ICD10] = _PLAIN[KIND] = _PLAIN[STR]
-_STRING_OF = {ICD10: "code", KIND: "value"}  # the attribute written for a code or link kind
+_STRING_OF = {ICD10: "{0}.code", KIND: "KIND_TEXT[{0}]"}  # a code's or link kind's string
 
 
 def _set(spec: Field, v: str, get: str, plain: bool = False) -> str:
@@ -181,7 +182,7 @@ def _set(spec: Field, v: str, get: str, plain: bool = False) -> str:
     test = ""
     if spec.type in _STRING_OF:
         test = f"({v} := {get}) is not None and "
-        get = f"{v}.{_STRING_OF[spec.type]}"
+        get = _STRING_OF[spec.type].format(v)
     if plain:
         return test + _PLAIN[spec.type][0].format(f"({v} := {get})", v)
     return test + f"({v} := {get}) is not None"
@@ -252,7 +253,7 @@ def _compile_writer(record_type: type, level: int):
     """
     inner = level + 1
     scope = {
-        "_encode": _encode, "_scalar": _scalar, "isoformat": date.isoformat,
+        "_encode": _encode, "_scalar": _scalar, "isoformat": date.isoformat, "KIND_TEXT": KIND_TEXT,
         "objects": _WRITERS_AT[inner], "entries": _WRITERS_AT[inner + 1],
     }  # fmt: skip
     # An array at ``inner`` of the texts in ``a``, one entry per line.
@@ -393,13 +394,16 @@ def _read_entry(record_type: type, item, path: str, problems: ValidationReport):
 # object that fails breaks a rule for certain: ``_report_fields`` reports
 # why and it reads as _INVALID.  Otherwise the reader reads the other fields
 # in canonical order: an array of flat records (all of whose fields are
-# scalars) in a loop that tests each entry the same way and sends one that
-# fails, or has an unknown key, to ``_read_entry``; a string array in a loop
-# that tests each entry by its rules and sends one that fails to ``_report``;
-# any other through ``_read``.
+# scalars) or of strings in a bare loop that tests each entry the same way,
+# any other through ``_read``.  The first entry that fails its test, or has
+# an unknown key, sends the whole array to ``_read``, which reads it again
+# from the start and reports every entry's problems in document order.
 
 _SCALARS = RULES.keys() - {STRS}
 _TEMPLATES = OnDemand(lambda test: re.sub(r"\bv\b", "{0}", test))  # a test with v as {0}
+# Per value type, the rules whose tests a later rule's test implies, left out
+# of the silent tests: text of a date's ISO shape is nonempty and ASCII.
+_IMPLIED = {DATE: {"v.isascii() or not _SURROGATE(v)", "v"}}
 
 
 def _flat(record_type: type) -> bool:
@@ -410,9 +414,12 @@ def _flat(record_type: type) -> bool:
 def _kept(spec: Field, v: str, read: str) -> tuple[str, str]:
     """Source of a test that the value (or string-array entry) in local ``v``
     of field ``spec`` keeps every rule ``_report`` applies after presence,
-    and of what it reads as: ``read``, bound by the test, after a READ rule."""
-    value, terms = v, []
+    and of what it reads as: ``read``, bound by the test, after a READ rule.
+    The rules in ``_IMPLIED`` are left out of the test, not the report."""
+    value, terms, implied = v, [], _IMPLIED.get(spec.type, ())
     for rule, _, _, applies in field_rules(spec, True, ""):
+        if rule in implied:
+            continue
         term = _TEMPLATES[rule].format(value)
         if applies == READ:
             value = read
@@ -449,12 +456,18 @@ def _scalar_tests(record_type: type, obj: str, depth: int, scope: dict):
 
 def _compile_reader(record_type: type):
     """``read(obj, path, problems)`` for one record type: the record, or
-    _INVALID after its problems are reported."""
+    _INVALID after its problems are reported.
+
+    An array of flat records or of strings is read in a bare ``for e in v``
+    loop that builds each entry passing its test.  At the first entry that
+    fails, the whole array is read again by ``_read``, which reads each
+    entry through its record's reader (or ``_report``, for a string) and
+    reports them all in document order, the entries before it included:
+    they passed silently, so they report nothing twice."""
     name = record_type.__name__
     scope = {
-        **RULE_NAMES, "_INVALID": _INVALID, "_warn_unknown": _warn_unknown, "_report": _report,
-        "_report_fields": _report_fields, "_read": _read, "_read_entry": _read_entry,
-        "_join": _join, f"F_{name}": FIELDS[record_type],
+        **RULE_NAMES, "_INVALID": _INVALID, "_warn_unknown": _warn_unknown,
+        "_report_fields": _report_fields, "_read": _read, f"F_{name}": FIELDS[record_type],
     }  # fmt: skip
     test, values = _scalar_tests(record_type, "o", 0, scope)
     lines = [f"if not K_{name}.issuperset(o): _warn_unknown(o, K_{name}, path, problems)"]
@@ -466,29 +479,29 @@ def _compile_reader(record_type: type):
             continue
         values[n] = f"x{n}"
         invalid.append(f"x{n} is _INVALID")
-        # An entry that passes ``test`` reads as ``built``; any other as ``kept``
-        # when ``other`` holds, once its problems are reported.
-        at = f'f"{{_join(path, {spec.key!r})}}[{{i}}]"'
+        # An entry that passes ``test`` reads as ``built``.  The first that
+        # fails sends the whole array to ``_read``, which reports every entry.
         if spec.type == STRS:
             test, built = _kept(spec, "e", "")[0], "e"
-            other, kept = f"not _report(F_{name}[{n}], e, {at}, problems)", "e"
         elif spec.type == OBJECTS and _flat(spec.record):
             item = spec.record.__name__
             item_test, item_values = _scalar_tests(spec.record, "e", 1, scope)
             test = f"e.__class__ is dict and K_{item}.issuperset(e) and {item_test}"
             built = f"{item}({', '.join(item_values[k] for k in sorted(item_values))})"
-            other, kept = f"(r := _read_entry({item}, e, {at}, problems)) is not _INVALID", "r"
         else:
             lines.append(f"x{n} = _read(F_{name}[{n}], o.get({spec.key!r}), path, problems)")
             continue
+        read = f"x{n} = _read(F_{name}[{n}], v, path, problems)"
         lines += [
-            f"x{n} = []",
-            f"if (v := o.get({spec.key!r})).__class__ is not list:",
-            f"    x{n} = _read(F_{name}[{n}], v, path, problems)",
-            "else:",
-            "    for i, e in enumerate(v):",
+            f"if (v := o.get({spec.key!r})).__class__ is list:",
+            f"    x{n} = []",
+            "    for e in v:",
             f"        if {test}: x{n}.append({built})",
-            f"        elif {other}: x{n}.append({kept})",
+            "        else:",
+            f"            {read}",
+            "            break",
+            "else:",
+            f"    {read}",
         ]
     if invalid:
         lines.append(f"if {' or '.join(invalid)}: return _INVALID")

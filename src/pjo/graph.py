@@ -40,6 +40,7 @@ from .records import (
     ICD10,
     INT,
     KIND,
+    KIND_TEXT,
     NUMBER,
     OBJECT,
     OBJECTS,
@@ -146,9 +147,10 @@ FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 # MEMORY rules, that a value held in memory is of its type, to records only.
 # A READ rule's test is the value read, which later rules see as ``v``.
 # VALUE rules apply in memory too, REQUIRED ones to a required field or an
-# entry.  The reader's silent test and reporter, and ``field_problems``,
-# come from here; ``holder_rules`` gives the MEMORY rules of the fields that
-# hold records or arrays.
+# entry.  The reader's silent test and reporter, and both passes of
+# ``field_problems``, come from here: a silent pass of the tests alone,
+# joined, and a reporting pass that runs only when one fails; ``holder_rules``
+# gives the MEMORY rules of the fields that hold records or arrays.
 DOCUMENT, MEMORY, READ, VALUE, REQUIRED = "document", "memory", "read", "value", "required"
 FORMAT_VERSION = "pjo-1"
 
@@ -262,7 +264,12 @@ def field_problems(record) -> list[FieldProblem]:
     breaks.  A required string and every string-array entry must be nonempty,
     an ICD-10 code of that system and shape, and a checked value pass.  A
     held record, an array or an array entry of the wrong type (see
-    ``holder_rules``) is reported, and what it holds is not checked."""
+    ``holder_rules``) is reported, and what it holds is not checked.
+
+    The check generated per record type tests the whole record silently
+    first (see ``_silent_lines``) and returns ``[]`` when every rule holds;
+    only a record that fails a test is walked again, from the start, by the
+    reporting pass (``_rule_lines``), which alone words the problems."""
     return _FIELD_PROBLEMS[record.__class__](record)
 
 
@@ -286,7 +293,9 @@ def _report_line(test: str, at: str, code: str, message: str) -> str:
 
 
 def _rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str]:
-    """Source lines that check the record held in the local ``var``.
+    """Source lines that report every rule the record held in the local
+    ``var`` breaks: the reporting pass of its field check, which runs only
+    when the silent pass (see ``_silent_lines``) finds a broken rule.
 
     ``where`` is the f-string text of the record's location prefix.  Held
     records and array entries are checked inline, in loops over their
@@ -336,9 +345,109 @@ def _scalar_lines(spec, at: str, name: str) -> list[str]:
     ]
 
 
+def _bound(test: str, name: str, value: str) -> str:
+    """``test`` with its first use of the local ``name`` binding ``value`` to it."""
+    return re.sub(rf"\b{name}\b", f"({name} := {value})", test, count=1)
+
+
+def _kept_terms(spec) -> list[str]:
+    """The tests, each in parentheses, of the memory rules of scalar field
+    ``spec`` (or of a string-array entry) over the local ``v``.
+
+    The type rule's ``v is None or`` is left out: a left-out optional value
+    is taken before the rules, and a None that is required breaks the
+    nonempty rule.  Leaving it out makes a test stricter, never looser,
+    and a record that fails a silent test is reported in full anyway.
+    """
+    rules = field_rules(spec, False, "")
+    return [f"({test.removeprefix('v is None or ')})" for test, *_ in rules]
+
+
+def _silent_terms(
+    record_type: type, var: str, depth: int, array: str, loops: list, unbound: list
+) -> list[str]:
+    """Source terms, to be joined by ``and``, that hold only when the record
+    in the local ``var`` keeps every rule ``_rule_lines`` checks outside
+    its arrays' entries.
+
+    Each array is bound by its list rule to ``array`` numbered from 1 in
+    field order, and ``(name, field, entry depth)`` is added to ``loops``.
+    An array held in a record that may be left out, and so never bound,
+    is added to ``unbound`` too.
+    """
+    terms = []
+    for spec in FIELDS[record_type]:
+        value = f"{var}.{spec.attr}"
+        if spec.type not in (OBJECT, OBJECTS, STRS):
+            rules = _kept_terms(spec)
+            if spec.required:
+                terms += [_bound(rules[0], "v", value), *rules[1:]]
+            else:
+                terms.append(f"((v := {value}) is None or {' and '.join(rules)})")
+            continue
+        (test, _, _), *_ = holder_rules(spec)
+        test = test.removeprefix("{0} is None or ")
+        if spec.type == OBJECT:
+            inner, first = f"r{depth + 1}", len(loops)
+            held = [f"({test.format(inner)})"]
+            held += _silent_terms(spec.record, inner, depth + 1, array, loops, unbound)
+            if not spec.required:
+                unbound += [name for name, _, _ in loops[first:] if name not in unbound]
+                held = [f"({inner} is None or {' and '.join(held)})"]
+            terms += [_bound(held[0], inner, value), *held[1:]]
+        else:
+            name = f"{array}{len(loops) + 1}"
+            terms.append(f"({test.format(f'({name} := {value})')})")
+            loops.append((name, spec, depth + 1))
+    return terms
+
+
+def _silent_lines(record_type: type, var: str, depth: int, then: str, first: str = "") -> list:
+    """Source lines that run the statement ``then`` when the record in the
+    local ``var`` keeps every rule ``_rule_lines`` checks (and the term
+    ``first``, if given, holds), and otherwise fall through.
+
+    They are the silent pass of a field check: one ``and``-chained test of
+    the record's scalars, held records and array types, then one bare loop
+    per array, each running the next loop (the last, ``then``) in its
+    ``else``.  An entry is tested the same way, with ``continue`` as its
+    ``then``; one that fails breaks out of the loop.
+    """
+    loops, unbound = [], []
+    terms = [first] if first else []
+    # An entry's arrays are named after its depth, apart from its holder's.
+    terms += _silent_terms(record_type, var, depth, f"a{depth}_" if depth else "a", loops, unbound)
+    body = [then]
+    for array, spec, inner in reversed(loops):
+        if spec.type == STRS:
+            item, test = "v", [f"if {' and '.join(_kept_terms(spec))}: continue"]
+        else:
+            item, entry = f"r{inner}", spec.record
+            test = f"{item}.__class__ is {entry.__name__}"
+            test = _silent_lines(entry, item, inner, "continue", test)
+        body = [
+            f"for {item} in {array}:",
+            *(f"    {line}" for line in [*test, "break"]),
+            "else:",
+            *(f"    {line}" for line in body),
+        ]
+    lines = [f"{array} = ()" for array in unbound]
+    if not terms:
+        return lines + body
+    head = f"if {' and '.join(terms)}:"
+    if len(body) == 1:
+        return [*lines, f"{head} {then}"]
+    return [*lines, head, *(f"    {line}" for line in body)]
+
+
 def _compile_field_problems(record_type: type):
     scope = {**RULE_NAMES, **{held.__name__: held for held in FIELDS}}
-    lines = ["problems = []", *_rule_lines(record_type, "record", "", 0), "return problems"]
+    lines = [
+        *_silent_lines(record_type, "record", 0, "return []"),
+        "problems = []",
+        *_rule_lines(record_type, "record", "", 0),
+        "return problems",
+    ]
     source = "def problems(record):\n    " + "\n    ".join(lines)
     filename = f"<{record_type.__name__} field problems>"
     return define(source, filename, scope, "field_problems")["problems"]
@@ -378,7 +487,7 @@ def missing_encounter(subject: str, encounter_id: str) -> str:
 
 def _arrow(edge: JourneyEdge) -> str:
     """How messages name a link: ``next link 'A' -> 'B'``."""
-    return f"{edge.kind.value} link {edge.from_encounter!r} -> {edge.to_encounter!r}"
+    return f"{KIND_TEXT[edge.kind]} link {edge.from_encounter!r} -> {edge.to_encounter!r}"
 
 
 def link_problems(graph: JourneyGraph, edge: JourneyEdge) -> list[FieldProblem]:
@@ -827,9 +936,11 @@ class JourneyGraph:
         """``FieldInvalidError`` for the checker's first ``invalid-type``
         error on the records of the patients ``patient_ids`` (each patient,
         its intake forms and its encounters) and, if ``providers``, on every
-        provider, worded ``"<location>: <message>"``; None when it reports
-        none.  What ``to_dot`` and ``serialize_bundle`` raise when writing
-        those records failed."""
+        provider, or failing that its first ``field-invalid`` one, which is
+        how it reports a required value left out (None); worded
+        ``"<location>: <message>"``, and None when it reports neither.  What
+        ``to_dot`` and ``serialize_bundle`` raise when writing those records
+        failed."""
         index = self._owners()
         forms = [key for pid in patient_ids for key in index.forms.get(pid, ())]
         encounters = [key for pid in patient_ids for key in index.encounters.get(pid, ())]
@@ -839,13 +950,17 @@ class JourneyGraph:
             ("intakeForms", self.intake_forms, forms),
             ("encounters", self.encounters, encounters),
         )
-        for name, records, keys in groups:
-            for key in sorted(keys):
-                if key not in records:
-                    continue
-                for relative, code, message in field_problems(records[key]):
-                    if code == INVALID_TYPE:
-                        return FieldInvalidError(f"{name}[{key}].{relative}: {message}")
+        problems = [
+            (code, f"{name}[{key}].{relative}: {message}")
+            for name, records, keys in groups
+            for key in sorted(keys)
+            if key in records
+            for relative, code, message in field_problems(records[key])
+        ]
+        for wanted in (INVALID_TYPE, FIELD_INVALID):
+            for code, text in problems:
+                if code == wanted:
+                    return FieldInvalidError(text)
         return None
 
     def _check_joins(self) -> ValidationReport:
@@ -965,12 +1080,14 @@ class JourneyGraph:
     def _check_edges(self, report: ValidationReport) -> None:
         """Each link's endpoint rules, duplicate and ``via``; then cycles.
 
-        ``link_problems`` is asked only about a link whose ends are missing,
-        equal, of two owners or out of date order.  Kahn's algorithm runs
-        over the same-day arcs, and over the whole graph only when those
-        hold a cycle or an arc runs backward or is undated: otherwise dates
-        never decrease along a path, so every cycle lies within one day (the
-        argument of ``link``).  The message names what whole-graph Kahn does.
+        A link whose kind is not an ``EdgeKind`` is reported by the kind's
+        field rule alone.  ``link_problems`` is asked only about a link
+        whose ends are missing, equal, of two owners or out of date order.
+        Kahn's algorithm runs over the same-day arcs, and over the whole
+        graph only when those hold a cycle or an arc runs backward, is
+        undated or has no kind: otherwise dates never decrease along a path,
+        so every cycle lies within one day (the argument of ``link``).  The
+        message names what whole-graph Kahn does.
         """
         encounters, owner_of = self.encounters, self.encounter_owner.get
         seen: set[tuple[EdgeKind, str, str]] = set()
@@ -978,6 +1095,15 @@ class JourneyGraph:
         forward = True  # whether every arc so far runs forward in dated time
         for index, edge in enumerate(self.edges):
             start, end, kind = edge.from_encounter, edge.to_encounter, edge.kind
+            if kind.__class__ is not EdgeKind:
+                # A link of no kind has no date order or name to check: its
+                # kind's field rule is its one problem.  Whole-graph Kahn,
+                # which takes it as running forward, checks its cycles.
+                for relative, code, message in field_problems(edge):
+                    if relative == "kind":
+                        report.error(code, message, f"links[{index}].kind")
+                forward = False
+                continue
             source, target = encounters.get(start), encounters.get(end)
             clean = source is not None and target is not None and start != end
             if clean:

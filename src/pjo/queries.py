@@ -12,7 +12,7 @@ from datetime import date
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .errors import UnknownEncounterError
 from .graph import JourneyGraph
-from .records import EdgeKind, Encounter, JourneyEdge, slotted
+from .records import KIND_TEXT, EdgeKind, Encounter, JourneyEdge, slotted
 
 
 @slotted(frozen=True)
@@ -84,7 +84,7 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
 
 
 def _link_order(ref: LinkRef) -> tuple[str, str]:
-    return ref.kind.value, ref.encounter_id
+    return KIND_TEXT[ref.kind], ref.encounter_id
 
 
 def symptom_progression(

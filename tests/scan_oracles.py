@@ -13,6 +13,8 @@ table, and writes each line through its own ``_Writer``, quoting every
 identifier and label as it goes; it shares only ``STYLE_TABLE`` with
 ``to_dot``.  ``check_by_scan`` is the invariant checker as plain passes that
 allocate per record and run Kahn's algorithm over the whole graph.
+``field_problems_by_report`` is a field check without its silent pass: the
+reporting lines of ``_rule_lines`` alone, which look at every rule.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from pjo.graph import (
     DANGLING_REFERENCE,
     DUPLICATE_EDGE,
     FIELD_INVALID,
+    INVALID_TYPE,
     JOURNEY_GAP,
+    RULE_NAMES,
     SELF_LINK,
     UNKNOWN_PATIENT,
     UNOWNED_ENCOUNTER,
@@ -49,6 +53,7 @@ from pjo.graph import (
     Diagnostic,
     Severity,
     ValidationReport,
+    _rule_lines,
     cyclic_nodes,
     encounter_reference_problems,
     field_problems,
@@ -478,6 +483,22 @@ _DOCUMENT_VALUES = {
 # pair of consecutive encounters, and Kahn's algorithm over the whole graph.
 
 
+_REPORTERS: dict[type, object] = {}
+
+
+def field_problems_by_report(record) -> list[tuple[str, str, str]]:
+    """``field_problems(record)`` from the reporting pass alone: the
+    ``_rule_lines`` of the record's type, compiled with no silent pass."""
+    record_type = record.__class__
+    if record_type not in _REPORTERS:
+        lines = ["problems = []", *_rule_lines(record_type, "record", "", 0), "return problems"]
+        source = "def problems(record):\n    " + "\n    ".join(lines)
+        scope = {**RULE_NAMES, **{held.__name__: held for held in FIELDS}}
+        exec(compile(source, f"<{record_type.__name__} report>", "exec"), scope)
+        _REPORTERS[record_type] = scope["problems"]
+    return _REPORTERS[record_type](record)
+
+
 def check_by_scan(graph: JourneyGraph, fields=field_problems) -> ValidationReport:
     """The checker's report with ``fields(record)`` as the field rules:
     ``check_invariants()`` by default, ``_check_joins()`` with no rules."""
@@ -578,6 +599,12 @@ def _via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) 
 def check_edges_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
     seen: set[tuple[EdgeKind, str, str]] = set()
     for index, edge in enumerate(graph.edges):
+        if not isinstance(edge.kind, EdgeKind):
+            if edge.kind is None:
+                report.error(FIELD_INVALID, "kind must be nonempty", f"links[{index}].kind")
+            else:
+                report.error(INVALID_TYPE, "kind must be an EdgeKind", f"links[{index}].kind")
+            continue
         problems = link_problems(graph, edge)
         for _, code, message in problems:
             report.error(code, message, f"links[{index}]")

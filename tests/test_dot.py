@@ -208,9 +208,10 @@ def _symptoms_text(graph):
 
 
 class TestWronglyTypedStructure:
-    """A full drawing that fails on a structure the checker reports as
+    """A drawing that fails on a structure the checker reports as
     ``invalid-type`` raises ``FieldInvalidError`` for the checker's first
-    such problem, at its location, from the original error."""
+    such problem, at its location, from the original error; failing that,
+    for its first ``field-invalid`` one, such as a required value left out."""
 
     @pytest.mark.parametrize(
         "break_graph, problem",
@@ -230,6 +231,31 @@ class TestWronglyTypedStructure:
             to_dot(john_graph, patient_id, detail="full")
         assert str(raised.value) == problem
         assert isinstance(raised.value.__cause__, AttributeError)
+
+    @pytest.mark.parametrize("detail", ["journey", "full"])
+    def test_a_left_out_patient_name_raises_the_checkers_problem(self, john_graph, detail):
+        john_graph.patients[JOHN_DOE_ID].patient_name = None
+        with pytest.raises(FieldInvalidError) as raised:
+            to_dot(john_graph, detail=detail)
+        assert str(raised.value) == (
+            f"patients[{JOHN_DOE_ID}].patientName: patientName must be nonempty"
+        )
+        assert isinstance(raised.value.__cause__, TypeError)
+
+    def test_a_left_out_symptom_name_raises_the_checkers_problem(self, john_graph):
+        john_graph.encounters[ENCOUNTER_ALLERGY].symptoms[0].symptom_name = None
+        assert to_dot(john_graph, detail="journey") == to_dot(john_doe_graph())
+        with pytest.raises(FieldInvalidError) as raised:
+            to_dot(john_graph, detail="full")
+        assert str(raised.value) == (
+            f"encounters[{ENCOUNTER_ALLERGY}].symptoms[0].symptomName: symptomName must be nonempty"
+        )
+
+    def test_a_type_problem_comes_before_a_left_out_value(self, john_graph):
+        john_graph.patients[JOHN_DOE_ID].patient_name = None
+        _symptom_text(john_graph)
+        with pytest.raises(FieldInvalidError, match=r"^encounters\[Encounter-Allergy"):
+            to_dot(john_graph, detail="full")
 
     def test_journey_detail_still_draws_the_graph(self, john_graph):
         _symptom_text(john_graph)

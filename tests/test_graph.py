@@ -56,6 +56,7 @@ from pjo.graph import (
 from pjo.dot import to_dot
 from pjo.queries import find_encounters, timeline
 from pjo.records import FIELDS, OBJECTS
+from scan_oracles import check_by_scan
 
 
 def small_graph(n_encounters: int = 0, n_patients: int = 1) -> JourneyGraph:
@@ -664,6 +665,31 @@ class TestCheckInvariants:
             (INVALID_TYPE, "encounters[P1-E2].date")
         ]
         assert codes_of(report, "warning") == [DUPLICATE_CUI_ANNOTATION]
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["against-the-dates", "with-the-dates"])
+    def test_a_link_whose_kind_is_a_string_is_reported_not_raised(self, john_graph, swap):
+        """A ``next`` link against the dates once raised in naming the kind;
+        with its ends swapped it kept the dates and got no diagnostic."""
+        warnings = john_graph.check_invariants().warnings
+        edge = john_graph.edges[0]
+        ends = (edge.to_encounter, edge.from_encounter) if swap else (
+            edge.from_encounter, edge.to_encounter)  # fmt: skip
+        john_graph.edges[0] = JourneyEdge("next", *ends)
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (INVALID_TYPE, "links[0].kind", "kind must be an EdgeKind")
+        ]
+        assert report.warnings == warnings
+        assert report.diagnostics == check_by_scan(john_graph).diagnostics
+
+    def test_a_link_without_a_kind_is_reported_not_raised(self, john_graph):
+        edge = john_graph.edges[0]
+        john_graph.edges[0] = JourneyEdge(None, edge.from_encounter, edge.to_encounter)
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (FIELD_INVALID, "links[0].kind", "kind must be nonempty")
+        ]
+        assert report.diagnostics == check_by_scan(john_graph).diagnostics
 
     def test_unresolved_via_is_a_warning(self):
         graph = small_graph(n_encounters=2)

@@ -3,8 +3,10 @@
 ``pjo`` imports a module on first use of one of its public names, and
 each CLI command imports only the modules it runs.  The module checks run
 in a fresh interpreter without ``site``, so installed ``.pth`` files cannot
-load a module on pjo's behalf.  No command compiles generated code: it
-comes from the checked-in ``pjo._generated``.
+load a module on pjo's behalf.  No command compiles generated code, and
+neither does building the seed graph through the raising API and checking
+it, which runs the field checks: it comes from the checked-in
+``pjo._generated``.
 """
 
 import importlib
@@ -55,7 +57,8 @@ def seed_path(tmp_path_factory):
 
 
 # Notes each call pjo's own code makes to ``compile``, or to ``exec`` or
-# ``eval`` with a string, while ``import pjo.cli`` and the command run.
+# ``eval`` with a string, while ``import pjo.cli`` and the command run, or
+# with no command, while the seed graph is built and checked.
 COMPILES = """
 import builtins, contextlib, io, json, sys
 calls = []
@@ -71,9 +74,13 @@ def noting(name):
 
 for name in ("compile", "exec", "eval"):
     setattr(builtins, name, noting(name))
-import pjo.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = pjo.cli.main(sys.argv[1:])
+if sys.argv[1:]:
+    import pjo.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pjo.cli.main(sys.argv[1:])
+else:
+    import pjo
+    code = 0 if pjo.john_doe_graph().check_invariants().ok else 1
 print(json.dumps({"code": code, "calls": calls}))
 """
 
@@ -108,9 +115,10 @@ LEAF_COMMANDS = {
 }  # fmt: skip
 
 
-@pytest.mark.parametrize("command", LEAF_COMMANDS)
-def test_no_command_compiles_code(command, seed_path, csv_paths):
-    argv = [arg.format(seed=seed_path, **csv_paths) for arg in LEAF_COMMANDS[command]]
+def compiles_during(*argv) -> list[str]:
+    """The compile, exec and eval calls pjo makes in a fresh process while
+    the command ``argv`` runs, or with none, while the seed graph is built
+    through the raising API and checked."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", COMPILES, *argv],
@@ -121,7 +129,17 @@ def test_no_command_compiles_code(command, seed_path, csv_paths):
     )
     result = json.loads(proc.stdout)
     assert result["code"] == 0, proc.stderr
-    assert result["calls"] == []
+    return result["calls"]
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS)
+def test_no_command_compiles_code(command, seed_path, csv_paths):
+    argv = [arg.format(seed=seed_path, **csv_paths) for arg in LEAF_COMMANDS[command]]
+    assert compiles_during(*argv) == []
+
+
+def test_building_and_checking_the_seed_graph_compiles_no_code():
+    assert compiles_during() == []
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -12,6 +12,10 @@ check that:
 - the reader takes the value exactly when ``_report`` reports nothing;
 - ``parse_bundle`` on the seed bundle holding the value never raises, and
   returns a graph or at least one error.
+
+A silent test leaves out the rules a later rule implies (``_IMPLIED``), but
+``_report`` keeps them all, so a date still reports the first rule it
+breaks.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pjo import john_doe_bundle, parse_bundle
-from pjo.bundle import _INVALID, _RECORD_READERS, _SCALARS, _report
-from pjo.graph import ValidationReport, field_problems
+from pjo.bundle import _IMPLIED, _INVALID, _RECORD_READERS, _SCALARS, _report
+from pjo.graph import RULES, ValidationReport, field_problems
 from pjo.records import FIELDS, OBJECT, OBJECTS, STRS, Bundle
 
 SEED = json.loads(john_doe_bundle())
@@ -124,3 +128,40 @@ def test_parse_returns_a_graph_or_an_error(record_type, spec, value):
     assert result.ok or result.errors, value
     if _report(spec, value, spec.key, ValidationReport()):
         assert not result.ok
+
+
+def test_each_implied_rule_is_a_rule_of_its_type():
+    for value_type, implied in _IMPLIED.items():
+        assert implied <= {test for test, *_ in RULES[value_type]}
+
+
+@pytest.mark.parametrize(
+    "value, code, message",
+    [
+        ("", "field-invalid", "{} must be nonempty"),
+        ("2021-\ud800-01", "invalid-value", "{} holds a lone surrogate"),
+        ("\ud800", "invalid-value", "{} holds a lone surrogate"),
+        (20210101, "invalid-type", "{} must be a string"),
+        (["2021-01-01"], "invalid-type", "{} must be a string"),
+    ],
+    ids=["empty", "surrogate-in-shape", "surrogate", "number", "array"],
+)
+@pytest.mark.parametrize(
+    "path, key, location",
+    [
+        (("patient",), "birthDate", "patient.birthDate"),
+        (("encounters", 0), "date", "encounters[0].date"),
+    ],
+    ids=["birth", "encounter"],
+)
+def test_a_date_reports_the_first_rule_it_breaks(path, key, location, value, code, message):
+    document = copy.deepcopy(SEED)
+    obj = document
+    for step in path:
+        obj = obj[step]
+    obj[key] = value
+    result = parse_bundle(json.dumps(document))
+    assert not result.ok
+    assert [(d.code, d.location, d.message) for d in result.problems] == [
+        (code, location, message.format(repr(key)))
+    ]
