@@ -1,2 +1,2 @@
-"""The code pjo generates from its field table, one module per generator,
-written by ``scripts/generate_code.py``; see ``records.define``."""
+"""The code pjo generates, one plain module per generator, each imported on
+first use: written by ``scripts/generate_code.py`` with ``pjo._codegen``."""

@@ -1,0 +1,101 @@
+"""The reporters of a refused document's scalar values: code pjo generates.
+
+Do not edit: ``scripts/generate_code.py`` writes it and must be run again after
+any change to ``records.FIELDS``, ``graph.RULES`` or a generator in ``pjo._codegen``."""
+
+from ..codes import ConceptCode, validate_icd10
+from ..graph import FORMAT_VERSION, _DATE_SHAPE, _ICD10, _LINK_KINDS, _SURROGATE, _calendar_day
+from ..records import check_blood_pressure, check_body_temperature, check_heart_rate, check_weight, check_years_of_experience
+
+
+def report_string(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+
+
+def report_string_required(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    if not (v): return 'field-invalid', f'{name} must be nonempty'
+
+
+def report_date_required(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (_DATE_SHAPE(v)): return 'invalid-value', f'{v!r} is not an ISO-8601 date (YYYY-MM-DD)'
+    kept = _calendar_day(v)
+    if not (kept): return 'invalid-value', f'{v!r} is not a calendar date'
+    v = kept
+
+
+def report_int_check_years_of_experience(v, name):
+    if not (v.__class__ is int): return 'invalid-type', f'{name} must be an integer'
+    if not (check_years_of_experience(v) is None): return 'field-invalid', f'{check_years_of_experience(v)}'
+
+
+def report_string_array(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    if not (v): return 'field-invalid', f'{name} must be nonempty'
+
+
+def report_number_check_body_temperature(v, name):
+    if not (v.__class__ is float or v.__class__ is int): return 'invalid-type', f'{name} must be a number'
+    if not (check_body_temperature(v) is None): return 'field-invalid', f'{check_body_temperature(v)}'
+
+
+def report_string_check_blood_pressure(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    if not (check_blood_pressure(v) is None): return 'field-invalid', f'{check_blood_pressure(v)}'
+
+
+def report_number_check_weight(v, name):
+    if not (v.__class__ is float or v.__class__ is int): return 'invalid-type', f'{name} must be a number'
+    if not (check_weight(v) is None): return 'field-invalid', f'{check_weight(v)}'
+
+
+def report_number_check_heart_rate(v, name):
+    if not (v.__class__ is float or v.__class__ is int): return 'invalid-type', f'{name} must be a number'
+    if not (check_heart_rate(v) is None): return 'field-invalid', f'{check_heart_rate(v)}'
+
+
+def report_icd10(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    kept = ConceptCode(_ICD10, v)
+    v = kept
+    if not (v.system is _ICD10 and validate_icd10(v.code)): return 'bad-icd10', f'{v.code!r} is not a valid ICD10 code'
+
+
+def report_kind_required(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    if not (v): return 'field-invalid', f'{name} must be nonempty'
+    kept = _LINK_KINDS.get(v)
+    if not (kept): return 'invalid-value', f'link kind must be one of {sorted(_LINK_KINDS)}, got {v!r}'
+    v = kept
+
+
+def report_version_required(v, name):
+    if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
+    if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v == FORMAT_VERSION): return 'unsupported-format-version', f'unsupported format version {v!r}, expected {FORMAT_VERSION!r}'
+
+
+REPORTERS = {
+    ('string', False, None): report_string,
+    ('string', True, None): report_string_required,
+    ('date', True, None): report_date_required,
+    ('int', False, check_years_of_experience): report_int_check_years_of_experience,
+    ('string array', False, None): report_string_array,
+    ('number', False, check_body_temperature): report_number_check_body_temperature,
+    ('string', False, check_blood_pressure): report_string_check_blood_pressure,
+    ('number', False, check_weight): report_number_check_weight,
+    ('number', False, check_heart_rate): report_number_check_heart_rate,
+    ('icd10', False, None): report_icd10,
+    ('kind', True, None): report_kind_required,
+    ('version', True, None): report_version_required,
+}

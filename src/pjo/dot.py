@@ -86,7 +86,7 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     IDs and edge labels need no escaping; each line is one f-string.  A
     drawing that fails on a wrongly typed structure raises
     ``FieldInvalidError`` for the checker's first ``invalid-type`` error on
-    the records drawn (see ``JourneyGraph.type_error``).
+    the records and links drawn (see ``JourneyGraph.type_error``).
     """
     if detail not in ("journey", "full"):
         raise ValueError(f"detail must be 'journey' or 'full', got {detail!r}")
@@ -98,10 +98,7 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     try:
         return _draw(graph, patient_ids, encounters_by_owner, detail == "full")
     except (AttributeError, KeyError, TypeError, ValueError) as error:
-        problem = graph.type_error(patient_ids, providers=False)
-        if problem is None:
-            raise
-        raise problem from error
+        graph.type_error(error, patient_ids, providers=False)
 
 
 def _draw(graph: JourneyGraph, patient_ids: list[str], encounters_by_owner, full: bool) -> str:

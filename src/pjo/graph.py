@@ -15,14 +15,7 @@ import re
 from datetime import date
 from enum import Enum
 
-from .codes import (
-    CLASS_ANNOTATIONS,
-    AnnotationTable,
-    CodeSystem,
-    ConceptCode,
-    duplicate_cuis,
-    validate_icd10,
-)
+from .codes import CLASS_ANNOTATIONS, AnnotationTable, CodeSystem, duplicate_cuis
 from .errors import (
     CrossPatientLinkError,
     CycleIntroducedError,
@@ -42,8 +35,6 @@ from .records import (
     KIND,
     KIND_TEXT,
     NUMBER,
-    OBJECT,
-    OBJECTS,
     STR,
     STRS,
     VERSION,
@@ -54,10 +45,8 @@ from .records import (
     Fresh,
     IntakeForm,
     JourneyEdge,
-    OnDemand,
     Patient,
     Provider,
-    define,
     edge_dates_consistent,
     slotted,
 )
@@ -147,10 +136,10 @@ FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 # MEMORY rules, that a value held in memory is of its type, to records only.
 # A READ rule's test is the value read, which later rules see as ``v``.
 # VALUE rules apply in memory too, REQUIRED ones to a required field or an
-# entry.  The reader's silent test and reporter, and both passes of
-# ``field_problems``, come from here: a silent pass of the tests alone,
-# joined, and a reporting pass that runs only when one fails; ``holder_rules``
-# gives the MEMORY rules of the fields that hold records or arrays.
+# entry.  The generators of ``pjo._codegen`` write the readers' silent tests,
+# the refusal reporters and both passes of ``field_problems`` from here: a
+# silent pass of the tests alone, joined, and a reporting pass that runs only
+# when one fails.
 DOCUMENT, MEMORY, READ, VALUE, REQUIRED = "document", "memory", "read", "value", "required"
 FORMAT_VERSION = "pjo-1"
 
@@ -208,54 +197,11 @@ def _calendar_day(text: str) -> date | None:
         return None
 
 
-# The names the rules' sources use, and each field check by its name.
-RULE_NAMES = {
-    "_SURROGATE": re.compile("[\ud800-\udfff]").search,
-    "_DATE_SHAPE": re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch,
-    "_LINK_KINDS": {kind.value: kind for kind in EdgeKind},
-    "_ICD10": CodeSystem.ICD10, "ConceptCode": ConceptCode, "validate_icd10": validate_icd10,
-    "_calendar_day": _calendar_day, "FORMAT_VERSION": FORMAT_VERSION,
-    "date": date, "EdgeKind": EdgeKind,
-    **{f.check.__name__: f.check for fields in FIELDS.values() for f in fields if f.check},
-}  # fmt: skip
-
-
-def field_rules(spec, document: bool, name: str) -> list[tuple]:
-    """The rules on a value of scalar field ``spec`` (an entry, for a string
-    array) in order, worded with ``name``: the document's when ``document``,
-    else the record's.  The field's ``check``, if any, is the last value rule."""
-    required = spec.required or spec.type == STRS
-    kept = (DOCUMENT, READ, VALUE, REQUIRED) if document else (MEMORY, VALUE, REQUIRED)
-    rules = [
-        (test, code, message and message.replace("{name}", name), applies)
-        for test, code, message, applies in RULES[spec.type]
-        if applies in kept and (required or applies != REQUIRED)
-    ]
-    if spec.check is not None:
-        check = spec.check.__name__
-        rules.append((f"{check}(v) is None", FIELD_INVALID, f"{{{check}(v)}}", VALUE))
-    return rules
-
-
-def holder_rules(spec) -> list[tuple]:
-    """The MEMORY type rules of a field that holds a record or an array, each
-    (test, code, message) with the test a template over the value as ``{0}``:
-    the field's value, then each entry of an array of records.  A held record
-    is of the field's record type, or None unless required; an array is a
-    list.  The checks on what a value holds run only when it keeps these."""
-    if spec.type == OBJECT:
-        held = spec.record.__name__
-        test = f"{{0}}.__class__ is {held}"
-        if not spec.required:
-            test = f"{{0}} is None or {test}"
-        return [(test, INVALID_TYPE, f"{spec.key} must be a {held}")]
-    rules = [("{0}.__class__ is list", INVALID_TYPE, f"{spec.key} must be a list")]
-    if spec.type == OBJECTS:
-        entry = spec.record.__name__
-        rules.append(
-            (f"{{0}}.__class__ is {entry}", INVALID_TYPE, f"{spec.key} entries must be a {entry}")
-        )
-    return rules
+# The names the rules' tests use besides the field checks of ``records``.
+_SURROGATE = re.compile("[\ud800-\udfff]").search
+_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+_LINK_KINDS = {kind.value: kind for kind in EdgeKind}
+_ICD10 = CodeSystem.ICD10
 
 
 def field_problems(record) -> list[FieldProblem]:
@@ -263,14 +209,31 @@ def field_problems(record) -> list[FieldProblem]:
     it and the records it holds, the first value rule of ``RULES`` each value
     breaks.  A required string and every string-array entry must be nonempty,
     an ICD-10 code of that system and shape, and a checked value pass.  A
-    held record, an array or an array entry of the wrong type (see
-    ``holder_rules``) is reported, and what it holds is not checked.
+    held record, an array or an array entry of the wrong type is reported,
+    and what it holds is not checked.  ``record`` is of any record type of
+    ``FIELDS`` but ``Bundle``.
 
     The check generated per record type tests the whole record silently
-    first (see ``_silent_lines``) and returns ``[]`` when every rule holds;
-    only a record that fails a test is walked again, from the start, by the
-    reporting pass (``_rule_lines``), which alone words the problems."""
-    return _FIELD_PROBLEMS[record.__class__](record)
+    first and returns ``[]`` when every rule holds; only a record that fails
+    a test is walked again by the reporting pass, which alone words the
+    problems (see ``pjo._codegen.field_problems_source``)."""
+    return _field_checks()[record.__class__](record)
+
+
+# Each record table of a graph: its name in locations, attribute and class,
+# and the problem of a record of another class stored in it.
+_TABLES = [
+    (name, attr, held, f"{name} entries must be a {held.__name__}")
+    for name, attr, held in (
+        ("patients", "patients", Patient), ("providers", "providers", Provider),
+        ("intakeForms", "intake_forms", IntakeForm), ("encounters", "encounters", Encounter),
+    )
+]  # fmt: skip
+
+
+def _kind_problems(edge: JourneyEdge) -> list[FieldProblem]:
+    """The problem, by its field rule, of a kind that is not an ``EdgeKind``."""
+    return [problem for problem in field_problems(edge) if problem[0] == "kind"]
 
 
 def key_problems(record, key: str) -> list[FieldProblem]:
@@ -287,174 +250,13 @@ def key_problems(record, key: str) -> list[FieldProblem]:
     return []
 
 
-def _report_line(test: str, at: str, code: str, message: str) -> str:
-    """Source of a statement that reports the rule when ``test`` fails."""
-    return f"if not ({test}): problems.append((f{at!r}, {code!r}, f{message!r}))"
+@functools.cache
+def _field_checks() -> dict:
+    """The generated field checks, imported on first use: the bundle parser
+    never needs them."""
+    from ._generated.field_problems import CHECKS
 
-
-def _rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str]:
-    """Source lines that report every rule the record held in the local
-    ``var`` breaks: the reporting pass of its field check, which runs only
-    when the silent pass (see ``_silent_lines``) finds a broken rule.
-
-    ``where`` is the f-string text of the record's location prefix.  Held
-    records and array entries are checked inline, in loops over their
-    arrays, so the generated function is straight-line code per record
-    type that formats a location only when a rule fails.  What a held
-    record, an array or an entry holds is checked in the ``else`` (for a
-    held record left out, the ``elif``) of its type rule's report.
-    """
-    lines = []
-    for spec in FIELDS[record_type]:
-        value, at = f"{var}.{spec.attr}", where + spec.key
-        if spec.type not in (OBJECT, OBJECTS, STRS):
-            head = f"v = {value}" if spec.required else f"if (v := {value}) is not None:"
-            nested = _scalar_lines(spec, at, spec.key)
-            lines += [head, *(f"    {line}" if head.endswith(":") else line for line in nested)]
-            continue
-        index, inner = f"i{depth + 1}", f"r{depth + 1}"
-        (test, code, message), *entry_rules = holder_rules(spec)
-        held = inner if spec.type == OBJECT else f"a{depth + 1}"
-        lines += [f"{held} = {value}", _report_line(test.format(held), at, code, message)]
-        if spec.type == OBJECT:
-            lines.append(f"elif {held} is not None:")
-            body = _rule_lines(spec.record, inner, f"{at}.", depth + 1)
-        else:
-            at += f"[{{{index}}}]"
-            if spec.type == STRS:
-                loop = f"for {index}, v in enumerate({held}):"
-                entry = _scalar_lines(spec, at, f"{spec.key} entries")
-            else:
-                ((test, code, message),) = entry_rules
-                loop = f"for {index}, {inner} in enumerate({held}):"
-                nested = _rule_lines(spec.record, inner, f"{at}.", depth + 1)
-                entry = [_report_line(test.format(inner), at, code, message), "else:"]
-                entry += [f"    {line}" for line in nested]
-            lines.append("else:")
-            body = [loop, *(f"    {line}" for line in entry)]
-        lines += [f"    {line}" for line in body]
-    return lines
-
-
-def _scalar_lines(spec, at: str, name: str) -> list[str]:
-    """Source lines that report the first rule the scalar value (or
-    string-array entry) in the local ``v`` breaks."""
-    return [
-        ("el" if n else "") + _report_line(test, at, code, message)
-        for n, (test, code, message, _) in enumerate(field_rules(spec, False, name))
-    ]
-
-
-def _bound(test: str, name: str, value: str) -> str:
-    """``test`` with its first use of the local ``name`` binding ``value`` to it."""
-    return re.sub(rf"\b{name}\b", f"({name} := {value})", test, count=1)
-
-
-def _kept_terms(spec) -> list[str]:
-    """The tests, each in parentheses, of the memory rules of scalar field
-    ``spec`` (or of a string-array entry) over the local ``v``.
-
-    The type rule's ``v is None or`` is left out: a left-out optional value
-    is taken before the rules, and a None that is required breaks the
-    nonempty rule.  Leaving it out makes a test stricter, never looser,
-    and a record that fails a silent test is reported in full anyway.
-    """
-    rules = field_rules(spec, False, "")
-    return [f"({test.removeprefix('v is None or ')})" for test, *_ in rules]
-
-
-def _silent_terms(
-    record_type: type, var: str, depth: int, array: str, loops: list, unbound: list
-) -> list[str]:
-    """Source terms, to be joined by ``and``, that hold only when the record
-    in the local ``var`` keeps every rule ``_rule_lines`` checks outside
-    its arrays' entries.
-
-    Each array is bound by its list rule to ``array`` numbered from 1 in
-    field order, and ``(name, field, entry depth)`` is added to ``loops``.
-    An array held in a record that may be left out, and so never bound,
-    is added to ``unbound`` too.
-    """
-    terms = []
-    for spec in FIELDS[record_type]:
-        value = f"{var}.{spec.attr}"
-        if spec.type not in (OBJECT, OBJECTS, STRS):
-            rules = _kept_terms(spec)
-            if spec.required:
-                terms += [_bound(rules[0], "v", value), *rules[1:]]
-            else:
-                terms.append(f"((v := {value}) is None or {' and '.join(rules)})")
-            continue
-        (test, _, _), *_ = holder_rules(spec)
-        test = test.removeprefix("{0} is None or ")
-        if spec.type == OBJECT:
-            inner, first = f"r{depth + 1}", len(loops)
-            held = [f"({test.format(inner)})"]
-            held += _silent_terms(spec.record, inner, depth + 1, array, loops, unbound)
-            if not spec.required:
-                unbound += [name for name, _, _ in loops[first:] if name not in unbound]
-                held = [f"({inner} is None or {' and '.join(held)})"]
-            terms += [_bound(held[0], inner, value), *held[1:]]
-        else:
-            name = f"{array}{len(loops) + 1}"
-            terms.append(f"({test.format(f'({name} := {value})')})")
-            loops.append((name, spec, depth + 1))
-    return terms
-
-
-def _silent_lines(record_type: type, var: str, depth: int, then: str, first: str = "") -> list:
-    """Source lines that run the statement ``then`` when the record in the
-    local ``var`` keeps every rule ``_rule_lines`` checks (and the term
-    ``first``, if given, holds), and otherwise fall through.
-
-    They are the silent pass of a field check: one ``and``-chained test of
-    the record's scalars, held records and array types, then one bare loop
-    per array, each running the next loop (the last, ``then``) in its
-    ``else``.  An entry is tested the same way, with ``continue`` as its
-    ``then``; one that fails breaks out of the loop.
-    """
-    loops, unbound = [], []
-    terms = [first] if first else []
-    # An entry's arrays are named after its depth, apart from its holder's.
-    terms += _silent_terms(record_type, var, depth, f"a{depth}_" if depth else "a", loops, unbound)
-    body = [then]
-    for array, spec, inner in reversed(loops):
-        if spec.type == STRS:
-            item, test = "v", [f"if {' and '.join(_kept_terms(spec))}: continue"]
-        else:
-            item, entry = f"r{inner}", spec.record
-            test = f"{item}.__class__ is {entry.__name__}"
-            test = _silent_lines(entry, item, inner, "continue", test)
-        body = [
-            f"for {item} in {array}:",
-            *(f"    {line}" for line in [*test, "break"]),
-            "else:",
-            *(f"    {line}" for line in body),
-        ]
-    lines = [f"{array} = ()" for array in unbound]
-    if not terms:
-        return lines + body
-    head = f"if {' and '.join(terms)}:"
-    if len(body) == 1:
-        return [*lines, f"{head} {then}"]
-    return [*lines, head, *(f"    {line}" for line in body)]
-
-
-def _compile_field_problems(record_type: type):
-    scope = {**RULE_NAMES, **{held.__name__: held for held in FIELDS}}
-    lines = [
-        *_silent_lines(record_type, "record", 0, "return []"),
-        "problems = []",
-        *_rule_lines(record_type, "record", "", 0),
-        "return problems",
-    ]
-    source = "def problems(record):\n    " + "\n    ".join(lines)
-    filename = f"<{record_type.__name__} field problems>"
-    return define(source, filename, scope, "field_problems")["problems"]
-
-
-# Defined on first use: the bundle parser never needs them.
-_FIELD_PROBLEMS = OnDemand(_compile_field_problems)
+    return CHECKS
 
 
 def _dated(first, second) -> bool:
@@ -811,10 +613,11 @@ class JourneyGraph:
     ) -> JourneyEdge:
         """Add a journey edge after checking it against the graph.
 
-        Raises, and leaves ``edges`` untouched, on the first problem
-        ``link_problems`` finds (an unknown endpoint, a self-link, a link
-        across patients or against the endpoint dates), or when the edge
-        repeats a stored ``(kind, from, to)`` or closes a cycle.
+        Raises, and leaves ``edges`` untouched, on a ``kind`` that is not an
+        ``EdgeKind`` (by its field rule), on the first problem ``link_problems``
+        finds (an unknown endpoint, a self-link, a link across patients or
+        against the endpoint dates), or when the edge repeats a stored
+        ``(kind, from, to)`` or closes a cycle.
 
         Both checks look only at the owner's links, the stored links whose
         two ends that patient owns: a duplicate has the same ends, so it is
@@ -834,6 +637,8 @@ class JourneyGraph:
         ``check_invariants`` reasons the same way (see ``_check_edges``).
         """
         edge = JourneyEdge(kind, from_encounter, to_encounter, via)
+        if kind.__class__ is not EdgeKind:
+            _raise_first(_kind_problems(edge))
         _raise_first(link_problems(self, edge))
         owner = self.encounter_owner[from_encounter]
         index = self._owners()
@@ -932,36 +737,43 @@ class JourneyGraph:
         """
         return self._check(field_problems)
 
-    def type_error(self, patient_ids: list[str], providers: bool) -> FieldInvalidError | None:
-        """``FieldInvalidError`` for the checker's first ``invalid-type``
-        error on the records of the patients ``patient_ids`` (each patient,
-        its intake forms and its encounters) and, if ``providers``, on every
-        provider, or failing that its first ``field-invalid`` one, which is
-        how it reports a required value left out (None); worded
-        ``"<location>: <message>"``, and None when it reports neither.  What
-        ``to_dot`` and ``serialize_bundle`` raise when writing those records
-        failed."""
+    def type_error(self, error: Exception, patient_ids: list[str], providers: bool):
+        """Raise, from ``error``, ``FieldInvalidError`` for the checker's first
+        ``invalid-type`` error on the records of the patients ``patient_ids``
+        (each patient, its intake forms and its encounters), if ``providers``
+        on every provider, and on the kinds of the links between their
+        encounters, or failing that its first ``field-invalid`` one (a
+        required value left out), worded ``"<location>: <message>"``; else
+        ``error`` itself.  What ``to_dot``, ``serialize_bundle`` and
+        ``timeline`` raise when writing or ordering those records failed."""
         index = self._owners()
         forms = [key for pid in patient_ids for key in index.forms.get(pid, ())]
         encounters = [key for pid in patient_ids for key in index.encounters.get(pid, ())]
-        groups = (
-            ("patients", self.patients, patient_ids),
-            ("providers", self.providers, self.providers if providers else ()),
-            ("intakeForms", self.intake_forms, forms),
-            ("encounters", self.encounters, encounters),
-        )
-        problems = [
-            (code, f"{name}[{key}].{relative}: {message}")
-            for name, records, keys in groups
-            for key in sorted(keys)
-            if key in records
-            for relative, code, message in field_problems(records[key])
+        problems = []
+        groups = (patient_ids, self.providers if providers else (), forms, encounters)
+        for (name, attr, record_type, misfiled), keys in zip(_TABLES, groups):
+            records = getattr(self, attr)
+            for key in sorted(key for key in keys if key in records):
+                if records[key].__class__ is not record_type:
+                    problems.append((INVALID_TYPE, f"{name}[{key}]: {misfiled}"))
+                    continue
+                problems += [
+                    (code, f"{name}[{key}].{relative}: {message}")
+                    for relative, code, message in field_problems(records[key])
+                ]
+        owners, owner_of = set(patient_ids), self.encounter_owner.get
+        problems += [
+            (code, f"links[{i}].kind: {message}")
+            for i, edge in enumerate(self.edges)
+            if edge.kind.__class__ is not EdgeKind
+            and {owner_of(edge.from_encounter), owner_of(edge.to_encounter)} <= owners
+            for _, code, message in _kind_problems(edge)
         ]
         for wanted in (INVALID_TYPE, FIELD_INVALID):
             for code, text in problems:
                 if code == wanted:
-                    return FieldInvalidError(text)
-        return None
+                    raise FieldInvalidError(text) from error
+        raise error
 
     def _check_joins(self) -> ValidationReport:
         """The join pass: ``check_invariants`` without the field rules.
@@ -975,18 +787,30 @@ class JourneyGraph:
         return self._check(lambda record: [])
 
     def _check(self, fields) -> ValidationReport:
-        """The checker's report, with ``fields(record)`` as the field rules."""
-        report = ValidationReport()
-        self._check_annotations(report)
-        for name, records in (("patients", self.patients), ("providers", self.providers)):
+        """The checker's report, with ``fields(record)`` as the field rules.
+        A record stored in a table of another class is reported as
+        ``invalid-type`` and left out of the other rules, which read each
+        record as of its table's class."""
+        report, graph, tables = ValidationReport(), self, {}
+        for name, attr, record_type, message in _TABLES:
+            records = getattr(self, attr)
+            misfiled = sorted(key for key in records if records[key].__class__ is not record_type)
+            for key in misfiled:
+                report.error(INVALID_TYPE, message, f"{name}[{key}]")
+            if misfiled:
+                tables[attr] = {key: records[key] for key in records if key not in misfiled}
+        if tables:
+            graph = JourneyGraph(**{**{a: getattr(self, a) for a in self._attrs}, **tables})
+        graph._check_annotations(report)
+        for name, records in (("patients", graph.patients), ("providers", graph.providers)):
             for key in sorted(records):
                 record = records[key]
                 for relative, code, message in fields(record) + key_problems(record, key):
                     report.error(code, message, f"{name}[{key}].{relative}")
-        self._check_intake_forms(report, fields)
-        self._check_encounters(report, fields)
-        self._check_edges(report)
-        self._check_gaps(report)
+        graph._check_intake_forms(report, fields)
+        graph._check_encounters(report, fields)
+        graph._check_edges(report)
+        graph._check_gaps(report)
         return report
 
     def _check_annotations(self, report: ValidationReport) -> None:
@@ -1099,9 +923,8 @@ class JourneyGraph:
                 # A link of no kind has no date order or name to check: its
                 # kind's field rule is its one problem.  Whole-graph Kahn,
                 # which takes it as running forward, checks its cycles.
-                for relative, code, message in field_problems(edge):
-                    if relative == "kind":
-                        report.error(code, message, f"links[{index}].kind")
+                for _, code, message in _kind_problems(edge):
+                    report.error(code, message, f"links[{index}].kind")
                 forward = False
                 continue
             source, target = encounters.get(start), encounters.get(end)

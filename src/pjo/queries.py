@@ -54,7 +54,8 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
     The link annotations are exactly the stored journey edges restricted to
     the patient: each edge appears once as an outbound link of its source
     and once as an inbound link of its target, ordered by (kind value, the
-    other end's ID).
+    other end's ID).  A link kind that cannot be ordered raises the checker's
+    problem with it (see ``JourneyGraph.type_error``).
     """
     inbound: dict[str, list[LinkRef]] = {}
     outbound: dict[str, list[LinkRef]] = {}
@@ -67,7 +68,10 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
         if refs is None:
             return ()
         if len(refs) > 1:
-            refs.sort(key=_link_order)
+            try:
+                refs.sort(key=_link_order)
+            except (KeyError, TypeError) as error:
+                graph.type_error(error, [patient_id], providers=False)
         return tuple(refs)
 
     return [

@@ -9,8 +9,9 @@ linked to each other by typed journey edges.
 canonical order, their value types, which are required, their defaults and
 the value checks that the graph checker also applies.  ``record`` builds
 each record class from that declaration, and ``slotted`` builds pjo's other
-value classes the same way (see ``_build``).  ``define`` runs every piece of
-pjo's generated code.
+value classes the same way (see ``_build``), with the methods
+``scripts/generate_code.py`` wrote to ``pjo._generated.classes``.  Run that
+script again after any change to ``FIELDS`` or a class declaration.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import re
 from datetime import date
 from enum import Enum
-from types import FunctionType
 from typing import Any, Callable
+
+from ._generated import classes
 
 BLOOD_PRESSURE_PATTERN = re.compile(r"([0-9]+)/([0-9]+)")
 
@@ -40,9 +42,6 @@ class Fresh:
 
     def __init__(self, make: Callable[[], Any]) -> None:
         self.make = make
-
-
-_MISSING = object()
 
 
 def _refuse_change(self, name, value=None):
@@ -75,41 +74,20 @@ def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dic
     ``defaults`` maps the optional ones, which follow the required ones, to
     a default value or a ``Fresh`` factory.  ``__init__`` ends by calling
     ``__post_init__`` when the class has one; ``_values`` returns the values.
-    The rest is shared, over ``_values`` and ``_attrs``: ``__eq__`` compares
+    Both come from ``pjo._generated.classes``; ``_attrs`` and ``_defaults``
+    keep the declaration, which ``scripts/generate_code.py`` reads.  The rest
+    is shared, over ``_values`` and ``_attrs``: ``__eq__`` compares
     instances of one class, ``__repr__`` names each value and ``__reduce__``
     rebuilds one through ``__init__`` for ``pickle`` and ``copy``.  A frozen
     class refuses assignment and hashes by value; a mutable one is unhashable.
     """
-    scope: dict[str, Any] = {"_MISSING": _MISSING, "_set": object.__setattr__}
-    params, body = ["self"], []
-    for attr in attrs:
-        value = attr
-        default = defaults.get(attr, _MISSING)
-        if isinstance(default, Fresh):
-            scope[f"_make_{attr}"] = default.make
-            params.append(f"{attr}=_MISSING")
-            value = f"_make_{attr}() if {attr} is _MISSING else {attr}"
-        elif default is not _MISSING:
-            scope[f"_default_{attr}"] = default
-            params.append(f"{attr}=_default_{attr}")
-        else:
-            params.append(attr)
-        body.append(f"_set(self, {attr!r}, {value})" if frozen else f"self.{attr} = {value}")
-    if "__post_init__" in namespace:
-        body.append("self.__post_init__()")
-    source = "\n".join(
-        [
-            f"def __init__({', '.join(params)}):",
-            *(f"    {line}" for line in body),
-            "def _values(self):",
-            "    return (" + "".join(f"self.{attr}, " for attr in attrs) + ")",
-        ]
-    )
-    define(source, f"<{name} class>", scope, "classes")
-    for method in ("__init__", "_values"):
-        namespace[method] = scope[method]
-        scope[method].__qualname__ = f"{name}.{method}"
-    namespace.update(_attrs=attrs, __eq__=_eq, __repr__=_repr, __reduce__=_reduce, __hash__=None)
+    makers = [default.make for default in defaults.values() if isinstance(default, Fresh)]
+    methods = getattr(classes, f"methods_{name}")(*makers)
+    for method, function in zip(("__init__", "_values"), methods):
+        function.__qualname__ = f"{name}.{method}"
+        namespace[method] = function
+    namespace.update(_attrs=attrs, _defaults=defaults, __hash__=None)
+    namespace.update(__eq__=_eq, __repr__=_repr, __reduce__=_reduce)
     if frozen:
         namespace.update(__hash__=_hash, __setattr__=_refuse_change, __delattr__=_refuse_change)
     namespace["__slots__"] = attrs + tuple(namespace.pop("__slots__", ()))
@@ -135,44 +113,6 @@ def slotted(cls=None, /, *, frozen: bool = False):
         return _build(cls.__name__, cls.__bases__, namespace, attrs, defaults, frozen)
 
     return rebuild if cls is None else rebuild(cls)
-
-
-class OnDemand(dict):
-    """A dict whose missing entry for ``key`` is ``build(key)``, made on first use.
-
-    It holds code generated per record type, so that a process defines
-    only the functions it calls.
-    """
-
-    __slots__ = ("build",)
-
-    def __init__(self, build: Callable[[Any], Any]) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        built = self[key] = self.build(key)
-        return built
-
-
-# Each generator's sources, mapped to the factories whose bodies they are,
-# from its module of ``pjo._generated`` (see ``scripts/generate_code.py``).
-_GENERATED = OnDemand(
-    lambda part: __import__(f"pjo._generated.{part}", fromlist=["SOURCES"]).SOURCES
-)
-
-
-def define(source: str, filename: str, scope: dict, part: str) -> dict:
-    """``scope`` with the functions ``source``, generated code, defines, as
-    ``exec`` leaves it.  If the generator's ``part`` of ``pjo._generated``
-    holds the exact source, its factory's code, cached as bytecode like any
-    module's, runs instead of a compile of ``source`` under ``filename``."""
-    factory = _GENERATED[part].get(source)
-    if factory is None:
-        exec(compile(source, filename, "exec"), scope)
-    else:
-        scope.update(FunctionType(factory.__code__, scope)())
-    return scope
 
 
 # -- the field table ------------------------------------------------------

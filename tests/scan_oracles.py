@@ -14,7 +14,8 @@ identifier and label as it goes; it shares only ``STYLE_TABLE`` with
 ``to_dot``.  ``check_by_scan`` is the invariant checker as plain passes that
 allocate per record and run Kahn's algorithm over the whole graph.
 ``field_problems_by_report`` is a field check without its silent pass: the
-reporting lines of ``_rule_lines`` alone, which look at every rule.
+reporting lines of ``pjo._codegen.rule_lines`` alone, which look at every
+rule.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 from datetime import date
 
 from pjo import EdgeKind, JourneyEdge, JourneyGraph
+from pjo._codegen import rule_lines
+from pjo._generated import field_problems as checks
 from pjo.bundle import FORMAT_VERSION
 from pjo.dot import STYLE_TABLE
 from pjo.errors import (
@@ -44,7 +47,6 @@ from pjo.graph import (
     FIELD_INVALID,
     INVALID_TYPE,
     JOURNEY_GAP,
-    RULE_NAMES,
     SELF_LINK,
     UNKNOWN_PATIENT,
     UNOWNED_ENCOUNTER,
@@ -53,7 +55,6 @@ from pjo.graph import (
     Diagnostic,
     Severity,
     ValidationReport,
-    _rule_lines,
     cyclic_nodes,
     encounter_reference_problems,
     field_problems,
@@ -488,12 +489,12 @@ _REPORTERS: dict[type, object] = {}
 
 def field_problems_by_report(record) -> list[tuple[str, str, str]]:
     """``field_problems(record)`` from the reporting pass alone: the
-    ``_rule_lines`` of the record's type, compiled with no silent pass."""
+    ``rule_lines`` of the record's type, compiled with no silent pass."""
     record_type = record.__class__
     if record_type not in _REPORTERS:
-        lines = ["problems = []", *_rule_lines(record_type, "record", "", 0), "return problems"]
+        lines = ["problems = []", *rule_lines(record_type, "record", "", 0), "return problems"]
         source = "def problems(record):\n    " + "\n    ".join(lines)
-        scope = {**RULE_NAMES, **{held.__name__: held for held in FIELDS}}
+        scope = dict(vars(checks))
         exec(compile(source, f"<{record_type.__name__} report>", "exec"), scope)
         _REPORTERS[record_type] = scope["problems"]
     return _REPORTERS[record_type](record)

@@ -59,7 +59,7 @@ from pjo.records import (
     STR,
     STRS,
 )
-from pjo.bundle import _WRITERS_AT
+from pjo._generated import writers
 from pjo.seed import ENCOUNTER_ALLERGY, JOHN_DOE_ID
 from scan_oracles import serialize_bundle_by_dumps
 
@@ -242,7 +242,7 @@ def entry_writers(monkeypatch) -> list[type]:
     """The class of each encounter array entry written by its own class's
     writer, not inline, in order."""
     written = []
-    entries = _WRITERS_AT[4]  # document, encounters array, encounter, entry
+    entries = writers.W4  # document, encounters array, encounter, entry
     for record_type in {spec.record for spec in FIELDS[Encounter] if spec.type == OBJECTS}:
         write = entries[record_type]
         spy = lambda record, write=write: written.append(record.__class__) or write(record)
@@ -322,16 +322,33 @@ def _contact_number(graph):
     graph.patients[JOHN_DOE_ID].contact = 5
 
 
+def _bogus_kind(graph):
+    edge = graph.edges[0]
+    graph.edges[0] = JourneyEdge("bogus", edge.from_encounter, edge.to_encounter)
+
+
+def _no_kind(graph):
+    edge = graph.edges[0]
+    graph.edges[0] = JourneyEdge(None, edge.from_encounter, edge.to_encounter)
+
+
+def _provider_as_patient(graph):
+    graph.patients[JOHN_DOE_ID] = Provider(JOHN_DOE_ID, "Dr. J")
+
+
 @pytest.mark.parametrize(
     "break_graph, problem",
     [
+        (_bogus_kind, "links[0].kind: kind must be an EdgeKind"),
+        (_no_kind, "links[0].kind: kind must be nonempty"),
         (_symptom_text, f"encounters[{ENCOUNTER_ALLERGY}].symptoms[2]: "
          "symptoms entries must be a Symptom"),
         (_symptoms_text, f"encounters[{ENCOUNTER_ALLERGY}].symptoms: symptoms must be a list"),
         (_contact_number, f"patients[{JOHN_DOE_ID}].contactInformation: "
          "contactInformation must be a ContactInformation"),
+        (_provider_as_patient, f"patients[{JOHN_DOE_ID}]: patients entries must be a Patient"),
     ],
-    ids=["entry", "array", "held record"],
+    ids=["link kind", "no link kind", "entry", "array", "held record", "stored record"],
 )  # fmt: skip
 def test_a_failed_write_raises_the_checkers_type_problem(john_graph, break_graph, problem):
     break_graph(john_graph)

@@ -9,6 +9,7 @@ from dotcheck import check_dot
 from journeygen import random_journey
 from pjo import (
     FieldInvalidError,
+    JourneyEdge,
     JourneyGraph,
     Patient,
     UnknownPatientError,
@@ -250,6 +251,18 @@ class TestWronglyTypedStructure:
         assert str(raised.value) == (
             f"encounters[{ENCOUNTER_ALLERGY}].symptoms[0].symptomName: symptomName must be nonempty"
         )
+
+    @pytest.mark.parametrize("detail", ["journey", "full"])
+    @pytest.mark.parametrize("patient_id", [None, JOHN_DOE_ID])
+    def test_a_link_kind_not_an_edge_kind_raises_the_checkers_problem(
+        self, john_graph, detail, patient_id
+    ):
+        edge = john_graph.edges[0]
+        john_graph.edges[0] = JourneyEdge("bogus", edge.from_encounter, edge.to_encounter)
+        with pytest.raises(FieldInvalidError) as raised:
+            to_dot(john_graph, patient_id, detail=detail)
+        assert str(raised.value) == "links[0].kind: kind must be an EdgeKind"
+        assert isinstance(raised.value.__cause__, KeyError)
 
     def test_a_type_problem_comes_before_a_left_out_value(self, john_graph):
         john_graph.patients[JOHN_DOE_ID].patient_name = None

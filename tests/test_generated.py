@@ -1,24 +1,27 @@
-"""The checked-in generated code: up to date, and the code pjo generates.
+"""The checked-in generated code: up to date, and what pjo runs.
 
-``scripts/generate_code.py`` writes the modules of ``pjo._generated`` from
-the field table; ``records.define`` runs a factory from them in place of
-compiling the same source.
+``scripts/generate_code.py`` writes the modules of ``pjo._generated`` with
+the generators of ``pjo._codegen``, from the field and rule tables and the
+class declarations; pjo imports those modules and compiles nothing.  The
+script runs from nothing: with the generated modules gone it still writes
+them, byte for byte.
 """
 
 import importlib
+import inspect
 import pkgutil
+import shutil
 import subprocess
 import sys
-import types
 from pathlib import Path
 
-import pytest
-
+from pjo._generated import classes
 from pjo.records import FIELDS
 
-PARTS = ("classes", "readers", "writers", "field_problems")
+PARTS = ("classes", "readers", "writers", "field_problems", "reporters")
 
 ROOT = Path(__file__).resolve().parent.parent
+GENERATED = ROOT / "src" / "pjo" / "_generated"
 
 
 def test_the_generator_script_reproduces_the_modules_byte_for_byte():
@@ -30,30 +33,29 @@ def test_the_generator_script_reproduces_the_modules_byte_for_byte():
     assert proc.returncode == 0, proc.stderr
 
 
-def _shape(code: types.CodeType):
-    """A code object's bytecode, names and constants, nested code included,
-    without where it was compiled."""
-    consts = tuple(_shape(c) if isinstance(c, types.CodeType) else c for c in code.co_consts)
-    return code.co_name, code.co_code, code.co_names, code.co_varnames, code.co_freevars, consts
-
-
-@pytest.mark.parametrize("part", PARTS)
-def test_each_factory_defines_its_sources_functions_with_the_same_bytecode(part):
-    sources = importlib.import_module(f"pjo._generated.{part}").SOURCES
-    assert sources
-    for source, factory in sources.items():
-        compiled = compile(source, "<source>", "exec").co_consts
-        stored = factory.__code__.co_consts
-        functions = [_shape(c) for c in compiled if isinstance(c, types.CodeType)]
-        assert functions == [_shape(c) for c in stored if isinstance(c, types.CodeType)]
-        assert functions and factory.__code__.co_cellvars == ()
+def test_the_script_writes_the_modules_from_nothing(tmp_path):
+    for folder in ("src", "scripts"):
+        shutil.copytree(ROOT / folder, tmp_path / folder, ignore=shutil.ignore_patterns("__pycache__"))
+    target = tmp_path / "src" / "pjo" / "_generated"
+    for part in PARTS:
+        (target / f"{part}.py").unlink()
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "generate_code.py")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in target.glob("*.py")) == sorted(
+        path.name for path in GENERATED.glob("*.py")
+    )
+    for part in PARTS:
+        assert (target / f"{part}.py").read_bytes() == (GENERATED / f"{part}.py").read_bytes()
 
 
 def _built_classes() -> list[type]:
-    """Every class of a pjo module whose ``__init__`` a class factory defines:
-    the classes ``records._build`` made."""
-    factories = importlib.import_module("pjo._generated.classes").SOURCES.values()
-    defined = {c for f in factories for c in f.__code__.co_consts if isinstance(c, types.CodeType)}
+    """Every class of a pjo module whose ``__init__`` the classes module
+    makes: the classes ``records._build`` made."""
     package = importlib.import_module("pjo")
     modules = [
         importlib.import_module(f"pjo.{info.name}")
@@ -66,7 +68,7 @@ def _built_classes() -> list[type]:
         for value in vars(module).values()
         if isinstance(value, type)
         and value.__module__ == module.__name__
-        and getattr(vars(value).get("__init__"), "__code__", None) in defined
+        and getattr(vars(value).get("__init__"), "__module__", None) == classes.__name__
     ]
 
 
@@ -80,8 +82,16 @@ def test_every_built_class_shares_one_eq_repr_reduce_and_frozen_hash():
     assert all(vars(cls)["__hash__"] is None for cls in built if cls not in frozen)
 
 
-def test_each_class_factory_defines_only_init_and_the_value_tuple():
-    for factory in importlib.import_module("pjo._generated.classes").SOURCES.values():
-        consts = factory.__code__.co_consts
-        names = [c.co_name for c in consts if isinstance(c, types.CodeType)]
-        assert names == ["__init__", "_values"]
+def test_each_built_class_takes_its_methods_from_its_own_function():
+    built = {cls.__name__: cls for cls in _built_classes()}
+    functions = {
+        name.removeprefix("methods_"): function
+        for name, function in vars(classes).items()
+        if name.startswith("methods_")
+    }
+    assert functions.keys() == built.keys()
+    for name, function in functions.items():
+        nested = [c.co_name for c in function.__code__.co_consts if inspect.iscode(c)]
+        assert nested == ["__init__", "_values"], name
+        for method in nested:
+            assert vars(built[name])[method].__qualname__ == f"{name}.{method}"

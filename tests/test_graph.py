@@ -56,6 +56,7 @@ from pjo.graph import (
 from pjo.dot import to_dot
 from pjo.queries import find_encounters, timeline
 from pjo.records import FIELDS, OBJECTS
+from pjo.seed import JOHN_DOE_ID
 from scan_oracles import check_by_scan
 
 
@@ -268,6 +269,19 @@ class TestLink:
                 "P1", Encounter(eid, date(2021, 6, 1), "Allergy", "Provider-1")
             )
         graph.link(kind, "A", "B")
+        assert graph.check_invariants().ok
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("next", "kind must be an EdgeKind"), (None, "kind must be nonempty")],
+        ids=["string", "none"],
+    )
+    def test_a_kind_not_an_edge_kind_is_refused_by_its_field_rule(self, kind, message):
+        graph = small_graph(n_encounters=2)
+        with pytest.raises(FieldInvalidError) as raised:
+            graph.link(kind, "P1-E1", "P1-E2")
+        assert str(raised.value) == message
+        assert graph.edges == [] and graph.edges_of("P1") == []
         assert graph.check_invariants().ok
 
     def test_duplicate_edge_rejected(self):
@@ -690,6 +704,39 @@ class TestCheckInvariants:
             (FIELD_INVALID, "links[0].kind", "kind must be nonempty")
         ]
         assert report.diagnostics == check_by_scan(john_graph).diagnostics
+
+    @pytest.mark.parametrize(
+        "table, name, held",
+        [
+            ("patients", "patients", "Patient"),
+            ("providers", "providers", "Provider"),
+            ("intake_forms", "intakeForms", "IntakeForm"),
+            ("encounters", "encounters", "Encounter"),
+        ],
+    )
+    def test_a_record_of_another_class_in_a_table_is_reported_not_raised(
+        self, john_graph, table, name, held
+    ):
+        warnings = john_graph.check_invariants().warnings
+        getattr(john_graph, table)["X"] = Symptom("")
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (INVALID_TYPE, f"{name}[X]", f"{name} entries must be a {held}")
+        ]
+        assert report.warnings == warnings
+
+    def test_the_other_rules_read_a_table_without_its_misfiled_records(self, john_graph):
+        """A provider stored as the seed's patient leaves its intake form and
+        encounters owned by an unknown patient; one under a new key was once
+        taken as a valid patient."""
+        john_graph.patients["D"] = Provider("D", "Dr. D")
+        john_graph.patients[JOHN_DOE_ID] = Provider(JOHN_DOE_ID, "Dr. J")
+        report = john_graph.check_invariants()
+        misfiled = [d.location for d in report.errors if d.code == INVALID_TYPE]
+        assert misfiled == ["patients[D]", f"patients[{JOHN_DOE_ID}]"]
+        others = {d.code for d in report.errors} - {INVALID_TYPE}
+        assert others == {UNKNOWN_PATIENT}
+        assert len(report.errors) == 2 + 1 + len(john_graph.encounters)
 
     def test_unresolved_via_is_a_warning(self):
         graph = small_graph(n_encounters=2)

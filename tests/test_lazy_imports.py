@@ -1,12 +1,12 @@
 """What each entry point loads, and the package's lazily imported names.
 
 ``pjo`` imports a module on first use of one of its public names, and
-each CLI command imports only the modules it runs.  The module checks run
-in a fresh interpreter without ``site``, so installed ``.pth`` files cannot
-load a module on pjo's behalf.  No command compiles generated code, and
+each CLI command imports only the modules it runs, the generated modules of
+``pjo._generated`` included.  The module checks run in a fresh interpreter
+without ``site``, so installed ``.pth`` files cannot load a module on pjo's
+behalf.  No command compiles code, not even on a bundle it refuses, and
 neither does building the seed graph through the raising API and checking
-it, which runs the field checks: it comes from the checked-in
-``pjo._generated``.
+it, which runs the field checks: pjo runs the checked-in ``pjo._generated``.
 """
 
 import importlib
@@ -35,7 +35,7 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_after(*argv):
+def loaded_after(*argv, code=0):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", PROBE, *argv],
@@ -45,7 +45,7 @@ def loaded_after(*argv):
         check=True,
     )
     result = json.loads(proc.stdout)
-    assert result["code"] == 0, proc.stderr
+    assert result["code"] == code, proc.stderr
     return set(result["modules"])
 
 
@@ -53,6 +53,20 @@ def loaded_after(*argv):
 def seed_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("seed") / "john.json"
     path.write_text(pjo.john_doe_bundle(), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def refused_path(tmp_path_factory):
+    """A bundle whose scalars, string-array entry and code each break a
+    rule, so the validator reports them through the refusal reporters."""
+    document = json.loads(pjo.john_doe_bundle())
+    document["patient"]["patientName"] = 5
+    document["intakeForm"]["medicalHistory"]["hadSurgery"] = [""]
+    document["encounters"][0]["date"] = "2021-02-30"
+    document["encounters"][0]["diagnoses"] = [{"diagnosisName": "x", "icd10": "e11"}]
+    path = tmp_path_factory.mktemp("refused") / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
 
 
@@ -115,10 +129,10 @@ LEAF_COMMANDS = {
 }  # fmt: skip
 
 
-def compiles_during(*argv) -> list[str]:
+def compiles_during(*argv, code=0) -> list[str]:
     """The compile, exec and eval calls pjo makes in a fresh process while
-    the command ``argv`` runs, or with none, while the seed graph is built
-    through the raising API and checked."""
+    the command ``argv`` runs, exiting with ``code``, or with none, while the
+    seed graph is built through the raising API and checked."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", COMPILES, *argv],
@@ -128,7 +142,7 @@ def compiles_during(*argv) -> list[str]:
         check=True,
     )
     result = json.loads(proc.stdout)
-    assert result["code"] == 0, proc.stderr
+    assert result["code"] == code, proc.stderr
     return result["calls"]
 
 
@@ -140,6 +154,37 @@ def test_no_command_compiles_code(command, seed_path, csv_paths):
 
 def test_building_and_checking_the_seed_graph_compiles_no_code():
     assert compiles_during() == []
+
+
+def test_refusing_a_bundle_compiles_no_code(refused_path):
+    assert compiles_during("validate", refused_path, code=1) == []
+
+
+# The generated modules each command loads: reading a bundle needs the
+# readers, writing one the writers and building one the field checks.
+READS = {"pjo._generated.classes", "pjo._generated.readers"}
+GENERATED_BY_COMMAND = {
+    "seed": {"pjo._generated.classes", "pjo._generated.field_problems", "pjo._generated.writers"},
+    **{command: READS for command in LEAF_COMMANDS if command not in ("seed", "kappa", "likert")},
+    "kappa": {"pjo._generated.classes"},
+    "likert": {"pjo._generated.classes"},
+}
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS)
+def test_each_command_loads_only_the_generated_modules_it_runs(command, seed_path, csv_paths):
+    argv = [arg.format(seed=seed_path, **csv_paths) for arg in LEAF_COMMANDS[command]]
+    loaded = loaded_after(*argv)
+    assert {module for module in loaded if module.startswith("pjo._")} == (
+        GENERATED_BY_COMMAND[command] | {"pjo._generated"}
+    )
+
+
+def test_only_a_refused_bundle_loads_the_reporters(refused_path):
+    loaded = loaded_after("validate", refused_path, code=1)
+    assert {module for module in loaded if module.startswith("pjo._")} == (
+        READS | {"pjo._generated", "pjo._generated.reporters"}
+    )
 
 
 def test_importing_the_package_loads_no_submodule():

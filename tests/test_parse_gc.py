@@ -22,6 +22,7 @@ import pytest
 
 from journeygen import random_journey
 from pjo import Encounter, bundle, john_doe_bundle, parse_bundle, serialize_bundle
+from pjo._generated import readers
 
 # Objects frozen before any test runs: CPython 3.12 starts with some in the
 # permanent generation, and then ``parse_bundle`` never hands off.
@@ -107,7 +108,7 @@ def test_parse_leaves_the_collector_as_it_found_it(collector, frozen, case):
 def test_an_escaping_exception_leaves_the_collector_as_it_found_it(
     collector, frozen, monkeypatch
 ):
-    monkeypatch.setitem(bundle._RECORD_READERS, Encounter, _failing_reader)
+    monkeypatch.setitem(readers.READERS, Encounter, _failing_reader)
     freeze_count = gc.get_freeze_count()
     with pytest.raises(RuntimeError, match="reader failed"):
         parse_bundle(john_doe_bundle())

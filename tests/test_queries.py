@@ -7,6 +7,7 @@ from pjo import (
     AmbiguousTraceError,
     EdgeKind,
     Encounter,
+    FieldInvalidError,
     JourneyEdge,
     JourneyGraph,
     Patient,
@@ -113,6 +114,17 @@ class TestTimeline:
     def test_unknown_patient(self, john_graph):
         with pytest.raises(UnknownPatientError):
             timeline(john_graph, "Nobody")
+
+    def test_a_link_kind_not_an_edge_kind_raises_the_checkers_problem(self, john_graph):
+        """Pulmonology has two outbound links to sort, one of them bogus."""
+        edges = john_graph.edges
+        index = next(i for i, e in enumerate(edges) if e.from_encounter == ENCOUNTER_PULMONOLOGY)
+        edge = edges[index]
+        edges[index] = JourneyEdge("bogus", edge.from_encounter, edge.to_encounter)
+        with pytest.raises(FieldInvalidError) as raised:
+            timeline(john_graph, JOHN_DOE_ID)
+        assert str(raised.value) == f"links[{index}].kind: kind must be an EdgeKind"
+        assert isinstance(raised.value.__cause__, KeyError)
 
 
 class TestSymptomProgression:
