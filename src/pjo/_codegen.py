@@ -9,8 +9,7 @@ import re
 import sys
 
 from .bundle import _SCALARS, _encode
-from .graph import DOCUMENT, MEMORY, READ, REQUIRED, RULES, VALUE
-from .graph import FIELD_INVALID, INVALID_TYPE
+from .graph import DOCUMENT, FIELD_INVALID, MEMORY, READ, REQUIRED, RULES, VALUE, holder_rules
 from .records import (
     DATE, FIELDS, ICD10, INT, KIND, NUMBER, OBJECT, OBJECTS, STR, STRS, VERSION, Bundle, Fresh,
 )  # fmt: skip
@@ -118,38 +117,20 @@ def field_rules(spec, document: bool, name: str) -> list[tuple]:
     return rules
 
 
-def holder_rules(spec) -> list[tuple]:
-    """The MEMORY type rules of a field that holds a record or an array, each
-    (test, code, message) with the test a template over the value as ``{0}``:
-    the field's value, then each entry of an array of records.  A held record
-    is of the field's record type, or None unless required; an array is a
-    list.  The checks on what a value holds run only when it keeps these."""
-    if spec.type == OBJECT:
-        held = spec.record.__name__
-        test = f"{{0}}.__class__ is {held}"
-        if not spec.required:
-            test = f"{{0}} is None or {test}"
-        return [(test, INVALID_TYPE, f"{spec.key} must be a {held}")]
-    rules = [("{0}.__class__ is list", INVALID_TYPE, f"{spec.key} must be a list")]
-    if spec.type == OBJECTS:
-        entry = spec.record.__name__
-        rules.append(
-            (f"{{0}}.__class__ is {entry}", INVALID_TYPE, f"{spec.key} entries must be a {entry}")
-        )
-    return rules
+# -- reporters --------------------------------------------------------------
 
 
-# -- refusal reporters ------------------------------------------------------
-
-
-def reporter_source(spec) -> tuple[str, str]:
-    """The name and source of the reporter of field ``spec``'s document rules:
-    the code and message, worded with the field's ``name``, of the first rule
-    a value not left out (or a string-array entry) breaks, else None."""
+def reporter_source(spec, document: bool) -> tuple[str, str]:
+    """The name and source of the reporter of field ``spec``'s rules on a
+    document if ``document``, else on a record: the code and message,
+    worded with the field's ``name``, of the first rule a value not left out
+    (or a string-array entry; in a record, a required value left out too)
+    breaks, else None."""
     check = f"_{spec.check.__name__}" if spec.check else ""
-    name = f"report_{spec.type.replace(' ', '_')}{'_required' * spec.required}{check}"
+    kind = "" if document else "memory_"
+    name = f"report_{kind}{spec.type.replace(' ', '_')}{'_required' * spec.required}{check}"
     lines = []
-    for test, code, message, applies in field_rules(spec, True, "{name}"):
+    for test, code, message, applies in field_rules(spec, document, "{name}"):
         if applies == READ:
             lines.append(f"kept = {test}")
             test = "kept"
@@ -407,61 +388,6 @@ def writers(record_type: type, level: int, levels: dict) -> dict:
 # -- field checks -------------------------------------------------------------
 
 
-def _report_line(test: str, at: str, code: str, message: str) -> str:
-    """Source of a statement that reports the rule when ``test`` fails."""
-    return f"if not ({test}): problems.append((f{at!r}, {code!r}, f{message!r}))"
-
-
-def rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str]:
-    """Source lines that report every rule the record held in the local
-    ``var`` breaks: the reporting pass of its field check, which runs only
-    when the silent pass (see ``_silent_lines``) finds a broken rule.
-    ``where`` is the f-string text of the record's location prefix.  Held
-    records and array entries are checked inline, so a location is
-    formatted only when a rule fails.  What a held record, an array or an
-    entry holds is checked in the ``else`` (for a held record left out, the
-    ``elif``) of its type rule's report."""
-    lines = []
-    for spec in FIELDS[record_type]:
-        value, at = f"{var}.{spec.attr}", where + spec.key
-        if spec.type not in (OBJECT, OBJECTS, STRS):
-            head = f"v = {value}" if spec.required else f"if (v := {value}) is not None:"
-            nested = _scalar_lines(spec, at, spec.key)
-            lines += [head, *(f"    {line}" if head.endswith(":") else line for line in nested)]
-            continue
-        index, inner = f"i{depth + 1}", f"r{depth + 1}"
-        (test, code, message), *entry_rules = holder_rules(spec)
-        held = inner if spec.type == OBJECT else f"a{depth + 1}"
-        lines += [f"{held} = {value}", _report_line(test.format(held), at, code, message)]
-        if spec.type == OBJECT:
-            lines.append(f"elif {held} is not None:")
-            body = rule_lines(spec.record, inner, f"{at}.", depth + 1)
-        else:
-            at += f"[{{{index}}}]"
-            if spec.type == STRS:
-                loop = f"for {index}, v in enumerate({held}):"
-                entry = _scalar_lines(spec, at, f"{spec.key} entries")
-            else:
-                ((test, code, message),) = entry_rules
-                loop = f"for {index}, {inner} in enumerate({held}):"
-                nested = rule_lines(spec.record, inner, f"{at}.", depth + 1)
-                entry = [_report_line(test.format(inner), at, code, message), "else:"]
-                entry += [f"    {line}" for line in nested]
-            lines.append("else:")
-            body = [loop, *(f"    {line}" for line in entry)]
-        lines += [f"    {line}" for line in body]
-    return lines
-
-
-def _scalar_lines(spec, at: str, name: str) -> list[str]:
-    """Source lines that report the first rule the scalar value (or
-    string-array entry) in the local ``v`` breaks."""
-    return [
-        ("el" if n else "") + _report_line(test, at, code, message)
-        for n, (test, code, message, _) in enumerate(field_rules(spec, False, name))
-    ]
-
-
 def _bound(test: str, name: str, value: str) -> str:
     """``test`` with its first use of the local ``name`` binding ``value`` to it."""
     return re.sub(rf"\b{name}\b", f"({name} := {value})", test, count=1)
@@ -471,19 +397,18 @@ def _silent_terms(
     record_type: type, var: str, depth: int, array: str, loops: list, unbound: list
 ) -> list[str]:
     """Source terms, to be joined by ``and``, that hold only when the record
-    in the local ``var`` keeps every rule ``rule_lines`` checks outside its
-    arrays' entries.  Each array is bound by its list rule to ``array``
-    numbered from 1 in field order, and ``(name, field, entry depth)`` is
-    added to ``loops``; one held in a record that may be left out, and so
-    never bound, to ``unbound`` too."""
+    in the local ``var`` keeps every field rule (see ``graph.field_problems``)
+    outside its arrays' entries.  Each array is bound by its list rule to
+    ``array`` numbered from 1 in field order, and ``(name, field, entry
+    depth)`` is added to ``loops``; one held in a record that may be left
+    out, and so never bound, to ``unbound`` too."""
     terms = []
     for spec in FIELDS[record_type]:
         value = f"{var}.{spec.attr}"
         if spec.type not in (OBJECT, OBJECTS, STRS):
             terms.append(_kept(spec, "v", document=False, get=value)[0])
             continue
-        (test, _, _), *_ = holder_rules(spec)
-        test = test.removeprefix("{0} is None or ")
+        test = f"{{0}}.__class__ is {holder_rules(spec)[0][0].__name__}"
         if spec.type == OBJECT:
             inner, first = f"r{depth + 1}", len(loops)
             held = [f"({test.format(inner)})"]
@@ -501,13 +426,12 @@ def _silent_terms(
 
 def _silent_lines(record_type: type, var: str, depth: int, then: str, first: str = "") -> list:
     """Source lines that run the statement ``then`` when the record in the
-    local ``var`` keeps every rule ``rule_lines`` checks (and the term
-    ``first``, if given, holds), and otherwise fall through: the silent pass
-    of a field check.  They are one ``and``-chained test of the record's
-    scalars, held records and array types, then one bare loop per array,
-    each running the next loop (the last, ``then``) in its ``else``.  An
-    entry is tested the same way, with ``continue`` as its ``then``; one
-    that fails breaks out of the loop."""
+    local ``var`` keeps every field rule (and the term ``first``, if given,
+    holds), and otherwise fall through: a field check.  They are one
+    ``and``-chained test of the record's scalars, held records and array
+    types, then one bare loop per array, each running the next loop (the
+    last, ``then``) in its ``else``.  An entry is tested the same way, with
+    ``continue`` as its ``then``; one that fails breaks out of the loop."""
     loops, unbound = [], []
     terms = [first] if first else []
     # An entry's arrays are named after its depth, apart from its holder's.
@@ -517,7 +441,7 @@ def _silent_lines(record_type: type, var: str, depth: int, then: str, first: str
         if spec.type == STRS:
             item, test = "v", [f"if {_kept(spec, 'v', document=False)[0]}: continue"]
         else:
-            item, entry = f"r{inner}", spec.record
+            item, (_, (entry, _, _)) = f"r{inner}", holder_rules(spec)
             test = f"{item}.__class__ is {entry.__name__}"
             test = _silent_lines(entry, item, inner, "continue", test)
         body = [
@@ -535,17 +459,11 @@ def _silent_lines(record_type: type, var: str, depth: int, then: str, first: str
     return [*lines, head, *(f"    {line}" for line in body)]
 
 
-def field_problems_source(record_type: type) -> str:
-    """Source of ``field_problems_<name>(record)``: ``graph.field_problems``
-    for one record type.  Its silent pass returns ``[]`` when every rule
-    holds; only then does its reporting pass run, from the start."""
-    lines = [
-        *_silent_lines(record_type, "record", 0, "return []"),
-        "problems = []",
-        *rule_lines(record_type, "record", "", 0),
-        "return problems",
-    ]
-    return f"def field_problems_{record_type.__name__}(record):\n    " + "\n    ".join(lines)
+def check_source(record_type: type) -> str:
+    """Source of ``passes_<name>(record)``, the field check of one record
+    type: True when the record keeps every field rule, else False."""
+    lines = [*_silent_lines(record_type, "record", 0, "return True"), "return False"]
+    return f"def passes_{record_type.__name__}(record):\n    " + "\n    ".join(lines)
 
 
 # -- the modules --------------------------------------------------------------
@@ -556,14 +474,16 @@ def modules(declared: list[tuple]) -> dict[str, str]:
     ``methods_source``'s arguments for each slotted class."""
     read, write = {}, {"isoformat": "date.isoformat"}  # each module's constants
     levels = writers(Bundle, 0, {})
-    reporters = {  # a reporter per set of document rules, by its key
-        f"({spec.type!r}, {spec.required}, {spec.check and spec.check.__name__})": spec
-        for fields in FIELDS.values()
-        for spec in fields
-        if spec.type in _SCALARS or spec.type == STRS
-    }
-    reporters = {key: reporter_source(spec) for key, spec in reporters.items()}
     checked = [record_type for record_type in FIELDS if record_type is not Bundle]
+    reporters = {}  # a reporter per set of rules by its key, on documents and on records
+    for document, record_types in ((True, FIELDS), (False, checked)):
+        fields = {
+            f"({spec.type!r}, {spec.required}, {spec.check and spec.check.__name__})": spec
+            for record_type in record_types
+            for spec in FIELDS[record_type]
+            if spec.type in _SCALARS or spec.type == STRS
+        }
+        reporters[document] = {key: reporter_source(spec, document) for key, spec in fields.items()}
     return {
         "classes": _module(
             "The ``__init__`` and ``_values`` of each slotted class",
@@ -585,13 +505,14 @@ def modules(declared: list[tuple]) -> dict[str, str]:
         "field_problems": _module(
             "The field checks of every record type but the bundle",
             {},
-            [field_problems_source(record_type) for record_type in checked],
-            CHECKS={t: f"field_problems_{t.__name__}" for t in checked},
+            [check_source(record_type) for record_type in checked],
+            CHECKS={t: f"passes_{t.__name__}" for t in checked},
         ),
         "reporters": _module(
-            "The reporters of a refused document's scalar values",
+            "The reporters of the scalar values of a refused document or a failed record",
             {},
-            [source for _, source in reporters.values()],
-            REPORTERS={key: name for key, (name, _) in reporters.items()},
+            [source for table in reporters.values() for _, source in table.values()],
+            REPORTERS={key: name for key, (name, _) in reporters[True].items()},
+            MEMORY_REPORTERS={key: name for key, (name, _) in reporters[False].items()},
         ),
     }

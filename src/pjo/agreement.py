@@ -13,7 +13,6 @@ import csv
 import io
 import math
 from statistics import fmean, pstdev
-from typing import Mapping, Sequence
 
 from .errors import DegenerateAgreementError, ShapeError
 from .records import slotted

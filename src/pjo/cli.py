@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from datetime import date
-from pathlib import Path
 
 from .bundle import parse_bundle
 from .errors import PjoError
@@ -32,7 +31,8 @@ from .records import EDGE_LABELS
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def _date_arg(value: str) -> date:
@@ -157,7 +157,8 @@ def _export(args) -> int:
     if args.output is None or args.output == "-":
         print(text, end="")
     else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.write(text)
     return 0
 
 

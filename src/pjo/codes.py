@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Container
 
 from .records import slotted
 

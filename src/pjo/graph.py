@@ -35,6 +35,8 @@ from .records import (
     KIND,
     KIND_TEXT,
     NUMBER,
+    OBJECT,
+    OBJECTS,
     STR,
     STRS,
     VERSION,
@@ -136,10 +138,10 @@ FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 # MEMORY rules, that a value held in memory is of its type, to records only.
 # A READ rule's test is the value read, which later rules see as ``v``.
 # VALUE rules apply in memory too, REQUIRED ones to a required field or an
-# entry.  The generators of ``pjo._codegen`` write the readers' silent tests,
-# the refusal reporters and both passes of ``field_problems`` from here: a
-# silent pass of the tests alone, joined, and a reporting pass that runs only
-# when one fails.
+# entry.  The generators of ``pjo._codegen`` write from here the silent tests
+# of the readers and of the field checks, joined, and a reporter per set of
+# rules, for documents and for records, which words the first rule a value
+# breaks once a silent test fails.
 DOCUMENT, MEMORY, READ, VALUE, REQUIRED = "document", "memory", "read", "value", "required"
 FORMAT_VERSION = "pjo-1"
 
@@ -204,6 +206,22 @@ _LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 _ICD10 = CodeSystem.ICD10
 
 
+def holder_rules(spec) -> list[tuple[type, str, str]]:
+    """The MEMORY type rules of a field that holds a record or an array, each
+    (class, code, message): the field's value must be of the class, then
+    each entry of an array of records.  A held record is of the field's
+    record type, or None unless required; an array is a list.  What a value
+    holds is checked only when it keeps these.  ``pjo._codegen`` writes the
+    field checks' silent tests of them."""
+    if spec.type == OBJECT:
+        return [(spec.record, INVALID_TYPE, f"{spec.key} must be a {spec.record.__name__}")]
+    rules = [(list, INVALID_TYPE, f"{spec.key} must be a list")]
+    if spec.type == OBJECTS:
+        entry = spec.record.__name__
+        rules.append((spec.record, INVALID_TYPE, f"{spec.key} entries must be a {entry}"))
+    return rules
+
+
 def field_problems(record) -> list[FieldProblem]:
     """The field rules ``record`` breaks, with locations relative to it: in
     it and the records it holds, the first value rule of ``RULES`` each value
@@ -213,22 +231,74 @@ def field_problems(record) -> list[FieldProblem]:
     and what it holds is not checked.  ``record`` is of any record type of
     ``FIELDS`` but ``Bundle``.
 
-    The check generated per record type tests the whole record silently
-    first and returns ``[]`` when every rule holds; only a record that fails
-    a test is walked again by the reporting pass, which alone words the
-    problems (see ``pjo._codegen.field_problems_source``)."""
-    return _field_checks()[record.__class__](record)
+    The check generated per record type tests the whole record silently and
+    returns True when every rule holds (see ``pjo._codegen.check_source``);
+    only a record that fails it is walked by ``_walk_fields``, which
+    words the problems."""
+    if _field_checks()[record.__class__](record):
+        return []
+    return _walk_fields(record, "", [])
 
 
-# Each record table of a graph: its name in locations, attribute and class,
-# and the problem of a record of another class stored in it.
-_TABLES = [
-    (name, attr, held, f"{name} entries must be a {held.__name__}")
+def _walk_fields(record, at: str, problems: list[FieldProblem]) -> list[FieldProblem]:
+    """``problems``, with the field rules ``record`` breaks added, located
+    after ``at``: its fields in order, a scalar (or each string-array entry)
+    by the reporter generated for its rules, and a held record, an array or
+    an entry by ``holder_rules``, then what it holds."""
+    for spec in FIELDS[record.__class__]:
+        value, where = getattr(record, spec.attr), at + spec.key
+        if spec.type not in (OBJECT, OBJECTS, STRS):
+            if value is not None or spec.required:
+                _report_value(spec, value, spec.key, where, problems)
+            continue
+        (held, code, message), *entries = holder_rules(spec)
+        if value is None and spec.type == OBJECT and not spec.required:
+            continue
+        if value.__class__ is not held:
+            problems.append((where, code, message))
+        elif spec.type == OBJECT:
+            _walk_fields(value, f"{where}.", problems)
+        else:
+            for i, entry in enumerate(value):
+                if spec.type == STRS:
+                    _report_value(spec, entry, f"{spec.key} entries", f"{where}[{i}]", problems)
+                    continue
+                ((held, code, message),) = entries
+                if entry.__class__ is not held:
+                    problems.append((f"{where}[{i}]", code, message))
+                else:
+                    _walk_fields(entry, f"{where}[{i}].", problems)
+    return problems
+
+
+def _report_value(spec, value, name: str, at: str, problems: list[FieldProblem]) -> None:
+    """Add at ``at`` the first rule ``value``, a value (or string-array entry)
+    of field ``spec`` worded with ``name``, breaks in memory, by the reporter
+    generated for those rules, imported once a record fails its check."""
+    from ._generated.reporters import MEMORY_REPORTERS
+
+    problem = MEMORY_REPORTERS[spec.type, spec.required, spec.check](value, name)
+    if problem is not None:
+        problems.append((at, *problem))
+
+
+# Each record table of a graph by attribute: its name in locations, its
+# class, and the problem of a record of another class stored in it.
+_TABLES = {
+    attr: (name, held, f"{name} entries must be a {held.__name__}")
     for name, attr, held in (
         ("patients", "patients", Patient), ("providers", "providers", Provider),
         ("intakeForms", "intake_forms", IntakeForm), ("encounters", "encounters", Encounter),
     )
-]  # fmt: skip
+}  # fmt: skip
+
+
+def _refuse_misfiled(record, attr: str) -> None:
+    """Raise ``FieldInvalidError`` if ``record`` is not of the class of the
+    table ``attr``: the raising API stores nothing of another class."""
+    _, held, message = _TABLES[attr]
+    if record.__class__ is not held:
+        raise FieldInvalidError(message)
 
 
 def _kind_problems(edge: JourneyEdge) -> list[FieldProblem]:
@@ -544,12 +614,14 @@ class JourneyGraph:
     # -- mutation ---------------------------------------------------------
 
     def add_patient(self, patient: Patient) -> None:
+        _refuse_misfiled(patient, "patients")
         _raise_first(field_problems(patient))
         if patient.patient_id in self.patients:
             raise DuplicateIDError(f"patient ID {patient.patient_id!r} already exists")
         self.patients[patient.patient_id] = patient
 
     def add_provider(self, provider: Provider) -> None:
+        _refuse_misfiled(provider, "providers")
         _raise_first(field_problems(provider))
         if provider.provider_id in self.providers:
             raise DuplicateIDError(f"provider ID {provider.provider_id!r} already exists")
@@ -558,6 +630,7 @@ class JourneyGraph:
     def add_intake_form(self, patient_id: str, form: IntakeForm) -> None:
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
+        _refuse_misfiled(form, "intake_forms")
         problems = field_problems(form)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
@@ -580,6 +653,7 @@ class JourneyGraph:
         patient = self.patients.get(patient_id)
         if patient is None:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
+        _refuse_misfiled(encounter, "encounters")
         problems = field_problems(encounter)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
@@ -674,9 +748,18 @@ class JourneyGraph:
     def _date_rows(self, keys: list[str]) -> list[tuple[date, str, Encounter]]:
         """``(date, key, record)`` of each record stored under ``keys``, sorted.
         Raises ``FieldInvalidError``, as ``add_encounter`` would, located at
-        the record, for a date that is not a ``date``: it has no order."""
+        the record, for a date that is not a ``date``: it has no order; and
+        the checker's problem with a record of another class, which has no
+        date."""
         encounters = self.encounters
-        rows = [(e.date, key, e) for key in keys if (e := encounters.get(key)) is not None]
+        try:
+            rows = [(e.date, key, e) for key in keys if (e := encounters.get(key)) is not None]
+        except AttributeError as error:
+            _, _, message = _TABLES["encounters"]
+            for key in keys:
+                if key in encounters and encounters[key].__class__ is not Encounter:
+                    raise FieldInvalidError(f"encounters[{key}]: {message}") from error
+            raise
         for day, key, encounter in rows:
             if day.__class__ is not date:
                 relative, _, message = next(p for p in field_problems(encounter) if p[0] == "date")
@@ -751,7 +834,7 @@ class JourneyGraph:
         encounters = [key for pid in patient_ids for key in index.encounters.get(pid, ())]
         problems = []
         groups = (patient_ids, self.providers if providers else (), forms, encounters)
-        for (name, attr, record_type, misfiled), keys in zip(_TABLES, groups):
+        for (attr, (name, record_type, misfiled)), keys in zip(_TABLES.items(), groups):
             records = getattr(self, attr)
             for key in sorted(key for key in keys if key in records):
                 if records[key].__class__ is not record_type:
@@ -792,7 +875,7 @@ class JourneyGraph:
         ``invalid-type`` and left out of the other rules, which read each
         record as of its table's class."""
         report, graph, tables = ValidationReport(), self, {}
-        for name, attr, record_type, message in _TABLES:
+        for attr, (name, record_type, message) in _TABLES.items():
             records = getattr(self, attr)
             misfiled = sorted(key for key in records if records[key].__class__ is not record_type)
             for key in misfiled:

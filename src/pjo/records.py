@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from datetime import date
 from enum import Enum
-from typing import Any, Callable
 
 from ._generated import classes
 

@@ -13,9 +13,11 @@ table, and writes each line through its own ``_Writer``, quoting every
 identifier and label as it goes; it shares only ``STYLE_TABLE`` with
 ``to_dot``.  ``check_by_scan`` is the invariant checker as plain passes that
 allocate per record and run Kahn's algorithm over the whole graph.
-``field_problems_by_report`` is a field check without its silent pass: the
-reporting lines of ``pjo._codegen.rule_lines`` alone, which look at every
-rule.
+``field_problems_by_report`` is the reporting pass that field checks once
+generated after their silent pass, compiled alone: ``rule_lines`` and the
+template ``holder_rules`` below, which look at every rule, as they stood in
+``pjo._codegen``.  ``graph.field_problems`` now explains a failed check by a
+plain walk of the record instead.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 from datetime import date
 
 from pjo import EdgeKind, JourneyEdge, JourneyGraph
-from pjo._codegen import rule_lines
+from pjo._codegen import field_rules
 from pjo._generated import field_problems as checks
 from pjo.bundle import FORMAT_VERSION
 from pjo.dot import STYLE_TABLE
@@ -476,12 +478,85 @@ _DOCUMENT_VALUES = {
 }
 
 
-# -- the checker's record and join passes, one plain scan each ----------------
+# -- the reporting pass ------------------------------------------------------
 #
-# ``check_by_scan`` is ``JourneyGraph._check`` with every pass that reads the
-# ownership maps or the links written as a scan: each record's problems as one
-# concatenated list, every ownership pair sorted, a frozenset per link and per
-# pair of consecutive encounters, and Kahn's algorithm over the whole graph.
+# The generators of the reporting pass, as they stood in ``pjo._codegen``.
+
+
+def holder_rules(spec) -> list[tuple]:
+    """The MEMORY type rules of a field that holds a record or an array, each
+    (test, code, message) with the test a template over the value as ``{0}``:
+    the field's value, then each entry of an array of records.  A held record
+    is of the field's record type, or None unless required; an array is a
+    list.  The checks on what a value holds run only when it keeps these."""
+    if spec.type == OBJECT:
+        held = spec.record.__name__
+        test = f"{{0}}.__class__ is {held}"
+        if not spec.required:
+            test = f"{{0}} is None or {test}"
+        return [(test, INVALID_TYPE, f"{spec.key} must be a {held}")]
+    rules = [("{0}.__class__ is list", INVALID_TYPE, f"{spec.key} must be a list")]
+    if spec.type == OBJECTS:
+        entry = spec.record.__name__
+        rules.append(
+            (f"{{0}}.__class__ is {entry}", INVALID_TYPE, f"{spec.key} entries must be a {entry}")
+        )
+    return rules
+
+
+def _report_line(test: str, at: str, code: str, message: str) -> str:
+    """Source of a statement that reports the rule when ``test`` fails."""
+    return f"if not ({test}): problems.append((f{at!r}, {code!r}, f{message!r}))"
+
+
+def rule_lines(record_type: type, var: str, where: str, depth: int) -> list[str]:
+    """Source lines that report every rule the record held in the local
+    ``var`` breaks: the reporting pass of its field check, which runs only
+    when the silent pass (see ``_silent_lines``) finds a broken rule.
+    ``where`` is the f-string text of the record's location prefix.  Held
+    records and array entries are checked inline, so a location is
+    formatted only when a rule fails.  What a held record, an array or an
+    entry holds is checked in the ``else`` (for a held record left out, the
+    ``elif``) of its type rule's report."""
+    lines = []
+    for spec in FIELDS[record_type]:
+        value, at = f"{var}.{spec.attr}", where + spec.key
+        if spec.type not in (OBJECT, OBJECTS, STRS):
+            head = f"v = {value}" if spec.required else f"if (v := {value}) is not None:"
+            nested = _scalar_lines(spec, at, spec.key)
+            lines += [head, *(f"    {line}" if head.endswith(":") else line for line in nested)]
+            continue
+        index, inner = f"i{depth + 1}", f"r{depth + 1}"
+        (test, code, message), *entry_rules = holder_rules(spec)
+        held = inner if spec.type == OBJECT else f"a{depth + 1}"
+        lines += [f"{held} = {value}", _report_line(test.format(held), at, code, message)]
+        if spec.type == OBJECT:
+            lines.append(f"elif {held} is not None:")
+            body = rule_lines(spec.record, inner, f"{at}.", depth + 1)
+        else:
+            at += f"[{{{index}}}]"
+            if spec.type == STRS:
+                loop = f"for {index}, v in enumerate({held}):"
+                entry = _scalar_lines(spec, at, f"{spec.key} entries")
+            else:
+                ((test, code, message),) = entry_rules
+                loop = f"for {index}, {inner} in enumerate({held}):"
+                nested = rule_lines(spec.record, inner, f"{at}.", depth + 1)
+                entry = [_report_line(test.format(inner), at, code, message), "else:"]
+                entry += [f"    {line}" for line in nested]
+            lines.append("else:")
+            body = [loop, *(f"    {line}" for line in entry)]
+        lines += [f"    {line}" for line in body]
+    return lines
+
+
+def _scalar_lines(spec, at: str, name: str) -> list[str]:
+    """Source lines that report the first rule the scalar value (or
+    string-array entry) in the local ``v`` breaks."""
+    return [
+        ("el" if n else "") + _report_line(test, at, code, message)
+        for n, (test, code, message, _) in enumerate(field_rules(spec, False, name))
+    ]
 
 
 _REPORTERS: dict[type, object] = {}
@@ -498,6 +573,14 @@ def field_problems_by_report(record) -> list[tuple[str, str, str]]:
         exec(compile(source, f"<{record_type.__name__} report>", "exec"), scope)
         _REPORTERS[record_type] = scope["problems"]
     return _REPORTERS[record_type](record)
+
+
+# -- the checker's record and join passes, one plain scan each ----------------
+#
+# ``check_by_scan`` is ``JourneyGraph._check`` with every pass that reads the
+# ownership maps or the links written as a scan: each record's problems as one
+# concatenated list, every ownership pair sorted, a frozenset per link and per
+# pair of consecutive encounters, and Kahn's algorithm over the whole graph.
 
 
 def check_by_scan(graph: JourneyGraph, fields=field_problems) -> ValidationReport:

@@ -182,6 +182,27 @@ class TestAddRecords:
         with pytest.raises(DuplicateIDError):
             encounter_one_graph.add_intake_form("Patient-1", form)
 
+    @pytest.mark.parametrize(
+        "add, message",
+        [
+            (lambda graph: graph.add_patient(Provider("D", "Dr")),
+             "patients entries must be a Patient"),
+            (lambda graph: graph.add_provider(Symptom("x")),
+             "providers entries must be a Provider"),
+            (lambda graph: graph.add_intake_form("P1", Symptom("x")),
+             "intakeForms entries must be a IntakeForm"),
+            (lambda graph: graph.add_encounter("P1", Symptom("x")),
+             "encounters entries must be a Encounter"),
+        ],
+        ids=["add_patient", "add_provider", "add_intake_form", "add_encounter"],
+    )  # fmt: skip
+    def test_a_record_of_another_class_is_refused_and_not_stored(self, add, message):
+        graph, before = small_graph(n_encounters=1), small_graph(n_encounters=1)
+        with pytest.raises(FieldInvalidError) as refused:
+            add(graph)
+        assert str(refused.value) == message
+        assert structurally_equal(graph, before)
+
 
 class TestVitalSignPlausibility:
     def build(self, vital: VitalSign) -> None:
@@ -369,6 +390,28 @@ class TestLookups:
             read(john_graph)
         assert str(raised.value) == f"encounters[{key}].{refused.value}"
         assert str(refused.value) in ("date: date must be a date", "date: date must be nonempty")
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda graph: graph.encounters_of("JohnDoe"),
+            lambda graph: timeline(graph, "JohnDoe"),
+            lambda graph: to_dot(graph),
+            lambda graph: serialize_bundle(graph, "JohnDoe"),
+            lambda graph: graph.encounters_by_owner(),
+            lambda graph: find_encounters(graph),
+        ],
+        ids=[
+            "encounters_of", "timeline", "to_dot", "serialize_bundle", "encounters_by_owner",
+            "find_encounters",
+        ],
+    )  # fmt: skip
+    def test_date_ordered_reads_name_a_record_of_another_class(self, john_graph, read):
+        key = "Encounter-Allergy-20210725"
+        john_graph.encounters[key] = Symptom("x")
+        with pytest.raises(FieldInvalidError) as raised:
+            read(john_graph)
+        assert str(raised.value) == f"encounters[{key}]: encounters entries must be a Encounter"
 
 
 class TestCheckInvariants:

@@ -7,6 +7,9 @@ without ``site``, so installed ``.pth`` files cannot load a module on pjo's
 behalf.  No command compiles code, not even on a bundle it refuses, and
 neither does building the seed graph through the raising API and checking
 it, which runs the field checks: pjo runs the checked-in ``pjo._generated``.
+Only a damaged record, or a refused bundle, loads the reporters that word
+its problems.  ``pjo validate`` and ``pjo query timeline`` import neither
+``typing`` nor ``pathlib``.
 """
 
 import importlib
@@ -35,17 +38,22 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_after(*argv, code=0):
+def _run(script: str, *argv) -> dict:
+    """What ``script`` prints as JSON, run with ``argv`` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, *argv],
+        [sys.executable, "-S", "-c", script, *argv],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    result = json.loads(proc.stdout)
-    assert result["code"] == code, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def loaded_after(*argv, code=0):
+    result = _run(PROBE, *argv)
+    assert result["code"] == code, result
     return set(result["modules"])
 
 
@@ -70,10 +78,9 @@ def refused_path(tmp_path_factory):
     return str(path)
 
 
-# Notes each call pjo's own code makes to ``compile``, or to ``exec`` or
-# ``eval`` with a string, while ``import pjo.cli`` and the command run, or
-# with no command, while the seed graph is built and checked.
-COMPILES = """
+# Notes in ``calls`` each call pjo's own code makes to ``compile``, or to
+# ``exec`` or ``eval`` with a string, from then on.
+NOTING = """
 import builtins, contextlib, io, json, sys
 calls = []
 
@@ -88,14 +95,26 @@ def noting(name):
 
 for name in ("compile", "exec", "eval"):
     setattr(builtins, name, noting(name))
-if sys.argv[1:]:
-    import pjo.cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = pjo.cli.main(sys.argv[1:])
-else:
-    import pjo
-    code = 0 if pjo.john_doe_graph().check_invariants().ok else 1
+"""
+
+# The calls while ``import pjo.cli`` and the command run.
+COMPILES = NOTING + """
+import pjo.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pjo.cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "calls": calls}))
+"""
+
+# The seed graph built through the raising API and checked, with its
+# patient's name made a number first if the argument is ``damaged``: the
+# errors, the calls and the modules loaded.
+CHECKED = NOTING + """
+import pjo
+graph = pjo.john_doe_graph()
+if sys.argv[1:] == ["damaged"]:
+    graph.patients["JohnDoe"].patient_name = 5
+errors = [[d.code, d.location, d.message] for d in graph.check_invariants().errors]
+print(json.dumps({"errors": errors, "calls": calls, "modules": sorted(sys.modules)}))
 """
 
 
@@ -131,18 +150,9 @@ LEAF_COMMANDS = {
 
 def compiles_during(*argv, code=0) -> list[str]:
     """The compile, exec and eval calls pjo makes in a fresh process while
-    the command ``argv`` runs, exiting with ``code``, or with none, while the
-    seed graph is built through the raising API and checked."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", COMPILES, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    result = json.loads(proc.stdout)
-    assert result["code"] == code, proc.stderr
+    the command ``argv`` runs, exiting with ``code``."""
+    result = _run(COMPILES, *argv)
+    assert result["code"] == code, result
     return result["calls"]
 
 
@@ -153,7 +163,19 @@ def test_no_command_compiles_code(command, seed_path, csv_paths):
 
 
 def test_building_and_checking_the_seed_graph_compiles_no_code():
-    assert compiles_during() == []
+    result = _run(CHECKED)
+    assert result["errors"] == [] and result["calls"] == []
+    assert "pjo._generated.field_problems" in result["modules"]
+    assert "pjo._generated.reporters" not in result["modules"]
+
+
+def test_a_damaged_record_is_explained_by_the_reporters_without_compiling():
+    result = _run(CHECKED, "damaged")
+    assert result["errors"] == [
+        ["invalid-type", "patients[JohnDoe].patientName", "patientName must be a string"]
+    ]
+    assert result["calls"] == []
+    assert "pjo._generated.reporters" in result["modules"]
 
 
 def test_refusing_a_bundle_compiles_no_code(refused_path):
@@ -202,6 +224,12 @@ def test_timeline_query_loads_no_export_or_statistics_code(seed_path):
     loaded = loaded_after("query", "timeline", "--patient", "JohnDoe", seed_path)
     assert "pjo.queries" in loaded
     assert not {"statistics", "pjo.agreement", "pjo.dot"} & loaded
+
+
+@pytest.mark.parametrize("command", ["validate", "timeline"])
+def test_validate_and_timeline_load_neither_typing_nor_pathlib(command, seed_path):
+    loaded = loaded_after(*[arg.format(seed=seed_path) for arg in LEAF_COMMANDS[command]])
+    assert not {"typing", "pathlib"} & loaded
 
 
 @pytest.mark.parametrize("name", pjo.__all__)

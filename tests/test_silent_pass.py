@@ -1,13 +1,14 @@
 """Check silently, report on failure: the generated field checks and readers.
 
-Each generated field check (``field_problems``) first tests a record
-without reporting anything, in one ``and``-chained test per group of
-fields and bare loops over its arrays, and returns ``[]`` when every rule
-holds; only a record that fails runs the reporting pass, from the start.
-So ``field_problems`` must equal the reporting pass alone
-(``field_problems_by_report``) on every record: valid ones and every kind
-of damage a record in memory can hold.  A bundle, which no graph holds,
-has no generated check.
+Each generated field check tests a record without reporting anything, in
+one ``and``-chained test per group of fields and bare loops over its
+arrays, and returns True when every rule holds; ``field_problems`` then
+returns ``[]``.  Only a record that fails is walked by ``_walk_fields``,
+which words its problems.  So ``field_problems``, and the walk alone, must
+equal the reporting pass the field checks once generated
+(``field_problems_by_report``) on every record: valid ones and every kind of
+damage a record in memory can hold, down to the class of what each raises.
+A bundle, which no graph holds, has no generated check.
 
 Each generated reader reads an array of flat records or of strings in a
 bare loop, and sends the whole array to ``_read`` at the first entry that
@@ -37,7 +38,7 @@ from pjo._generated import field_problems as checks
 from pjo._generated import readers
 from pjo.bundle import FORMAT_VERSION
 from pjo.codes import CodeSystem, ConceptCode
-from pjo.graph import ValidationReport, field_problems
+from pjo.graph import ValidationReport, _walk_fields, field_problems
 from pjo.records import (
     FIELDS,
     OBJECT,
@@ -154,6 +155,11 @@ def damage(records: list, data) -> None:
         object.__setattr__(record, spec.attr, value)  # links are frozen
 
 
+def walked(record) -> list:
+    """The problems the walk alone finds in ``record``, check or no check."""
+    return _walk_fields(record, "", [])
+
+
 @given(seed=st.integers(0, 2**32 - 1), base=st.sampled_from(["seed", "journey"]), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_field_problems_equals_the_reporting_pass(seed, base, data):
@@ -167,6 +173,7 @@ def test_field_problems_equals_the_reporting_pass(seed, base, data):
     for record in records_in(bundle)[1:]:  # the records the bundle holds
         expected = outcome(field_problems_by_report, record)
         assert outcome(field_problems, record) == expected, record
+        assert outcome(walked, record) == expected, record
 
 
 def test_every_record_type_but_the_bundle_has_a_field_check():
@@ -177,7 +184,9 @@ def test_every_record_type_but_the_bundle_has_a_field_check():
 def test_a_clean_record_passes_both_passes(record_type):
     for record in records_in(SEED):
         if record.__class__ is record_type:
-            assert field_problems(record) == field_problems_by_report(record) == []
+            assert checks.CHECKS[record_type](record) is True
+            assert field_problems(record) == walked(record) == []
+            assert field_problems_by_report(record) == []
 
 
 # -- reader arrays ----------------------------------------------------------
