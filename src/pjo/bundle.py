@@ -36,6 +36,7 @@ from .graph import (
     Severity,
     SeverityViews,
     ValidationReport,
+    guarded,
     link_problems,
     missing_encounter,
 )
@@ -80,12 +81,13 @@ _encode = json.encoder.encode_basestring
 _INFINITY = float("inf")
 
 
+@guarded("patient_id", providers=True)
 def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     """Render one patient's journey as a canonical bundle document.
 
-    A wrongly typed structure that cannot be written raises
-    ``FieldInvalidError`` for the checker's first ``invalid-type`` error
-    on the records and links written (see ``JourneyGraph.type_error``).
+    A write that fails on a damaged graph raises the checker's problem with
+    the records and links written, every provider included (see
+    ``graph.guarded``).
     """
     patient = graph.patients.get(patient_id)
     if patient is None:
@@ -100,11 +102,8 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     )
     from ._generated.writers import write_Bundle_0
 
-    try:
-        document.links.sort(key=lambda e: (KIND_TEXT[e.kind], e.from_encounter, e.to_encounter))
-        return write_Bundle_0(document) + "\n"
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
-        graph.type_error(error, [patient_id], providers=True)
+    document.links.sort(key=lambda e: (KIND_TEXT[e.kind], e.from_encounter, e.to_encounter))
+    return write_Bundle_0(document) + "\n"
 
 
 def _scalar(value, level: int) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .errors import UnknownPatientError
-from .graph import JourneyGraph
+from .graph import JourneyGraph, guarded, keyed_edges
 from .records import EDGE_LABELS, FIELDS, OBJECT, OBJECTS, Encounter, IntakeForm
 
 # Shape and fill color per class; every node also gets style=filled.
@@ -84,26 +84,23 @@ def to_dot(graph: JourneyGraph, patient_id: str | None = None, detail: str = "jo
     Each patient, intake form and encounter ID is quoted once, and its
     quoted text reused for its node and every edge that names it.  Numbered
     IDs and edge labels need no escaping; each line is one f-string.  A
-    drawing that fails on a wrongly typed structure raises
-    ``FieldInvalidError`` for the checker's first ``invalid-type`` error on
-    the records and links drawn (see ``JourneyGraph.type_error``).
+    drawing that fails on a damaged graph raises the checker's problem with
+    the records and links of the patients drawn (see ``graph.guarded``); a
+    ``detail`` other than ``journey`` or ``full`` is a ``ValueError``.
     """
     if detail not in ("journey", "full"):
         raise ValueError(f"detail must be 'journey' or 'full', got {detail!r}")
+    return _draw(graph, patient_id, detail == "full")
+
+
+@guarded("patient_id")
+def _draw(graph: JourneyGraph, patient_id: str | None, full: bool) -> str:
+    """The DOT text of the patient ``patient_id``, or of every patient, with
+    their subrecords if ``full``."""
     if patient_id is not None and patient_id not in graph.patients:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
     patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
-
     encounters_by_owner = graph.encounters_by_owner()
-    try:
-        return _draw(graph, patient_ids, encounters_by_owner, detail == "full")
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
-        graph.type_error(error, patient_ids, providers=False)
-
-
-def _draw(graph: JourneyGraph, patient_ids: list[str], encounters_by_owner, full: bool) -> str:
-    """The DOT text of the patients ``patient_ids``, with their subrecords
-    if ``full``."""
     nodes: list[str] = []
     edges: list[str] = []
     counts = dict.fromkeys(STYLE_TABLE, 0)  # subrecords numbered so far, per class
@@ -130,7 +127,7 @@ def _draw(graph: JourneyGraph, patient_ids: list[str], encounters_by_owner, full
 
     journey_edges = sorted(
         (EDGE_LABELS[edge.kind], edge.from_encounter, edge.to_encounter)
-        for edge in graph.edges
+        for edge in keyed_edges(graph.edges)
         if edge.from_encounter in quoted and edge.to_encounter in quoted
     )
     for label, source, target in journey_edges:

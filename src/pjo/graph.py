@@ -293,17 +293,13 @@ _TABLES = {
 }  # fmt: skip
 
 
-def _refuse_misfiled(record, attr: str) -> None:
+def refuse_misfiled(record, attr: str, key: str | None = None) -> None:
     """Raise ``FieldInvalidError`` if ``record`` is not of the class of the
-    table ``attr``: the raising API stores nothing of another class."""
-    _, held, message = _TABLES[attr]
+    table ``attr``, located at ``key`` in it if given, as the checker
+    locates it: the raising API stores nothing of another class."""
+    name, held, message = _TABLES[attr]
     if record.__class__ is not held:
-        raise FieldInvalidError(message)
-
-
-def _kind_problems(edge: JourneyEdge) -> list[FieldProblem]:
-    """The problem, by its field rule, of a kind that is not an ``EdgeKind``."""
-    return [problem for problem in field_problems(edge) if problem[0] == "kind"]
+        raise FieldInvalidError(message if key is None else f"{name}[{key}]: {message}")
 
 
 def key_problems(record, key: str) -> list[FieldProblem]:
@@ -397,8 +393,10 @@ def encounter_reference_problems(
 ) -> list[FieldProblem]:
     """The encounter's provider reference, and its date against its owner's birth date."""
     problems: list[FieldProblem] = []
-    if encounter.provider_ref and encounter.provider_ref not in graph.providers:
-        message = f"providerRef {encounter.provider_ref!r} does not resolve"
+    ref = encounter.provider_ref
+    # A reference that broke its type rule, which reported it, names nothing.
+    if ref.__class__ is str and ref and ref not in graph.providers:
+        message = f"providerRef {ref!r} does not resolve"
         problems.append(("providerRef", UNKNOWN_PROVIDER, message))
     dated = owner is not None and _dated(encounter.date, owner.birth_date)
     if dated and encounter.date < owner.birth_date:
@@ -423,6 +421,32 @@ def _raise_first(problems: list[FieldProblem]) -> None:
         raise _RAISES[problems[0][1]](problems[0][2])
 
 
+def guarded(*names: str, providers: bool = False):
+    """Decorate a read whose first argument is a graph: an ``AttributeError``,
+    ``KeyError``, ``TypeError`` or ``ValueError`` that a damaged graph makes
+    it raise becomes the checker's problem (see ``JourneyGraph.type_error``),
+    in the scope of the IDs its arguments ``names`` hold, or of the whole
+    graph when they hold none; with ``providers``, of every provider too.
+    The documented errors, a ``PjoError``, pass through; a clean read pays
+    one more call and one ``try``."""
+
+    def decorate(read):
+        params = read.__code__.co_varnames[: read.__code__.co_argcount]
+
+        @functools.wraps(read)
+        def guard(*args, **kwargs):
+            try:
+                return read(*args, **kwargs)
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                given = {**dict(zip(params, args)), **kwargs}
+                named = [given[name] for name in names if given.get(name) is not None]
+                given[params[0]].type_error(error, named or None, providers)
+
+        return guard
+
+    return decorate
+
+
 def oriented_edges(edges: list[JourneyEdge]) -> list[tuple[str, str]]:
     """Edges oriented forward in journey time: cause/predecessor first."""
     oriented = []
@@ -432,6 +456,12 @@ def oriented_edges(edges: list[JourneyEdge]) -> list[tuple[str, str]]:
         else:
             oriented.append((edge.from_encounter, edge.to_encounter))
     return oriented
+
+
+def keyed_edges(edges: list[JourneyEdge]) -> list[JourneyEdge]:
+    """The links whose two ends are strings: a link whose end broke its type
+    rule names no key, and joins no encounters."""
+    return [e for e in edges if e.from_encounter.__class__ is str and e.to_encounter.__class__ is str]
 
 
 def cyclic_nodes(nodes: list[str], arcs: list[tuple[str, str]]) -> list[str]:
@@ -534,11 +564,14 @@ class _OwnerIndex:
         self.loose: set[str] = set()
         owner_of = graph.encounter_owner.get
         for edge in graph.edges:
-            owner = owner_of(edge.from_encounter)
-            if owner is not None and owner == owner_of(edge.to_encounter):
+            start, end = edge.from_encounter, edge.to_encounter
+            if start.__class__ is not str or end.__class__ is not str:
+                continue  # an end that broke its type rule names no key
+            owner = owner_of(start)
+            if owner is not None and owner == owner_of(end):
                 self.edges.setdefault(owner, []).append(edge)
             else:
-                self.loose.update((edge.from_encounter, edge.to_encounter))
+                self.loose.update((start, end))
         self.containers = (graph.encounter_owner, graph.intake_form_owner, graph.edges)
         self.saw_writes()
 
@@ -614,14 +647,14 @@ class JourneyGraph:
     # -- mutation ---------------------------------------------------------
 
     def add_patient(self, patient: Patient) -> None:
-        _refuse_misfiled(patient, "patients")
+        refuse_misfiled(patient, "patients")
         _raise_first(field_problems(patient))
         if patient.patient_id in self.patients:
             raise DuplicateIDError(f"patient ID {patient.patient_id!r} already exists")
         self.patients[patient.patient_id] = patient
 
     def add_provider(self, provider: Provider) -> None:
-        _refuse_misfiled(provider, "providers")
+        refuse_misfiled(provider, "providers")
         _raise_first(field_problems(provider))
         if provider.provider_id in self.providers:
             raise DuplicateIDError(f"provider ID {provider.provider_id!r} already exists")
@@ -630,7 +663,7 @@ class JourneyGraph:
     def add_intake_form(self, patient_id: str, form: IntakeForm) -> None:
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        _refuse_misfiled(form, "intake_forms")
+        refuse_misfiled(form, "intake_forms")
         problems = field_problems(form)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
@@ -653,7 +686,7 @@ class JourneyGraph:
         patient = self.patients.get(patient_id)
         if patient is None:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        _refuse_misfiled(encounter, "encounters")
+        refuse_misfiled(encounter, "encounters")
         problems = field_problems(encounter)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
@@ -678,6 +711,7 @@ class JourneyGraph:
             index.encounters.setdefault(patient_id, []).append(key)
             index.saw_writes()
 
+    @guarded("from_encounter", "to_encounter")
     def link(
         self,
         kind: EdgeKind,
@@ -687,11 +721,13 @@ class JourneyGraph:
     ) -> JourneyEdge:
         """Add a journey edge after checking it against the graph.
 
-        Raises, and leaves ``edges`` untouched, on a ``kind`` that is not an
-        ``EdgeKind`` (by its field rule), on the first problem ``link_problems``
-        finds (an unknown endpoint, a self-link, a link across patients or
-        against the endpoint dates), or when the edge repeats a stored
-        ``(kind, from, to)`` or closes a cycle.
+        Raises, and leaves ``edges`` untouched, on the first field rule the
+        edge breaks (a ``kind`` that is not an ``EdgeKind``, an end or ``via``
+        that is not a string), on the first problem ``link_problems`` finds
+        (an unknown endpoint, a self-link, a link across patients or against
+        the endpoint dates), or when the edge repeats a stored ``(kind, from,
+        to)`` or closes a cycle.  An end that holds a record of another class
+        raises the checker's problem with it (see ``guarded``).
 
         Both checks look only at the owner's links, the stored links whose
         two ends that patient owns: a duplicate has the same ends, so it is
@@ -711,8 +747,7 @@ class JourneyGraph:
         ``check_invariants`` reasons the same way (see ``_check_edges``).
         """
         edge = JourneyEdge(kind, from_encounter, to_encounter, via)
-        if kind.__class__ is not EdgeKind:
-            _raise_first(_kind_problems(edge))
+        _raise_first(field_problems(edge))
         _raise_first(link_problems(self, edge))
         owner = self.encounter_owner[from_encounter]
         index = self._owners()
@@ -754,11 +789,10 @@ class JourneyGraph:
         encounters = self.encounters
         try:
             rows = [(e.date, key, e) for key in keys if (e := encounters.get(key)) is not None]
-        except AttributeError as error:
-            _, _, message = _TABLES["encounters"]
+        except AttributeError:
             for key in keys:
-                if key in encounters and encounters[key].__class__ is not Encounter:
-                    raise FieldInvalidError(f"encounters[{key}]: {message}") from error
+                if key in encounters:
+                    refuse_misfiled(encounters[key], "encounters", key)
             raise
         for day, key, encounter in rows:
             if day.__class__ is not date:
@@ -820,42 +854,46 @@ class JourneyGraph:
         """
         return self._check(field_problems)
 
-    def type_error(self, error: Exception, patient_ids: list[str], providers: bool):
-        """Raise, from ``error``, ``FieldInvalidError`` for the checker's first
-        ``invalid-type`` error on the records of the patients ``patient_ids``
-        (each patient, its intake forms and its encounters), if ``providers``
-        on every provider, and on the kinds of the links between their
-        encounters, or failing that its first ``field-invalid`` one (a
-        required value left out), worded ``"<location>: <message>"``; else
-        ``error`` itself.  What ``to_dot``, ``serialize_bundle`` and
-        ``timeline`` raise when writing or ordering those records failed."""
+    def type_error(self, error: Exception, named: list | None, providers: bool = False):
+        """Raise, from ``error``, ``FieldInvalidError`` for the first
+        ``invalid-type`` error of ``check_invariants()`` in a read's scope, or
+        failing that its first ``field-invalid`` one (a required value left
+        out), worded ``"<location>: <message>"``; else ``error`` itself.  What
+        a ``guarded`` read raises when a damaged graph made it fail.
+
+        The scope holds the IDs ``named``: a patient with its intake forms,
+        encounters and links (those of ``edges_of``), and an encounter with
+        its owner's; or, when ``named`` is None, every patient, encounter and
+        link.  With ``providers``, every provider too.  An error is in it when
+        its location, less trailing ``.``-parts, is one of these records or
+        links."""
         index = self._owners()
-        forms = [key for pid in patient_ids for key in index.forms.get(pid, ())]
-        encounters = [key for pid in patient_ids for key in index.encounters.get(pid, ())]
-        problems = []
-        groups = (patient_ids, self.providers if providers else (), forms, encounters)
-        for (attr, (name, record_type, misfiled)), keys in zip(_TABLES.items(), groups):
-            records = getattr(self, attr)
-            for key in sorted(key for key in keys if key in records):
-                if records[key].__class__ is not record_type:
-                    problems.append((INVALID_TYPE, f"{name}[{key}]: {misfiled}"))
-                    continue
-                problems += [
-                    (code, f"{name}[{key}].{relative}: {message}")
-                    for relative, code, message in field_problems(records[key])
-                ]
-        owners, owner_of = set(patient_ids), self.encounter_owner.get
-        problems += [
-            (code, f"links[{i}].kind: {message}")
-            for i, edge in enumerate(self.edges)
-            if edge.kind.__class__ is not EdgeKind
-            and {owner_of(edge.from_encounter), owner_of(edge.to_encounter)} <= owners
-            for _, code, message in _kind_problems(edge)
-        ]
+        keys = [*self.patients, *self.encounters] if named is None else named
+        keys = [key for key in keys if key.__class__ is str]
+        patient_ids = {key for key in keys if key in self.patients}
+        patient_ids.update(owner for key in keys if (owner := self.encounter_owner.get(key)))
+        heads = {f"encounters[{key}]" for key in keys}
+        for pid in patient_ids:
+            heads.add(f"patients[{pid}]")
+            heads.update(f"intakeForms[{key}]" for key in index.forms.get(pid, ()))
+            heads.update(f"encounters[{key}]" for key in index.encounters.get(pid, ()))
+        linked = {id(edge) for pid in patient_ids for edge in index.edges.get(pid, ())}
+        heads.update(
+            f"links[{i}]" for i, edge in enumerate(self.edges) if named is None or id(edge) in linked
+        )
+        if providers:
+            heads.update(f"providers[{key}]" for key in self.providers)
+        errors = []
+        for diagnostic in self.check_invariants().errors:
+            head = diagnostic.location
+            while head not in heads and "." in head:
+                head = head.rpartition(".")[0]
+            if head in heads:
+                errors.append(diagnostic)
         for wanted in (INVALID_TYPE, FIELD_INVALID):
-            for code, text in problems:
-                if code == wanted:
-                    raise FieldInvalidError(text) from error
+            for diagnostic in errors:
+                if diagnostic.code == wanted:
+                    raise FieldInvalidError(f"{diagnostic.location}: {diagnostic.message}") from error
         raise error
 
     def _check_joins(self) -> ValidationReport:
@@ -892,7 +930,7 @@ class JourneyGraph:
                     report.error(code, message, f"{name}[{key}].{relative}")
         graph._check_intake_forms(report, fields)
         graph._check_encounters(report, fields)
-        graph._check_edges(report)
+        graph._check_edges(report, fields)
         graph._check_gaps(report)
         return report
 
@@ -984,32 +1022,34 @@ class JourneyGraph:
                 f"encounters[{encounter_id}]",
             )
 
-    def _check_edges(self, report: ValidationReport) -> None:
-        """Each link's endpoint rules, duplicate and ``via``; then cycles.
+    def _check_edges(self, report: ValidationReport, fields) -> None:
+        """Each link's field rules (``fields``), then its endpoint rules,
+        duplicate and ``via``; then cycles.
 
-        A link whose kind is not an ``EdgeKind`` is reported by the kind's
-        field rule alone.  ``link_problems`` is asked only about a link
+        A link that breaks a field rule is reported by those rules alone, at
+        ``links[<i>].<key>``.  ``link_problems`` is asked only about a link
         whose ends are missing, equal, of two owners or out of date order.
         Kahn's algorithm runs over the same-day arcs, and over the whole
-        graph only when those hold a cycle or an arc runs backward, is
-        undated or has no kind: otherwise dates never decrease along a path,
-        so every cycle lies within one day (the argument of ``link``).  The
-        message names what whole-graph Kahn does.
+        graph (the links of ``keyed_edges``) only when those hold a cycle or an
+        arc runs backward, is undated or broke a field rule: otherwise dates
+        never decrease along a path, so every cycle lies within one day (the
+        argument of ``link``).  The message names what whole-graph Kahn does.
         """
         encounters, owner_of = self.encounters, self.encounter_owner.get
         seen: set[tuple[EdgeKind, str, str]] = set()
         same_day: list[tuple[str, str]] = []  # oriented arcs within one day
         forward = True  # whether every arc so far runs forward in dated time
         for index, edge in enumerate(self.edges):
-            start, end, kind = edge.from_encounter, edge.to_encounter, edge.kind
-            if kind.__class__ is not EdgeKind:
-                # A link of no kind has no date order or name to check: its
-                # kind's field rule is its one problem.  Whole-graph Kahn,
-                # which takes it as running forward, checks its cycles.
-                for _, code, message in _kind_problems(edge):
-                    report.error(code, message, f"links[{index}].kind")
+            problems = fields(edge)
+            if problems:
+                # Its date order and names go unchecked.  Whole-graph Kahn,
+                # which takes it as running forward, checks its cycles if
+                # its ends are strings.
+                for relative, code, message in problems:
+                    report.error(code, message, f"links[{index}].{relative}")
                 forward = False
                 continue
+            start, end, kind = edge.from_encounter, edge.to_encounter, edge.kind
             source, target = encounters.get(start), encounters.get(end)
             clean = source is not None and target is not None and start != end
             if clean:
@@ -1040,7 +1080,7 @@ class JourneyGraph:
         nodes = list(dict.fromkeys(node for arc in same_day for node in arc))
         if forward and not cyclic_nodes(nodes, same_day):
             return
-        in_cycle = cyclic_nodes(list(encounters), oriented_edges(self.edges))
+        in_cycle = cyclic_nodes(list(encounters), oriented_edges(keyed_edges(self.edges)))
         if in_cycle:
             report.error(
                 CYCLE,
@@ -1049,7 +1089,7 @@ class JourneyGraph:
             )
 
     def _check_gaps(self, report: ValidationReport) -> None:
-        linked = {(edge.from_encounter, edge.to_encounter) for edge in self.edges}
+        linked = {(edge.from_encounter, edge.to_encounter) for edge in keyed_edges(self.edges)}
         by_owner = self._owners().encounters
         for patient_id in sorted(self.patients):
             try:
@@ -1058,6 +1098,8 @@ class JourneyGraph:
                 continue  # encounters that cannot be put in date order (see ``_dated``)
             for (_, _, earlier), (_, _, later) in zip(rows, rows[1:]):
                 first, second = earlier.encounter_id, later.encounter_id
+                if first.__class__ is not str or second.__class__ is not str:
+                    continue  # an ID that broke its type rule, which reported it, names no link
                 if (first, second) not in linked and (second, first) not in linked:
                     report.warning(
                         JOURNEY_GAP,

@@ -2,7 +2,9 @@
 
 Every query is deterministic: the same graph and arguments always produce
 the same result, and no query mutates the graph.  Name matching
-(symptoms, specialties, diagnoses) is exact but case-insensitive.
+(symptoms, specialties, diagnoses) is exact but case-insensitive.  A query
+that fails on a damaged graph raises the checker's problem with the
+records it reads (see ``graph.guarded``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from datetime import date
 
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .errors import UnknownEncounterError
-from .graph import JourneyGraph
+from .graph import JourneyGraph, guarded, refuse_misfiled
 from .records import KIND_TEXT, EdgeKind, Encounter, JourneyEdge, slotted
 
 
@@ -48,14 +50,14 @@ class SymptomDiagnosisLink:
     encounter_id: str
 
 
+@guarded("patient_id")
 def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
     """The patient's encounters by (date, ID), annotated with their links.
 
     The link annotations are exactly the stored journey edges restricted to
     the patient: each edge appears once as an outbound link of its source
     and once as an inbound link of its target, ordered by (kind value, the
-    other end's ID).  A link kind that cannot be ordered raises the checker's
-    problem with it (see ``JourneyGraph.type_error``).
+    other end's ID).
     """
     inbound: dict[str, list[LinkRef]] = {}
     outbound: dict[str, list[LinkRef]] = {}
@@ -68,10 +70,7 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
         if refs is None:
             return ()
         if len(refs) > 1:
-            try:
-                refs.sort(key=_link_order)
-            except (KeyError, TypeError) as error:
-                graph.type_error(error, [patient_id], providers=False)
+            refs.sort(key=_link_order)
         return tuple(refs)
 
     return [
@@ -91,6 +90,7 @@ def _link_order(ref: LinkRef) -> tuple[str, str]:
     return KIND_TEXT[ref.kind], ref.encounter_id
 
 
+@guarded("patient_id")
 def symptom_progression(
     graph: JourneyGraph, patient_id: str, symptom_name: str
 ) -> list[SymptomOccurrence]:
@@ -120,13 +120,18 @@ def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
 
 
 def _stored(graph: JourneyGraph, keys: list[str]) -> list[Encounter]:
-    """The encounters under ``keys``, refusing a key the graph does not hold."""
-    try:
-        return [graph.encounters[key] for key in keys]
-    except KeyError as missing:
-        raise UnknownEncounterError(f"unknown encounter {missing.args[0]!r}") from None
+    """The encounters under ``keys``, refusing a key the graph does not hold,
+    and a record of another class stored under one, as the checker words it."""
+    stored = []
+    for key in keys:
+        if key not in graph.encounters:
+            raise UnknownEncounterError(f"unknown encounter {key!r}")
+        refuse_misfiled(graph.encounters[key], "encounters", key)
+        stored.append(graph.encounters[key])
+    return stored
 
 
+@guarded("encounter_id")
 def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
     """The maximal follow-up path containing the encounter, in date order.
 
@@ -178,6 +183,7 @@ def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
     return _stored(graph, chain)
 
 
+@guarded("encounter_id")
 def cause_trace(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
     """The causal path from an encounter back to its root cause, inclusive.
 
@@ -210,6 +216,7 @@ def cause_trace(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
     return _stored(graph, trace)
 
 
+@guarded("patient_id")
 def symptom_diagnosis_links(graph: JourneyGraph, patient_id: str) -> list[SymptomDiagnosisLink]:
     """Symptoms paired with the diagnoses recorded in the same encounter.
 
@@ -236,6 +243,7 @@ def symptom_diagnosis_links(graph: JourneyGraph, patient_id: str) -> list[Sympto
     ]
 
 
+@guarded("patient_id")
 def find_encounters(
     graph: JourneyGraph,
     patient_id: str | None = None,

@@ -595,7 +595,7 @@ def check_by_scan(graph: JourneyGraph, fields=field_problems) -> ValidationRepor
                 report.error(code, message, f"{name}[{key}].{relative}")
     check_intake_forms_by_scan(graph, report, fields)
     check_encounters_by_scan(graph, report, fields)
-    check_edges_by_scan(graph, report)
+    check_edges_by_scan(graph, report, fields)
     check_gaps_by_scan(graph, report)
     return report
 
@@ -680,14 +680,18 @@ def _via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) 
     return False
 
 
-def check_edges_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
+def _named(edges: list[JourneyEdge]) -> list[JourneyEdge]:
+    """The links whose two ends are strings, the only ones that name keys."""
+    return [e for e in edges if type(e.from_encounter) is str and type(e.to_encounter) is str]
+
+
+def check_edges_by_scan(graph: JourneyGraph, report: ValidationReport, fields) -> None:
     seen: set[tuple[EdgeKind, str, str]] = set()
     for index, edge in enumerate(graph.edges):
-        if not isinstance(edge.kind, EdgeKind):
-            if edge.kind is None:
-                report.error(FIELD_INVALID, "kind must be nonempty", f"links[{index}].kind")
-            else:
-                report.error(INVALID_TYPE, "kind must be an EdgeKind", f"links[{index}].kind")
+        problems = fields(edge)
+        for relative, code, message in problems:
+            report.error(code, message, f"links[{index}].{relative}")
+        if problems:
             continue
         problems = link_problems(graph, edge)
         for _, code, message in problems:
@@ -707,14 +711,14 @@ def check_edges_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
                 f"via {edge.via!r} names no care plan or diagnosis in either endpoint",
                 f"links[{index}].via",
             )
-    in_cycle = cyclic_nodes(list(graph.encounters), oriented_edges(graph.edges))
+    in_cycle = cyclic_nodes(list(graph.encounters), oriented_edges(_named(graph.edges)))
     if in_cycle:
         report.error(CYCLE, "journey links form a cycle through: " + ", ".join(in_cycle), "links")
 
 
 def check_gaps_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
     connected: set[frozenset[str]] = set()
-    for edge in graph.edges:
+    for edge in _named(graph.edges):
         connected.add(frozenset((edge.from_encounter, edge.to_encounter)))
     encounters = graph.encounters
     for patient_id in sorted(graph.patients):
@@ -728,8 +732,8 @@ def check_gaps_by_scan(graph: JourneyGraph, report: ValidationReport) -> None:
         keys.sort(key=lambda key: (encounters[key].date, key))
         owned = [encounters[key] for key in keys]
         for earlier, later in zip(owned, owned[1:]):
-            pair = frozenset((earlier.encounter_id, later.encounter_id))
-            if pair not in connected:
+            ids = (earlier.encounter_id, later.encounter_id)
+            if all(type(key) is str for key in ids) and frozenset(ids) not in connected:
                 report.warning(
                     JOURNEY_GAP,
                     f"journey gap: no link between {earlier.encounter_id!r} "

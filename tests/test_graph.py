@@ -305,6 +305,19 @@ class TestLink:
         assert graph.edges == [] and graph.edges_of("P1") == []
         assert graph.check_invariants().ok
 
+    @pytest.mark.parametrize(
+        "start, via, message",
+        [(["a"], None, "from must be a string"), (5, None, "from must be a string"),
+         ("", None, "from must be nonempty"), ("P1-E1", 5, "via must be a string")],
+        ids=["unhashable end", "hashable end", "empty end", "via"],
+    )  # fmt: skip
+    def test_an_end_or_via_of_another_type_is_refused_by_its_field_rule(self, start, via, message):
+        graph = small_graph(n_encounters=2)
+        with pytest.raises(FieldInvalidError) as raised:
+            graph.link(EdgeKind.NEXT, start, "P1-E2", via)
+        assert str(raised.value) == message
+        assert graph.edges == []
+
     def test_duplicate_edge_rejected(self):
         graph = small_graph(n_encounters=2)
         graph.link(EdgeKind.NEXT, "P1-E1", "P1-E2")
@@ -780,6 +793,52 @@ class TestCheckInvariants:
         others = {d.code for d in report.errors} - {INVALID_TYPE}
         assert others == {UNKNOWN_PATIENT}
         assert len(report.errors) == 2 + 1 + len(john_graph.encounters)
+
+    @pytest.mark.parametrize(
+        "end, code, message",
+        [
+            (["a"], INVALID_TYPE, "from must be a string"),
+            (5, INVALID_TYPE, "from must be a string"),
+            ("", FIELD_INVALID, "from must be nonempty"),
+        ],
+        ids=["unhashable", "hashable", "empty"],
+    )
+    def test_a_stored_link_with_a_broken_end_is_reported_not_raised(
+        self, john_graph, end, code, message
+    ):
+        """An unhashable end once raised ``TypeError`` from the checker and
+        from the owner index; a hashable or empty one read as a missing
+        encounter."""
+        john_graph.edges.append(JourneyEdge(EdgeKind.NEXT, end, "Encounter-Allergy-20210725"))
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (code, "links[3].from", message)
+        ]
+        assert report.diagnostics == check_by_scan(john_graph).diagnostics
+        assert len(john_graph.edges_of(JOHN_DOE_ID)) == 3
+        assert len(john_graph.encounters_of(JOHN_DOE_ID)) == 4
+
+    def test_a_via_of_another_type_is_reported_and_not_resolved(self, john_graph):
+        """It once got only an ``unresolved-via`` warning, and its bundle,
+        written with ``"via": 5``, did not parse."""
+        edge = john_graph.edges[0]
+        john_graph.edges[0] = JourneyEdge(edge.kind, edge.from_encounter, edge.to_encounter, 5)
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (INVALID_TYPE, "links[0].via", "via must be a string")
+        ]
+        assert UNRESOLVED_VIA not in codes_of(report, "warning")
+
+    def test_a_provider_reference_of_another_type_is_not_resolved(self, john_graph):
+        """Its type rule reports it; the reference rule once raised
+        ``TypeError`` looking an unhashable value up."""
+        encounter = john_graph.encounters["Encounter-Allergy-20210725"]
+        encounter.provider_ref = ["x"]
+        report = john_graph.check_invariants()
+        assert [(d.code, d.location, d.message) for d in report.errors] == [
+            (INVALID_TYPE, "encounters[Encounter-Allergy-20210725].providerRef",
+             "providerRef must be a string")
+        ]  # fmt: skip
 
     def test_unresolved_via_is_a_warning(self):
         graph = small_graph(n_encounters=2)

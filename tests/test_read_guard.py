@@ -1,0 +1,304 @@
+"""Reads of a damaged graph fail one way: with the checker's problem.
+
+Each public read of ``queries``, ``to_dot``, ``serialize_bundle`` and
+``JourneyGraph.link`` is wrapped by ``graph.guarded``.  A bare exception
+that a damaged graph makes it raise becomes ``FieldInvalidError`` for the
+first ``invalid-type`` (else ``field-invalid``) error of
+``check_invariants()`` on the records and links it reads, located as the
+checker locates it.  A clean read never asks the checker.
+
+The properties damage a graph only through the API's own doors: fields of
+mutable records and the lists they hold are assigned, table entries are
+stored, and a link is changed by building a new ``JourneyEdge``.  Table
+keys stay strings and the ownership maps are left alone.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+import re
+from datetime import date
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from journeygen import random_journey
+from pjo import (
+    AmbiguousChainError,
+    AmbiguousTraceError,
+    CrossPatientLinkError,
+    CycleIntroducedError,
+    DuplicateEdgeError,
+    EdgeKind,
+    FieldInvalidError,
+    JourneyEdge,
+    JourneyGraph,
+    Patient,
+    PjoError,
+    Symptom,
+    TemporalViolationError,
+    UnknownEncounterError,
+    UnknownPatientError,
+    john_doe_graph,
+    serialize_bundle,
+    to_dot,
+)
+from pjo.graph import _TABLES, ValidationReport, guarded
+from pjo.queries import (
+    cause_trace,
+    find_encounters,
+    followup_chain,
+    symptom_diagnosis_links,
+    symptom_progression,
+    timeline,
+)
+from pjo.records import FIELDS, OBJECTS, STRS
+from pjo.seed import (
+    ENCOUNTER_ALLERGY,
+    ENCOUNTER_ALLERGY_FOLLOWUP,
+    JOHN_DOE_ID,
+)
+from test_silent_pass import hostile, hostile_records, records_in
+
+FOLLOWUP = f"encounters[{ENCOUNTER_ALLERGY_FOLLOWUP}]"
+ALLERGY = f"encounters[{ENCOUNTER_ALLERGY}]"
+
+
+def _link(graph: JourneyGraph, kind, start, end):
+    """``link`` on a copy, so that a read after it sees the graph unchanged."""
+    return copy.deepcopy(graph).link(kind, start, end)
+
+
+# Each guarded read, called as (graph, patient ID, encounter ID, another
+# encounter ID), with the errors it documents on a graph the checker accepts.
+PATIENT_ERRORS = (UnknownPatientError,)
+LINK_ERRORS = (
+    UnknownEncounterError, FieldInvalidError, CrossPatientLinkError,
+    TemporalViolationError, DuplicateEdgeError, CycleIntroducedError,
+)  # fmt: skip
+READS = {
+    "timeline": (lambda g, p, e, f: timeline(g, p), PATIENT_ERRORS),
+    "symptom_progression": (lambda g, p, e, f: symptom_progression(g, p, "Sneezing"),
+                            PATIENT_ERRORS),
+    "symptom_diagnosis_links": (lambda g, p, e, f: symptom_diagnosis_links(g, p), PATIENT_ERRORS),
+    "find_encounters": (
+        lambda g, p, e, f: find_encounters(g, p, specialty="allergy"), PATIENT_ERRORS),
+    "find_encounters by diagnosis and date": (
+        lambda g, p, e, f: find_encounters(
+            g, diagnosis_name="seasonal allergic rhinitis",
+            date_from=date(2021, 1, 1), date_to=date(2022, 1, 1)),
+        PATIENT_ERRORS),
+    "followup_chain": (
+        lambda g, p, e, f: followup_chain(g, e),
+        (UnknownEncounterError, UnknownPatientError, AmbiguousChainError, CycleIntroducedError)),
+    "cause_trace": (
+        lambda g, p, e, f: cause_trace(g, e),
+        (UnknownEncounterError, UnknownPatientError, AmbiguousTraceError, CycleIntroducedError)),
+    "to_dot": (lambda g, p, e, f: to_dot(g, p), PATIENT_ERRORS),
+    "to_dot full": (lambda g, p, e, f: to_dot(g, p, detail="full"), PATIENT_ERRORS),
+    "to_dot every patient": (lambda g, p, e, f: to_dot(g, detail="full"), PATIENT_ERRORS),
+    "serialize_bundle": (lambda g, p, e, f: serialize_bundle(g, p), PATIENT_ERRORS),
+    "link": (lambda g, p, e, f: _link(g, EdgeKind.NEXT, e, f), LINK_ERRORS),
+}  # fmt: skip
+
+
+# -- the findings, each pinned on the seed graph --------------------------------
+
+
+def _misfiled_followup(graph):
+    graph.encounters[ENCOUNTER_ALLERGY_FOLLOWUP] = Symptom("x")
+
+
+def _symptom_text(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].symptoms.append("text")
+
+
+def _no_specialty(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].specialty = None
+
+
+def _diagnosis_number(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(1.5)
+
+
+def _diagnoses_number(graph):
+    graph.encounters[ENCOUNTER_ALLERGY].diagnoses = 3
+
+
+@pytest.mark.parametrize(
+    "break_graph, read, problem",
+    [
+        (_misfiled_followup, lambda g: followup_chain(g, ENCOUNTER_ALLERGY),
+         f"{FOLLOWUP}: encounters entries must be a Encounter"),
+        (_misfiled_followup, lambda g: cause_trace(g, ENCOUNTER_ALLERGY_FOLLOWUP),
+         f"{FOLLOWUP}: encounters entries must be a Encounter"),
+        (_misfiled_followup,
+         lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, ENCOUNTER_ALLERGY_FOLLOWUP),
+         f"{FOLLOWUP}: encounters entries must be a Encounter"),
+        (_symptom_text, lambda g: symptom_progression(g, JOHN_DOE_ID, "Sneezing"),
+         f"{ALLERGY}.symptoms[2]: symptoms entries must be a Symptom"),
+        (_symptom_text, lambda g: symptom_diagnosis_links(g, JOHN_DOE_ID),
+         f"{ALLERGY}.symptoms[2]: symptoms entries must be a Symptom"),
+        (_no_specialty, lambda g: find_encounters(g, JOHN_DOE_ID, specialty="allergy"),
+         f"{ALLERGY}.specialty: specialty must be nonempty"),
+        (_no_specialty, lambda g: find_encounters(g, specialty="allergy"),
+         f"{ALLERGY}.specialty: specialty must be nonempty"),
+        (_diagnosis_number, lambda g: timeline(g, JOHN_DOE_ID),
+         f"{ALLERGY}.diagnoses[1]: diagnoses entries must be a Diagnosis"),
+        (_diagnoses_number, lambda g: timeline(g, JOHN_DOE_ID),
+         f"{ALLERGY}.diagnoses: diagnoses must be a list"),
+    ],
+    ids=[
+        "followup_chain", "cause_trace", "link", "symptom_progression",
+        "symptom_diagnosis_links", "find_encounters", "find_encounters every patient",
+        "timeline entry", "timeline array",
+    ],
+)  # fmt: skip
+def test_a_read_of_a_damaged_graph_raises_the_checkers_problem(
+    john_graph, break_graph, read, problem
+):
+    break_graph(john_graph)
+    with pytest.raises(FieldInvalidError) as raised:
+        read(john_graph)
+    assert str(raised.value) == problem
+
+
+def test_a_misfiled_chain_step_is_refused_before_it_is_returned(john_graph):
+    """The chain queries walk links alone; a step of another class is
+    refused when the records are looked up, whatever else the graph holds."""
+    _misfiled_followup(john_graph)
+    john_graph.patients["A"] = john_graph.providers["Provider-Allergy"]  # also misfiled
+    with pytest.raises(FieldInvalidError, match=f"^{re.escape(FOLLOWUP)}: "):
+        followup_chain(john_graph, ENCOUNTER_ALLERGY)
+
+
+def test_a_bad_detail_stays_a_value_error_on_a_damaged_graph(john_graph):
+    _symptom_text(john_graph)
+    with pytest.raises(ValueError, match="detail must be 'journey' or 'full'"):
+        to_dot(john_graph, detail="bogus")
+
+
+def test_a_read_names_only_its_own_patients_records(john_graph):
+    """Patient A's misfiled encounter is the checker's first type problem,
+    but John Doe's timeline reads only his own."""
+    _diagnoses_number(john_graph)
+    john_graph.patients["A"] = Patient("A", "N", date(1970, 1, 1))
+    john_graph.encounters["A-1"] = Symptom("x")
+    john_graph.encounter_owner["A-1"] = "A"
+    first = john_graph.check_invariants().errors[0]
+    assert (first.location, first.message) == ("encounters[A-1]", "encounters entries must be a Encounter")
+    with pytest.raises(FieldInvalidError, match=r"^encounters\[Encounter-Allergy-20210725\]\.diagnoses: "):
+        timeline(john_graph, JOHN_DOE_ID)
+    with pytest.raises(FieldInvalidError, match=r"^encounters\[A-1\]: "):
+        find_encounters(john_graph, specialty="allergy")
+
+
+def test_a_failure_the_checker_does_not_explain_is_raised_as_it_is(john_graph):
+    """On a clean graph, a bad argument's own error comes out."""
+    with pytest.raises(AttributeError):
+        find_encounters(john_graph, JOHN_DOE_ID, specialty=5)
+
+
+# -- a clean read asks the checker nothing ---------------------------------------
+
+
+@pytest.mark.parametrize("name", list(READS))
+def test_a_clean_read_asks_the_checker_nothing(john_graph, name, monkeypatch):
+    read, _ = READS[name]
+    arguments = (john_graph, JOHN_DOE_ID, ENCOUNTER_ALLERGY, ENCOUNTER_ALLERGY_FOLLOWUP)
+    expected = read(*arguments)
+    monkeypatch.setattr(JourneyGraph, "type_error", None)
+    assert read(*arguments) == expected
+
+
+def test_every_public_read_is_guarded():
+    from pjo import bundle, dot, queries
+
+    guard = guarded()(lambda graph: graph).__code__
+    public = [
+        value
+        for name, value in vars(queries).items()
+        if not name.startswith("_") and callable(value) and value.__module__ == queries.__name__
+        and not isinstance(value, type)
+    ]  # fmt: skip
+    assert len(public) == 6
+    for read in [*public, dot._draw, bundle.serialize_bundle, JourneyGraph.link]:
+        assert read.__code__ is guard, read
+
+
+# -- damaged graphs --------------------------------------------------------------
+
+
+def _stored_records(graph: JourneyGraph) -> list:
+    """Every mutable record the graph holds, at any depth."""
+    found = []
+    for attr in _TABLES:
+        for record in getattr(graph, attr).values():
+            if record.__class__ in FIELDS:
+                found += records_in(record)
+    return found
+
+
+def damage_graph(graph: JourneyGraph, data) -> None:
+    """One write through the API's own doors: a field of a stored record set
+    to a hostile value or an entry put into an array it holds, a table
+    entry stored under a key old or new, or a link replaced or added."""
+    door = data.draw(st.sampled_from(["field", "table", "link"]))
+    value = copy.deepcopy(data.draw(hostile))
+    if door == "field":
+        record = data.draw(st.sampled_from(_stored_records(graph)))
+        spec = data.draw(st.sampled_from(FIELDS[record.__class__]))
+        held = getattr(record, spec.attr)
+        if spec.type in (OBJECTS, STRS) and held.__class__ is list and data.draw(st.booleans()):
+            held.insert(data.draw(st.integers(0, len(held))), value)
+        else:
+            setattr(record, spec.attr, value)
+    elif door == "table":
+        table = getattr(graph, data.draw(st.sampled_from(list(_TABLES))))
+        key = data.draw(st.sampled_from(sorted(table) + ["Z"]))
+        others = [r for attr in _TABLES for r in getattr(graph, attr).values()]
+        stored = copy.deepcopy(data.draw(st.sampled_from(others + [value]) | hostile_records))
+        table[key] = stored
+    else:
+        keys = sorted(graph.encounters) + ["Z"]
+        fields = [data.draw(st.sampled_from(list(EdgeKind))), data.draw(st.sampled_from(keys)),
+                  data.draw(st.sampled_from(keys)), None]  # fmt: skip
+        fields[data.draw(st.integers(0, 3))] = value
+        index = data.draw(st.integers(0, len(graph.edges)))
+        graph.edges[index : index + 1] = [JourneyEdge(*fields)]
+
+
+@st.composite
+def damaged_graphs(draw) -> JourneyGraph:
+    """The seed graph or a generated cohort, damaged one to three times."""
+    if draw(st.booleans()):
+        graph = john_doe_graph()
+    else:
+        graph = random_journey(random.Random(draw(st.integers(0, 2**32 - 1))),
+                               max_patients=3, hostile_names=True)  # fmt: skip
+    data = draw(st.data())
+    for _ in range(draw(st.integers(1, 3))):
+        damage_graph(graph, data)
+    return graph
+
+
+@given(graph=damaged_graphs())
+@settings(max_examples=300, deadline=None)
+def test_the_checker_returns_on_every_damaged_graph(graph):
+    assert isinstance(graph.check_invariants(), ValidationReport)
+
+
+@given(graph=damaged_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_guarded_read_returns_or_raises_a_pjo_error(graph, data):
+    patient = data.draw(st.sampled_from(sorted(graph.patients) + ["Ghost"]))
+    encounter, other = (data.draw(st.sampled_from(sorted(graph.encounters) + ["Ghost"]))
+                        for _ in range(2))  # fmt: skip
+    accepted = graph.check_invariants().ok
+    for name, (read, documented) in READS.items():
+        try:
+            read(graph, patient, encounter, other)
+        except PjoError as error:
+            assert not accepted or isinstance(error, documented), (name, error)
