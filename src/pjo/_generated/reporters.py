@@ -5,7 +5,7 @@ any change to ``records.FIELDS``, ``graph.RULES`` or a generator in ``pjo._codeg
 
 from datetime import date
 from ..codes import ConceptCode, validate_icd10
-from ..graph import FORMAT_VERSION, _DATE_SHAPE, _ICD10, _LINK_KINDS, _SURROGATE, _calendar_day
+from ..graph import FORMAT_VERSION, _DATE_SHAPE, _ICD10, _INT_BOUND, _LINK_KINDS, _SURROGATE, _calendar_day
 from ..records import EdgeKind, check_blood_pressure, check_body_temperature, check_heart_rate, check_weight, check_years_of_experience
 
 
@@ -16,14 +16,14 @@ def report_string(v, name):
 
 def report_string_required(v, name):
     if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
-    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
 
 
 def report_date_required(v, name):
     if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
-    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (_DATE_SHAPE(v)): return 'invalid-value', f'{v!r} is not an ISO-8601 date (YYYY-MM-DD)'
     kept = _calendar_day(v)
     if not (kept): return 'invalid-value', f'{v!r} is not a calendar date'
@@ -37,8 +37,8 @@ def report_int_check_years_of_experience(v, name):
 
 def report_string_array(v, name):
     if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
-    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
 
 
 def report_number_check_body_temperature(v, name):
@@ -72,8 +72,8 @@ def report_icd10(v, name):
 
 def report_kind_required(v, name):
     if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
-    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     kept = _LINK_KINDS.get(v)
     if not (kept): return 'invalid-value', f'link kind must be one of {sorted(_LINK_KINDS)}, got {v!r}'
     v = kept
@@ -81,18 +81,20 @@ def report_kind_required(v, name):
 
 def report_version_required(v, name):
     if not (v.__class__ is str): return 'invalid-type', f'{name} must be a string'
-    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (v == FORMAT_VERSION): return 'unsupported-format-version', f'unsupported format version {v!r}, expected {FORMAT_VERSION!r}'
 
 
 def report_memory_string(v, name):
     if not (v is None or v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
 
 
 def report_memory_string_required(v, name):
     if not (v is None or v.__class__ is str): return 'invalid-type', f'{name} must be a string'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
 
 
 def report_memory_date_required(v, name):
@@ -102,31 +104,37 @@ def report_memory_date_required(v, name):
 
 def report_memory_int_check_years_of_experience(v, name):
     if not (v is None or v.__class__ is int): return 'invalid-type', f'{name} must be an integer'
+    if not (v.__class__ is not int or -_INT_BOUND < v < _INT_BOUND): return 'invalid-value', f'{name} must have at most 4300 digits'
     if not (check_years_of_experience(v) is None): return 'field-invalid', f'{check_years_of_experience(v)}'
 
 
 def report_memory_string_array(v, name):
     if not (v is None or v.__class__ is str): return 'invalid-type', f'{name} must be a string'
     if not (v): return 'field-invalid', f'{name} must be nonempty'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
 
 
 def report_memory_number_check_body_temperature(v, name):
     if not (v is None or v.__class__ is float or v.__class__ is int): return 'invalid-type', f'{name} must be a number'
+    if not (v.__class__ is not int or -_INT_BOUND < v < _INT_BOUND): return 'invalid-value', f'{name} must have at most 4300 digits'
     if not (check_body_temperature(v) is None): return 'field-invalid', f'{check_body_temperature(v)}'
 
 
 def report_memory_string_check_blood_pressure(v, name):
     if not (v is None or v.__class__ is str): return 'invalid-type', f'{name} must be a string'
+    if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     if not (check_blood_pressure(v) is None): return 'field-invalid', f'{check_blood_pressure(v)}'
 
 
 def report_memory_number_check_weight(v, name):
     if not (v is None or v.__class__ is float or v.__class__ is int): return 'invalid-type', f'{name} must be a number'
+    if not (v.__class__ is not int or -_INT_BOUND < v < _INT_BOUND): return 'invalid-value', f'{name} must have at most 4300 digits'
     if not (check_weight(v) is None): return 'field-invalid', f'{check_weight(v)}'
 
 
 def report_memory_number_check_heart_rate(v, name):
     if not (v is None or v.__class__ is float or v.__class__ is int): return 'invalid-type', f'{name} must be a number'
+    if not (v.__class__ is not int or -_INT_BOUND < v < _INT_BOUND): return 'invalid-value', f'{name} must have at most 4300 digits'
     if not (check_heart_rate(v) is None): return 'field-invalid', f'{check_heart_rate(v)}'
 
 

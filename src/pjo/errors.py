@@ -43,20 +43,26 @@ class CycleIntroducedError(PjoError):
     """A journey link would make the journey graph cyclic."""
 
 
-class AmbiguousChainError(PjoError):
+class BranchError(PjoError):
+    """A walk along journey links branches at ``branch_point``, the key
+    with two or more links where one was expected."""
+
+    def __init__(self, message: str, branch_point: str):
+        super().__init__(message)
+        self.branch_point = branch_point
+
+    def __reduce__(self):
+        # ``args`` holds the message alone: pickle and copy rebuild the
+        # error through ``__init__``, which needs the branch point too.
+        return self.__class__, (*self.args, self.branch_point), self.__dict__
+
+
+class AmbiguousChainError(BranchError):
     """A follow-up chain branches, so no single maximal path exists."""
 
-    def __init__(self, message: str, branch_point: str):
-        super().__init__(message)
-        self.branch_point = branch_point
 
-
-class AmbiguousTraceError(PjoError):
+class AmbiguousTraceError(BranchError):
     """A cause trace branches, so no single root cause path exists."""
-
-    def __init__(self, message: str, branch_point: str):
-        super().__init__(message)
-        self.branch_point = branch_point
 
 
 class ShapeError(PjoError):

@@ -135,7 +135,8 @@ FieldProblem = tuple[str, str, str]  # (relative location, code, message)
 # each (test, code, message, applies): ``test`` is source over the value
 # ``v``, true when the rule is kept, and ``message`` an f-string over ``v``
 # and the field's ``{name}``.  DOCUMENT rules apply to documents only, and
-# MEMORY rules, that a value held in memory is of its type, to records only.
+# MEMORY rules, that a value held in memory is of its type and can be
+# written, to records only.
 # A READ rule's test is the value read, which later rules see as ``v``.
 # VALUE rules apply in memory too, REQUIRED ones to a required field or an
 # entry.  The generators of ``pjo._codegen`` write from here the silent tests
@@ -157,24 +158,31 @@ def _typed(test: str, kind: str) -> tuple:
     return _held(test, kind), (test, INVALID_TYPE, f"{{name}} must be {kind}", DOCUMENT)
 
 
-def _text(test: str, kind: str) -> tuple:
-    """The rules on a value that is ``kind`` in memory and text in a document."""
+def _text(test: str, kind: str, surrogates: str = DOCUMENT) -> tuple:
+    """The rules on a value that is ``kind`` in memory and text in a document.
+    The lone-surrogate rule applies where the value is text, ``surrogates``;
+    it never fails on a value the nonempty rule refuses."""
     return (
         _held(test, kind),
         ("v.__class__ is str", INVALID_TYPE, "{name} must be a string", DOCUMENT),
+        ("v", FIELD_INVALID, "{name} must be nonempty", REQUIRED),
         # A lone surrogate (from an escape such as "\ud800") cannot be written as UTF-8.
         ("v.isascii() or not _SURROGATE(v)",
-         INVALID_VALUE, "{name} holds a lone surrogate", DOCUMENT),
-        ("v", FIELD_INVALID, "{name} must be nonempty", REQUIRED),
+         INVALID_VALUE, "{name} holds a lone surrogate", surrogates),
     )
 
 
-_STRING = _text("v.__class__ is str", "a string")
+# An integer of more digits than ``int`` converts to or from text by default
+# cannot be written, and no document holds one.
+_DIGITS = ("v.__class__ is not int or -_INT_BOUND < v < _INT_BOUND",
+           INVALID_VALUE, "{name} must have at most 4300 digits", MEMORY)  # fmt: skip
+_STRING = _text("v.__class__ is str", "a string", VALUE)
 RULES = {
     STR: _STRING,
     STRS: _STRING,
-    INT: _typed("v.__class__ is int", "an integer"),
-    NUMBER: _typed("v.__class__ is float or v.__class__ is int", "a number"),  # never a boolean
+    INT: (*_typed("v.__class__ is int", "an integer"), _DIGITS),
+    NUMBER: (*_typed("v.__class__ is float or v.__class__ is int", "a number"),  # never a boolean
+             _DIGITS),
     DATE: (*_text("v.__class__ is date", "a date"),
            ("_DATE_SHAPE(v)",
             INVALID_VALUE, "{v!r} is not an ISO-8601 date (YYYY-MM-DD)", DOCUMENT),
@@ -201,9 +209,11 @@ def _calendar_day(text: str) -> date | None:
 
 # The names the rules' tests use besides the field checks of ``records``.
 _SURROGATE = re.compile("[\ud800-\udfff]").search
+_INT_BOUND = 10**4300
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 _LINK_KINDS = {kind.value: kind for kind in EdgeKind}
 _ICD10 = CodeSystem.ICD10
+_CAUSED_BY = EdgeKind.CAUSED_BY  # for a test per link: an enum member is slow to read
 
 
 def holder_rules(spec) -> list[tuple[type, str, str]]:
@@ -413,12 +423,30 @@ _RAISES = {
     UNKNOWN_PROVIDER: UnknownProviderError,
     FIELD_INVALID: FieldInvalidError,
     INVALID_TYPE: FieldInvalidError,
+    INVALID_VALUE: FieldInvalidError,
 }
 
 
 def _raise_first(problems: list[FieldProblem]) -> None:
     if problems:
         raise _RAISES[problems[0][1]](problems[0][2])
+
+
+def _sorted_keys(keys) -> list:
+    """``keys`` in order.  A damaged table may hold keys of types that do
+    not compare: only when the plain sort fails are they sorted by
+    ``_key_order``."""
+    keys = list(keys)
+    try:
+        keys.sort()
+    except TypeError:
+        keys.sort(key=_key_order)
+    return keys
+
+
+def _key_order(key) -> tuple:
+    """Strings first, in their order, then other keys by their ``repr``."""
+    return (0, key) if key.__class__ is str else (1, repr(key))
 
 
 def guarded(*names: str, providers: bool = False):
@@ -451,7 +479,7 @@ def oriented_edges(edges: list[JourneyEdge]) -> list[tuple[str, str]]:
     """Edges oriented forward in journey time: cause/predecessor first."""
     oriented = []
     for edge in edges:
-        if edge.kind is EdgeKind.CAUSED_BY:
+        if edge.kind is _CAUSED_BY:
             oriented.append((edge.to_encounter, edge.from_encounter))
         else:
             oriented.append((edge.from_encounter, edge.to_encounter))
@@ -554,12 +582,15 @@ class _OwnerIndex:
     __slots__ = ("encounters", "forms", "edges", "loose", "containers", "writes")
 
     def __init__(self, graph: JourneyGraph) -> None:
+        # An owner that is not a string, which the checker reports, owns nothing.
         self.encounters: dict[str, list[str]] = {}
         for key, owner in graph.encounter_owner.items():
-            self.encounters.setdefault(owner, []).append(key)
+            if owner.__class__ is str:
+                self.encounters.setdefault(owner, []).append(key)
         self.forms: dict[str, list[str]] = {}
         for key, owner in graph.intake_form_owner.items():
-            self.forms.setdefault(owner, []).append(key)
+            if owner.__class__ is str:
+                self.forms.setdefault(owner, []).append(key)
         self.edges: dict[str, list[JourneyEdge]] = {}
         self.loose: set[str] = set()
         owner_of = graph.encounter_owner.get
@@ -568,7 +599,7 @@ class _OwnerIndex:
             if start.__class__ is not str or end.__class__ is not str:
                 continue  # an end that broke its type rule names no key
             owner = owner_of(start)
-            if owner is not None and owner == owner_of(end):
+            if owner.__class__ is str and owner == owner_of(end):
                 self.edges.setdefault(owner, []).append(edge)
             else:
                 self.loose.update((start, end))
@@ -798,7 +829,10 @@ class JourneyGraph:
             if day.__class__ is not date:
                 relative, _, message = next(p for p in field_problems(encounter) if p[0] == "date")
                 raise FieldInvalidError(f"encounters[{key}].{relative}: {message}")
-        rows.sort()
+        try:
+            rows.sort()
+        except TypeError:  # keys of two types on one day
+            rows.sort(key=lambda row: (row[0], _key_order(row[1])))
         return rows
 
     def encounters_of(self, patient_id: str) -> list[Encounter]:
@@ -868,10 +902,12 @@ class JourneyGraph:
         its location, less trailing ``.``-parts, is one of these records or
         links."""
         index = self._owners()
-        keys = [*self.patients, *self.encounters] if named is None else named
-        keys = [key for key in keys if key.__class__ is str]
+        keys = [*self.patients, *self.encounters, *self.encounter_owner]
+        if named is not None:  # compared, not hashed: an argument may be a list
+            keys = [key for key in keys if key in named]
         patient_ids = {key for key in keys if key in self.patients}
-        patient_ids.update(owner for key in keys if (owner := self.encounter_owner.get(key)))
+        owners = (self.encounter_owner.get(key) for key in keys)
+        patient_ids.update(owner for owner in owners if owner.__class__ is str)
         heads = {f"encounters[{key}]" for key in keys}
         for pid in patient_ids:
             heads.add(f"patients[{pid}]")
@@ -915,7 +951,7 @@ class JourneyGraph:
         report, graph, tables = ValidationReport(), self, {}
         for attr, (name, record_type, message) in _TABLES.items():
             records = getattr(self, attr)
-            misfiled = sorted(key for key in records if records[key].__class__ is not record_type)
+            misfiled = _sorted_keys(k for k in records if records[k].__class__ is not record_type)
             for key in misfiled:
                 report.error(INVALID_TYPE, message, f"{name}[{key}]")
             if misfiled:
@@ -924,7 +960,7 @@ class JourneyGraph:
             graph = JourneyGraph(**{**{a: getattr(self, a) for a in self._attrs}, **tables})
         graph._check_annotations(report)
         for name, records in (("patients", graph.patients), ("providers", graph.providers)):
-            for key in sorted(records):
+            for key in _sorted_keys(records):
                 record = records[key]
                 for relative, code, message in fields(record) + key_problems(record, key):
                     report.error(code, message, f"{name}[{key}].{relative}")
@@ -958,7 +994,7 @@ class JourneyGraph:
 
     def _check_intake_forms(self, report: ValidationReport, fields) -> None:
         owners_seen: dict[str, str] = {}
-        for form_id in sorted(self.intake_forms):
+        for form_id in _sorted_keys(self.intake_forms):
             location = f"intakeForms[{form_id}]"
             form = self.intake_forms[form_id]
             for relative, code, message in fields(form) + key_problems(form, form_id):
@@ -966,6 +1002,9 @@ class JourneyGraph:
             owner = self.intake_form_owner.get(form_id)
             if owner is None:
                 report.error(UNOWNED_INTAKE_FORM, f"intake form {form_id!r} has no owner", location)
+            elif owner.__class__ is not str:
+                message = f"owner of intake form {form_id!r} must be a string"
+                report.error(INVALID_TYPE, message, location)
             elif owner not in self.patients:
                 message = f"intake form {form_id!r} owned by unknown patient {owner!r}"
                 report.error(UNKNOWN_PATIENT, message, location)
@@ -978,7 +1017,7 @@ class JourneyGraph:
                 )
             else:
                 owners_seen[owner] = form_id
-        for form_id in sorted(self.intake_form_owner.keys() - self.intake_forms.keys()):
+        for form_id in _sorted_keys(self.intake_form_owner.keys() - self.intake_forms.keys()):
             report.error(
                 DANGLING_REFERENCE,
                 f"ownership entry references missing intake form {form_id!r}",
@@ -987,10 +1026,10 @@ class JourneyGraph:
 
     def _check_encounters(self, report: ValidationReport, fields) -> None:
         encounters, owners, patients = self.encounters, self.encounter_owner, self.patients
-        for encounter_id in sorted(encounters):
+        for encounter_id in _sorted_keys(encounters):
             encounter = encounters[encounter_id]
             owner = owners.get(encounter_id)
-            patient = patients.get(owner)
+            patient = patients.get(owner) if owner.__class__ is str else None
             problems = fields(encounter)  # a clean encounter builds no other list
             if not problems and patient is not None and encounter.encounter_id == encounter_id:
                 ref, day, birth = encounter.provider_ref, encounter.date, patient.birth_date
@@ -1009,13 +1048,16 @@ class JourneyGraph:
             if owner is None:
                 message = f"encounter {encounter_id!r} has no owner"
                 report.error(UNOWNED_ENCOUNTER, message, location)
+            elif owner.__class__ is not str:
+                message = f"owner of encounter {encounter_id!r} must be a string"
+                report.error(INVALID_TYPE, message, location)
             elif patient is None:
                 report.error(
                     UNKNOWN_PATIENT,
                     f"encounter {encounter_id!r} owned by unknown patient {owner!r}",
                     location,
                 )
-        for encounter_id in sorted(owners.keys() - encounters.keys()):
+        for encounter_id in _sorted_keys(owners.keys() - encounters.keys()):
             report.error(
                 DANGLING_REFERENCE,
                 missing_encounter("ownership entry references", encounter_id),
@@ -1054,7 +1096,7 @@ class JourneyGraph:
             clean = source is not None and target is not None and start != end
             if clean:
                 arc, first, last = (start, end), source.date, target.date
-                if kind is EdgeKind.CAUSED_BY:
+                if kind is _CAUSED_BY:
                     arc, first, last = (end, start), last, first
                 if not (_dated(first, last) and first <= last):
                     forward = clean = False
@@ -1091,7 +1133,7 @@ class JourneyGraph:
     def _check_gaps(self, report: ValidationReport) -> None:
         linked = {(edge.from_encounter, edge.to_encounter) for edge in keyed_edges(self.edges)}
         by_owner = self._owners().encounters
-        for patient_id in sorted(self.patients):
+        for patient_id in _sorted_keys(self.patients):
             try:
                 rows = self._date_rows(by_owner.get(patient_id, ()))
             except FieldInvalidError:

@@ -14,7 +14,7 @@ from datetime import date
 from .errors import AmbiguousChainError, AmbiguousTraceError, CycleIntroducedError
 from .errors import UnknownEncounterError
 from .graph import JourneyGraph, guarded, refuse_misfiled
-from .records import KIND_TEXT, EdgeKind, Encounter, JourneyEdge, slotted
+from .records import KIND_TEXT, EdgeKind, Encounter, slotted
 
 
 @slotted(frozen=True)
@@ -111,12 +111,43 @@ def symptom_progression(
     return occurrences
 
 
-def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
-    """The links whose two ends the encounter's owner owns (``edges_of``):
-    on a graph ``check_invariants`` accepts, every link of the encounter's
-    journey; on one it rejects, no link across patients.  Raises as
-    ``patient_of`` and ``edges_of`` do for an unknown encounter or owner."""
-    return graph.edges_of(graph.patient_of(encounter_id))
+def _links(
+    graph: JourneyGraph, encounter_id: str, kind: EdgeKind
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Of the links of ``kind`` whose two ends the encounter's owner owns
+    (``edges_of``), each end to the ends after it (ahead), and each to the
+    ends before it (behind).  On a graph ``check_invariants`` accepts, these
+    are every such link of the encounter's journey; on one it rejects, no
+    link across patients.  Raises as ``patient_of`` and ``edges_of`` do for
+    an unknown encounter or owner."""
+    ahead: dict[str, list[str]] = {}
+    behind: dict[str, list[str]] = {}
+    for edge in graph.edges_of(graph.patient_of(encounter_id)):
+        if edge.kind is kind:
+            ahead.setdefault(edge.from_encounter, []).append(edge.to_encounter)
+            behind.setdefault(edge.to_encounter, []).append(edge.from_encounter)
+    return ahead, behind
+
+
+def _walk(ahead, behind, start: str, seen: set, ambiguous, path: str, edges: str) -> list[str]:
+    """The keys after ``start`` along the one link ``ahead`` of each key,
+    added to ``seen``.  Raises ``ambiguous`` at a key with two or more links
+    ahead, or at the next key if it has two or more links ``behind``, as
+    ``"<path> branches at <key>"``; then ``CycleIntroducedError`` if the
+    next key was seen, as ``"<edges> edges cycle through <key>"``."""
+    keys = []
+    current = start
+    while after := ahead.get(current):
+        if len(after) > 1:
+            raise ambiguous(f"{path} branches at {current!r}", branch_point=current)
+        current = after[0]
+        if len(behind.get(current, ())) > 1:
+            raise ambiguous(f"{path} branches at {current!r}", branch_point=current)
+        if current in seen:
+            raise CycleIntroducedError(f"{edges} edges cycle through {current!r}")
+        keys.append(current)
+        seen.add(current)
+    return keys
 
 
 def _stored(graph: JourneyGraph, keys: list[str]) -> list[Encounter]:
@@ -138,49 +169,14 @@ def followup_chain(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
     Raises :class:`AmbiguousChainError` when the path branches: an
     encounter on the walk has two or more outgoing, or two or more
     incoming, follow-up edges.  Only the owner's links are read (see
-    ``_owner_links``), so the cost is O(l) in the patient's links.
+    ``_links``), so the cost is O(l) in the patient's links.
     """
-    outgoing: dict[str, list[str]] = {}
-    incoming: dict[str, list[str]] = {}
-    for edge in _owner_links(graph, encounter_id):
-        if edge.kind is EdgeKind.HAS_FOLLOWUP:
-            outgoing.setdefault(edge.from_encounter, []).append(edge.to_encounter)
-            incoming.setdefault(edge.to_encounter, []).append(edge.from_encounter)
-
-    def step(neighbors: dict[str, list[str]], node: str) -> str | None:
-        step_targets = neighbors.get(node, [])
-        if len(step_targets) > 1:
-            raise AmbiguousChainError(
-                f"follow-up chain branches at {node!r}", branch_point=node
-            )
-        return step_targets[0] if step_targets else None
-
-    predecessors = []
+    outgoing, incoming = _links(graph, encounter_id, EdgeKind.HAS_FOLLOWUP)
     seen = {encounter_id}
-    current = encounter_id
-    while (previous := step(incoming, current)) is not None:
-        if len(outgoing.get(previous, [])) > 1:
-            raise AmbiguousChainError(
-                f"follow-up chain branches at {previous!r}", branch_point=previous
-            )
-        if previous in seen:
-            raise CycleIntroducedError(f"follow-up edges cycle through {previous!r}")
-        predecessors.append(previous)
-        seen.add(previous)
-        current = previous
-    chain = predecessors[::-1] + [encounter_id]
-    current = encounter_id
-    while (successor := step(outgoing, current)) is not None:
-        if len(incoming.get(successor, [])) > 1:
-            raise AmbiguousChainError(
-                f"follow-up chain branches at {successor!r}", branch_point=successor
-            )
-        if successor in seen:
-            raise CycleIntroducedError(f"follow-up edges cycle through {successor!r}")
-        chain.append(successor)
-        seen.add(successor)
-        current = successor
-    return _stored(graph, chain)
+    names = AmbiguousChainError, "follow-up chain", "follow-up"
+    before = _walk(incoming, outgoing, encounter_id, seen, *names)
+    after = _walk(outgoing, incoming, encounter_id, seen, *names)
+    return _stored(graph, [*before[::-1], encounter_id, *after])
 
 
 @guarded("encounter_id")
@@ -190,30 +186,11 @@ def cause_trace(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
     Follows caused-by edges from effect to cause; raises
     :class:`AmbiguousTraceError` when an encounter on the walk has two or
     more outgoing caused-by edges.  Only the owner's links are read (see
-    ``_owner_links``), so the cost is O(l) in the patient's links.
+    ``_links``), so the cost is O(l) in the patient's links.
     """
-    causes: dict[str, list[str]] = {}
-    for edge in _owner_links(graph, encounter_id):
-        if edge.kind is EdgeKind.CAUSED_BY:
-            causes.setdefault(edge.from_encounter, []).append(edge.to_encounter)
-    trace = [encounter_id]
-    seen = {encounter_id}
-    current = encounter_id
-    while True:
-        step_targets = causes.get(current, [])
-        if len(step_targets) > 1:
-            raise AmbiguousTraceError(
-                f"cause trace branches at {current!r}", branch_point=current
-            )
-        if not step_targets:
-            break
-        cause = step_targets[0]
-        if cause in seen:
-            raise CycleIntroducedError(f"caused-by edges cycle through {cause!r}")
-        trace.append(cause)
-        seen.add(cause)
-        current = cause
-    return _stored(graph, trace)
+    causes, _ = _links(graph, encounter_id, EdgeKind.CAUSED_BY)
+    names = AmbiguousTraceError, "cause trace", "caused-by"
+    return _stored(graph, [encounter_id, *_walk(causes, {}, encounter_id, {encounter_id}, *names)])
 
 
 @guarded("patient_id")

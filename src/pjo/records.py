@@ -359,6 +359,8 @@ EDGE_LABELS = {
 # Each link kind's text, its ``value``: a lookup here is several times
 # faster than the enum's ``value`` property, for code that reads it per link.
 KIND_TEXT = {kind: kind.value for kind in EdgeKind}
+# So is a module constant than an enum member, for a test per link.
+_CAUSED_BY = EdgeKind.CAUSED_BY
 
 JourneyEdge = record(
     "JourneyEdge",
@@ -390,6 +392,6 @@ Bundle = record(
 
 def edge_dates_consistent(kind: EdgeKind, from_date: date, to_date: date) -> bool:
     """Whether an edge of ``kind`` is compatible with its endpoint dates."""
-    if kind is EdgeKind.CAUSED_BY:
+    if kind is _CAUSED_BY:
         return from_date >= to_date
     return from_date <= to_date

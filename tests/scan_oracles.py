@@ -17,7 +17,9 @@ allocate per record and run Kahn's algorithm over the whole graph.
 generated after their silent pass, compiled alone: ``rule_lines`` and the
 template ``holder_rules`` below, which look at every rule, as they stood in
 ``pjo._codegen``.  ``graph.field_problems`` now explains a failed check by a
-plain walk of the record instead.
+plain walk of the record instead.  ``followup_chain_by_hand`` and
+``cause_trace_by_hand`` are the chain queries with a walk written out per
+direction, each with its own step, branch and cycle tests.
 """
 
 from __future__ import annotations
@@ -60,12 +62,13 @@ from pjo.graph import (
     cyclic_nodes,
     encounter_reference_problems,
     field_problems,
+    guarded,
     key_problems,
     link_problems,
     missing_encounter,
     oriented_edges,
 )
-from pjo.queries import LinkRef, TimelineEntry
+from pjo.queries import LinkRef, TimelineEntry, _stored
 from pjo.records import (
     DATE,
     FIELDS,
@@ -437,6 +440,107 @@ def cause_trace_by_scan(graph: JourneyGraph, encounter_id: str) -> list[Encounte
     return [graph.encounters[eid] for eid in trace]
 
 
+# -- the chain walks as written by hand ----------------------------------------
+#
+# ``followup_chain`` and ``cause_trace`` as they stood with three walks of
+# their own, two in ``followup_chain`` and one in ``cause_trace``, before both
+# stepped through ``queries._walk``: the differential property of
+# ``test_queries`` checks the shared walk against them.
+
+
+def _owner_links(graph: JourneyGraph, encounter_id: str) -> list[JourneyEdge]:
+    """The links whose two ends the encounter's owner owns (``edges_of``):
+    on a graph ``check_invariants`` accepts, every link of the encounter's
+    journey; on one it rejects, no link across patients.  Raises as
+    ``patient_of`` and ``edges_of`` do for an unknown encounter or owner."""
+    return graph.edges_of(graph.patient_of(encounter_id))
+
+
+@guarded("encounter_id")
+def followup_chain_by_hand(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
+    """The maximal follow-up path containing the encounter, in date order.
+
+    Raises :class:`AmbiguousChainError` when the path branches: an
+    encounter on the walk has two or more outgoing, or two or more
+    incoming, follow-up edges.  Only the owner's links are read (see
+    ``_owner_links``), so the cost is O(l) in the patient's links.
+    """
+    outgoing: dict[str, list[str]] = {}
+    incoming: dict[str, list[str]] = {}
+    for edge in _owner_links(graph, encounter_id):
+        if edge.kind is EdgeKind.HAS_FOLLOWUP:
+            outgoing.setdefault(edge.from_encounter, []).append(edge.to_encounter)
+            incoming.setdefault(edge.to_encounter, []).append(edge.from_encounter)
+
+    def step(neighbors: dict[str, list[str]], node: str) -> str | None:
+        step_targets = neighbors.get(node, [])
+        if len(step_targets) > 1:
+            raise AmbiguousChainError(
+                f"follow-up chain branches at {node!r}", branch_point=node
+            )
+        return step_targets[0] if step_targets else None
+
+    predecessors = []
+    seen = {encounter_id}
+    current = encounter_id
+    while (previous := step(incoming, current)) is not None:
+        if len(outgoing.get(previous, [])) > 1:
+            raise AmbiguousChainError(
+                f"follow-up chain branches at {previous!r}", branch_point=previous
+            )
+        if previous in seen:
+            raise CycleIntroducedError(f"follow-up edges cycle through {previous!r}")
+        predecessors.append(previous)
+        seen.add(previous)
+        current = previous
+    chain = predecessors[::-1] + [encounter_id]
+    current = encounter_id
+    while (successor := step(outgoing, current)) is not None:
+        if len(incoming.get(successor, [])) > 1:
+            raise AmbiguousChainError(
+                f"follow-up chain branches at {successor!r}", branch_point=successor
+            )
+        if successor in seen:
+            raise CycleIntroducedError(f"follow-up edges cycle through {successor!r}")
+        chain.append(successor)
+        seen.add(successor)
+        current = successor
+    return _stored(graph, chain)
+
+
+@guarded("encounter_id")
+def cause_trace_by_hand(graph: JourneyGraph, encounter_id: str) -> list[Encounter]:
+    """The causal path from an encounter back to its root cause, inclusive.
+
+    Follows caused-by edges from effect to cause; raises
+    :class:`AmbiguousTraceError` when an encounter on the walk has two or
+    more outgoing caused-by edges.  Only the owner's links are read (see
+    ``_owner_links``), so the cost is O(l) in the patient's links.
+    """
+    causes: dict[str, list[str]] = {}
+    for edge in _owner_links(graph, encounter_id):
+        if edge.kind is EdgeKind.CAUSED_BY:
+            causes.setdefault(edge.from_encounter, []).append(edge.to_encounter)
+    trace = [encounter_id]
+    seen = {encounter_id}
+    current = encounter_id
+    while True:
+        step_targets = causes.get(current, [])
+        if len(step_targets) > 1:
+            raise AmbiguousTraceError(
+                f"cause trace branches at {current!r}", branch_point=current
+            )
+        if not step_targets:
+            break
+        cause = step_targets[0]
+        if cause in seen:
+            raise CycleIntroducedError(f"caused-by edges cycle through {cause!r}")
+        trace.append(cause)
+        seen.add(cause)
+        current = cause
+    return _stored(graph, trace)
+
+
 def serialize_bundle_by_dumps(graph: JourneyGraph, patient_id: str) -> str:
     """``serialize_bundle`` as the bundle document ``json.dumps`` writes."""
     _known(graph, patient_id)
@@ -617,6 +721,9 @@ def check_intake_forms_by_scan(graph: JourneyGraph, report: ValidationReport, fi
         owner = graph.intake_form_owner.get(form_id)
         if owner is None:
             report.error(UNOWNED_INTAKE_FORM, f"intake form {form_id!r} has no owner", location)
+        elif owner.__class__ is not str:
+            message = f"owner of intake form {form_id!r} must be a string"
+            report.error(INVALID_TYPE, message, location)
         elif owner not in graph.patients:
             message = f"intake form {form_id!r} owned by unknown patient {owner!r}"
             report.error(UNKNOWN_PATIENT, message, location)
@@ -642,7 +749,7 @@ def check_encounters_by_scan(graph: JourneyGraph, report: ValidationReport, fiel
     for encounter_id in sorted(graph.encounters):
         encounter = graph.encounters[encounter_id]
         owner = graph.encounter_owner.get(encounter_id)
-        patient = graph.patients.get(owner)
+        patient = graph.patients.get(owner) if owner.__class__ is str else None
         problems = (
             fields(encounter)
             + key_problems(encounter, encounter_id)
@@ -656,6 +763,9 @@ def check_encounters_by_scan(graph: JourneyGraph, report: ValidationReport, fiel
         if owner is None:
             message = f"encounter {encounter_id!r} has no owner"
             report.error(UNOWNED_ENCOUNTER, message, location)
+        elif owner.__class__ is not str:
+            message = f"owner of encounter {encounter_id!r} must be a string"
+            report.error(INVALID_TYPE, message, location)
         elif patient is None:
             report.error(
                 UNKNOWN_PATIENT,

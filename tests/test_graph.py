@@ -863,6 +863,92 @@ class TestCheckInvariants:
         graph.link(EdgeKind.CAUSED_BY, "E2", "E1", via="CarePlan-1")
         assert UNRESOLVED_VIA not in codes_of(graph.check_invariants())
 
+    @pytest.mark.parametrize("diagnosed", ["P1-E1", "P1-E2"])
+    def test_a_via_naming_a_diagnosis_in_one_endpoint_is_silent(self, diagnosed):
+        """A diagnosis resolves a ``via`` from either end, as a care plan
+        does; a name neither end records still warns."""
+        graph = small_graph(n_encounters=2)
+        diagnosis = Diagnosis("Hypertension", ConceptCode(CodeSystem.ICD10, "I10"))
+        graph.encounters[diagnosed].diagnoses.append(diagnosis)
+        graph.link(EdgeKind.CAUSED_BY, "P1-E2", "P1-E1", via="Hypertension")
+        graph.edges.append(JourneyEdge(EdgeKind.NEXT, "P1-E1", "P1-E2", via="Asthma"))
+        report = graph.check_invariants()
+        assert report.ok
+        vias = [d for d in report.warnings if d.code == UNRESOLVED_VIA]
+        assert [(d.location, d.message) for d in vias] == [
+            ("links[1].via",
+             "via 'Asthma' names no care plan or diagnosis in either endpoint")
+        ]  # fmt: skip
+
+
+def _gender(graph, value):
+    graph.patients[JOHN_DOE_ID].gender = value
+
+
+def _experience(graph, value):
+    graph.providers["Provider-Allergy"].years_of_experience = value
+
+
+def _temperature(graph, value):
+    graph.encounters[GENERAL_MEDICINE].vitals[0].body_temperature = value
+
+
+@pytest.mark.parametrize(
+    "write, value, location, message",
+    [
+        (_gender, "\ud800", f"patients[{JOHN_DOE_ID}].gender", "gender holds a lone surrogate"),
+        (_gender, "M\udfff", f"patients[{JOHN_DOE_ID}].gender", "gender holds a lone surrogate"),
+        (_experience, 10**5000, "providers[Provider-Allergy].yearsOfExperience",
+         "yearsOfExperience must have at most 4300 digits"),
+        (_experience, -(10**4300), "providers[Provider-Allergy].yearsOfExperience",
+         "yearsOfExperience must have at most 4300 digits"),
+        (_temperature, 10**5000, f"encounters[{GENERAL_MEDICINE}].vitals[0].bodyTemperature",
+         "bodyTemperature must have at most 4300 digits"),
+    ],
+    ids=["lone surrogate", "trailing surrogate", "huge", "huge negative", "huge number"],
+)  # fmt: skip
+def test_a_value_no_bundle_can_hold_is_an_error(john_graph, write, value, location, message):
+    """Such a value once passed the checker, and ``serialize_bundle`` then
+    wrote text that does not encode as UTF-8 or raised a bare ``ValueError``
+    (as the checker did, wording a plausibility bound, for a huge number)."""
+    write(john_graph, value)
+    errors = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert errors == [("invalid-value", location, message)]
+
+
+@pytest.mark.parametrize(
+    "add, message",
+    [
+        (lambda graph: graph.add_patient(Patient("P2", "Pat \ud800", date(1990, 1, 1))),
+         "patientName holds a lone surrogate"),
+        (lambda graph: graph.add_provider(Provider("D2", "Dr. D", years_of_experience=10**5000)),
+         "yearsOfExperience must have at most 4300 digits"),
+        (lambda graph: graph.add_encounter(JOHN_DOE_ID, Encounter(
+            "E2", date(2022, 1, 1), "Allergy", "Provider-Allergy",
+            vitals=[VitalSign(body_temperature=-(10**5000))])),
+         "vitals[0].bodyTemperature: bodyTemperature must have at most 4300 digits"),
+        (lambda graph: graph.link(EdgeKind.NEXT, "Encounter-Allergy-20210725",
+                                  "Encounter-AllergyFollowUp-20220418", via="\ud800"),
+         "via holds a lone surrogate"),
+    ],
+    ids=["add_patient", "add_provider", "add_encounter", "link"],
+)  # fmt: skip
+def test_the_raising_api_refuses_a_value_no_bundle_can_hold(john_graph, add, message):
+    before = serialize_bundle(john_graph, JOHN_DOE_ID)
+    with pytest.raises(FieldInvalidError) as refused:
+        add(john_graph)
+    assert str(refused.value) == message
+    assert serialize_bundle(john_graph, JOHN_DOE_ID) == before
+
+
+def test_an_integer_of_4300_digits_round_trips(john_graph):
+    _experience(john_graph, 10**4300 - 1)
+    assert john_graph.check_invariants().ok
+    text = serialize_bundle(john_graph, JOHN_DOE_ID)
+    result = parse_bundle(text)
+    assert result.ok
+    assert result.graph.providers["Provider-Allergy"].years_of_experience == 10**4300 - 1
+    assert serialize_bundle(result.graph, JOHN_DOE_ID) == text
 
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -57,9 +57,9 @@ dates = st.one_of(days, days, st.sampled_from(["2022-03-01", None, datetime(2022
 @st.composite
 def graphs(draw) -> JourneyGraph:
     """Up to eight encounters over two days, in some graphs some undated,
-    owned by three patients, one missing patient or none; links of any kind
-    between stored, missing or equal keys, in some graphs in either date
-    order."""
+    owned by three patients, one missing patient, a value that is not a
+    patient ID string or none; links of any kind between stored, missing or
+    equal keys, in some graphs in either date order."""
     graph = JourneyGraph()
     graph.providers["D"] = Provider("D", "Dr. D")
     for patient_id in PATIENTS:
@@ -67,7 +67,7 @@ def graphs(draw) -> JourneyGraph:
     dated = draw(st.sampled_from([days, dates]))
     for key in draw(st.lists(st.sampled_from(KEYS), max_size=8, unique=True)):
         graph.encounters[key] = Encounter(key, draw(dated), "Allergy", "D")
-        owner = draw(st.sampled_from(PATIENTS + [PATIENTS[0], "Ghost", None]))
+        owner = draw(st.sampled_from(PATIENTS + [PATIENTS[0], "Ghost", None, 5, [PATIENTS[1]]]))
         if owner is not None:
             graph.encounter_owner[key] = owner
     endpoints = st.sampled_from(KEYS[:7])  # E7 is sometimes stored, and sometimes not

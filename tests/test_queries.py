@@ -1,16 +1,22 @@
+import copy
+import pickle
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pjo import (
     AmbiguousChainError,
     AmbiguousTraceError,
+    CycleIntroducedError,
     EdgeKind,
     Encounter,
     FieldInvalidError,
     JourneyEdge,
     JourneyGraph,
     Patient,
+    PjoError,
     Provider,
     Symptom,
     UnknownEncounterError,
@@ -33,7 +39,12 @@ from pjo.seed import (
     ENCOUNTER_PULMONOLOGY,
     JOHN_DOE_ID,
 )
-from scan_oracles import cause_trace_by_scan, followup_chain_by_scan
+from scan_oracles import (
+    cause_trace_by_hand,
+    cause_trace_by_scan,
+    followup_chain_by_hand,
+    followup_chain_by_scan,
+)
 
 
 def chain_graph(*dated_ids, kind=EdgeKind.HAS_FOLLOWUP, link_pairs=None):
@@ -315,6 +326,99 @@ class TestChainsOnGraphsTheCheckerRejects:
             # The message patient_of gives for an encounter the graph does not hold.
             assert str(raised.value) == "unknown encounter 'Ghost'"
 
+
+class TestChainCycles:
+    """A cycle of stored links, which ``link`` refuses, written straight into
+    ``edges``: each walk raises ``CycleIntroducedError`` at the first key it
+    meets again."""
+
+    def test_a_followup_cycle_is_met_walking_back(self):
+        graph = chain_graph(("E1", date(2021, 1, 1)), ("E2", date(2021, 2, 1)))
+        graph.edges.append(JourneyEdge(EdgeKind.HAS_FOLLOWUP, "E2", "E1"))
+        for start in ("E1", "E2"):
+            with pytest.raises(CycleIntroducedError) as raised:
+                followup_chain(graph, start)
+            assert str(raised.value) == f"follow-up edges cycle through {start!r}"
+
+    def test_a_followup_cycle_ahead_is_met_walking_back_first(self):
+        """Walking forward, the next key's one link behind is the step just
+        taken, so a key met again was met walking back already: from E1, the
+        cycle E2 -> E3 -> E2 ahead branches at E2, and from E2 or E3 the
+        backward walk closes it."""
+        graph = chain_graph(
+            ("E1", date(2021, 1, 1)), ("E2", date(2021, 2, 1)), ("E3", date(2021, 3, 1))
+        )
+        graph.edges.append(JourneyEdge(EdgeKind.HAS_FOLLOWUP, "E3", "E2"))
+        with pytest.raises(AmbiguousChainError) as branched:
+            followup_chain(graph, "E1")
+        assert branched.value.branch_point == "E2"
+        graph.edges.remove(JourneyEdge(EdgeKind.HAS_FOLLOWUP, "E1", "E2"))
+        for start in ("E2", "E3"):
+            with pytest.raises(CycleIntroducedError) as raised:
+                followup_chain(graph, start)
+            assert str(raised.value) == f"follow-up edges cycle through {start!r}"
+        assert [e.encounter_id for e in followup_chain(graph, "E1")] == ["E1"]
+
+    def test_a_cause_cycle(self):
+        graph = chain_graph(
+            ("E1", date(2021, 1, 1)),
+            ("E2", date(2021, 2, 1)),
+            ("E3", date(2021, 3, 1)),
+            kind=EdgeKind.CAUSED_BY,
+            link_pairs=[("E3", "E2"), ("E2", "E1")],
+        )
+        graph.edges.append(JourneyEdge(EdgeKind.CAUSED_BY, "E1", "E3"))
+        with pytest.raises(CycleIntroducedError) as raised:
+            cause_trace(graph, "E3")
+        assert str(raised.value) == "caused-by edges cycle through 'E3'"
+
+
+@pytest.mark.parametrize("error", [AmbiguousChainError, AmbiguousTraceError])
+def test_a_branch_error_survives_pickle_and_copy(error):
+    """A worker process returns an error pickled; both once lost the
+    ``branch_point`` their ``__init__`` requires, and failed to load."""
+    original = error("follow-up chain branches at 'X'", branch_point="X")
+    for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original), copy.deepcopy(original)):
+        assert type(twin) is error
+        assert str(twin) == str(original)
+        assert twin.args == ("follow-up chain branches at 'X'",)
+        assert twin.branch_point == "X"
+
+
+def _outcome(query, graph, start):
+    """What a chain query gives: the IDs, or the error's class, message and
+    branch point."""
+    try:
+        return [e.encounter_id for e in query(graph, start)]
+    except PjoError as error:
+        return type(error), str(error), getattr(error, "branch_point", None)
+
+
+KEYS = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
+
+
+@st.composite
+def tangled_journeys(draw) -> JourneyGraph:
+    """One to seven encounters of one patient, and another patient's one,
+    with links of every kind written straight into ``edges``: branches,
+    cycles, repeats and links across patients included."""
+    count = draw(st.integers(1, len(KEYS)))
+    days = st.integers(1, 28).map(lambda day: date(2021, 1, day))
+    graph = chain_graph(*((key, draw(days)) for key in KEYS[:count]), link_pairs=[])
+    graph.add_patient(Patient("P2", "Pat Two", date(1980, 1, 1)))
+    graph.add_encounter("P2", Encounter("Other", date(2021, 1, 1), "Allergy", "Provider-1"))
+    ends = st.sampled_from([*KEYS[:count], "Other"])
+    links = st.tuples(st.sampled_from(list(EdgeKind)), ends, ends)
+    graph.edges.extend(JourneyEdge(*link) for link in draw(st.lists(links, max_size=10)))
+    return graph
+
+
+@given(graph=tangled_journeys(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_the_chain_queries_walk_as_the_hand_written_walks_did(graph, data):
+    start = data.draw(st.sampled_from([*graph.encounters, "Ghost"]))
+    assert _outcome(followup_chain, graph, start) == _outcome(followup_chain_by_hand, graph, start)
+    assert _outcome(cause_trace, graph, start) == _outcome(cause_trace_by_hand, graph, start)
 
 class TestSymptomDiagnosisLinks:
     def test_seed_rows(self, john_graph):

@@ -8,9 +8,9 @@ first ``invalid-type`` (else ``field-invalid``) error of
 checker locates it.  A clean read never asks the checker.
 
 The properties damage a graph only through the API's own doors: fields of
-mutable records and the lists they hold are assigned, table entries are
-stored, and a link is changed by building a new ``JourneyEdge``.  Table
-keys stay strings and the ownership maps are left alone.
+mutable records and the lists they hold are assigned, table and ownership
+entries are stored under string keys or others, and a link is changed by
+building a new ``JourneyEdge``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from pjo import (
     UnknownEncounterError,
     UnknownPatientError,
     john_doe_graph,
+    parse_bundle,
     serialize_bundle,
     to_dot,
 )
@@ -201,6 +202,52 @@ def test_a_failure_the_checker_does_not_explain_is_raised_as_it_is(john_graph):
         find_encounters(john_graph, JOHN_DOE_ID, specialty=5)
 
 
+def test_an_owner_that_is_not_a_string_is_reported_and_owns_nothing(john_graph):
+    """An unhashable owner once made the checker, the owner index and every
+    read raise ``TypeError``; a hashable one read as an unknown patient."""
+    john_graph.encounter_owner[ENCOUNTER_ALLERGY] = [JOHN_DOE_ID]
+    john_graph.intake_form_owner["IntakeForm-JohnDoe"] = 5
+    errors = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert errors[:2] == [
+        ("invalid-type", "intakeForms[IntakeForm-JohnDoe]",
+         "owner of intake form 'IntakeForm-JohnDoe' must be a string"),
+        ("invalid-type", ALLERGY, f"owner of encounter {ENCOUNTER_ALLERGY!r} must be a string"),
+    ]  # fmt: skip
+    assert {code for code, _, _ in errors[2:]} == {"cross-patient-link"}
+    assert ENCOUNTER_ALLERGY not in [e.encounter_id for e in timeline(john_graph, JOHN_DOE_ID)]
+    assert john_graph.intake_form_of(JOHN_DOE_ID) is None
+    with pytest.raises(FieldInvalidError) as raised:
+        followup_chain(john_graph, ENCOUNTER_ALLERGY)
+    assert str(raised.value) == f"{ALLERGY}: owner of encounter {ENCOUNTER_ALLERGY!r} must be a string"
+
+
+@pytest.mark.parametrize("key", [5, ("Z",), None])
+def test_a_key_that_is_not_a_string_is_reported_not_raised(john_graph, key):
+    """Keys of two types once made the checker's and ``to_dot``'s sorts
+    raise ``TypeError``.  Strings sort first, then other keys by ``repr``."""
+    john_graph.patients[key] = Patient("5", "N", date(1981, 1, 1))
+    john_graph.encounter_owner[key] = JOHN_DOE_ID
+    errors = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert errors == [
+        ("field-invalid", f"patients[{key}].patientID", f"patientID '5' differs from its key {key!r}"),
+        ("dangling-reference", f"encounters[{key}]",
+         f"ownership entry references missing encounter {key!r}"),
+    ]  # fmt: skip
+    with pytest.raises(FieldInvalidError, match=re.escape(f"patients[{key}].patientID: ")):
+        to_dot(john_graph)
+    assert len(timeline(john_graph, JOHN_DOE_ID)) == 4
+
+
+def test_keys_of_two_types_on_one_day_are_put_in_date_order(john_graph):
+    encounter = copy.deepcopy(john_graph.encounters[ENCOUNTER_ALLERGY])
+    john_graph.encounters[5] = encounter
+    john_graph.encounter_owner[5] = JOHN_DOE_ID
+    days = [(e.date, e.encounter_id) for e in john_graph.encounters_of(JOHN_DOE_ID)]
+    assert days[2:4] == [(encounter.date, ENCOUNTER_ALLERGY)] * 2
+    assert [(d.location, d.code) for d in john_graph.check_invariants().errors] == [
+        ("encounters[5].encounterID", "field-invalid")
+    ]
+
 # -- a clean read asks the checker nothing ---------------------------------------
 
 
@@ -241,11 +288,16 @@ def _stored_records(graph: JourneyGraph) -> list:
     return found
 
 
+# Hashable keys that are not strings, and do not compare with strings.
+odd_keys = st.sampled_from([5, 1.5, None, ("Z",), b"Z"])
+
+
 def damage_graph(graph: JourneyGraph, data) -> None:
     """One write through the API's own doors: a field of a stored record set
-    to a hostile value or an entry put into an array it holds, a table
-    entry stored under a key old or new, or a link replaced or added."""
-    door = data.draw(st.sampled_from(["field", "table", "link"]))
+    to a hostile value or an entry put into an array it holds, a table or
+    ownership entry stored under a key old, new or not a string, or a link
+    replaced or added."""
+    door = data.draw(st.sampled_from(["field", "table", "owner", "link"]))
     value = copy.deepcopy(data.draw(hostile))
     if door == "field":
         record = data.draw(st.sampled_from(_stored_records(graph)))
@@ -257,12 +309,16 @@ def damage_graph(graph: JourneyGraph, data) -> None:
             setattr(record, spec.attr, value)
     elif door == "table":
         table = getattr(graph, data.draw(st.sampled_from(list(_TABLES))))
-        key = data.draw(st.sampled_from(sorted(table) + ["Z"]))
+        key = data.draw(st.sampled_from([*table, "Z"]) | odd_keys)
         others = [r for attr in _TABLES for r in getattr(graph, attr).values()]
         stored = copy.deepcopy(data.draw(st.sampled_from(others + [value]) | hostile_records))
         table[key] = stored
+    elif door == "owner":
+        owners = getattr(graph, data.draw(st.sampled_from(["encounter_owner", "intake_form_owner"])))
+        key = data.draw(st.sampled_from([*owners, *graph.encounters, "Z"]) | odd_keys)
+        owners[key] = data.draw(st.sampled_from([*graph.patients, "Z", value]))
     else:
-        keys = sorted(graph.encounters) + ["Z"]
+        keys = [*graph.encounters, "Z"]
         fields = [data.draw(st.sampled_from(list(EdgeKind))), data.draw(st.sampled_from(keys)),
                   data.draw(st.sampled_from(keys)), None]  # fmt: skip
         fields[data.draw(st.integers(0, 3))] = value
@@ -293,8 +349,8 @@ def test_the_checker_returns_on_every_damaged_graph(graph):
 @given(graph=damaged_graphs(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_every_guarded_read_returns_or_raises_a_pjo_error(graph, data):
-    patient = data.draw(st.sampled_from(sorted(graph.patients) + ["Ghost"]))
-    encounter, other = (data.draw(st.sampled_from(sorted(graph.encounters) + ["Ghost"]))
+    patient = data.draw(st.sampled_from([*graph.patients, "Ghost"]))
+    encounter, other = (data.draw(st.sampled_from([*graph.encounters, "Ghost"]))
                         for _ in range(2))  # fmt: skip
     accepted = graph.check_invariants().ok
     for name, (read, documented) in READS.items():
@@ -302,3 +358,19 @@ def test_every_guarded_read_returns_or_raises_a_pjo_error(graph, data):
             read(graph, patient, encounter, other)
         except PjoError as error:
             assert not accepted or isinstance(error, documented), (name, error)
+
+
+@given(graph=damaged_graphs())
+@settings(max_examples=300, deadline=None)
+def test_a_graph_the_checker_accepts_round_trips(graph):
+    """What the checker accepts, the writer writes as UTF-8 text that parses
+    back, and the graph read writes the same bytes.  A lone surrogate or an
+    integer of more than 4300 digits once passed the checker and then could
+    not be written."""
+    if not graph.check_invariants().ok:
+        return
+    for patient_id in graph.patients:
+        data = serialize_bundle(graph, patient_id).encode("utf-8")
+        result = parse_bundle(data)
+        assert result.ok, result.diagnostics
+        assert serialize_bundle(result.graph, patient_id).encode("utf-8") == data
