@@ -88,8 +88,8 @@ def methods_ValidationReport(make_diagnostics):
     return __init__, _values
 
 
-def methods_JourneyGraph(make_patients, make_providers, make_intake_forms, make_encounters, make_encounter_owner, make_intake_form_owner, make_edges, make_annotations):
-    def __init__(self, patients=_MISSING, providers=_MISSING, intake_forms=_MISSING, encounters=_MISSING, encounter_owner=_MISSING, intake_form_owner=_MISSING, edges=_MISSING, annotations=_MISSING):
+def methods_JourneyGraph(make_patients, make_providers, make_intake_forms, make_encounters, make_encounter_owner, make_intake_form_owner, make_edges):
+    def __init__(self, patients=_MISSING, providers=_MISSING, intake_forms=_MISSING, encounters=_MISSING, encounter_owner=_MISSING, intake_form_owner=_MISSING, edges=_MISSING):
         self.patients = make_patients() if patients is _MISSING else patients
         self.providers = make_providers() if providers is _MISSING else providers
         self.intake_forms = make_intake_forms() if intake_forms is _MISSING else intake_forms
@@ -97,10 +97,9 @@ def methods_JourneyGraph(make_patients, make_providers, make_intake_forms, make_
         self.encounter_owner = make_encounter_owner() if encounter_owner is _MISSING else encounter_owner
         self.intake_form_owner = make_intake_form_owner() if intake_form_owner is _MISSING else intake_form_owner
         self.edges = make_edges() if edges is _MISSING else edges
-        self.annotations = make_annotations() if annotations is _MISSING else annotations
         self.__post_init__()
     def _values(self):
-        return (self.patients, self.providers, self.intake_forms, self.encounters, self.encounter_owner, self.intake_form_owner, self.edges, self.annotations, )
+        return (self.patients, self.providers, self.intake_forms, self.encounters, self.encounter_owner, self.intake_form_owner, self.edges, )
     return __init__, _values
 
 

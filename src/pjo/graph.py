@@ -15,7 +15,7 @@ import re
 from datetime import date
 from enum import Enum
 
-from .codes import CLASS_ANNOTATIONS, AnnotationTable, CodeSystem, duplicate_cuis
+from .codes import CodeSystem, duplicate_cuis
 from .errors import (
     CrossPatientLinkError,
     CycleIntroducedError,
@@ -50,6 +50,7 @@ from .records import (
     Patient,
     Provider,
     edge_dates_consistent,
+    shown,
     slotted,
 )
 
@@ -99,8 +100,6 @@ class ValidationReport(SeverityViews):
 
 
 # Diagnostic codes.  The first block are errors, the second warnings.
-BAD_CUI = "bad-cui"
-BAD_FHIR_LABEL = "bad-fhir-label"
 BAD_ICD10 = "bad-icd10"
 CROSS_PATIENT_LINK = "cross-patient-link"
 CYCLE = "cycle"
@@ -125,6 +124,19 @@ DUPLICATE_CUI_ANNOTATION = "duplicate-cui-annotation"
 JOURNEY_GAP = "journey-gap"
 UNKNOWN_FIELD = "unknown-field"
 UNRESOLVED_VIA = "unresolved-via"
+
+# The warnings of the class annotation table, ``codes.CLASS_ANNOTATIONS``:
+# the ontology's constant, whose codes the test suite checks, so every
+# report carries these and no other annotation diagnostic.
+ANNOTATION_WARNINGS = tuple(
+    Diagnostic(
+        Severity.WARNING,
+        DUPLICATE_CUI_ANNOTATION,
+        f"duplicate CUI annotation: {cui} annotates {' and '.join(class_names)}",
+        "annotations",
+    )
+    for cui, class_names in sorted(duplicate_cuis().items())
+)
 
 
 FieldProblem = tuple[str, str, str]  # (relative location, code, message)
@@ -309,7 +321,8 @@ def refuse_misfiled(record, attr: str, key: str | None = None) -> None:
     locates it: the raising API stores nothing of another class."""
     name, held, message = _TABLES[attr]
     if record.__class__ is not held:
-        raise FieldInvalidError(message if key is None else f"{name}[{key}]: {message}")
+        at = "" if key is None else f"{name}[{shown(key, format)}]: "
+        raise FieldInvalidError(at + message)
 
 
 def key_problems(record, key: str) -> list[FieldProblem]:
@@ -321,7 +334,7 @@ def key_problems(record, key: str) -> list[FieldProblem]:
     id_field = FIELDS[record.__class__][0]
     value = getattr(record, id_field.attr)
     if value != key:
-        message = f"{id_field.key} {value!r} differs from its key {key!r}"
+        message = f"{id_field.key} {shown(value)} differs from its key {shown(key)}"
         return [(id_field.key, FIELD_INVALID, message)]
     return []
 
@@ -360,7 +373,7 @@ def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -
 
 def missing_encounter(subject: str, encounter_id: str) -> str:
     """The message for a reference to an encounter the graph does not hold."""
-    return f"{subject} missing encounter {encounter_id!r}"
+    return f"{subject} missing encounter {shown(encounter_id)}"
 
 
 def _arrow(edge: JourneyEdge) -> str:
@@ -446,7 +459,7 @@ def _sorted_keys(keys) -> list:
 
 def _key_order(key) -> tuple:
     """Strings first, in their order, then other keys by their ``repr``."""
-    return (0, key) if key.__class__ is str else (1, repr(key))
+    return (0, key) if key.__class__ is str else (1, shown(key))
 
 
 def guarded(*names: str, providers: bool = False):
@@ -629,9 +642,7 @@ class JourneyGraph:
     """One store of patients, their intake forms, encounters, and links.
 
     ``encounter_owner`` and ``intake_form_owner`` map record keys to the
-    owning patient ID; together they realize the ownership relations.  The
-    graph also carries the class annotation table it is checked against,
-    defaulting to the canonical one.
+    owning patient ID; together they realize the ownership relations.
 
     Every container may be written to directly.  ``encounter_owner``,
     ``intake_form_owner`` and ``edges`` are a ``CountedDict``, a
@@ -657,7 +668,6 @@ class JourneyGraph:
     encounter_owner: dict[str, str] = Fresh(CountedDict)
     intake_form_owner: dict[str, str] = Fresh(CountedDict)
     edges: list[JourneyEdge] = Fresh(CountedList)
-    annotations: AnnotationTable = Fresh(lambda: dict(CLASS_ANNOTATIONS))
 
     def __post_init__(self) -> None:
         self._index: _OwnerIndex | None = None
@@ -828,7 +838,7 @@ class JourneyGraph:
         for day, key, encounter in rows:
             if day.__class__ is not date:
                 relative, _, message = next(p for p in field_problems(encounter) if p[0] == "date")
-                raise FieldInvalidError(f"encounters[{key}].{relative}: {message}")
+                raise FieldInvalidError(f"encounters[{shown(key, format)}].{relative}: {message}")
         try:
             rows.sort()
         except TypeError:  # keys of two types on one day
@@ -892,7 +902,8 @@ class JourneyGraph:
         """Raise, from ``error``, ``FieldInvalidError`` for the first
         ``invalid-type`` error of ``check_invariants()`` in a read's scope, or
         failing that its first ``field-invalid`` one (a required value left
-        out), worded ``"<location>: <message>"``; else ``error`` itself.  What
+        out), or its first ``invalid-value`` one (such as an integer too long
+        to write), worded ``"<location>: <message>"``; else ``error`` itself.  What
         a ``guarded`` read raises when a damaged graph made it fail.
 
         The scope holds the IDs ``named``: a patient with its intake forms,
@@ -908,17 +919,17 @@ class JourneyGraph:
         patient_ids = {key for key in keys if key in self.patients}
         owners = (self.encounter_owner.get(key) for key in keys)
         patient_ids.update(owner for owner in owners if owner.__class__ is str)
-        heads = {f"encounters[{key}]" for key in keys}
+        heads = {f"encounters[{shown(key, format)}]" for key in keys}
         for pid in patient_ids:
-            heads.add(f"patients[{pid}]")
-            heads.update(f"intakeForms[{key}]" for key in index.forms.get(pid, ()))
-            heads.update(f"encounters[{key}]" for key in index.encounters.get(pid, ()))
+            heads.add(f"patients[{shown(pid, format)}]")
+            heads.update(f"intakeForms[{shown(k, format)}]" for k in index.forms.get(pid, ()))
+            heads.update(f"encounters[{shown(k, format)}]" for k in index.encounters.get(pid, ()))
         linked = {id(edge) for pid in patient_ids for edge in index.edges.get(pid, ())}
         heads.update(
             f"links[{i}]" for i, edge in enumerate(self.edges) if named is None or id(edge) in linked
         )
         if providers:
-            heads.update(f"providers[{key}]" for key in self.providers)
+            heads.update(f"providers[{shown(key, format)}]" for key in self.providers)
         errors = []
         for diagnostic in self.check_invariants().errors:
             head = diagnostic.location
@@ -926,7 +937,7 @@ class JourneyGraph:
                 head = head.rpartition(".")[0]
             if head in heads:
                 errors.append(diagnostic)
-        for wanted in (INVALID_TYPE, FIELD_INVALID):
+        for wanted in (INVALID_TYPE, FIELD_INVALID, INVALID_VALUE):
             for diagnostic in errors:
                 if diagnostic.code == wanted:
                     raise FieldInvalidError(f"{diagnostic.location}: {diagnostic.message}") from error
@@ -935,8 +946,8 @@ class JourneyGraph:
     def _check_joins(self) -> ValidationReport:
         """The join pass: ``check_invariants`` without the field rules.
 
-        It checks the annotation table, record keys, ownership, references,
-        links, cycles and gaps.  On a graph whose records all pass
+        It checks record keys, ownership, references, links, cycles and
+        gaps.  On a graph whose records all pass
         ``field_problems`` its report equals ``check_invariants()``; the
         bundle parser, whose reader has applied the field rules, runs only
         this pass.
@@ -953,66 +964,45 @@ class JourneyGraph:
             records = getattr(self, attr)
             misfiled = _sorted_keys(k for k in records if records[k].__class__ is not record_type)
             for key in misfiled:
-                report.error(INVALID_TYPE, message, f"{name}[{key}]")
+                report.error(INVALID_TYPE, message, f"{name}[{shown(key, format)}]")
             if misfiled:
                 tables[attr] = {key: records[key] for key in records if key not in misfiled}
         if tables:
             graph = JourneyGraph(**{**{a: getattr(self, a) for a in self._attrs}, **tables})
-        graph._check_annotations(report)
+        report.diagnostics.extend(ANNOTATION_WARNINGS)
         for name, records in (("patients", graph.patients), ("providers", graph.providers)):
             for key in _sorted_keys(records):
                 record = records[key]
                 for relative, code, message in fields(record) + key_problems(record, key):
-                    report.error(code, message, f"{name}[{key}].{relative}")
+                    report.error(code, message, f"{name}[{shown(key, format)}].{relative}")
         graph._check_intake_forms(report, fields)
         graph._check_encounters(report, fields)
         graph._check_edges(report, fields)
         graph._check_gaps(report)
         return report
 
-    def _check_annotations(self, report: ValidationReport) -> None:
-        for class_name in sorted(self.annotations):
-            for code in self.annotations[class_name]:
-                if code.is_valid():
-                    continue
-                by_system = {
-                    CodeSystem.UMLS_CUI: BAD_CUI,
-                    CodeSystem.ICD10: BAD_ICD10,
-                    CodeSystem.FHIR_LABEL: BAD_FHIR_LABEL,
-                }
-                report.error(
-                    by_system[code.system],
-                    f"{code.code!r} is not a valid {code.system.value} code",
-                    f"annotations[{class_name}]",
-                )
-        for cui, class_names in sorted(duplicate_cuis(self.annotations).items()):
-            report.warning(
-                DUPLICATE_CUI_ANNOTATION,
-                f"duplicate CUI annotation: {cui} annotates {' and '.join(class_names)}",
-                "annotations",
-            )
-
     def _check_intake_forms(self, report: ValidationReport, fields) -> None:
         owners_seen: dict[str, str] = {}
         for form_id in _sorted_keys(self.intake_forms):
-            location = f"intakeForms[{form_id}]"
+            location = f"intakeForms[{shown(form_id, format)}]"
             form = self.intake_forms[form_id]
             for relative, code, message in fields(form) + key_problems(form, form_id):
                 report.error(code, message, f"{location}.{relative}")
             owner = self.intake_form_owner.get(form_id)
             if owner is None:
-                report.error(UNOWNED_INTAKE_FORM, f"intake form {form_id!r} has no owner", location)
+                message = f"intake form {shown(form_id)} has no owner"
+                report.error(UNOWNED_INTAKE_FORM, message, location)
             elif owner.__class__ is not str:
-                message = f"owner of intake form {form_id!r} must be a string"
+                message = f"owner of intake form {shown(form_id)} must be a string"
                 report.error(INVALID_TYPE, message, location)
             elif owner not in self.patients:
-                message = f"intake form {form_id!r} owned by unknown patient {owner!r}"
+                message = f"intake form {shown(form_id)} owned by unknown patient {owner!r}"
                 report.error(UNKNOWN_PATIENT, message, location)
             elif owner in owners_seen:
                 report.error(
                     FIELD_INVALID,
                     f"patient {owner!r} has multiple intake forms "
-                    f"({owners_seen[owner]!r} and {form_id!r})",
+                    f"({shown(owners_seen[owner])} and {shown(form_id)})",
                     f"patients[{owner}]",
                 )
             else:
@@ -1020,8 +1010,8 @@ class JourneyGraph:
         for form_id in _sorted_keys(self.intake_form_owner.keys() - self.intake_forms.keys()):
             report.error(
                 DANGLING_REFERENCE,
-                f"ownership entry references missing intake form {form_id!r}",
-                f"intakeForms[{form_id}]",
+                f"ownership entry references missing intake form {shown(form_id)}",
+                f"intakeForms[{shown(form_id, format)}]",
             )
 
     def _check_encounters(self, report: ValidationReport, fields) -> None:
@@ -1042,26 +1032,26 @@ class JourneyGraph:
             )
             if not problems and patient is not None:
                 continue
-            location = f"encounters[{encounter_id}]"
+            location = f"encounters[{shown(encounter_id, format)}]"
             for relative, code, message in problems:
                 report.error(code, message, f"{location}.{relative}")
             if owner is None:
-                message = f"encounter {encounter_id!r} has no owner"
+                message = f"encounter {shown(encounter_id)} has no owner"
                 report.error(UNOWNED_ENCOUNTER, message, location)
             elif owner.__class__ is not str:
-                message = f"owner of encounter {encounter_id!r} must be a string"
+                message = f"owner of encounter {shown(encounter_id)} must be a string"
                 report.error(INVALID_TYPE, message, location)
             elif patient is None:
                 report.error(
                     UNKNOWN_PATIENT,
-                    f"encounter {encounter_id!r} owned by unknown patient {owner!r}",
+                    f"encounter {shown(encounter_id)} owned by unknown patient {owner!r}",
                     location,
                 )
         for encounter_id in _sorted_keys(owners.keys() - encounters.keys()):
             report.error(
                 DANGLING_REFERENCE,
                 missing_encounter("ownership entry references", encounter_id),
-                f"encounters[{encounter_id}]",
+                f"encounters[{shown(encounter_id, format)}]",
             )
 
     def _check_edges(self, report: ValidationReport, fields) -> None:
@@ -1166,5 +1156,4 @@ def structurally_equal(left: JourneyGraph, right: JourneyGraph) -> bool:
         and left.encounter_owner == right.encounter_owner
         and left.intake_form_owner == right.intake_form_owner
         and sorted(left.edges, key=edge_key) == sorted(right.edges, key=edge_key)
-        and left.annotations == right.annotations
     )

@@ -53,9 +53,22 @@ def _eq(self, other):
     return NotImplemented
 
 
+def shown(value, show=repr) -> str:
+    """``show(value)``, its ``repr`` by default, or where that raises, as it
+    does for an integer of more than 4300 digits or a container holding one,
+    the value's type (and an integer's size): ``<int of 16610 bits>``.  It
+    never raises: the checker, which never does, shows keys and IDs by it."""
+    try:
+        return show(value)
+    except Exception:
+        if isinstance(value, int):
+            return f"<int of {int.bit_length(value)} bits>"
+        return f"<{type(value).__qualname__}>"
+
+
 def _repr(self):
-    shown = ", ".join(f"{attr}={value!r}" for attr, value in zip(self._attrs, self._values()))
-    return f"{self.__class__.__qualname__}({shown})"
+    values = ", ".join(f"{attr}={shown(value)}" for attr, value in zip(self._attrs, self._values()))
+    return f"{self.__class__.__qualname__}({values})"
 
 
 def _reduce(self):

@@ -86,7 +86,6 @@ HOSTILE_NAMES = [
     "semi;colon 'quote'",
 ]
 
-BAD_CUIS = ["C123", "C12345678", "X0030705", "c0030705", "C00307O5", ""]
 BAD_ICD10_CODES = ["notacode", "110", "I10.XYZW9", "i10", "I1", ""]
 
 
@@ -341,17 +340,6 @@ def mutate_dangling_provider(graph: JourneyGraph, rng: random.Random) -> Journey
     return graph
 
 
-def mutate_bad_cui(graph: JourneyGraph, rng: random.Random) -> JourneyGraph:
-    """A class annotation whose CUI fails the format check."""
-    graph = copy.deepcopy(graph)
-    graph.annotations = dict(graph.annotations)
-    class_name = rng.choice(sorted(graph.annotations))
-    graph.annotations[class_name] = (
-        ConceptCode(CodeSystem.UMLS_CUI, rng.choice([c for c in BAD_CUIS if c])),
-    )
-    return graph
-
-
 def mutate_bad_icd10(graph: JourneyGraph, rng: random.Random) -> JourneyGraph:
     """A diagnosis carrying a malformed ICD-10 code."""
     graph = copy.deepcopy(graph)
@@ -369,7 +357,6 @@ MUTATIONS = [
     ("temporal-violation", mutate_backward_followup),
     ("cross-patient-link", mutate_cross_patient),
     ("unknown-provider", mutate_dangling_provider),
-    ("bad-cui", mutate_bad_cui),
     ("bad-icd10", mutate_bad_icd10),
 ]
 

@@ -45,6 +45,7 @@ from pjo.errors import (
     UnknownPatientError,
 )
 from pjo.graph import (
+    ANNOTATION_WARNINGS,
     CYCLE,
     DANGLING_REFERENCE,
     DUPLICATE_EDGE,
@@ -691,7 +692,7 @@ def check_by_scan(graph: JourneyGraph, fields=field_problems) -> ValidationRepor
     """The checker's report with ``fields(record)`` as the field rules:
     ``check_invariants()`` by default, ``_check_joins()`` with no rules."""
     report = ValidationReport()
-    graph._check_annotations(report)
+    report.diagnostics.extend(ANNOTATION_WARNINGS)
     for name, records in (("patients", graph.patients), ("providers", graph.providers)):
         for key in sorted(records):
             record = records[key]

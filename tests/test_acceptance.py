@@ -105,7 +105,7 @@ def test_criterion_2_relationship_semantics():
     assert ENCOUNTER_ALLERGY in gaps[0].message
 
 
-@criterion(3, "1,000 valid journeys pass; 6 x 100 mutations all detected")
+@criterion(3, "1,000 valid journeys pass; 5 x 100 mutations all detected")
 def test_criterion_3_invariant_suite():
     started = time.perf_counter()
     rng = random.Random(20210105)

@@ -33,10 +33,10 @@ from pjo import (
     serialize_bundle,
     structurally_equal,
 )
+from pjo import codes
+from pjo import graph as graph_module
 from pjo.graph import (
-    BAD_CUI,
     BAD_ICD10,
-    BAD_FHIR_LABEL,
     CROSS_PATIENT_LINK,
     CYCLE,
     DANGLING_REFERENCE,
@@ -53,6 +53,7 @@ from pjo.graph import (
     UNRESOLVED_VIA,
     field_problems,
 )
+from pjo.codes import duplicate_cuis
 from pjo.dot import to_dot
 from pjo.queries import find_encounters, timeline
 from pjo.records import FIELDS, OBJECTS
@@ -438,6 +439,28 @@ class TestCheckInvariants:
             JOURNEY_GAP,
         ]
 
+    def test_the_annotation_warnings_are_built_at_most_once(
+        self, john_graph, john_text, monkeypatch
+    ):
+        """The annotation table is a constant: two checks and a parse carry
+        its warnings, and walk it for them at most once between them."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return duplicate_cuis(*args, **kwargs)
+
+        monkeypatch.setattr(codes, "duplicate_cuis", counted)
+        monkeypatch.setattr(graph_module, "duplicate_cuis", counted)
+        reports = [john_graph.check_invariants(), john_graph.check_invariants()]
+        reports.append(parse_bundle(john_text).report)
+        assert len(calls) <= 1
+        for report in reports:
+            assert [(d.code, d.message) for d in report.warnings] == [(
+                DUPLICATE_CUI_ANNOTATION,
+                "duplicate CUI annotation: C3714536 annotates Encounter and SocialHistory",
+            )]  # fmt: skip
+
     def test_gap_closed_by_any_link(self):
         graph = small_graph(n_encounters=2)
         graph.link(EdgeKind.CAUSED_BY, "P1-E2", "P1-E1")
@@ -522,24 +545,6 @@ class TestCheckInvariants:
         graph = small_graph(n_encounters=1)
         graph.encounters["P1-E1"].provider_ref = "Provider-Ghost"
         assert UNKNOWN_PROVIDER in codes_of(graph.check_invariants(), "error")
-
-    def test_bad_cui_annotation_detected(self):
-        graph = small_graph()
-        graph.annotations = dict(graph.annotations)
-        graph.annotations["Patient"] = (ConceptCode(CodeSystem.UMLS_CUI, "C123"),)
-        report = graph.check_invariants()
-        bad = [d for d in report.diagnostics if d.code == BAD_CUI]
-        assert len(bad) == 1
-        assert bad[0].location == "annotations[Patient]"
-
-    def test_bad_fhir_label_detected(self):
-        graph = small_graph()
-        graph.annotations = dict(graph.annotations)
-        graph.annotations["Encounter"] = (
-            ConceptCode(CodeSystem.UMLS_CUI, "C3714536"),
-            ConceptCode(CodeSystem.FHIR_LABEL, "two words"),
-        )
-        assert BAD_FHIR_LABEL in codes_of(graph.check_invariants(), "error")
 
     def test_field_problems_located(self):
         graph = small_graph(n_encounters=1)

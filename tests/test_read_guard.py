@@ -3,18 +3,20 @@
 Each public read of ``queries``, ``to_dot``, ``serialize_bundle`` and
 ``JourneyGraph.link`` is wrapped by ``graph.guarded``.  A bare exception
 that a damaged graph makes it raise becomes ``FieldInvalidError`` for the
-first ``invalid-type`` (else ``field-invalid``) error of
+first ``invalid-type`` (else ``field-invalid``, else ``invalid-value``) error of
 ``check_invariants()`` on the records and links it reads, located as the
 checker locates it.  A clean read never asks the checker.
 
 The properties damage a graph only through the API's own doors: fields of
 mutable records and the lists they hold are assigned, table and ownership
 entries are stored under string keys or others, and a link is changed by
-building a new ``JourneyEdge``.
+building a new ``JourneyEdge``.  A key, an ID or a field may be an integer
+of more than 4300 digits, whose ``repr`` raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import random
 import re
@@ -238,6 +240,65 @@ def test_a_key_that_is_not_a_string_is_reported_not_raised(john_graph, key):
     assert len(timeline(john_graph, JOHN_DOE_ID)) == 4
 
 
+# An integer whose ``repr`` raises ``ValueError``, and how pjo shows it.
+HUGE, HUGE_SHOWN = 10**5000, "<int of 16610 bits>"
+
+
+def test_a_key_of_more_than_4300_digits_is_reported_not_raised(john_graph):
+    """Such a key once made the checker and ``to_dot`` raise a bare
+    ``ValueError`` in sorting and locating it."""
+    john_graph.patients[HUGE] = Patient("5", "N", date(1981, 1, 1))
+    john_graph.encounter_owner[HUGE] = JOHN_DOE_ID
+    errors = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert errors == [
+        ("field-invalid", f"patients[{HUGE_SHOWN}].patientID",
+         f"patientID '5' differs from its key {HUGE_SHOWN}"),
+        ("dangling-reference", f"encounters[{HUGE_SHOWN}]",
+         f"ownership entry references missing encounter {HUGE_SHOWN}"),
+    ]  # fmt: skip
+    with pytest.raises(FieldInvalidError, match=re.escape(f"patients[{HUGE_SHOWN}].patientID: ")):
+        to_dot(john_graph)
+    assert len(timeline(john_graph, JOHN_DOE_ID)) == 4
+
+
+@pytest.mark.parametrize(
+    "table, key, field",
+    [
+        ("patients", JOHN_DOE_ID, "patientID"),
+        ("providers", "Provider-Allergy", "providerID"),
+        ("intake_forms", "IntakeForm-JohnDoe", "intakeFormID"),
+        ("encounters", ENCOUNTER_ALLERGY, "encounterID"),
+    ],
+)
+def test_an_id_of_more_than_4300_digits_is_reported_not_raised(john_graph, table, key, field):
+    """Such an ID once made the checker raise a bare ``ValueError`` in
+    saying that it differs from its key."""
+    record = getattr(john_graph, table)[key]
+    setattr(record, FIELDS[record.__class__][0].attr, HUGE)
+    at = f"{_TABLES[table][0]}[{key}].{field}"
+    errors = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert errors == [
+        ("invalid-type", at, f"{field} must be a string"),
+        ("field-invalid", at,
+         f"{field} {HUGE_SHOWN} differs from its key {key!r}"),
+    ]  # fmt: skip
+    for read in (lambda: to_dot(john_graph), lambda: timeline(john_graph, JOHN_DOE_ID)):
+        with contextlib.suppress(PjoError):
+            read()
+
+
+def test_a_value_too_long_to_write_is_the_checkers_problem(john_graph):
+    """The writer once raised a bare ``ValueError`` on such a value: the
+    checker's only error on it is ``invalid-value``."""
+    john_graph.providers["Provider-Allergy"].years_of_experience = HUGE
+    with pytest.raises(FieldInvalidError) as raised:
+        serialize_bundle(john_graph, JOHN_DOE_ID)
+    assert str(raised.value) == (
+        "providers[Provider-Allergy].yearsOfExperience: "
+        "yearsOfExperience must have at most 4300 digits"
+    )
+
+
 def test_keys_of_two_types_on_one_day_are_put_in_date_order(john_graph):
     encounter = copy.deepcopy(john_graph.encounters[ENCOUNTER_ALLERGY])
     john_graph.encounters[5] = encounter
@@ -288,8 +349,10 @@ def _stored_records(graph: JourneyGraph) -> list:
     return found
 
 
-# Hashable keys that are not strings, and do not compare with strings.
-odd_keys = st.sampled_from([5, 1.5, None, ("Z",), b"Z"])
+# Hashable keys that are not strings, and do not compare with strings; the
+# hostile values, and integers whose ``repr`` raises, for fields and IDs too.
+odd_keys = st.sampled_from([5, 1.5, None, ("Z",), b"Z", HUGE, -HUGE])
+hostile_values = st.one_of(hostile, st.sampled_from([HUGE, -HUGE, [HUGE]]))
 
 
 def damage_graph(graph: JourneyGraph, data) -> None:
@@ -298,7 +361,7 @@ def damage_graph(graph: JourneyGraph, data) -> None:
     ownership entry stored under a key old, new or not a string, or a link
     replaced or added."""
     door = data.draw(st.sampled_from(["field", "table", "owner", "link"]))
-    value = copy.deepcopy(data.draw(hostile))
+    value = copy.deepcopy(data.draw(hostile_values))
     if door == "field":
         record = data.draw(st.sampled_from(_stored_records(graph)))
         spec = data.draw(st.sampled_from(FIELDS[record.__class__]))

@@ -15,10 +15,12 @@ import pickle
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pjo.agreement import DimensionSummary, KappaResult, LikertSummary, RatingMatrix
 from pjo.bundle import ParseResult
-from pjo.codes import CLASS_ANNOTATIONS, CodeSystem, ConceptCode
+from pjo.codes import CodeSystem, ConceptCode
 from pjo.graph import Diagnostic, JourneyGraph, Severity, ValidationReport
 from pjo.queries import LinkRef, SymptomDiagnosisLink, SymptomOccurrence, TimelineEntry
 from pjo.records import (
@@ -40,8 +42,10 @@ from pjo.records import (
     JourneyEdge,
     Medication,
     Patient,
+    Provider,
     Symptom,
     check_weight,
+    shown,
 )
 
 # Optional strings that read as "" rather than None when left out.
@@ -114,7 +118,6 @@ OTHER_VALUES = {
         "encounter_owner": ({}, {"E": "P"}),
         "intake_form_owner": ({}, {"F": "P"}),
         "edges": ([], [JourneyEdge(EdgeKind.NEXT, "E", "E2")]),
-        "annotations": (dict(CLASS_ANNOTATIONS), {}),
     },
     ConceptCode: {
         "system": (CodeSystem.ICD10, CodeSystem.UMLS_CUI),
@@ -288,6 +291,43 @@ def test_repr_names_every_value(cls):
     instance = cls(**values(cls, 0))
     shown = ", ".join(f"{p.name}={getattr(instance, p.name)!r}" for p in parameters(cls))
     assert repr(instance) == f"{cls.__qualname__}({shown})"
+
+
+def test_repr_shows_an_integer_of_more_than_4300_digits():
+    """``repr`` of such an integer, or of a list holding one, raises
+    ``ValueError``; once so did ``repr`` of a record holding it."""
+    huge = 10**5000
+    provider = Provider("D", "Dr", years_of_experience=huge, affiliated_institution=[-huge])
+    assert repr(provider) == (
+        "Provider(provider_id='D', provider_name='Dr', specialization=None, "
+        "affiliated_institution=<list>, years_of_experience=<int of 16610 bits>)"
+    )
+
+
+# Every class but the graph, which holds only tables and lists: a list
+# holding such an integer is shown as above.
+@pytest.mark.parametrize(
+    "holder", [cls for cls in CLASSES if cls is not JourneyGraph], ids=lambda cls: cls.__name__
+)
+def test_repr_shows_an_integer_of_more_than_4300_digits_in_any_attribute(holder):
+    """Each attribute in turn holds such an integer: ``repr`` shows it by its
+    size, and every other value as before."""
+    base = values(holder, 0)
+    for name in base:
+        instance = holder(**{**base, name: 10**5000})
+        shown_values = ", ".join(
+            f"{p.name}=<int of 16610 bits>" if p.name == name
+            else f"{p.name}={getattr(instance, p.name)!r}"
+            for p in parameters(holder)
+        )  # fmt: skip
+        assert repr(instance) == f"{holder.__qualname__}({shown_values})", name
+
+
+@given(st.one_of(st.integers(), st.floats(), st.text(), st.binary(), st.none(), st.dates(),
+                 st.lists(st.integers()), st.tuples(st.text(), st.integers())))  # fmt: skip
+def test_a_value_that_shows_keeps_its_text(value):
+    assert shown(value) == repr(value)
+    assert shown(value, format) == f"{value}"
 
 
 def test_instances_have_no_dict(cls):
