@@ -329,11 +329,13 @@ def _inline(record_type: type, level: int, constants: dict) -> tuple[str, str]:
 def writer_source(record_type: type, level: int, constants: dict) -> str:
     """Source of ``write_<name>_<level>(record)``: the record's JSON object
     at nesting ``level``, its set fields in canonical key order, ``{}`` when
-    none is set.  A held record is written by its class's writer in table
-    ``W<level + 1>``, and left out when it sets no field, except by the
-    document (at level 0).  An array is written inline: an entry of an array
-    of flat records in the loop over the array when ``_inline``'s test takes
-    it, any other entry by its class's writer in ``W<level + 2>``."""
+    none is set.  A scalar field with a default is always set: left out
+    (None), it is written as its default, as the readers read it.  A held
+    record is written by its class's writer in table ``W<level + 1>``, and
+    left out when it sets no field, except by the document (at level 0).  An
+    array is written inline: an entry of an array of flat records in the
+    loop over the array when ``_inline``'s test takes it, any other entry by
+    its class's writer in ``W<level + 2>``."""
     inner = level + 1
     objects, entries = f"W{inner}", f"W{inner + 1}"
     # An array at ``inner`` of the texts in ``a``, one entry per line.
@@ -343,6 +345,10 @@ def writer_source(record_type: type, level: int, constants: dict) -> str:
     for spec in FIELDS[record_type]:
         head = repr(f"\n{'  ' * inner}{_encode(spec.key)}: ")
         get = f"r.{spec.attr}"
+        if spec.type in _PLAIN and spec.default is not None:
+            lines.append(f"if (v := {get}) is None: v = {spec.default!r}")
+            lines.append(f"parts.append({head} + {_text(spec.type, 'v', inner)})")
+            continue
         if spec.type in _PLAIN:
             test, text = _set(spec, "v", get), _text(spec.type, "v", inner)
         elif spec.type == OBJECT and level == 0:

@@ -171,7 +171,8 @@ def write_JourneyEdge_2(r):
 def write_Symptom_4(r):
     parts = []
     if (v := r.symptom_name) is not None: parts.append('\n          "symptomName": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
-    if (v := r.severity) is not None: parts.append('\n          "severity": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
+    if (v := r.severity) is None: v = ''
+    parts.append('\n          "severity": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
     return '{' + ','.join(parts) + '\n        }' if parts else '{}'
 
 
@@ -187,7 +188,8 @@ def write_VitalSign_4(r):
 def write_DiagTest_4(r):
     parts = []
     if (v := r.test_name) is not None: parts.append('\n          "testName": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
-    if (v := r.results) is not None: parts.append('\n          "results": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
+    if (v := r.results) is None: v = ''
+    parts.append('\n          "results": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
     if (v := r.normal_range) is not None: parts.append('\n          "normalRange": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
     return '{' + ','.join(parts) + '\n        }' if parts else '{}'
 
@@ -202,15 +204,18 @@ def write_Diagnosis_4(r):
 def write_Medication_4(r):
     parts = []
     if (v := r.medication_name) is not None: parts.append('\n          "medicationName": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
-    if (v := r.dosage) is not None: parts.append('\n          "dosage": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
-    if (v := r.frequency) is not None: parts.append('\n          "frequency": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
+    if (v := r.dosage) is None: v = ''
+    parts.append('\n          "dosage": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
+    if (v := r.frequency) is None: v = ''
+    parts.append('\n          "frequency": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
     return '{' + ','.join(parts) + '\n        }' if parts else '{}'
 
 
 def write_CarePlan_4(r):
     parts = []
     if (v := r.plan_id) is not None: parts.append('\n          "planID": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
-    if (v := r.description) is not None: parts.append('\n          "description": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
+    if (v := r.description) is None: v = ''
+    parts.append('\n          "description": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
     if (v := r.referral_specialty) is not None: parts.append('\n          "referralSpecialty": ' + (_encode(v) if v.__class__ is str else _scalar(v, 5)))
     return '{' + ','.join(parts) + '\n        }' if parts else '{}'
 

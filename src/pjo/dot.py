@@ -100,7 +100,6 @@ def _draw(graph: JourneyGraph, patient_id: str | None, full: bool) -> str:
     if patient_id is not None and patient_id not in graph.patients:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
     patient_ids = [patient_id] if patient_id is not None else sorted(graph.patients)
-    encounters_by_owner = graph.encounters_by_owner()
     nodes: list[str] = []
     edges: list[str] = []
     counts = dict.fromkeys(STYLE_TABLE, 0)  # subrecords numbered so far, per class
@@ -118,7 +117,7 @@ def _draw(graph: JourneyGraph, patient_id: str | None, full: bool) -> str:
             edges.append(f'  {patient} -> {form_id} [label="hasIntakeForm"];')
             if full:
                 _detail(nodes, edges, counts, form_id, form)
-        for encounter in encounters_by_owner.get(pid, []):
+        for encounter in graph.encounters_of(pid):
             encounter_id = quoted[encounter.encounter_id] = _quote(encounter.encounter_id)
             nodes.append(f"  {encounter_id} [label={encounter_id}{encounter_tail}")
             edges.append(f'  {patient} -> {encounter_id} [label="hasEncounter"];')

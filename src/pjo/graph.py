@@ -305,21 +305,26 @@ def _report_value(spec, value, name: str, at: str, problems: list[FieldProblem])
 
 
 # Each record table of a graph by attribute: its name in locations, its
-# class, and the problem of a record of another class stored in it.
+# class, the problem of a record of another class stored in it, and the
+# noun messages name one of its records by.
 _TABLES = {
-    attr: (name, held, f"{name} entries must be a {held.__name__}")
-    for name, attr, held in (
-        ("patients", "patients", Patient), ("providers", "providers", Provider),
-        ("intakeForms", "intake_forms", IntakeForm), ("encounters", "encounters", Encounter),
+    attr: (name, held, f"{name} entries must be a {held.__name__}", noun)
+    for name, attr, held, noun in (
+        ("patients", "patients", Patient, "patient"),
+        ("providers", "providers", Provider, "provider"),
+        ("intakeForms", "intake_forms", IntakeForm, "intake form"),
+        ("encounters", "encounters", Encounter, "encounter"),
     )
 }  # fmt: skip
+# The code of an owned table's record without an owner.
+_UNOWNED = {"intake_forms": UNOWNED_INTAKE_FORM, "encounters": UNOWNED_ENCOUNTER}
 
 
 def refuse_misfiled(record, attr: str, key: str | None = None) -> None:
     """Raise ``FieldInvalidError`` if ``record`` is not of the class of the
     table ``attr``, located at ``key`` in it if given, as the checker
     locates it: the raising API stores nothing of another class."""
-    name, held, message = _TABLES[attr]
+    name, held, message, _ = _TABLES[attr]
     if record.__class__ is not held:
         at = "" if key is None else f"{name}[{shown(key, format)}]: "
         raise FieldInvalidError(at + message)
@@ -687,30 +692,42 @@ class JourneyGraph:
 
     # -- mutation ---------------------------------------------------------
 
-    def add_patient(self, patient: Patient) -> None:
-        refuse_misfiled(patient, "patients")
-        _raise_first(field_problems(patient))
-        if patient.patient_id in self.patients:
-            raise DuplicateIDError(f"patient ID {patient.patient_id!r} already exists")
-        self.patients[patient.patient_id] = patient
-
-    def add_provider(self, provider: Provider) -> None:
-        refuse_misfiled(provider, "providers")
-        _raise_first(field_problems(provider))
-        if provider.provider_id in self.providers:
-            raise DuplicateIDError(f"provider ID {provider.provider_id!r} already exists")
-        self.providers[provider.provider_id] = provider
-
-    def add_intake_form(self, patient_id: str, form: IntakeForm) -> None:
-        if patient_id not in self.patients:
-            raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        refuse_misfiled(form, "intake_forms")
-        problems = field_problems(form)
+    def _admit(self, record, attr: str):
+        """The key under which ``record`` may be stored in the table ``attr``:
+        its ID.  Raises, as the checker words the problem, for a record of
+        another class (see ``refuse_misfiled``); ``FieldInvalidError`` for
+        its first field problem, as ``"<relative location>: <message>"``;
+        and ``DuplicateIDError`` for an ID the table already holds."""
+        refuse_misfiled(record, attr)
+        problems = field_problems(record)
         if problems:
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
-        form_id = form.intake_form_id
-        if form_id in self.intake_forms:
-            raise DuplicateIDError(f"intake form ID {form_id!r} already exists")
+        key = getattr(record, FIELDS[record.__class__][0].attr)
+        if key in getattr(self, attr):
+            raise DuplicateIDError(f"{_TABLES[attr][3]} ID {key!r} already exists")
+        return key
+
+    def _owner(self, patient_id: str) -> Patient:
+        """The patient stored under ``patient_id``, to own a record being
+        added.  Raises ``UnknownPatientError`` for an ID the graph does not
+        hold, and the checker's problem with a record of another class
+        stored under it (see ``refuse_misfiled``)."""
+        patient = self.patients.get(patient_id)
+        if patient.__class__ is not Patient:
+            if patient_id not in self.patients:
+                raise UnknownPatientError(f"unknown patient {patient_id!r}")
+            refuse_misfiled(patient, "patients", patient_id)
+        return patient
+
+    def add_patient(self, patient: Patient) -> None:
+        self.patients[self._admit(patient, "patients")] = patient
+
+    def add_provider(self, provider: Provider) -> None:
+        self.providers[self._admit(provider, "providers")] = provider
+
+    def add_intake_form(self, patient_id: str, form: IntakeForm) -> None:
+        self._owner(patient_id)
+        form_id = self._admit(form, "intake_forms")
         index = self._owners()
         if patient_id in index.forms:
             raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
@@ -724,16 +741,8 @@ class JourneyGraph:
             index.saw_writes()
 
     def add_encounter(self, patient_id: str, encounter: Encounter) -> None:
-        patient = self.patients.get(patient_id)
-        if patient is None:
-            raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        refuse_misfiled(encounter, "encounters")
-        problems = field_problems(encounter)
-        if problems:
-            raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
-        key = encounter.encounter_id
-        if key in self.encounters:
-            raise DuplicateIDError(f"encounter ID {key!r} already exists")
+        patient = self._owner(patient_id)
+        key = self._admit(encounter, "encounters")
         _raise_first(encounter_reference_problems(self, encounter, patient))
         index = self._index
         # An index that is already stale stays so; one that matches is
@@ -960,7 +969,7 @@ class JourneyGraph:
         ``invalid-type`` and left out of the other rules, which read each
         record as of its table's class."""
         report, graph, tables = ValidationReport(), self, {}
-        for attr, (name, record_type, message) in _TABLES.items():
+        for attr, (name, record_type, message, _) in _TABLES.items():
             records = getattr(self, attr)
             misfiled = _sorted_keys(k for k in records if records[k].__class__ is not record_type)
             for key in misfiled:
@@ -989,16 +998,9 @@ class JourneyGraph:
             for relative, code, message in fields(form) + key_problems(form, form_id):
                 report.error(code, message, f"{location}.{relative}")
             owner = self.intake_form_owner.get(form_id)
-            if owner is None:
-                message = f"intake form {shown(form_id)} has no owner"
-                report.error(UNOWNED_INTAKE_FORM, message, location)
-            elif owner.__class__ is not str:
-                message = f"owner of intake form {shown(form_id)} must be a string"
-                report.error(INVALID_TYPE, message, location)
-            elif owner not in self.patients:
-                message = f"intake form {shown(form_id)} owned by unknown patient {owner!r}"
-                report.error(UNKNOWN_PATIENT, message, location)
-            elif owner in owners_seen:
+            if self._check_owner(report, "intake_forms", form_id, owner, location):
+                continue
+            if owner in owners_seen:
                 report.error(
                     FIELD_INVALID,
                     f"patient {owner!r} has multiple intake forms "
@@ -1007,12 +1009,7 @@ class JourneyGraph:
                 )
             else:
                 owners_seen[owner] = form_id
-        for form_id in _sorted_keys(self.intake_form_owner.keys() - self.intake_forms.keys()):
-            report.error(
-                DANGLING_REFERENCE,
-                f"ownership entry references missing intake form {shown(form_id)}",
-                f"intakeForms[{shown(form_id, format)}]",
-            )
+        self._check_stray(report, "intake_forms", self.intake_form_owner)
 
     def _check_encounters(self, report: ValidationReport, fields) -> None:
         encounters, owners, patients = self.encounters, self.encounter_owner, self.patients
@@ -1035,24 +1032,32 @@ class JourneyGraph:
             location = f"encounters[{shown(encounter_id, format)}]"
             for relative, code, message in problems:
                 report.error(code, message, f"{location}.{relative}")
-            if owner is None:
-                message = f"encounter {shown(encounter_id)} has no owner"
-                report.error(UNOWNED_ENCOUNTER, message, location)
-            elif owner.__class__ is not str:
-                message = f"owner of encounter {shown(encounter_id)} must be a string"
-                report.error(INVALID_TYPE, message, location)
-            elif patient is None:
-                report.error(
-                    UNKNOWN_PATIENT,
-                    f"encounter {shown(encounter_id)} owned by unknown patient {owner!r}",
-                    location,
-                )
-        for encounter_id in _sorted_keys(owners.keys() - encounters.keys()):
-            report.error(
-                DANGLING_REFERENCE,
-                missing_encounter("ownership entry references", encounter_id),
-                f"encounters[{shown(encounter_id, format)}]",
-            )
+            self._check_owner(report, "encounters", encounter_id, owner, location)
+        self._check_stray(report, "encounters", owners)
+
+    def _check_owner(self, report: ValidationReport, attr: str, key, owner, location: str) -> bool:
+        """Report at ``location`` the ownership rule that the record stored
+        under ``key`` in the owned table ``attr`` breaks with ``owner``: it
+        has none, one that is not a string, or an unknown patient.  Whether
+        it broke one."""
+        if owner.__class__ is str and owner in self.patients:
+            return False
+        record = f"{_TABLES[attr][3]} {shown(key)}"
+        if owner is None:
+            report.error(_UNOWNED[attr], f"{record} has no owner", location)
+        elif owner.__class__ is not str:
+            report.error(INVALID_TYPE, f"owner of {record} must be a string", location)
+        else:
+            report.error(UNKNOWN_PATIENT, f"{record} owned by unknown patient {owner!r}", location)
+        return True
+
+    def _check_stray(self, report: ValidationReport, attr: str, owners: dict) -> None:
+        """Report each entry of ``owners``, the ownership map of the owned
+        table ``attr``, whose record the table does not hold."""
+        name, _, _, noun = _TABLES[attr]
+        for key in _sorted_keys(owners.keys() - getattr(self, attr).keys()):
+            message = f"ownership entry references missing {noun} {shown(key)}"
+            report.error(DANGLING_REFERENCE, message, f"{name}[{shown(key, format)}]")
 
     def _check_edges(self, report: ValidationReport, fields) -> None:
         """Each link's field rules (``fields``), then its endpoint rules,

@@ -56,13 +56,16 @@ def _eq(self, other):
 def shown(value, show=repr) -> str:
     """``show(value)``, its ``repr`` by default, or where that raises, as it
     does for an integer of more than 4300 digits or a container holding one,
-    the value's type (and an integer's size): ``<int of 16610 bits>``.  It
-    never raises: the checker, which never does, shows keys and IDs by it."""
+    the value's type; an integer's with its size, sign and last eight hex
+    digits, which ``int`` writes at any size: ``<int of 16610 bits:
+    -0x...00000000>`` for ``-10**5000``.  It never raises: the checker, which
+    never does, shows keys and IDs by it."""
     try:
         return show(value)
     except Exception:
         if isinstance(value, int):
-            return f"<int of {int.bit_length(value)} bits>"
+            sign, digits = int.__format__(value, "x").rpartition("-")[1:]
+            return f"<int of {int.bit_length(value)} bits: {sign}0x...{digits[-8:]:0>8}>"
         return f"<{type(value).__qualname__}>"
 
 

@@ -20,7 +20,8 @@ Regenerate ``tests/data/golden_corpus.jsonl`` after an intended change with::
 
     PYTHONPATH=src:tests python tests/golden_corpus.py [KIND ...]
 
-Naming kinds re-records only their entries and keeps every other line.
+Naming kinds re-records only their entries, where they stand, and keeps
+every other line.
 When only the order of some entries' diagnostics changed on purpose,
 re-record just that order with::
 
@@ -342,10 +343,17 @@ def reorder(names: list[str]) -> None:
 
 
 def main(kinds: list[str]) -> None:
-    kept = []
-    if kinds:
-        kept = [e for e in load().values() if e["id"].split(" ", 1)[0] not in kinds]
-    _write(kept + generate(kinds or list(CASE_KINDS)))
+    """Re-record the entries of ``kinds``, or of every kind.  A kind's
+    entries take the place of its first recorded one, so re-recording an
+    unchanged kind leaves the corpus as it is; a new kind goes last."""
+    fresh: dict[str, list[dict]] = {}
+    for entry in generate(kinds or list(CASE_KINDS)):
+        fresh.setdefault(entry["id"].split(" ", 1)[0], []).append(entry)
+    entries = []
+    for entry in load().values() if kinds else ():
+        kind = entry["id"].split(" ", 1)[0]
+        entries += fresh.pop(kind, []) if kind in kinds else [entry]
+    _write(entries + [entry for group in fresh.values() for entry in group])
 
 
 if __name__ == "__main__":

@@ -562,10 +562,13 @@ def serialize_bundle_by_dumps(graph: JourneyGraph, patient_id: str) -> str:
 
 
 def _document(record) -> dict:
-    """A record's document: unset fields left out, keys in canonical order."""
+    """A record's document: unset fields left out, but for one with a
+    default, written as it; keys in canonical order."""
     doc: dict = {}
     for spec in FIELDS[record.__class__]:
         value = getattr(record, spec.attr)
+        if value is None:
+            value = spec.default
         if value is not None and spec.type in _DOCUMENT_VALUES:
             value = _DOCUMENT_VALUES[spec.type](value)
         if value is not None:

@@ -154,6 +154,28 @@ class TestRobustness:
         with pytest.raises(ValueError):
             to_dot(john_graph, JOHN_DOE_ID, detail="everything")
 
+    def test_one_patients_drawing_reads_only_that_patients_encounters(self):
+        """Another patient's encounter whose date is not a ``date`` once made
+        the drawing of this one raise that encounter's problem."""
+        from datetime import date
+
+        from pjo import Encounter, Provider
+
+        graph = JourneyGraph()
+        graph.add_provider(Provider("D", "Dr. D"))
+        for patient_id, key in (("P", "E1"), ("Q", "E2")):
+            graph.add_patient(Patient(patient_id, patient_id, date(1980, 1, 1)))
+            graph.add_encounter(patient_id, Encounter(key, date(2021, 1, 1), "A", "D"))
+        drawn = to_dot(graph, "P")
+        graph.encounters["E2"].date = "2020-01-01"
+        assert to_dot(graph, "P") == drawn
+        with pytest.raises(FieldInvalidError) as refused:
+            to_dot(graph)
+        assert str(refused.value) == "encounters[E2].date: date must be a date"
+        # An encounter owned by no stored patient is in no drawing.
+        del graph.patients["Q"]
+        assert to_dot(graph) == drawn
+
     def test_output_is_deterministic(self, john_graph):
         assert to_dot(john_graph, JOHN_DOE_ID) == to_dot(john_graph, JOHN_DOE_ID)
         assert to_dot(john_graph, JOHN_DOE_ID, detail="full") == to_dot(

@@ -7,6 +7,7 @@ regenerate the record.
 
 import pytest
 
+import golden_corpus
 from golden_corpus import CASE_KINDS, load, outcome
 
 
@@ -37,3 +38,15 @@ def test_outcomes_match_the_recorded_corpus(kind, recorded):
             )
     assert seen == sum(1 for name in recorded if name.startswith(f"{kind} "))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("kinds", [["join"], ["journey"], ["double", "journey"]], ids="+".join)
+def test_re_recording_unchanged_kinds_leaves_the_corpus_as_it_is(kinds, tmp_path, monkeypatch):
+    """Each kind's entries are re-recorded where they stand: once the kind
+    was written after every kept entry, which moved lines of an unchanged
+    corpus."""
+    recorded, corpus = golden_corpus.CORPUS_PATH.read_bytes(), tmp_path / "golden_corpus.jsonl"
+    corpus.write_bytes(recorded)
+    monkeypatch.setattr(golden_corpus, "CORPUS_PATH", corpus)
+    golden_corpus.main(kinds)
+    assert corpus.read_bytes() == recorded

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 from datetime import date, datetime
@@ -203,6 +204,73 @@ class TestAddRecords:
             add(graph)
         assert str(refused.value) == message
         assert structurally_equal(graph, before)
+
+    @pytest.mark.parametrize("add", ["add_intake_form", "add_encounter"])
+    def test_an_owner_of_another_class_is_refused_and_not_stored(self, add):
+        """``add_encounter`` once raised a bare ``AttributeError`` reading the
+        birth date of such an owner, and ``add_intake_form`` stored the form."""
+        graph, before = small_graph(), small_graph()
+        for built in (graph, before):
+            built.patients["P9"] = Provider("P9", "Dr")
+        record = (
+            _intake_form("F9") if add == "add_intake_form"
+            else Encounter("E9", date(2021, 1, 1), "General Medicine", "Provider-1")
+        )  # fmt: skip
+        with pytest.raises(FieldInvalidError) as refused:
+            getattr(graph, add)("P9", record)
+        assert str(refused.value) == "patients[P9]: patients entries must be a Patient"
+        assert structurally_equal(graph, before)
+
+
+def _intake_form(form_id: str):
+    from pjo import IntakeForm, MedicalHistory, SocialHistory
+
+    return IntakeForm(form_id, MedicalHistory([], [], [], []), SocialHistory("Never", "None"))
+
+
+def _broken(graph, attr: str, key: str):
+    """A copy of the record stored under ``key`` in ``graph``'s table
+    ``attr``, with a new ID and a field that breaks a field rule."""
+    record = copy.deepcopy(getattr(graph, attr)[key])
+    if attr == "patients":
+        record.patient_id = "P2"
+        record.contact.email = "\ud800"
+    elif attr == "providers":
+        record.provider_id, record.years_of_experience = "D2", 10**5000
+    elif attr == "intake_forms":
+        record.intake_form_id = "F2"
+        record.medical_history.medication_allergies.append("")
+    else:
+        record.encounter_id = "E2"
+        record.symptoms[0].symptom_name = ""
+    return record
+
+
+@pytest.mark.parametrize(
+    "attr, key, add",
+    [
+        ("patients", JOHN_DOE_ID, lambda graph, record: graph.add_patient(record)),
+        ("providers", "Provider-Allergy", lambda graph, record: graph.add_provider(record)),
+        ("intake_forms", "IntakeForm-JohnDoe",
+         lambda graph, record: graph.add_intake_form("P2", record)),
+        ("encounters", GENERAL_MEDICINE,
+         lambda graph, record: graph.add_encounter(JOHN_DOE_ID, record)),
+    ],
+    ids=["add_patient", "add_provider", "add_intake_form", "add_encounter"],
+)  # fmt: skip
+def test_add_raises_the_checkers_first_problem_with_the_record(john_graph, attr, key, add):
+    """Each ``add_*`` words a field problem as the checker does, relative to
+    the record: ``add_patient`` and ``add_provider`` once left out where."""
+    record = _broken(john_graph, attr, key)
+    record_id, stored = getattr(record, FIELDS[record.__class__][0].attr), JourneyGraph()
+    getattr(stored, attr)[record_id] = record
+    head = f"{graph_module._TABLES[attr][0]}[{record_id}]."
+    first = stored.check_invariants().errors[0]
+    assert first.location.startswith(head)
+    john_graph.add_patient(Patient("P2", "Pat", date(1990, 1, 1)))
+    with pytest.raises(FieldInvalidError) as refused:
+        add(john_graph, record)
+    assert str(refused.value) == f"{first.location.removeprefix(head)}: {first.message}"
 
 
 class TestVitalSignPlausibility:
@@ -925,9 +993,9 @@ def test_a_value_no_bundle_can_hold_is_an_error(john_graph, write, value, locati
     "add, message",
     [
         (lambda graph: graph.add_patient(Patient("P2", "Pat \ud800", date(1990, 1, 1))),
-         "patientName holds a lone surrogate"),
+         "patientName: patientName holds a lone surrogate"),
         (lambda graph: graph.add_provider(Provider("D2", "Dr. D", years_of_experience=10**5000)),
-         "yearsOfExperience must have at most 4300 digits"),
+         "yearsOfExperience: yearsOfExperience must have at most 4300 digits"),
         (lambda graph: graph.add_encounter(JOHN_DOE_ID, Encounter(
             "E2", date(2022, 1, 1), "Allergy", "Provider-Allergy",
             vitals=[VitalSign(body_temperature=-(10**5000))])),

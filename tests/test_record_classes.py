@@ -300,7 +300,7 @@ def test_repr_shows_an_integer_of_more_than_4300_digits():
     provider = Provider("D", "Dr", years_of_experience=huge, affiliated_institution=[-huge])
     assert repr(provider) == (
         "Provider(provider_id='D', provider_name='Dr', specialization=None, "
-        "affiliated_institution=<list>, years_of_experience=<int of 16610 bits>)"
+        "affiliated_institution=<list>, years_of_experience=<int of 16610 bits: 0x...00000000>)"
     )
 
 
@@ -316,7 +316,7 @@ def test_repr_shows_an_integer_of_more_than_4300_digits_in_any_attribute(holder)
     for name in base:
         instance = holder(**{**base, name: 10**5000})
         shown_values = ", ".join(
-            f"{p.name}=<int of 16610 bits>" if p.name == name
+            f"{p.name}=<int of 16610 bits: 0x...00000000>" if p.name == name
             else f"{p.name}={getattr(instance, p.name)!r}"
             for p in parameters(holder)
         )  # fmt: skip
@@ -328,6 +328,17 @@ def test_repr_shows_an_integer_of_more_than_4300_digits_in_any_attribute(holder)
 def test_a_value_that_shows_keeps_its_text(value):
     assert shown(value) == repr(value)
     assert shown(value, format) == f"{value}"
+
+
+def test_integers_too_long_for_repr_show_their_sign_and_low_digits():
+    """Such integers of one size were once all shown by their size alone."""
+    huge = 10**5000
+    assert [shown(value) for value in (huge, -huge, huge + 1, -huge - 2**36 - 10)] == [
+        "<int of 16610 bits: 0x...00000000>",
+        "<int of 16610 bits: -0x...00000000>",
+        "<int of 16610 bits: 0x...00000001>",
+        "<int of 16610 bits: -0x...0000000a>",
+    ]
 
 
 def test_instances_have_no_dict(cls):
