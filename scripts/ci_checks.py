@@ -155,6 +155,27 @@ def a_parse_leaves_the_collector_as_it_was():
     assert frozen or any(o is result.graph for o in gc.get_objects(2)), gc.get_count()
 
 
+def a_huge_blood_pressure_is_reported():
+    """``pjo validate`` reports a blood pressure with a side of more than
+    4300 digits, which ``int`` refuses to read, as it reports any other
+    implausible reading: exit 1, the located problem, no traceback."""
+    import json
+
+    document = json.loads(sys.stdin.buffer.read())
+    document["encounters"][0]["vitals"][0]["bloodPressure"] = "9" * 5000 + "/1"
+    validate = subprocess.run(
+        [sys.executable, "-m", "pjo", "validate", "-"],
+        input=json.dumps(document).encode(),
+        capture_output=True,
+    )
+    problem = (
+        b"error  field-invalid  encounters[0].vitals[0].bloodPressure: "
+        b"systolic and diastolic must have at most 4300 digits, got 5000 and 1\n"
+    )
+    assert validate.returncode == 1 and problem in validate.stdout, validate
+    assert b"Traceback" not in validate.stdout + validate.stderr, validate.stderr
+
+
 SEED = "seed"
 # Each check by name, with what it reads on standard input.
 CHECKS = {
@@ -168,6 +189,7 @@ CHECKS = {
         (a_branch_error_pickles_and_a_lone_surrogate_is_refused, None),
         (the_writer_writes_the_seed_back, SEED),
         (a_parse_leaves_the_collector_as_it_was, SEED),
+        (a_huge_blood_pressure_is_reported, SEED),
     ]
 }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .records import slotted
+from .records import remembered, slotted
 
 # [0-9] rather than \d: only ASCII digits are acceptable in codes.
 CUI_PATTERN = re.compile(r"C[0-9]{7}")
@@ -36,9 +36,18 @@ def validate_icd10(code: str, code_list: Container[str] | None = None) -> bool:
     ``code_list`` is a hook for validating against a published code list;
     when given, membership in it is required on top of the shape check.
     """
-    if ICD10_PATTERN.fullmatch(code) is None:
-        return False
-    return code_list is None or code in code_list
+    if code_list is None:
+        return _icd10_shaped(code)
+    return _has_icd10_shape(code) and code in code_list
+
+
+def _has_icd10_shape(code: str) -> bool:
+    return ICD10_PATTERN.fullmatch(code) is not None
+
+
+# The shape test for the checker and the reader, which see each of a few
+# codes again and again.
+_icd10_shaped = remembered(_has_icd10_shape)
 
 
 def validate_fhir_label(code: str) -> bool:

@@ -891,9 +891,14 @@ class JourneyGraph:
 
     def edges_of(self, patient_id: str) -> list[JourneyEdge]:
         """Edges whose endpoints are both owned by the patient, in storage order."""
+        return list(self._edges_of(patient_id))
+
+    def _edges_of(self, patient_id: str) -> Sequence[JourneyEdge]:
+        """``edges_of`` without the copy: the owner index's own list (or an
+        empty tuple), for a read that leaves it as it is."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        return list(self._owners().edges.get(patient_id, []))
+        return self._owners().edges.get(patient_id, ())
 
     # -- validation -------------------------------------------------------
 

@@ -61,7 +61,7 @@ def timeline(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:
     """
     inbound: dict[str, list[LinkRef]] = {}
     outbound: dict[str, list[LinkRef]] = {}
-    for edge in graph.edges_of(patient_id):
+    for edge in graph._edges_of(patient_id):
         kind = edge.kind
         inbound.setdefault(edge.to_encounter, []).append(LinkRef(kind, edge.from_encounter))
         outbound.setdefault(edge.from_encounter, []).append(LinkRef(kind, edge.to_encounter))
@@ -122,7 +122,7 @@ def _links(
     an unknown encounter or owner."""
     ahead: dict[str, list[str]] = {}
     behind: dict[str, list[str]] = {}
-    for edge in graph.edges_of(graph.patient_of(encounter_id)):
+    for edge in graph._edges_of(graph.patient_of(encounter_id)):
         if edge.kind is kind:
             ahead.setdefault(edge.from_encounter, []).append(edge.to_encounter)
             behind.setdefault(edge.to_encounter, []).append(edge.from_encounter)

@@ -16,13 +16,11 @@ script again after any change to ``FIELDS`` or a class declaration.
 
 from __future__ import annotations
 
-import re
 from datetime import date
 from enum import Enum
+from functools import update_wrapper
 
 from ._generated import classes
-
-BLOOD_PRESSURE_PATTERN = re.compile(r"([0-9]+)/([0-9]+)")
 
 # Plausibility bounds for vital signs; temperature is degrees Celsius,
 # weight is kilograms, heart rate is beats per minute.
@@ -205,6 +203,43 @@ def record(name: str, *fields: Field, frozen: bool = False, doc: str | None = No
 # else None.  The bundle reader and the graph checker apply them through
 # ``FIELDS``.
 
+VERDICTS_KEPT = 16384
+REMEMBERED_LENGTH = 16
+
+
+def remembered(check: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``check``, a pure function of one ``str``, answering each exact
+    ``str`` value it has seen from a table of its verdicts (its return
+    values).  Values of a ``str`` subclass, whose hash or equality may be
+    anything, and values longer than ``REMEMBERED_LENGTH`` characters go to
+    ``check`` and are not kept; once the table holds ``VERDICTS_KEPT``
+    verdicts, new values go to ``check`` too.  The table is never emptied.
+    At its cap it holds 16 384 keys of at most 140 bytes each (16
+    characters outside the Basic Multilingual Plane) and a dict of about
+    0.4 MB: about 2.7 MB for a check that answers ``True``/``False``/
+    ``None``, plus the messages it keeps (at most about 300 bytes each for
+    ``check_blood_pressure``, so about 7.5 MB in all).  The result keeps
+    ``check``'s name, so generated code and the field table call it as they
+    did ``check``; its ``__wrapped__`` is ``check`` and ``verdicts`` the
+    table."""
+    verdicts = {}
+
+    def remembered_check(value):
+        if type(value) is not str or len(value) > REMEMBERED_LENGTH:
+            return check(value)
+        try:
+            return verdicts[value]
+        except KeyError:
+            pass
+        verdict = check(value)
+        if len(verdicts) < VERDICTS_KEPT:
+            verdicts[value] = verdict
+        return verdict
+
+    update_wrapper(remembered_check, check)
+    remembered_check.verdicts = verdicts
+    return remembered_check
+
 
 def check_body_temperature(value: float) -> str | None:
     low, high = BODY_TEMPERATURE_RANGE
@@ -213,12 +248,27 @@ def check_body_temperature(value: float) -> str | None:
     return None
 
 
+# At most as many digits a side as ``int`` reads from text by default, as the
+# checker allows an integer.
+BLOOD_PRESSURE_DIGITS = 4300
+
+
+@remembered
 def check_blood_pressure(value: str) -> str | None:
-    match = BLOOD_PRESSURE_PATTERN.fullmatch(value)
-    if match is None:
+    """Two sides of ASCII digits around one ``/``, leading zeros allowed,
+    each of at most 4300 digits, systolic above diastolic above 0.  The
+    sides are compared as text: without leading zeros, a longer side is
+    the larger, and sides of one length compare as strings."""
+    systolic, slash, diastolic = value.partition("/")
+    if not (slash and systolic.isascii() and systolic.isdigit()
+            and diastolic.isascii() and diastolic.isdigit()):  # fmt: skip
         return f"value {value!r} is not <systolic>/<diastolic>"
-    systolic, diastolic = int(match.group(1)), int(match.group(2))
-    if not systolic > diastolic > 0:
+    if len(systolic) > BLOOD_PRESSURE_DIGITS or len(diastolic) > BLOOD_PRESSURE_DIGITS:
+        return (f"systolic and diastolic must have at most {BLOOD_PRESSURE_DIGITS} digits,"
+                f" got {len(systolic)} and {len(diastolic)}")  # fmt: skip
+    systolic = systolic.lstrip("0") or "0"
+    diastolic = diastolic.lstrip("0") or "0"
+    if not (len(systolic), systolic) > (len(diastolic), diastolic) > (1, "0"):
         return f"requires systolic > diastolic > 0, got {systolic}/{diastolic}"
     return None
 

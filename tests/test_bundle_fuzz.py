@@ -37,6 +37,8 @@ scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=12),
     st.sampled_from(["", "2021-01-01", "1970-01-01", "next", "causedBy", "E55.9", "\ud800"]),
+    # Readings with a side too long for ``int`` once made the parser raise.
+    st.sampled_from(["9" * 5000 + "/1", "1/" + "9" * 5000]),
 )
 values = st.recursive(
     scalars,

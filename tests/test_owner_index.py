@@ -30,10 +30,13 @@ from pjo import (
     Patient,
     Provider,
     SocialHistory,
+    serialize_bundle,
+    to_dot,
 )
 from pjo.errors import CycleIntroducedError, PjoError
 from pjo.graph import CountedDict, CountedList
 from pjo.queries import cause_trace, followup_chain, timeline
+from pjo.records import KIND_TEXT
 from scan_oracles import (
     add_intake_form_by_scan,
     assert_checker_matches_the_scans,
@@ -391,10 +394,28 @@ def test_records_have_no_instance_dict():
 def test_edges_of_returns_a_copy():
     graph = start_graph()
     before = graph.edges_of("P0")
+    entries = timeline(graph, "P0")
     links = graph.edges_of("P0")
     links.reverse()
     links.pop()
     assert len(before) == 3 and graph.edges_of("P0") == before
+    assert timeline(graph, "P0") == entries
+
+
+def test_the_reads_leave_the_stored_link_order():
+    """``timeline``, the chain walks and the writer read the owner index's
+    list, not a copy; none of them reorders it."""
+    graph = start_graph()
+    stored = graph._edges_of("P0")
+    before = list(stored)
+    assert [KIND_TEXT[edge.kind] for edge in before] == ["next", "hasFollowup", "causedBy"]
+    timeline(graph, "P0")
+    followup_chain(graph, "E1")
+    cause_trace(graph, "E2")
+    serialize_bundle(graph, "P0")
+    to_dot(graph)
+    assert graph._edges_of("P0") is stored and stored == before
+    assert graph.edges_of("P0") == before == [e for e in graph.edges if e in before]
 
 
 def test_link_updates_the_index_in_place():

@@ -11,7 +11,8 @@ The properties damage a graph only through the API's own doors: fields of
 mutable records and the lists they hold are assigned, table and ownership
 entries are stored under string keys or others, and a link is changed by
 building a new ``JourneyEdge``.  A key, an ID or a field may be an integer
-of more than 4300 digits, whose ``repr`` raises.
+of more than 4300 digits, whose ``repr`` raises, and a field a blood
+pressure with a side that long.
 """
 
 from __future__ import annotations
@@ -362,9 +363,11 @@ def _stored_records(graph: JourneyGraph) -> list:
 
 
 # Hashable keys that are not strings, and do not compare with strings; the
-# hostile values, and integers whose ``repr`` raises, for fields and IDs too.
+# hostile values, integers whose ``repr`` raises and blood pressures with a
+# side too long for ``int``, for fields and IDs too.
 odd_keys = st.sampled_from([5, 1.5, None, ("Z",), b"Z", HUGE, -HUGE])
-hostile_values = st.one_of(hostile, st.sampled_from([HUGE, -HUGE, [HUGE]]))
+HUGE_READINGS = ["9" * 5000 + "/1", "1/" + "9" * 5000]
+hostile_values = st.one_of(hostile, st.sampled_from([HUGE, -HUGE, [HUGE], *HUGE_READINGS]))
 
 
 def damage_graph(graph: JourneyGraph, data) -> None:
