@@ -176,6 +176,39 @@ def a_huge_blood_pressure_is_reported():
     assert b"Traceback" not in validate.stdout + validate.stderr, validate.stderr
 
 
+def the_raising_api_keeps_one_owner_index():
+    """Building the seed graph through ``add_*`` and ``link`` builds the
+    owner index once: the API's own writes update it in place.  A frozen
+    record, whose ``__init__`` sets its slots through their descriptors on
+    this interpreter, still refuses assignment and deletion."""
+    import pjo
+    from pjo import graph
+
+    builds = []
+    build = graph._OwnerIndex.__init__
+
+    def counted(index, journey_graph):
+        builds.append(index)
+        build(index, journey_graph)
+
+    graph._OwnerIndex.__init__ = counted
+    journey_graph = pjo.john_doe_graph()
+    for patient_id in journey_graph.patients:
+        journey_graph.encounters_of(patient_id)
+        journey_graph.edges_of(patient_id)
+    assert len(builds) == 1 and len(journey_graph.edges) == 3, (builds, journey_graph.edges)
+    edge = journey_graph.edges[0]
+    values = edge._values()
+    refused = []
+    for change in (lambda: setattr(edge, "via", "x"), lambda: delattr(edge, "via")):
+        try:
+            change()
+        except AttributeError as error:
+            refused.append(str(error))
+    assert refused == ["JourneyEdge is frozen: cannot change 'via'"] * 2, refused
+    assert edge._values() == values and edge == pjo.JourneyEdge(*values), edge
+
+
 SEED = "seed"
 # Each check by name, with what it reads on standard input.
 CHECKS = {
@@ -190,6 +223,7 @@ CHECKS = {
         (the_writer_writes_the_seed_back, SEED),
         (a_parse_leaves_the_collector_as_it_was, SEED),
         (a_huge_blood_pressure_is_reported, SEED),
+        (the_raising_api_keeps_one_owner_index, None),
     ]
 }
 

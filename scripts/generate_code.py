@@ -26,7 +26,7 @@ class StandIn(types.ModuleType):
     methods ``_init`` and ``_values``, enough to import pjo."""
 
     def __getattr__(self, name: str):
-        return lambda *makers: (_init, _values)
+        return lambda *makers_and_setters: (_init, _values)
 
 
 def _init(*args, **kwargs):  # the instance first: a field may be named "record"

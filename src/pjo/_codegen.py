@@ -58,18 +58,20 @@ def _module(what: str, constants: dict, functions: list[str], **tables: dict) ->
 
 # -- classes ----------------------------------------------------------------
 
-_CLASS_NAMES = {"_MISSING": "object()", "_set": "object.__setattr__"}
+_CLASS_NAMES = {"_MISSING": "object()"}
 
 
 def methods_source(name: str, attrs: tuple, defaults: dict, frozen: bool, post: bool) -> str:
     """Source of ``methods_<name>``: given the ``make`` of each ``Fresh``
-    default in ``defaults``, the ``__init__`` and ``_values`` of the slotted
+    default in ``defaults`` and then, for a ``frozen`` class, the setter of
+    each attribute's slot, the ``__init__`` and ``_values`` of the slotted
     class ``name`` (see ``records._build``).  ``_MISSING`` marks an argument
     whose default is made anew; the other defaults are written in as
-    literals.  A ``frozen`` class's ``__init__`` sets each value with
-    ``_set``, past its refusing ``__setattr__``; it calls ``__post_init__``
-    if ``post``."""
+    literals.  A ``frozen`` class's ``__init__`` sets each value by calling
+    ``set_<attr>(self, value)``, past its refusing ``__setattr__``; it calls
+    ``__post_init__`` if ``post``."""
     makers, params, body = [], ["self"], []
+    setters = [f"set_{attr}" for attr in attrs] if frozen else []
     for attr in attrs:
         value, default = attr, defaults.get(attr)
         if attr not in defaults:
@@ -82,12 +84,12 @@ def methods_source(name: str, attrs: tuple, defaults: dict, frozen: bool, post: 
             params.append(f"{attr}={default!r}")
         else:
             raise TypeError(f"{name}.{attr}: a default must be Fresh, a string, a bool or None")
-        body.append(f"_set(self, {attr!r}, {value})" if frozen else f"self.{attr} = {value}")
+        body.append(f"set_{attr}(self, {value})" if frozen else f"self.{attr} = {value}")
     if post:
         body.append("self.__post_init__()")
     return "\n".join(
         [
-            f"def methods_{name}({', '.join(makers)}):",
+            f"def methods_{name}({', '.join(makers + setters)}):",
             f"    def __init__({', '.join(params)}):",
             *(f"        {line}" for line in body),
             "    def _values(self):",

@@ -4,47 +4,46 @@ Do not edit: ``scripts/generate_code.py`` writes it and must be run again after
 any change to ``records.FIELDS``, ``graph.RULES`` or a generator in ``pjo._codegen``."""
 
 _MISSING = object()
-_set = object.__setattr__
 
 
-def methods_RatingMatrix():
+def methods_RatingMatrix(set_counts, set_raters_per_subject):
     def __init__(self, counts, raters_per_subject):
-        _set(self, 'counts', counts)
-        _set(self, 'raters_per_subject', raters_per_subject)
+        set_counts(self, counts)
+        set_raters_per_subject(self, raters_per_subject)
     def _values(self):
         return (self.counts, self.raters_per_subject, )
     return __init__, _values
 
 
-def methods_KappaResult():
+def methods_KappaResult(set_kappa, set_standard_error, set_ci95, set_observed_agreement, set_expected_agreement):
     def __init__(self, kappa, standard_error, ci95, observed_agreement, expected_agreement):
-        _set(self, 'kappa', kappa)
-        _set(self, 'standard_error', standard_error)
-        _set(self, 'ci95', ci95)
-        _set(self, 'observed_agreement', observed_agreement)
-        _set(self, 'expected_agreement', expected_agreement)
+        set_kappa(self, kappa)
+        set_standard_error(self, standard_error)
+        set_ci95(self, ci95)
+        set_observed_agreement(self, observed_agreement)
+        set_expected_agreement(self, expected_agreement)
     def _values(self):
         return (self.kappa, self.standard_error, self.ci95, self.observed_agreement, self.expected_agreement, )
     return __init__, _values
 
 
-def methods_DimensionSummary():
+def methods_DimensionSummary(set_dimension, set_n_responses, set_mean, set_sd, set_agree_fraction):
     def __init__(self, dimension, n_responses, mean, sd, agree_fraction):
-        _set(self, 'dimension', dimension)
-        _set(self, 'n_responses', n_responses)
-        _set(self, 'mean', mean)
-        _set(self, 'sd', sd)
-        _set(self, 'agree_fraction', agree_fraction)
+        set_dimension(self, dimension)
+        set_n_responses(self, n_responses)
+        set_mean(self, mean)
+        set_sd(self, sd)
+        set_agree_fraction(self, agree_fraction)
     def _values(self):
         return (self.dimension, self.n_responses, self.mean, self.sd, self.agree_fraction, )
     return __init__, _values
 
 
-def methods_LikertSummary():
+def methods_LikertSummary(set_dimensions, set_overall_mean, set_overall_sd):
     def __init__(self, dimensions, overall_mean, overall_sd):
-        _set(self, 'dimensions', dimensions)
-        _set(self, 'overall_mean', overall_mean)
-        _set(self, 'overall_sd', overall_sd)
+        set_dimensions(self, dimensions)
+        set_overall_mean(self, overall_mean)
+        set_overall_sd(self, overall_sd)
     def _values(self):
         return (self.dimensions, self.overall_mean, self.overall_sd, )
     return __init__, _values
@@ -60,21 +59,21 @@ def methods_ParseResult(make_problems):
     return __init__, _values
 
 
-def methods_ConceptCode():
+def methods_ConceptCode(set_system, set_code):
     def __init__(self, system, code):
-        _set(self, 'system', system)
-        _set(self, 'code', code)
+        set_system(self, system)
+        set_code(self, code)
     def _values(self):
         return (self.system, self.code, )
     return __init__, _values
 
 
-def methods_Diagnostic():
+def methods_Diagnostic(set_severity, set_code, set_message, set_location):
     def __init__(self, severity, code, message, location):
-        _set(self, 'severity', severity)
-        _set(self, 'code', code)
-        _set(self, 'message', message)
-        _set(self, 'location', location)
+        set_severity(self, severity)
+        set_code(self, code)
+        set_message(self, message)
+        set_location(self, location)
     def _values(self):
         return (self.severity, self.code, self.message, self.location, )
     return __init__, _values
@@ -103,58 +102,58 @@ def methods_JourneyGraph(make_patients, make_providers, make_intake_forms, make_
     return __init__, _values
 
 
-def methods_LinkRef():
+def methods_LinkRef(set_kind, set_encounter_id):
     def __init__(self, kind, encounter_id):
-        _set(self, 'kind', kind)
-        _set(self, 'encounter_id', encounter_id)
+        set_kind(self, kind)
+        set_encounter_id(self, encounter_id)
     def _values(self):
         return (self.kind, self.encounter_id, )
     return __init__, _values
 
 
-def methods_TimelineEntry():
+def methods_TimelineEntry(set_encounter_id, set_date, set_specialty, set_inbound_links, set_outbound_links, set_headline_diagnoses):
     def __init__(self, encounter_id, date, specialty, inbound_links, outbound_links, headline_diagnoses):
-        _set(self, 'encounter_id', encounter_id)
-        _set(self, 'date', date)
-        _set(self, 'specialty', specialty)
-        _set(self, 'inbound_links', inbound_links)
-        _set(self, 'outbound_links', outbound_links)
-        _set(self, 'headline_diagnoses', headline_diagnoses)
+        set_encounter_id(self, encounter_id)
+        set_date(self, date)
+        set_specialty(self, specialty)
+        set_inbound_links(self, inbound_links)
+        set_outbound_links(self, outbound_links)
+        set_headline_diagnoses(self, headline_diagnoses)
     def _values(self):
         return (self.encounter_id, self.date, self.specialty, self.inbound_links, self.outbound_links, self.headline_diagnoses, )
     return __init__, _values
 
 
-def methods_SymptomOccurrence():
+def methods_SymptomOccurrence(set_encounter_id, set_date, set_symptom_name, set_severity):
     def __init__(self, encounter_id, date, symptom_name, severity):
-        _set(self, 'encounter_id', encounter_id)
-        _set(self, 'date', date)
-        _set(self, 'symptom_name', symptom_name)
-        _set(self, 'severity', severity)
+        set_encounter_id(self, encounter_id)
+        set_date(self, date)
+        set_symptom_name(self, symptom_name)
+        set_severity(self, severity)
     def _values(self):
         return (self.encounter_id, self.date, self.symptom_name, self.severity, )
     return __init__, _values
 
 
-def methods_SymptomDiagnosisLink():
+def methods_SymptomDiagnosisLink(set_symptom_name, set_diagnosis_name, set_encounter_id):
     def __init__(self, symptom_name, diagnosis_name, encounter_id):
-        _set(self, 'symptom_name', symptom_name)
-        _set(self, 'diagnosis_name', diagnosis_name)
-        _set(self, 'encounter_id', encounter_id)
+        set_symptom_name(self, symptom_name)
+        set_diagnosis_name(self, diagnosis_name)
+        set_encounter_id(self, encounter_id)
     def _values(self):
         return (self.symptom_name, self.diagnosis_name, self.encounter_id, )
     return __init__, _values
 
 
-def methods_Field():
+def methods_Field(set_key, set_attr, set_type, set_required, set_record, set_check, set_default):
     def __init__(self, key, attr, type='string', required=False, record=None, check=None, default=None):
-        _set(self, 'key', key)
-        _set(self, 'attr', attr)
-        _set(self, 'type', type)
-        _set(self, 'required', required)
-        _set(self, 'record', record)
-        _set(self, 'check', check)
-        _set(self, 'default', default)
+        set_key(self, key)
+        set_attr(self, attr)
+        set_type(self, type)
+        set_required(self, required)
+        set_record(self, record)
+        set_check(self, check)
+        set_default(self, default)
     def _values(self):
         return (self.key, self.attr, self.type, self.required, self.record, self.check, self.default, )
     return __init__, _values
@@ -310,12 +309,12 @@ def methods_Encounter(make_symptoms, make_vitals, make_tests, make_diagnoses, ma
     return __init__, _values
 
 
-def methods_JourneyEdge():
+def methods_JourneyEdge(set_kind, set_from_encounter, set_to_encounter, set_via):
     def __init__(self, kind, from_encounter, to_encounter, via=None):
-        _set(self, 'kind', kind)
-        _set(self, 'from_encounter', from_encounter)
-        _set(self, 'to_encounter', to_encounter)
-        _set(self, 'via', via)
+        set_kind(self, kind)
+        set_from_encounter(self, from_encounter)
+        set_to_encounter(self, to_encounter)
+        set_via(self, via)
     def _values(self):
         return (self.kind, self.from_encounter, self.to_encounter, self.via, )
     return __init__, _values

@@ -140,6 +140,7 @@ def report_memory_number_check_heart_rate(v, name):
 
 def report_memory_icd10(v, name):
     if not (v is None or v.__class__ is ConceptCode): return 'invalid-type', f'{name} must be a ConceptCode'
+    if not (v.code.__class__ is str): return 'invalid-type', f'{name!r} must be a string'
     if not (v.system is _ICD10 and validate_icd10(v.code)): return 'bad-icd10', f'{v.code!r} is not a valid ICD10 code'
 
 

@@ -201,6 +201,9 @@ RULES = {
            ("_calendar_day(v)", INVALID_VALUE, "{v!r} is not a calendar date", READ)),
     ICD10: (*_text("v.__class__ is ConceptCode", "a ConceptCode"),
             ("ConceptCode(_ICD10, v)", None, None, READ),
+            # A code held in memory is a string, as the reader makes every
+            # one; the problem is worded as the reader words it.
+            ("v.code.__class__ is str", INVALID_TYPE, "{name!r} must be a string", MEMORY),
             ("v.system is _ICD10 and validate_icd10(v.code)",
              BAD_ICD10, "{v.code!r} is not a valid ICD10 code", VALUE)),
     KIND: (*_text("v.__class__ is EdgeKind", "an EdgeKind"),
@@ -594,10 +597,18 @@ class _OwnerIndex:
     patient to the links whose two ends it owns, in storage order; ``loose``
     holds both ends of every other link.  Record fields are never copied.
     The index matches the graph while the three containers are the ones it
-    was built from with the write counts it last saw.
+    was built from, with the write counts it holds for them.
+    ``add_encounter``, ``add_intake_form`` and ``link`` update it in place:
+    they write a container through the base ``dict`` or ``list`` method,
+    skipping the counting wrapper, and add one to the container's count and
+    to the index's.  So this index still matches, and any other index of
+    the same container (a shallow copy's) sees the write and rebuilds.
     """
 
-    __slots__ = ("encounters", "forms", "edges", "loose", "containers", "writes")
+    __slots__ = (
+        "encounters", "forms", "edges", "loose", "containers",
+        "owner_writes", "form_owner_writes", "edge_writes",
+    )  # fmt: skip
 
     def __init__(self, graph: JourneyGraph) -> None:
         # An owner that is not a string, which the checker reports, owns nothing.
@@ -621,12 +632,11 @@ class _OwnerIndex:
                 self.edges.setdefault(owner, []).append(edge)
             else:
                 self.loose.update((start, end))
-        self.containers = (graph.encounter_owner, graph.intake_form_owner, graph.edges)
-        self.saw_writes()
-
-    def _counts(self) -> tuple[int, int, int]:
-        owners, form_owners, edges = self.containers
-        return owners.writes, form_owners.writes, edges.writes
+        owners, form_owners, edges = graph.encounter_owner, graph.intake_form_owner, graph.edges
+        self.containers = owners, form_owners, edges
+        self.owner_writes = owners.writes
+        self.form_owner_writes = form_owners.writes
+        self.edge_writes = edges.writes
 
     def matches(self, graph: JourneyGraph) -> bool:
         owners, form_owners, edges = self.containers
@@ -634,12 +644,10 @@ class _OwnerIndex:
             owners is graph.encounter_owner
             and form_owners is graph.intake_form_owner
             and edges is graph.edges
-            and self.writes == self._counts()
+            and owners.writes == self.owner_writes
+            and form_owners.writes == self.form_owner_writes
+            and edges.writes == self.edge_writes
         )
-
-    def saw_writes(self) -> None:
-        """Record the current write counts, after updating for a write."""
-        self.writes = self._counts()
 
 
 @slotted
@@ -657,7 +665,8 @@ class JourneyGraph:
     graph keeps a per-patient index of those three containers that is
     exact: after a direct write, or a replaced container, the next lookup
     rebuilds it in one O(V + E) pass, and ``add_encounter``,
-    ``add_intake_form`` and ``link`` update it in place.  So
+    ``add_intake_form`` and ``link`` update it in place (see
+    ``_OwnerIndex``).  So
     ``encounters_of``, ``edges_of``, ``intake_form_of`` and ``link`` cost
     O(the patient's records), and go by container key: a patient's
     encounters are the records stored under the keys ``encounter_owner``
@@ -731,35 +740,41 @@ class JourneyGraph:
         index = self._owners()
         if patient_id in index.forms:
             raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
-        # Re-owning a stray ownership entry keeps its place in the map; the
-        # next lookup rebuilds the index in that order.
-        stray = form_id in self.intake_form_owner
         self.intake_forms[form_id] = form
-        self.intake_form_owner[form_id] = patient_id
-        if not stray:
+        form_owners = self.intake_form_owner
+        if form_id in form_owners:
+            # Re-owning a stray ownership entry keeps its place in the map;
+            # the next lookup rebuilds the index in that order.
+            form_owners[form_id] = patient_id
+        else:
+            dict.__setitem__(form_owners, form_id, patient_id)
+            form_owners.writes += 1
+            index.form_owner_writes += 1
             index.forms[patient_id] = [form_id]
-            index.saw_writes()
 
     def add_encounter(self, patient_id: str, encounter: Encounter) -> None:
         patient = self._owner(patient_id)
         key = self._admit(encounter, "encounters")
         _raise_first(encounter_reference_problems(self, encounter, patient))
         index = self._index
+        self.encounters[key] = encounter
+        owners = self.encounter_owner
         # An index that is already stale stays so; one that matches is
         # updated in place unless a stray ownership entry is re-owned or a
         # stored link already names the key, which would move links between
         # patients: then the next lookup rebuilds it.
-        in_place = (
+        if (
             index is not None
             and index.matches(self)
-            and key not in self.encounter_owner
+            and key not in owners
             and key not in index.loose
-        )
-        self.encounters[key] = encounter
-        self.encounter_owner[key] = patient_id
-        if in_place:
+        ):
+            dict.__setitem__(owners, key, patient_id)
+            owners.writes += 1
+            index.owner_writes += 1
             index.encounters.setdefault(patient_id, []).append(key)
-            index.saw_writes()
+        else:
+            owners[key] = patient_id
 
     @guarded("from_encounter", "to_encounter")
     def link(
@@ -823,9 +838,11 @@ class JourneyGraph:
             arcs = oriented_edges(same_day + [edge])
             if cyclic_nodes(list(dict.fromkeys(node for arc in arcs for node in arc)), arcs):
                 raise CycleIntroducedError(f"{_arrow(edge)} introduces a cycle")
-        self.edges.append(edge)
+        edges = self.edges
+        list.append(edges, edge)
+        edges.writes += 1
+        index.edge_writes += 1
         index.edges.setdefault(owner, owned).append(edge)
-        index.saw_writes()
         return edge
 
     # -- lookup -----------------------------------------------------------

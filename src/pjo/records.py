@@ -87,24 +87,30 @@ def _build(name: str, bases: tuple, namespace: dict, attrs: tuple, defaults: dic
     ``defaults`` maps the optional ones, which follow the required ones, to
     a default value or a ``Fresh`` factory.  ``__init__`` ends by calling
     ``__post_init__`` when the class has one; ``_values`` returns the values.
-    Both come from ``pjo._generated.classes``; ``_attrs`` and ``_defaults``
-    keep the declaration, which ``scripts/generate_code.py`` reads.  The rest
-    is shared, over ``_values`` and ``_attrs``: ``__eq__`` compares
-    instances of one class, ``__repr__`` names each value and ``__reduce__``
-    rebuilds one through ``__init__`` for ``pickle`` and ``copy``.  A frozen
-    class refuses assignment and hashes by value; a mutable one is unhashable.
+    Both come from ``pjo._generated.classes`` and are installed once the
+    class is built: a frozen class's ``__init__`` is given the ``__set__`` of
+    each attribute's slot descriptor, and so sets a slot without looking up
+    the name or passing its refusing ``__setattr__``.  ``_attrs`` and
+    ``_defaults`` keep the declaration, which ``scripts/generate_code.py``
+    reads.  The rest is shared, over ``_values`` and ``_attrs``: ``__eq__``
+    compares instances of one class, ``__repr__`` names each value and
+    ``__reduce__`` rebuilds one through ``__init__`` for ``pickle`` and
+    ``copy``.  A frozen class refuses assignment and deletion and hashes by
+    value; a mutable one is unhashable.
     """
-    makers = [default.make for default in defaults.values() if isinstance(default, Fresh)]
-    methods = getattr(classes, f"methods_{name}")(*makers)
-    for method, function in zip(("__init__", "_values"), methods):
-        function.__qualname__ = f"{name}.{method}"
-        namespace[method] = function
     namespace.update(_attrs=attrs, _defaults=defaults, __hash__=None)
     namespace.update(__eq__=_eq, __repr__=_repr, __reduce__=_reduce)
     if frozen:
         namespace.update(__hash__=_hash, __setattr__=_refuse_change, __delattr__=_refuse_change)
     namespace["__slots__"] = attrs + tuple(namespace.pop("__slots__", ()))
-    return type(name, bases, namespace)
+    cls = type(name, bases, namespace)
+    makers = [default.make for default in defaults.values() if isinstance(default, Fresh)]
+    setters = [vars(cls)[attr].__set__ for attr in attrs] if frozen else []
+    methods = getattr(classes, f"methods_{name}")(*makers, *setters)
+    for method, function in zip(("__init__", "_values"), methods):
+        function.__qualname__ = f"{name}.{method}"
+        setattr(cls, method, function)
+    return cls
 
 
 def slotted(cls=None, /, *, frozen: bool = False):

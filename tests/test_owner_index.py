@@ -8,18 +8,25 @@ of those containers, replaced containers, deep copies, and writes to the
 containers and record fields the index never reads.  After every step each
 lookup, and the checker's report, must equal the plain scans in
 ``scan_oracles``.
+
+The index is also cheap to keep: building a graph through the API builds it
+once, and one direct write costs one rebuild.  The API's own writes are
+counted all the same, so a shallow copy, which holds the same containers,
+sees them.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import random
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from journeygen import random_journey
 from pjo import (
     EdgeKind,
     Encounter,
@@ -30,10 +37,12 @@ from pjo import (
     Patient,
     Provider,
     SocialHistory,
+    john_doe_graph,
     serialize_bundle,
     to_dot,
 )
-from pjo.errors import CycleIntroducedError, PjoError
+from pjo import graph as graph_module
+from pjo.errors import CycleIntroducedError, DuplicateEdgeError, PjoError
 from pjo.graph import CountedDict, CountedList
 from pjo.queries import cause_trace, followup_chain, timeline
 from pjo.records import KIND_TEXT
@@ -425,6 +434,183 @@ def test_link_updates_the_index_in_place():
     edge = graph.link(EdgeKind.NEXT, "E5", "E6")
     assert graph._index is index and index.matches(graph)
     assert graph.edges_of("P2") == [edge]
+
+
+# -- what keeping the index costs -------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch) -> list[int]:
+    """``[n]``: the number of owner indexes built since the fixture was set up."""
+    count = [0]
+
+    class CountedIndex(graph_module._OwnerIndex):
+        __slots__ = ()
+
+        def __init__(self, graph: JourneyGraph) -> None:
+            count[0] += 1
+            super().__init__(graph)
+
+    monkeypatch.setattr(graph_module, "_OwnerIndex", CountedIndex)
+    return count
+
+
+def _writes(graph: JourneyGraph) -> tuple[int, int, int]:
+    return graph.encounter_owner.writes, graph.intake_form_owner.writes, graph.edges.writes
+
+
+def _look_up_everything(graph: JourneyGraph) -> None:
+    for patient_id in graph.patients:
+        graph.encounters_of(patient_id)
+        graph.edges_of(patient_id)
+        graph.intake_form_of(patient_id)
+
+
+def test_building_the_seed_graph_through_the_api_builds_the_index_once(builds):
+    graph = john_doe_graph()
+    _look_up_everything(graph)
+    assert builds == [1]
+
+
+def test_building_a_cohort_through_the_api_builds_the_index_once(builds):
+    graph = random_journey(random.Random(26), min_patients=50, max_patients=50)
+    _look_up_everything(graph)
+    assert len(graph.patients) == 50 and len(graph.edges) > 50
+    assert builds == [1]
+
+
+def test_the_apis_own_writes_keep_the_index_and_are_counted(builds):
+    """After every ``add_*`` and ``link`` the index matches, and each write
+    to a container moved that container's count by one."""
+    graph = JourneyGraph()
+    graph.add_provider(Provider(PROVIDER, "Dr. Ada Lane"))
+    graph.add_patient(Patient("P0", "Name P0", date(1970, 1, 1)))
+    graph.encounters_of("P0")  # builds the index
+    writes = [  # each with the counts it moves: owners, form owners, links
+        (lambda: graph.add_patient(Patient("P1", "Name P1", date(1970, 1, 1))), (0, 0, 0)),
+        (lambda: graph.add_intake_form("P0", _form("F0")), (0, 1, 0)),
+        (lambda: graph.add_intake_form("P1", _form("F1")), (0, 1, 0)),
+        (lambda: graph.add_encounter("P0", _encounter("E0", 0)), (1, 0, 0)),
+        (lambda: graph.add_encounter("P0", _encounter("E1", 1)), (1, 0, 0)),
+        (lambda: graph.add_encounter("P1", _encounter("E2", 1)), (1, 0, 0)),
+        (lambda: graph.add_encounter("P0", _encounter("E3", 1)), (1, 0, 0)),
+        (lambda: graph.link(EdgeKind.NEXT, "E0", "E1"), (0, 0, 1)),
+        (lambda: graph.link(EdgeKind.HAS_FOLLOWUP, "E1", "E3"), (0, 0, 1)),
+        (lambda: graph.link(EdgeKind.CAUSED_BY, "E3", "E0"), (0, 0, 1)),
+    ]
+    for write, moved in writes:
+        counts = _writes(graph)
+        write()
+        assert graph._index.matches(graph)
+        assert _writes(graph) == tuple(n + m for n, m in zip(counts, moved))
+    assert len(graph.encounter_owner) == 4 and len(graph.intake_form_owner) == 2
+    assert len(graph.edges) == 3
+    assert_lookups_match_the_scans(graph)
+    assert builds == [1]
+
+
+def test_a_shallow_copy_sees_the_api_writes_of_the_graph_it_copies():
+    """A shallow copy holds the very containers of the graph it copies, and
+    keeps its own index of them: that index must see the other graph's
+    writes, though the writing graph updates its own in place."""
+    graph = start_graph()
+    other = copy.copy(graph)
+    assert other.edges is graph.edges and other.encounter_owner is graph.encounter_owner
+    assert_lookups_match_the_scans(other)  # builds the copy's index
+    graph.add_encounter("P1", _encounter("E6", 2))
+    graph.add_intake_form("P2", _form("F2"))
+    edge = graph.link(EdgeKind.NEXT, "E4", "E6")
+    assert_lookups_match_the_scans(other)
+    assert other.edges_of("P1") == [graph.edges[3], edge]
+    with pytest.raises(DuplicateEdgeError):
+        other.link(EdgeKind.NEXT, "E4", "E6")
+    other.link(EdgeKind.HAS_FOLLOWUP, "E0", "E2")
+    assert_lookups_match_the_scans(graph)
+    assert len(graph.edges_of("P0")) == 4
+
+
+def shared_write(graph: JourneyGraph, data) -> JourneyGraph:
+    """An API write, or one call of a mutating method on a container: never
+    one that gives the graph containers of its own."""
+    if data.draw(st.booleans(), label="api"):
+        return api_write(graph, data)
+    container_write(graph, *data.draw(st.sampled_from(CONTAINER_WRITES)), data)
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_graphs_sharing_containers_see_each_others_writes(data):
+    graphs = [start_graph(stray=data.draw(st.booleans(), label="stray"))]
+    graphs.append(copy.copy(graphs[0]))
+    for _ in range(data.draw(st.integers(1, 20), label="steps")):
+        graph = data.draw(st.sampled_from(graphs), label="graph")
+        shared_write(graph, data)
+        for graph in graphs:
+            assert_lookups_match_the_scans(graph)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda graph: graph.edges.append(JourneyEdge(EdgeKind.NEXT, "E4", "E5")),
+        lambda graph: graph.encounter_owner.__setitem__("E5", "P1"),
+        lambda graph: graph.encounter_owner.__delitem__("E2"),
+    ],
+    ids=["append a link", "set an owner", "delete an owner"],
+)
+def test_one_direct_write_costs_one_rebuild(builds, write):
+    graph = start_graph()
+    _look_up_everything(graph)
+    built, counts = builds[0], _writes(graph)
+    write(graph)
+    assert _writes(graph) != counts
+    _look_up_everything(graph)
+    _look_up_everything(graph)
+    assert builds[0] == built + 1
+    assert_lookups_match_the_scans(graph)
+
+
+class TestAPIWritesTheIndexCannotFollow:
+    """An API write that the index does not take in place is counted, so the
+    next lookup rebuilds the index, once."""
+
+    def _rebuilt_once_after(self, builds, graph: JourneyGraph, write) -> None:
+        _look_up_everything(graph)
+        built, counts = builds[0], _writes(graph)
+        write()
+        assert _writes(graph) != counts
+        _look_up_everything(graph)
+        _look_up_everything(graph)
+        assert builds[0] == built + 1
+        assert_lookups_match_the_scans(graph)
+
+    def test_an_encounter_added_to_a_stale_index(self, builds):
+        graph = start_graph()
+        _look_up_everything(graph)
+        built = builds[0]
+        graph.encounter_owner["E7"] = "P1"
+        owner_writes = graph.encounter_owner.writes
+        graph.add_encounter("P2", _encounter("E6", 2))
+        assert graph.encounter_owner.writes == owner_writes + 1
+        _look_up_everything(graph)
+        assert builds[0] == built + 1
+        assert_lookups_match_the_scans(graph)
+
+    def test_an_encounter_over_a_stray_ownership_entry(self, builds):
+        graph = start_graph(stray=True)
+        encounter = _encounter("E7", 2)
+        self._rebuilt_once_after(builds, graph, lambda: graph.add_encounter("P0", encounter))
+
+    def test_an_encounter_a_stored_link_names(self, builds):
+        graph = start_graph(stray=True)
+        encounter = _encounter("E8", 2)
+        self._rebuilt_once_after(builds, graph, lambda: graph.add_encounter("P2", encounter))
+
+    def test_an_intake_form_over_a_stray_ownership_entry(self, builds):
+        graph = start_graph(stray=True)
+        graph.add_patient(Patient("P3", "Name P3", date(1970, 1, 1)))
+        self._rebuilt_once_after(builds, graph, lambda: graph.add_intake_form("P3", _form("F2")))
 
 
 class TestWritesThroughTheAPIOverStrayEntries:

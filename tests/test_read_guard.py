@@ -11,8 +11,9 @@ The properties damage a graph only through the API's own doors: fields of
 mutable records and the lists they hold are assigned, table and ownership
 entries are stored under string keys or others, and a link is changed by
 building a new ``JourneyEdge``.  A key, an ID or a field may be an integer
-of more than 4300 digits, whose ``repr`` raises, and a field a blood
-pressure with a side that long.
+of more than 4300 digits, whose ``repr`` raises, a field a blood
+pressure with a side that long, and a diagnosis code a ``ConceptCode`` of
+any system and any value, which no document holds.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from pjo import (
     AmbiguousTraceError,
     CrossPatientLinkError,
     CycleIntroducedError,
+    Diagnosis,
     DuplicateEdgeError,
     EdgeKind,
+    Encounter,
     FieldInvalidError,
     JourneyEdge,
     JourneyGraph,
@@ -49,6 +52,7 @@ from pjo import (
     serialize_bundle,
     to_dot,
 )
+from pjo.codes import CodeSystem, ConceptCode
 from pjo.graph import _TABLES, ValidationReport, guarded
 from pjo.queries import (
     cause_trace,
@@ -312,6 +316,74 @@ def test_a_value_too_long_to_write_is_the_checkers_problem(john_graph):
     )
 
 
+class Unshown(str):
+    """A string of another class whose ``repr`` raises, as an integer's of
+    more than 4300 digits does."""
+
+    def __repr__(self):
+        raise ValueError("no repr")
+
+
+# ICD-10 codes that are not strings, which a document never holds: the
+# reader makes a ``ConceptCode`` of a string only.
+NOT_STRING_CODES = [5, None, b"I10", 3.5, ["I10"], HUGE, Unshown("bad"), Unshown("I10")]
+NOT_STRING_IDS = ["int", "None", "bytes", "float", "list", "huge", "unshown-bad", "unshown-I10"]
+CODED = "Seasonal allergic rhinitis"
+NOT_A_STRING = "'icd10' must be a string"  # the parser's words for such a code
+
+
+def _coded(code, system=CodeSystem.ICD10) -> Diagnosis:
+    return Diagnosis(CODED, ConceptCode(system, code))
+
+
+@pytest.mark.parametrize("system", [CodeSystem.ICD10, CodeSystem.UMLS_CUI])
+@pytest.mark.parametrize("code", NOT_STRING_CODES, ids=NOT_STRING_IDS)
+def test_a_code_that_is_not_a_string_is_reported_not_raised(john_graph, code, system):
+    """The ICD-10 rule once ran its shape test on any code: a code that is
+    not a string made the checker raise ``TypeError``, one whose ``repr``
+    raises raised that error, and a ``str`` subclass of the right shape was
+    taken, where every string field refuses one."""
+    john_graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(_coded(code, system))
+    errors = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert errors == [("invalid-type", f"{ALLERGY}.diagnoses[1].icd10", NOT_A_STRING)]
+
+
+@pytest.mark.parametrize("code", NOT_STRING_CODES, ids=NOT_STRING_IDS)
+def test_an_encounter_with_such_a_code_is_refused_with_its_problem(john_graph, code):
+    """``add_encounter`` once raised the checker's bare ``TypeError``."""
+    encounter = Encounter("E-new", date(2022, 1, 1), "Allergy", "Provider-Allergy",
+                          diagnoses=[_coded(code)])  # fmt: skip
+    with pytest.raises(FieldInvalidError) as raised:
+        john_graph.add_encounter(JOHN_DOE_ID, encounter)
+    assert str(raised.value) == f"diagnoses[0].icd10: {NOT_A_STRING}"
+    assert "E-new" not in john_graph.encounters
+
+
+@pytest.mark.parametrize("code, written", [(5, "5"), (3.5, "3.5"), (["I10"], "[")])
+def test_a_written_code_that_is_not_a_string_is_refused_where_the_checker_reports_it(
+    john_graph, code, written
+):
+    """``serialize_bundle`` writes such a code as ``json.dumps`` would; the
+    parser refuses what it wrote with the checker's problem, at the same field."""
+    john_graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(_coded(code))
+    checked = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
+    assert checked == [("invalid-type", f"{ALLERGY}.diagnoses[1].icd10", NOT_A_STRING)]
+    text = serialize_bundle(john_graph, JOHN_DOE_ID)
+    assert f'"icd10": {written}' in text
+    parsed = [(d.code, d.location, d.message) for d in parse_bundle(text).problems]
+    assert parsed == [("invalid-type", "encounters[2].diagnoses[1].icd10", NOT_A_STRING)]
+
+
+@pytest.mark.parametrize("code", [b"I10", HUGE], ids=["bytes", "huge"])
+def test_a_code_the_writer_cannot_write_raises_the_checkers_problem(john_graph, code):
+    """The writer fails on such a code, and the guard once raised the
+    checker's own bare ``TypeError``."""
+    john_graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(_coded(code))
+    with pytest.raises(FieldInvalidError) as raised:
+        serialize_bundle(john_graph, JOHN_DOE_ID)
+    assert str(raised.value) == f"{ALLERGY}.diagnoses[1].icd10: {NOT_A_STRING}"
+
+
 def test_keys_of_two_types_on_one_day_are_put_in_date_order(john_graph):
     encounter = copy.deepcopy(john_graph.encounters[ENCOUNTER_ALLERGY])
     john_graph.encounters[5] = encounter
@@ -363,21 +435,32 @@ def _stored_records(graph: JourneyGraph) -> list:
 
 
 # Hashable keys that are not strings, and do not compare with strings; the
-# hostile values, integers whose ``repr`` raises and blood pressures with a
-# side too long for ``int``, for fields and IDs too.
+# hostile values, integers whose ``repr`` raises, blood pressures with a
+# side too long for ``int`` and codes of any system and value, for fields
+# and IDs too.
 odd_keys = st.sampled_from([5, 1.5, None, ("Z",), b"Z", HUGE, -HUGE])
 HUGE_READINGS = ["9" * 5000 + "/1", "1/" + "9" * 5000]
-hostile_values = st.one_of(hostile, st.sampled_from([HUGE, -HUGE, [HUGE], *HUGE_READINGS]))
+hostile_codes = st.builds(
+    ConceptCode,
+    st.just(CodeSystem.ICD10) | st.sampled_from([*CodeSystem, "ICD10"]) | hostile,
+    st.sampled_from(["I10", "E55.9", *NOT_STRING_CODES]) | hostile,
+)
+hostile_values = st.one_of(
+    hostile, hostile_codes, st.sampled_from([HUGE, -HUGE, [HUGE], *HUGE_READINGS])
+)
 
 
 def damage_graph(graph: JourneyGraph, data) -> None:
     """One write through the API's own doors: a field of a stored record set
-    to a hostile value or an entry put into an array it holds, a table or
-    ownership entry stored under a key old, new or not a string, or a link
-    replaced or added."""
-    door = data.draw(st.sampled_from(["field", "table", "owner", "link"]))
+    to a hostile value or an entry put into an array it holds, a stored
+    diagnosis given a hostile code, a table or ownership entry stored under a
+    key old, new or not a string, or a link replaced or added."""
+    door = data.draw(st.sampled_from(["field", "code", "table", "owner", "link"]))
     value = copy.deepcopy(data.draw(hostile_values))
-    if door == "field":
+    diagnoses = [r for r in _stored_records(graph) if r.__class__ is Diagnosis]
+    if door == "code" and diagnoses:
+        data.draw(st.sampled_from(diagnoses)).icd10 = copy.deepcopy(data.draw(hostile_codes))
+    elif door in ("field", "code"):
         record = data.draw(st.sampled_from(_stored_records(graph)))
         spec = data.draw(st.sampled_from(FIELDS[record.__class__]))
         held = getattr(record, spec.attr)

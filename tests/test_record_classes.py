@@ -3,10 +3,11 @@
 Each of the 15 record types of ``records.FIELDS`` and the 14 other value
 classes (``Field``, diagnostics and reports, the parse result, the graph,
 concept codes, query and agreement results) is checked for: positional
-and keyword construction in declaration order, required arguments, fresh
-mutable defaults, equality by type and values, ``repr``, no ``__dict__``,
-frozen classes refusing assignment and hashing by value, mutable ones
-unhashable, and ``pickle`` and ``copy.deepcopy`` round trips.
+and keyword construction in declaration order, each setting every slot,
+required arguments, fresh mutable defaults, equality by type and values,
+``repr``, no ``__dict__``, frozen classes refusing assignment and deletion
+of every attribute and hashing by value, mutable ones unhashable, and
+``pickle``, ``copy.copy`` and ``copy.deepcopy`` round trips.
 """
 
 import copy
@@ -226,7 +227,7 @@ def test_positional_and_keyword_construction_agree(cls):
     by_position = cls(*kwargs.values())
     assert by_position == by_keyword
     for name, value in kwargs.items():
-        assert getattr(by_keyword, name) == value
+        assert getattr(by_keyword, name) == value == getattr(by_position, name)
 
 
 def test_required_arguments(cls):
@@ -346,11 +347,17 @@ def test_instances_have_no_dict(cls):
 
 
 def test_frozen_classes_refuse_assignment_and_hash_by_value(cls):
-    instance = cls(**values(cls, 0))
+    kwargs = values(cls, 0)
+    instance = cls(**kwargs)
     name = parameters(cls)[0].name
     if cls in FROZEN:
-        with pytest.raises(AttributeError):
-            setattr(instance, name, values(cls, 1)[name])
+        for attr, value in kwargs.items():
+            message = f"^{cls.__name__} is frozen: cannot change {attr!r}$"
+            with pytest.raises(AttributeError, match=message):
+                setattr(instance, attr, values(cls, 1)[attr])
+            with pytest.raises(AttributeError, match=message):
+                delattr(instance, attr)
+            assert getattr(instance, attr) is value
         assert hash(instance) == hash(cls(**values(cls, 0)))
     else:
         setattr(instance, name, values(cls, 1)[name])
@@ -364,11 +371,17 @@ def test_equal_journey_edges_hash_equal():
     assert len(edges) == 1
 
 
-@pytest.mark.parametrize("round_trip", [pickle.loads, copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize(
+    "round_trip", [pickle.loads, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
 def test_round_trip(cls, round_trip):
+    """Each rebuilds the instance through ``__init__``; a frozen copy hashes
+    as the original does."""
     for variant in (0, 1):
         instance = cls(**values(cls, variant))
         copied = round_trip(pickle.dumps(instance) if round_trip is pickle.loads else instance)
         assert type(copied) is cls
         assert copied == instance
         assert copied is not instance
+        if cls in FROZEN:
+            assert hash(copied) == hash(instance)
