@@ -114,6 +114,35 @@ def a_damaged_read_raises_the_checkers_problem():
     )
 
 
+def a_damaged_write_raises_the_checkers_problem():
+    """The writer writes a value only as its type's text, in the generated
+    loops: a tuple array, a ``datetime`` birth date and a code of None each
+    fail the write with the checker's located problem."""
+    from datetime import datetime
+
+    import pjo
+
+    allergy = "Encounter-Allergy-20210725"
+    damages = [
+        (lambda g: setattr(g.encounters[allergy], "symptoms", (pjo.Symptom("Sneezing"),)),
+         f"encounters[{allergy}].symptoms: symptoms must be a list"),
+        (lambda g: setattr(g.patients["JohnDoe"], "birth_date", datetime(1980, 1, 1)),
+         "patients[JohnDoe].birthDate: birthDate must be a date"),
+        (lambda g: g.encounters[allergy].diagnoses.append(
+            pjo.Diagnosis("x", pjo.ConceptCode(pjo.CodeSystem.ICD10, None))),
+         f"encounters[{allergy}].diagnoses[1].icd10: 'icd10' must be a string"),
+    ]  # fmt: skip
+    for damage, problem in damages:
+        graph = pjo.john_doe_graph()
+        damage(graph)
+        try:
+            pjo.serialize_bundle(graph, "JohnDoe")
+        except pjo.FieldInvalidError as error:
+            assert str(error) == problem, (str(error), problem)
+        else:
+            raise AssertionError(f"written: {problem}")
+
+
 def a_branch_error_pickles_and_a_lone_surrogate_is_refused():
     """A branch error survives pickling, and the checker refuses a lone
     surrogate in memory."""
@@ -219,6 +248,7 @@ CHECKS = {
         (a_damaged_record_is_explained_compiling_nothing, None),
         (refusing_a_bundle_compiles_nothing, REFUSED),
         (a_damaged_read_raises_the_checkers_problem, None),
+        (a_damaged_write_raises_the_checkers_problem, None),
         (a_branch_error_pickles_and_a_lone_surrogate_is_refused, None),
         (the_writer_writes_the_seed_back, SEED),
         (a_parse_leaves_the_collector_as_it_was, SEED),

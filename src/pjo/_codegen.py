@@ -9,7 +9,9 @@ import re
 import sys
 
 from .bundle import _SCALARS, _encode
-from .graph import DOCUMENT, FIELD_INVALID, MEMORY, READ, REQUIRED, RULES, VALUE, holder_rules
+from .graph import (
+    _DIGITS, DOCUMENT, FIELD_INVALID, MEMORY, READ, REQUIRED, RULES, VALUE, holder_rules,
+)  # fmt: skip
 from .records import (
     DATE, FIELDS, ICD10, INT, KIND, NUMBER, OBJECT, OBJECTS, STR, STRS, VERSION, Bundle, Fresh,
 )  # fmt: skip
@@ -253,41 +255,70 @@ def reader_source(record_type: type, constants: dict) -> str:
 
 # -- writers ------------------------------------------------------------------
 #
-# Per scalar value type, source of a test that a value is of its plain type,
-# with ``{0}`` its first use and ``{1}`` the others, and of its text then, as
-# ``json.dumps`` writes it.  A number is plain when finite: NaN and the
-# infinities minus themselves are NaN.  A code or link kind is written as its
-# string, ``_STRING_OF`` over it (see ``_set``).  A value that is not plain is
-# written by ``bundle._scalar``; a date always as its ISO text.
-_PLAIN = {
-    STR: ("{0}.__class__ is str", "_encode({0})"),
-    INT: ("{0}.__class__ is int", "int.__repr__({0})"),
-    NUMBER: ("({0}.__class__ is float or {1}.__class__ is int) and {1} - {1} == 0", "repr({0})"),
-    DATE: ("{0}.__class__ is date", "_encode(isoformat({0}))"),
+# Per scalar value type, source of the text of a value ``{0}`` that the
+# writer's test takes (see ``_written``), as ``json.dumps`` writes it.
+_TEXT = {
+    STR: "_encode({0})",
+    INT: "int.__repr__({0})",
+    NUMBER: "repr({0})",
+    DATE: "_encode(isoformat({0}))",
+    ICD10: "_encode({0}.code)",
+    KIND: "_encode(KIND_TEXT[{0}])",
 }
-_PLAIN[VERSION] = _PLAIN[ICD10] = _PLAIN[KIND] = _PLAIN[STR]
-_STRING_OF = {ICD10: "{0}.code", KIND: "KIND_TEXT[{0}]"}  # a code's or link kind's string
+_TEXT[VERSION] = _TEXT[STRS] = _TEXT[STR]  # a string array's entry, for STRS
 
 
-def _set(spec, v: str, get: str, plain: bool = False) -> str:
-    """Source of a test that scalar field ``spec``'s value, read by ``get``,
-    is set (and, if ``plain``, of its plain type), which binds it to ``v``."""
-    test = ""
-    if spec.type in _STRING_OF:
-        test = f"({v} := {get}) is not None and "
-        get = _STRING_OF[spec.type].format(v)
-    if plain:
-        return test + _PLAIN[spec.type][0].format(f"({v} := {get})", v)
-    return test + f"({v} := {get}) is not None"
+def _written(value_type: str, v: str) -> str:
+    """Source of a test that the value in local ``v`` keeps the MEMORY rules
+    of its type in ``RULES`` (an entry's, for a string array) and, as JSON
+    needs, is finite if a number: what the writer writes.  The digit limit
+    is left out, as an integer's text refuses more digits itself (``repr``
+    raises ``ValueError``).  A left-out value fails the test.  The checker
+    refuses every value that fails it, a number that is not finite by the
+    field's range check."""
+    terms = [test.removeprefix("v is None or ") for test, _, _, applies in RULES[value_type]
+             if applies == MEMORY and test != _DIGITS[0]]  # fmt: skip
+    if value_type == NUMBER:
+        terms.append("v - v == 0")  # NaN and the infinities minus themselves are NaN
+    return " and ".join("(" + re.sub(r"\bv\b", v, term) + ")" for term in terms)
 
 
-def _text(value_type: str, v: str, level: int) -> str:
-    """Source of the text at nesting ``level`` of a set value in ``v`` of a
-    scalar field of ``value_type``."""
-    test, text = _PLAIN[value_type]
-    if value_type == DATE:
-        return text.format(v)
-    return f"({text.format(v)} if {test.format(v, v)} else _scalar({v}, {level}))"
+def _test(spec, v: str, get: str = "") -> str:
+    """Source of a test that the value in local ``v`` of field ``spec`` (an
+    entry, for an array) is written: it passes ``_written``, or is a record
+    of exactly its class.  Given ``get``, the test binds ``v`` to it first,
+    and a field with a default takes a left-out (None) value as it, as the
+    readers read it, rebinding ``v``."""
+    if spec.type in _TEXT:
+        test = _written(spec.type, v)
+    else:
+        test = f"{v}.__class__ is {holder_rules(spec)[-1][0].__name__}"  # an entry's, for an array
+    if get:
+        test = _bound(test, v, get)
+    if get and spec.default is not None:
+        test = f"({test} or {v} is None and ({v} := {spec.default!r}) is not None)"
+    return test
+
+
+def _text(spec, v: str, level: int) -> str:
+    """Source of the text at nesting ``level`` of the value in local ``v``
+    of field ``spec``, which its test takes: a scalar as ``_TEXT`` writes
+    it, a record by its class's writer."""
+    if spec.type in _TEXT:
+        return _TEXT[spec.type].format(v)
+    return f"write_{holder_rules(spec)[-1][0].__name__}_{level}({v})"
+
+
+def _value(spec, v: str, level: int, get: str = "") -> str:
+    """Source of the text of ``_text``, when ``_test`` takes the value; a
+    value the checker's type rules refuse, a left-out one included, fails
+    the write: ``_unwritable`` raises."""
+    return f"({_text(spec, v, level)} if {_test(spec, v, get)} else _unwritable({v}))"
+
+
+def _always(spec) -> bool:
+    """Whether a read record always sets field ``spec``, so it is always written."""
+    return spec.required or spec.default is not None or spec.type in (STRS, OBJECTS)
 
 
 def _literal(text: str) -> str:
@@ -297,49 +328,42 @@ def _literal(text: str) -> str:
     return text
 
 
-def _inline(record_type: type, level: int, constants: dict) -> tuple[str, str]:
-    """Sources of a test on the array entry in local ``x``, and of its text
-    at nesting ``level`` when the test holds: one f-string per entry of an
-    array of the flat ``record_type``, written in the holder's loop as the
-    readers read such entries.  The test holds for a record of exactly that
-    class whose fields a read record always sets (required ones, and those
-    with a default) are set and of their plain types.  Any other field is
-    written when set, whatever its type, after the constant ``P<level>_<key>``:
-    a comma, the key and a colon.  When the first field may be left out, the
-    text's first comma is cut (``{}`` when no field is set)."""
+def _inline(record_type: type, level: int, constants: dict) -> str:
+    """Source of the text at nesting ``level`` of the array entry in local
+    ``x``, of the flat ``record_type``: one f-string, written in the holder's
+    loop as the readers read such entries.  Its test takes a record of
+    exactly that class whose always-written fields pass their type tests;
+    any other entry fails the write.  Any other field is written when set,
+    after the constant ``P<level>_<key>``: a comma, the key and a colon.
+    When the first field may be left out, the text's first comma is cut
+    (``{}`` when no field is set)."""
     inner, fields = level + 1, FIELDS[record_type]
-    sure = [spec.required or spec.default is not None for spec in fields]
     tests, pieces = [f"x.__class__ is {record_type.__name__}"], []
     for n, spec in enumerate(fields):
         e, get, key = f"e{n}", f"x.{spec.attr}", f"\n{'  ' * inner}{_encode(spec.key)}: "
-        if sure[n]:
-            tests.append(_set(spec, e, get, plain=True))
-            text = _PLAIN[spec.type][1].format(e)
-            pieces.append(_literal("," * (n > 0) + key) + f"{{{text}}}")
+        if _always(spec):
+            tests.append(_test(spec, e, get))
+            pieces.append(_literal("," * (n > 0) + key) + f"{{{_text(spec, e, inner)}}}")
         else:
             constants[f"P{inner}_{spec.key}"] = repr("," + key)
-            text = f"P{inner}_{spec.key} + {_text(spec.type, e, inner)}"
-            pieces.append(f'{{{text} if {_set(spec, e, get)} else ""}}')
+            value = f"P{inner}_{spec.key} + {_value(spec, e, inner)}"
+            pieces.append(f'{{{value} if ({e} := {get}) is not None else ""}}')
     opened, body, closed = _literal("{"), "".join(pieces), _literal("\n" + "  " * level + "}")
-    if sure[0]:
+    if _always(fields[0]):
         text = f"f'{opened}{body}{closed}'"
     else:
         text = f"(f'{opened}{{t[1:]}}{closed}' if (t := f'{body}') else '{{}}')"
-    return " and ".join(tests), text
+    return f"{text} if {' and '.join(tests)} else _unwritable(x)"
 
 
 def writer_source(record_type: type, level: int, constants: dict) -> str:
-    """Source of ``write_<name>_<level>(record)``: the record's JSON object
-    at nesting ``level``, its set fields in canonical key order, ``{}`` when
-    none is set.  A scalar field with a default is always set: left out
-    (None), it is written as its default, as the readers read it.  A held
-    record is written by its class's writer in table ``W<level + 1>``, and
-    left out when it sets no field, except by the document (at level 0).  An
-    array is written inline: an entry of an array of flat records in the
-    loop over the array when ``_inline``'s test takes it, any other entry by
-    its class's writer in ``W<level + 2>``."""
+    """Source of ``write_<name>_<level>(r)``: the record's JSON object at
+    nesting ``level``, its fields in canonical key order.  A field a read
+    record always sets (``_always``) is always written; any other when set,
+    but for a held record that sets no field.  An array must be a list; it
+    is written in a loop, each entry of an array of flat records by
+    ``_inline``.  A value of another type fails the write."""
     inner = level + 1
-    objects, entries = f"W{inner}", f"W{inner + 1}"
     # An array at ``inner`` of the texts in ``a``, one entry per line.
     entry = "\n" + "  " * (inner + 1)
     opened, between, closed = repr("[" + entry), repr("," + entry), repr("\n" + "  " * inner + "]")
@@ -347,50 +371,42 @@ def writer_source(record_type: type, level: int, constants: dict) -> str:
     for spec in FIELDS[record_type]:
         head = repr(f"\n{'  ' * inner}{_encode(spec.key)}: ")
         get = f"r.{spec.attr}"
-        if spec.type in _PLAIN and spec.default is not None:
-            lines.append(f"if (v := {get}) is None: v = {spec.default!r}")
-            lines.append(f"parts.append({head} + {_text(spec.type, 'v', inner)})")
-            continue
-        if spec.type in _PLAIN:
-            test, text = _set(spec, "v", get), _text(spec.type, "v", inner)
-        elif spec.type == OBJECT and level == 0:
-            test, text = f"(v := {get}) is not None", f"{objects}[v.__class__](v)"
-        elif spec.type == OBJECT:
-            test = f"(v := {get}) is not None and (t := {objects}[v.__class__](v)) != '{{}}'"
-            text = "t"
-        else:
-            if spec.type == STRS:
-                texts = [f"a = [{_text(STR, 'x', inner + 1)} for x in v]"]
-            elif _flat(spec.record):
-                entry_test, entry_text = _inline(spec.record, inner + 1, constants)
-                texts = [
-                    "a = []",
-                    "for x in v:",
-                    f"    if {entry_test}: a.append({entry_text})",
-                    f"    else: a.append({entries}[x.__class__](x))",
-                ]
+        if spec.type in (STRS, OBJECTS):
+            if spec.type == OBJECTS and _flat(spec.record):
+                text = _inline(spec.record, inner + 1, constants)
             else:
-                texts = [f"a = [{entries}[x.__class__](x) for x in v]"]
-            text = f"({opened} + {between}.join(a) + {closed} if a else '[]')"
-            lines.append(f"if (v := {get}) is not None:")
-            lines += [f"    {line}" for line in (*texts, f"parts.append({head} + {text})")]
-            continue
-        lines.append(f"if {test}: parts.append({head} + {text})")
+                text = _value(spec, "x", inner + 1)
+            lines += [
+                f"if (v := {get}).__class__ is not list: _unwritable(v)",
+                "a = []",
+                "for x in v:",
+                f"    a.append({text})",
+                f"parts.append({head} + ({opened} + {between}.join(a) + {closed} if a else '[]'))",
+            ]
+        elif _always(spec):
+            lines.append(f"parts.append({head} + {_value(spec, 'v', inner, get)})")
+        elif spec.type == OBJECT:
+            test = f"(v := {get}) is not None and (t := {_value(spec, 'v', inner)}) != '{{}}'"
+            lines.append(f"if {test}: parts.append({head} + t)")
+        else:
+            text = _value(spec, "v", inner)
+            lines.append(f"if (v := {get}) is not None: parts.append({head} + {text})")
     close = repr("\n" + "  " * level + "}")
     lines.append(f"return '{{' + ','.join(parts) + {close} if parts else '{{}}'")
     name = f"write_{record_type.__name__}_{level}"
     return f"def {name}(r):\n    " + "\n    ".join(lines)
 
 
-def writers(record_type: type, level: int, levels: dict) -> dict:
-    """``levels``, with the name of each writer by level and record type that
-    the one of ``record_type`` at ``level`` reaches: its own, a held
-    record's one level in, an array entry's two, and so on."""
-    levels.setdefault(level, {})[record_type] = f"write_{record_type.__name__}_{level}"
+def writers(record_type: type, level: int = 0) -> list[tuple[type, int]]:
+    """Each record type, with its nesting level, that has a writer of its
+    own, reached from ``record_type``'s at ``level``: its own, a held
+    record's one level in, an array entry's two, and so on, but an entry of
+    an array of flat records, written inline."""
+    found = [(record_type, level)]
     for spec in FIELDS[record_type]:
-        if spec.type in (OBJECT, OBJECTS):
-            writers(spec.record, level + 1 + (spec.type == OBJECTS), levels)
-    return levels
+        if spec.type == OBJECT or spec.type == OBJECTS and not _flat(spec.record):
+            found += writers(spec.record, level + 1 + (spec.type == OBJECTS))
+    return found
 
 
 # -- field checks -------------------------------------------------------------
@@ -481,7 +497,6 @@ def modules(declared: list[tuple]) -> dict[str, str]:
     """Each module of ``pjo._generated`` by name, as text; ``declared`` lists
     ``methods_source``'s arguments for each slotted class."""
     read, write = {}, {"isoformat": "date.isoformat"}  # each module's constants
-    levels = writers(Bundle, 0, {})
     checked = [record_type for record_type in FIELDS if record_type is not Bundle]
     reporters = {}  # a reporter per set of rules by its key, on documents and on records
     for document, record_types in ((True, FIELDS), (False, checked)):
@@ -505,10 +520,9 @@ def modules(declared: list[tuple]) -> dict[str, str]:
             READERS={t: f"read_{t.__name__}" for t in FIELDS},
         ),
         "writers": _module(
-            "The bundle writers, by nesting level",
+            "The bundle writers",
             write,
-            [writer_source(t, level, write) for level in sorted(levels) for t in levels[level]],
-            **{f"W{level}": types for level, types in sorted(levels.items()) if level},
+            [writer_source(t, level, write) for t, level in writers(Bundle)],
         ),
         "field_problems": _module(
             "The field checks of every record type but the bundle",

@@ -93,7 +93,7 @@ def passes_DiagTest(record):
 
 
 def passes_Diagnosis(record):
-    if ((v := record.diagnosis_name).__class__ is str) and (v) and (v.isascii() or not _SURROGATE(v)) and ((v := record.icd10) is None or (v.__class__ is ConceptCode) and (v.code.__class__ is str) and (v.system is _ICD10 and validate_icd10(v.code))): return True
+    if ((v := record.diagnosis_name).__class__ is str) and (v) and (v.isascii() or not _SURROGATE(v)) and ((v := record.icd10) is None or (v.__class__ is ConceptCode) and (v.code.__class__ is str) and (v.system is _ICD10) and (validate_icd10(v.code))): return True
     return False
 
 
@@ -122,7 +122,7 @@ def passes_Encounter(record):
                     break
                 else:
                     for r1 in a4:
-                        if r1.__class__ is Diagnosis and ((v := r1.diagnosis_name).__class__ is str) and (v) and (v.isascii() or not _SURROGATE(v)) and ((v := r1.icd10) is None or (v.__class__ is ConceptCode) and (v.code.__class__ is str) and (v.system is _ICD10 and validate_icd10(v.code))): continue
+                        if r1.__class__ is Diagnosis and ((v := r1.diagnosis_name).__class__ is str) and (v) and (v.isascii() or not _SURROGATE(v)) and ((v := r1.icd10) is None or (v.__class__ is ConceptCode) and (v.code.__class__ is str) and (v.system is _ICD10) and (validate_icd10(v.code))): continue
                         break
                     else:
                         for r1 in a5:

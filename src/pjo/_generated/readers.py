@@ -137,7 +137,7 @@ def read_DiagTest(o, path, problems):
 
 def read_Diagnosis(o, path, problems):
     if not K_Diagnosis.issuperset(o): _warn_unknown(o, K_Diagnosis, path, problems)
-    if not (((v0_0 := o.get('diagnosisName')).__class__ is str) and (v0_0) and (v0_0.isascii() or not _SURROGATE(v0_0)) and ((v0_1 := o.get('icd10')) is None or (v0_1.__class__ is str) and (v0_1.isascii() or not _SURROGATE(v0_1)) and (c0_1 := ConceptCode(_ICD10, v0_1)) and (c0_1.system is _ICD10 and validate_icd10(c0_1.code)))): return _report_fields(Diagnosis, o, path, problems)
+    if not (((v0_0 := o.get('diagnosisName')).__class__ is str) and (v0_0) and (v0_0.isascii() or not _SURROGATE(v0_0)) and ((v0_1 := o.get('icd10')) is None or (v0_1.__class__ is str) and (v0_1.isascii() or not _SURROGATE(v0_1)) and (c0_1 := ConceptCode(_ICD10, v0_1)) and (validate_icd10(c0_1.code)))): return _report_fields(Diagnosis, o, path, problems)
     return Diagnosis(v0_0, (None if v0_1 is None else c0_1))
 
 
@@ -186,7 +186,7 @@ def read_Encounter(o, path, problems):
     if (v := o.get('diagnoses')).__class__ is list:
         x7 = []
         for e in v:
-            if e.__class__ is dict and K_Diagnosis.issuperset(e) and ((v1_0 := e.get('diagnosisName')).__class__ is str) and (v1_0) and (v1_0.isascii() or not _SURROGATE(v1_0)) and ((v1_1 := e.get('icd10')) is None or (v1_1.__class__ is str) and (v1_1.isascii() or not _SURROGATE(v1_1)) and (c1_1 := ConceptCode(_ICD10, v1_1)) and (c1_1.system is _ICD10 and validate_icd10(c1_1.code))): x7.append(Diagnosis(v1_0, (None if v1_1 is None else c1_1)))
+            if e.__class__ is dict and K_Diagnosis.issuperset(e) and ((v1_0 := e.get('diagnosisName')).__class__ is str) and (v1_0) and (v1_0.isascii() or not _SURROGATE(v1_0)) and ((v1_1 := e.get('icd10')) is None or (v1_1.__class__ is str) and (v1_1.isascii() or not _SURROGATE(v1_1)) and (c1_1 := ConceptCode(_ICD10, v1_1)) and (validate_icd10(c1_1.code))): x7.append(Diagnosis(v1_0, (None if v1_1 is None else c1_1)))
             else:
                 x7 = _read(F_Encounter[7], v, path, problems)
                 break

@@ -6,7 +6,7 @@ any change to ``records.FIELDS``, ``graph.RULES`` or a generator in ``pjo._codeg
 from datetime import date
 from ..codes import ConceptCode, validate_icd10
 from ..graph import FORMAT_VERSION, _DATE_SHAPE, _ICD10, _INT_BOUND, _LINK_KINDS, _SURROGATE, _calendar_day
-from ..records import EdgeKind, check_blood_pressure, check_body_temperature, check_heart_rate, check_weight, check_years_of_experience
+from ..records import EdgeKind, check_blood_pressure, check_body_temperature, check_heart_rate, check_weight, check_years_of_experience, shown
 
 
 def report_string(v, name):
@@ -67,7 +67,7 @@ def report_icd10(v, name):
     if not (v.isascii() or not _SURROGATE(v)): return 'invalid-value', f'{name} holds a lone surrogate'
     kept = ConceptCode(_ICD10, v)
     v = kept
-    if not (v.system is _ICD10 and validate_icd10(v.code)): return 'bad-icd10', f'{v.code!r} is not a valid ICD10 code'
+    if not (validate_icd10(v.code)): return 'bad-icd10', f'{v.code!r} is not a valid ICD10 code'
 
 
 def report_kind_required(v, name):
@@ -141,7 +141,8 @@ def report_memory_number_check_heart_rate(v, name):
 def report_memory_icd10(v, name):
     if not (v is None or v.__class__ is ConceptCode): return 'invalid-type', f'{name} must be a ConceptCode'
     if not (v.code.__class__ is str): return 'invalid-type', f'{name!r} must be a string'
-    if not (v.system is _ICD10 and validate_icd10(v.code)): return 'bad-icd10', f'{v.code!r} is not a valid ICD10 code'
+    if not (v.system is _ICD10): return 'invalid-value', f'{name} must be an ICD10 code, got a code of {shown(v.system)}'
+    if not (validate_icd10(v.code)): return 'bad-icd10', f'{v.code!r} is not a valid ICD10 code'
 
 
 def report_memory_kind_required(v, name):

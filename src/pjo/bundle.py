@@ -73,31 +73,50 @@ class ParseResult(SeverityViews):
 # document the records describe: through Python 3.12 that call takes the
 # pure-Python encoder whenever ``indent`` is set, which is several times
 # slower.  An entry of an array of flat records is written with one f-string
-# in its holder's loop, as the reader reads it there.
+# in its holder's loop, as the reader reads it there.  Each value has one
+# way out, its type's text: a value the checker's type rules refuse fails
+# the write (``_unwritable``).
 
 # The string encoder ``json.dumps`` uses with ``ensure_ascii=False``: C code
 # where the interpreter has it.
 _encode = json.encoder.encode_basestring
-_INFINITY = float("inf")
 
 
 @guarded("patient_id", providers=True)
 def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     """Render one patient's journey as a canonical bundle document.
 
-    A write that fails on a damaged graph raises the checker's problem with
-    the records and links written, every provider included (see
-    ``graph.guarded``).
+    The bundle's scope is the patient's records and links, and every
+    provider.  A graph the checker rejects in that scope is never written
+    as another, valid bundle: the write fails with the checker's problem
+    (see ``graph.guarded``), or its text is one ``parse_bundle`` refuses.
+    The one exception is an ownership entry naming no stored record, which
+    a bundle has nowhere to hold.
     """
     patient = graph.patients.get(patient_id)
     if patient is None:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
+    providers, forms, index = graph.providers, graph.intake_forms, graph._owners()
+    form_ids = [key for key in index.forms.get(patient_id, ()) if key in forms]
+    if len(form_ids) > 1:
+        raise ValueError("a bundle holds one intake form")
+    rows = graph._date_rows(index.encounters.get(patient_id, []))
+    encounters = [encounter for _, key, encounter in rows if encounter.encounter_id == key]
+    # A record stored under a key other than its ID would be written, and
+    # read back, under its ID.
+    if (
+        patient.patient_id != patient_id
+        or any(forms[key].intake_form_id != key for key in form_ids)
+        or any(providers[key].provider_id != key for key in providers)
+        or len(encounters) < len(rows)
+    ):
+        raise ValueError("a record's ID differs from its key")
     document = Bundle(
         FORMAT_VERSION,
         patient,
-        [graph.providers[pid] for pid in sorted(graph.providers)],
-        graph.intake_form_of(patient_id),
-        graph.encounters_of(patient_id),
+        [providers[key] for key in sorted(providers)],
+        forms[form_ids[0]] if form_ids else None,
+        encounters,
         graph.edges_of(patient_id),
     )
     from ._generated.writers import write_Bundle_0
@@ -106,23 +125,9 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     return write_Bundle_0(document) + "\n"
 
 
-def _scalar(value, level: int) -> str:
-    """A field value at nesting ``level``, as ``json.dumps`` writes it."""
-    kind = value.__class__
-    if kind is str:
-        return _encode(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    # Anything else a record was given directly: json.dumps itself, indented.
-    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
+def _unwritable(value):
+    """Fail the write of ``value``, which the checker's type rules refuse."""
+    raise TypeError(f"a {value.__class__.__name__} cannot be written here")
 
 
 # -- parsing --------------------------------------------------------------

@@ -63,6 +63,10 @@ class ConceptCode:
     code: str
 
     def is_valid(self) -> bool:
+        """Whether the code has its system's shape; False for a code that is
+        not a ``str``, under every system, as the graph checker refuses one."""
+        if self.code.__class__ is not str:
+            return False
         if self.system is CodeSystem.UMLS_CUI:
             return validate_cui(self.code)
         if self.system is CodeSystem.ICD10:

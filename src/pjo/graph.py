@@ -204,8 +204,9 @@ RULES = {
             # A code held in memory is a string, as the reader makes every
             # one; the problem is worded as the reader words it.
             ("v.code.__class__ is str", INVALID_TYPE, "{name!r} must be a string", MEMORY),
-            ("v.system is _ICD10 and validate_icd10(v.code)",
-             BAD_ICD10, "{v.code!r} is not a valid ICD10 code", VALUE)),
+            ("v.system is _ICD10", INVALID_VALUE,
+             "{name} must be an ICD10 code, got a code of {shown(v.system)}", MEMORY),
+            ("validate_icd10(v.code)", BAD_ICD10, "{v.code!r} is not a valid ICD10 code", VALUE)),
     KIND: (*_text("v.__class__ is EdgeKind", "an EdgeKind"),
            ("_LINK_KINDS.get(v)",
             INVALID_VALUE, "link kind must be one of {sorted(_LINK_KINDS)}, got {v!r}", READ)),
@@ -931,11 +932,21 @@ class JourneyGraph:
 
     def type_error(self, error: Exception, named: list | None, providers: bool = False):
         """Raise, from ``error``, ``FieldInvalidError`` for the first
-        ``invalid-type`` error of ``check_invariants()`` in a read's scope, or
-        failing that its first ``field-invalid`` one (a required value left
-        out), or its first ``invalid-value`` one (such as an integer too long
-        to write), worded ``"<location>: <message>"``; else ``error`` itself.  What
-        a ``guarded`` read raises when a damaged graph made it fail.
+        ``invalid-type`` error of ``check_invariants()`` in a read's scope
+        (see ``_scope_errors``), or failing that its first ``field-invalid``
+        one (a required value left out), or its first ``invalid-value`` one
+        (such as an integer too long to write), worded ``"<location>:
+        <message>"``; else ``error`` itself.  What a ``guarded`` read raises
+        when a damaged graph made it fail."""
+        errors = self._scope_errors(named, providers)
+        for wanted in (INVALID_TYPE, FIELD_INVALID, INVALID_VALUE):
+            for diagnostic in errors:
+                if diagnostic.code == wanted:
+                    raise FieldInvalidError(f"{diagnostic.location}: {diagnostic.message}") from error
+        raise error
+
+    def _scope_errors(self, named: list | None, providers: bool = False) -> list[Diagnostic]:
+        """The errors of ``check_invariants()`` in a read's scope, in order.
 
         The scope holds the IDs ``named``: a patient with its intake forms,
         encounters and links (those of ``edges_of``), and an encounter with
@@ -968,11 +979,7 @@ class JourneyGraph:
                 head = head.rpartition(".")[0]
             if head in heads:
                 errors.append(diagnostic)
-        for wanted in (INVALID_TYPE, FIELD_INVALID, INVALID_VALUE):
-            for diagnostic in errors:
-                if diagnostic.code == wanted:
-                    raise FieldInvalidError(f"{diagnostic.location}: {diagnostic.message}") from error
-        raise error
+        return errors
 
     def _check_joins(self) -> ValidationReport:
         """The join pass: ``check_invariants`` without the field rules.

@@ -30,6 +30,7 @@ from datetime import date
 from pjo import EdgeKind, JourneyEdge, JourneyGraph
 from pjo._codegen import field_rules
 from pjo._generated import field_problems as checks
+from pjo._generated import reporters
 from pjo.bundle import FORMAT_VERSION
 from pjo.dot import STYLE_TABLE
 from pjo.errors import (
@@ -677,7 +678,7 @@ def field_problems_by_report(record) -> list[tuple[str, str, str]]:
     if record_type not in _REPORTERS:
         lines = ["problems = []", *rule_lines(record_type, "record", "", 0), "return problems"]
         source = "def problems(record):\n    " + "\n    ".join(lines)
-        scope = dict(vars(checks))
+        scope = {**vars(reporters), **vars(checks)}  # the names the messages use too
         exec(compile(source, f"<{record_type.__name__} report>", "exec"), scope)
         _REPORTERS[record_type] = scope["problems"]
     return _REPORTERS[record_type](record)

@@ -1,5 +1,6 @@
 import string
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,10 @@ from pjo import (
     validate_fhir_label,
     validate_icd10,
 )
+
+class Code(str):
+    """A string of another class, which no string field of a record takes."""
+
 
 UPPER_ALNUM = set(string.ascii_uppercase + string.digits)
 
@@ -116,6 +121,17 @@ class TestConceptCode:
         assert not ConceptCode(CodeSystem.ICD10, "C0030705").is_valid()
         assert ConceptCode(CodeSystem.FHIR_LABEL, "Encounter").is_valid()
         assert not ConceptCode(CodeSystem.FHIR_LABEL, "two words").is_valid()
+
+    @pytest.mark.parametrize("system", list(CodeSystem))
+    @pytest.mark.parametrize(
+        "code", [5, None, b"I10", 3.5, ["I10"], 10**5000, Code("I10"), Code("C0030705")],
+        ids=["int", "None", "bytes", "float", "list", "huge", "str-subclass", "str-subclass-cui"],
+    )
+    def test_a_code_that_is_not_a_string_is_not_valid(self, system, code):
+        """Under every system, as the graph checker refuses one: such a code
+        once made ``is_valid`` raise ``TypeError`` under a code system whose
+        pattern it reached."""
+        assert ConceptCode(system, code).is_valid() is False
 
     def test_hashable_identity(self):
         first = ConceptCode(CodeSystem.UMLS_CUI, "C0030705")

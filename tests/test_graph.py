@@ -37,7 +37,6 @@ from pjo import (
 from pjo import codes
 from pjo import graph as graph_module
 from pjo.graph import (
-    BAD_ICD10,
     CROSS_PATIENT_LINK,
     CYCLE,
     DANGLING_REFERENCE,
@@ -45,6 +44,7 @@ from pjo.graph import (
     DUPLICATE_EDGE,
     FIELD_INVALID,
     INVALID_TYPE,
+    INVALID_VALUE,
     JOURNEY_GAP,
     SELF_LINK,
     TEMPORAL_VIOLATION,
@@ -624,16 +624,17 @@ class TestCheckInvariants:
     @pytest.mark.parametrize(
         "system, code", [(CodeSystem.UMLS_CUI, "C0020538"), (CodeSystem.FHIR_LABEL, "E11")]
     )
-    def test_a_code_of_another_system_is_a_bad_icd10(self, system, code):
+    def test_a_code_of_another_system_is_refused_for_its_system(self, system, code):
         """Even one shaped like an ICD-10 code, which a bundle would read
-        back as a code of the ICD-10 system."""
+        back as a code of the ICD-10 system.  It was once reported as
+        ``bad-icd10``, a code of the wrong shape, whatever its shape."""
         graph = small_graph(n_encounters=1)
         diagnosis = Diagnosis("Hypertension", ConceptCode(system, code))
         graph.encounters["P1-E1"].diagnoses.append(diagnosis)
         bad = [(d.location, d.message) for d in graph.check_invariants().errors]
-        message = f"{code!r} is not a valid ICD10 code"
+        message = f"icd10 must be an ICD10 code, got a code of {system!r}"
         assert bad == [("encounters[P1-E1].diagnoses[0].icd10", message)]
-        assert codes_of(graph.check_invariants(), "error") == [BAD_ICD10]
+        assert codes_of(graph.check_invariants(), "error") == [INVALID_VALUE]
 
     def test_a_left_out_birth_date_is_reported(self):
         graph = small_graph()
@@ -748,7 +749,8 @@ class TestCheckInvariants:
         graph.patients["P1"].patient_name = 5
         bad = [(d.code, d.location, d.message) for d in graph.check_invariants().errors]
         assert bad == [(INVALID_TYPE, "patients[P1].patientName", "patientName must be a string")]
-        assert not parse_bundle(serialize_bundle(graph, "P1")).ok
+        with pytest.raises(FieldInvalidError, match=r"^patients\[P1\]\.patientName: patientName"):
+            serialize_bundle(graph, "P1")
         with pytest.raises(FieldInvalidError, match="patientName must be a string"):
             JourneyGraph().add_patient(Patient("P2", 5, date(1980, 1, 1)))
 

@@ -246,7 +246,9 @@ class TestStoredIDsMatchTheirKeys:
             (FIELD_INVALID, f"encounters[{key}].encounterID")
         ]
         assert errors[0].message == f"encounterID 'Other' differs from its key {key!r}"
-        assert not parse_bundle(serialize_bundle(graph, "JohnDoe")).ok
+        with pytest.raises(FieldInvalidError) as raised:
+            serialize_bundle(graph, "JohnDoe")
+        assert str(raised.value) == f"encounters[{key}].encounterID: {errors[0].message}"
 
     def test_renamed_patient_provider_and_intake_form(self):
         graph = john_doe_graph()
@@ -303,17 +305,16 @@ class TestLookupsGoByKey:
             (FIELD_INVALID, f"encounters[{key}].encounterID"),
         ]
 
-    def test_serialized_under_the_ids_the_links_miss(self):
-        graph, key, _ = self.renamed()
-        document = json.loads(serialize_bundle(graph, "JohnDoe"))
-        assert document["intakeForm"]["intakeFormID"] == "IntakeForm-JohnDoe"
-        assert [e["encounterID"] for e in document["encounters"]][1] == "Encounter-Other"
-        result = parse_bundle(json.dumps(document))
-        assert not result.ok
-        assert [(d.code, d.location) for d in result.errors] == [
-            ("reference-error", "links[0].from"),
-            ("reference-error", "links[2].from"),
-        ]
+    def test_not_serialized_under_the_ids_the_links_miss(self):
+        """Such records were once written under their IDs, which the links
+        miss; the write now fails with the checker's first problem."""
+        graph, _, _ = self.renamed()
+        with pytest.raises(FieldInvalidError) as raised:
+            serialize_bundle(graph, "JohnDoe")
+        assert str(raised.value) == (
+            "intakeForms[IntakeForm-Key].intakeFormID: "
+            "intakeFormID 'IntakeForm-JohnDoe' differs from its key 'IntakeForm-Key'"
+        )
 
     def test_same_day_encounters_are_ordered_by_key(self):
         graph = JourneyGraph()

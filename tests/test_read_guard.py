@@ -22,7 +22,7 @@ import contextlib
 import copy
 import random
 import re
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,7 @@ from pjo import (
     JourneyGraph,
     Patient,
     PjoError,
+    Provider,
     Symptom,
     TemporalViolationError,
     UnknownEncounterError,
@@ -359,29 +360,119 @@ def test_an_encounter_with_such_a_code_is_refused_with_its_problem(john_graph, c
     assert "E-new" not in john_graph.encounters
 
 
-@pytest.mark.parametrize("code, written", [(5, "5"), (3.5, "3.5"), (["I10"], "[")])
-def test_a_written_code_that_is_not_a_string_is_refused_where_the_checker_reports_it(
-    john_graph, code, written
-):
-    """``serialize_bundle`` writes such a code as ``json.dumps`` would; the
-    parser refuses what it wrote with the checker's problem, at the same field."""
+@pytest.mark.parametrize("code", NOT_STRING_CODES, ids=NOT_STRING_IDS)
+def test_a_code_the_writer_cannot_write_raises_the_checkers_problem(john_graph, code):
+    """The writer writes a code only if it is a string.  It once wrote ``5``,
+    ``3.5`` and ``["I10"]`` as ``json.dumps`` would, and left out a code of
+    None, so the parser read back another, valid bundle; it failed on
+    ``b"I10"`` and ``10**5000``, where the guard once raised the checker's own
+    bare ``TypeError``."""
     john_graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(_coded(code))
     checked = [(d.code, d.location, d.message) for d in john_graph.check_invariants().errors]
     assert checked == [("invalid-type", f"{ALLERGY}.diagnoses[1].icd10", NOT_A_STRING)]
-    text = serialize_bundle(john_graph, JOHN_DOE_ID)
-    assert f'"icd10": {written}' in text
-    parsed = [(d.code, d.location, d.message) for d in parse_bundle(text).problems]
-    assert parsed == [("invalid-type", "encounters[2].diagnoses[1].icd10", NOT_A_STRING)]
-
-
-@pytest.mark.parametrize("code", [b"I10", HUGE], ids=["bytes", "huge"])
-def test_a_code_the_writer_cannot_write_raises_the_checkers_problem(john_graph, code):
-    """The writer fails on such a code, and the guard once raised the
-    checker's own bare ``TypeError``."""
-    john_graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(_coded(code))
     with pytest.raises(FieldInvalidError) as raised:
         serialize_bundle(john_graph, JOHN_DOE_ID)
     assert str(raised.value) == f"{ALLERGY}.diagnoses[1].icd10: {NOT_A_STRING}"
+
+
+class Name(str):
+    """A string of another class, which no string field takes."""
+
+
+def _renamed_intake_form(graph):
+    graph.intake_forms["IntakeForm-JohnDoe"].intake_form_id = "Other"
+
+
+def _unseen_provider(graph):
+    graph.providers["Provider-Unseen"] = Provider("Other", "Dr. Other")
+
+
+def _unlinked_encounter(graph):
+    """A new encounter, which no link names, renamed once it is stored."""
+    graph.add_encounter(JOHN_DOE_ID, Encounter("E-new", date(2022, 6, 1), "Allergy",
+                                               "Provider-Allergy"))  # fmt: skip
+    graph.encounters["E-new"].encounter_id = "Other"
+
+
+def _relinked(kind):
+    def damage(graph):
+        edge = graph.edges[0]
+        graph.edges[0] = JourneyEdge(kind, edge.from_encounter, edge.to_encounter)
+
+    return damage
+
+
+def _set(where, attr, value):
+    def damage(graph):
+        table, key, *path = where
+        record = getattr(graph, table)[key]
+        for step in path:
+            record = getattr(record, step)
+        setattr(record, attr, value)
+
+    return damage
+
+
+def _coded_by(system):
+    def damage(graph):
+        graph.encounters[ENCOUNTER_ALLERGY].diagnoses.append(_coded("I10", system))
+
+    return damage
+
+
+PATIENT = f"patients[{JOHN_DOE_ID}]"
+HISTORY = "intakeForms[IntakeForm-JohnDoe].medicalHistory"
+SYMPTOMS = f"{ALLERGY}.symptoms: symptoms must be a list"
+OTHER_SYSTEM = "icd10 must be an ICD10 code, got a code of "
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (_set(("patients", JOHN_DOE_ID), "birth_date", datetime(1980, 5, 1)),
+         f"{PATIENT}.birthDate: birthDate must be a date"),
+        (_set(("patients", JOHN_DOE_ID), "patient_name", Name("John Doe")),
+         f"{PATIENT}.patientName: patientName must be a string"),
+        (_relinked("next"), "links[0].kind: kind must be an EdgeKind"),
+        (_set(("encounters", ENCOUNTER_ALLERGY), "symptoms", None), SYMPTOMS),
+        (_set(("encounters", ENCOUNTER_ALLERGY), "symptoms", (Symptom("Sneezing", "mild"),)),
+         SYMPTOMS),
+        (_set(("intake_forms", "IntakeForm-JohnDoe", "medical_history"), "had_surgery", "ab"),
+         f"{HISTORY}.hadSurgery: hadSurgery must be a list"),
+        (_set(("intake_forms", "IntakeForm-JohnDoe", "medical_history"), "had_surgery",
+              {"a": 1}), f"{HISTORY}.hadSurgery: hadSurgery must be a list"),
+        (_set(("intake_forms", "IntakeForm-JohnDoe", "medical_history"), "had_surgery",
+              frozenset("a")), f"{HISTORY}.hadSurgery: hadSurgery must be a list"),
+        (_coded_by(CodeSystem.UMLS_CUI),
+         f"{ALLERGY}.diagnoses[1].icd10: {OTHER_SYSTEM}<CodeSystem.UMLS_CUI: 'UMLS_CUI'>"),
+        (_coded_by("ICD10"), f"{ALLERGY}.diagnoses[1].icd10: {OTHER_SYSTEM}'ICD10'"),
+        (_set(("patients", JOHN_DOE_ID), "patient_id", "Other"),
+         f"{PATIENT}.patientID: patientID 'Other' differs from its key 'JohnDoe'"),
+        (_renamed_intake_form, "intakeForms[IntakeForm-JohnDoe].intakeFormID: "
+         "intakeFormID 'Other' differs from its key 'IntakeForm-JohnDoe'"),
+        (_unseen_provider, "providers[Provider-Unseen].providerID: "
+         "providerID 'Other' differs from its key 'Provider-Unseen'"),
+        (_unlinked_encounter,
+         "encounters[E-new].encounterID: encounterID 'Other' differs from its key 'E-new'"),
+    ],
+    ids=[
+        "datetime birth date", "str subclass name", "plain string kind", "None array",
+        "tuple array", "string array", "dict array", "frozenset array", "UMLS code",
+        "string system", "patient ID", "intake form ID", "provider ID", "encounter ID",
+    ],
+)  # fmt: skip
+def test_a_graph_the_checker_rejects_is_not_written_as_another_bundle(john_graph, damage, problem):
+    """Each of these graphs was once written as a bundle the parser accepts:
+    a value the writer took for its type's (a ``datetime`` as its date, a
+    plain string as its link kind, any iterable as an array, a code of any
+    system as an ICD-10 code), or a record written under an ID that differs
+    from its key.  The write now fails with the checker's first problem."""
+    damage(john_graph)
+    errors = [f"{d.location}: {d.message}" for d in john_graph.check_invariants().errors]
+    assert errors[:1] == [problem]
+    with pytest.raises(FieldInvalidError) as raised:
+        serialize_bundle(john_graph, JOHN_DOE_ID)
+    assert str(raised.value) == problem
 
 
 def test_keys_of_two_types_on_one_day_are_put_in_date_order(john_graph):
@@ -554,3 +645,31 @@ def test_a_graph_the_checker_accepts_round_trips(graph):
         result = parse_bundle(data)
         assert result.ok, result.diagnostics
         assert serialize_bundle(result.graph, patient_id).encode("utf-8") == data
+
+
+STRAY = "ownership entry references missing "  # the checker's words for a stray entry
+
+
+@given(graph=damaged_graphs())
+@settings(max_examples=300, deadline=None)
+def test_the_writer_and_the_parser_agree_with_the_checker(graph):
+    """Of each patient under a string key, the writer writes a bundle the
+    parser accepts exactly when the checker finds no error in the write's
+    scope: the patient's records and links, and every provider, as the
+    guard scopes a failed write.  A write that fails raises the checker's
+    problem, never a bare exception.  A graph the checker rejected was once
+    written as another, valid bundle: an array held as a tuple or a string,
+    a code of another system, a record whose ID differs from its key.
+
+    One kind of error is left out: an ownership entry naming a record that
+    is not stored, which a bundle has nowhere to hold, so no parse of one
+    can see it."""
+    for patient_id in [key for key in graph.patients if key.__class__ is str]:
+        try:
+            text = serialize_bundle(graph, patient_id)
+        except FieldInvalidError:
+            continue
+        errors = [d for d in graph._scope_errors([patient_id], providers=True)
+                  if not d.message.startswith(STRAY)]  # fmt: skip
+        result = parse_bundle(text)
+        assert result.ok == (not errors), (errors, result.problems)
