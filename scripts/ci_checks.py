@@ -238,6 +238,26 @@ def the_raising_api_keeps_one_owner_index():
     assert edge._values() == values and edge == pjo.JourneyEdge(*values), edge
 
 
+def a_redated_encounter_reorders_the_next_read():
+    """The owner index remembers each patient's date order and checks it on
+    every read: after an encounter is redated through its record, a write
+    the graph does not count, the next read sorts again and gives the
+    order a fresh graph gives; the read after it uses that order."""
+    from datetime import date
+
+    import pjo
+
+    journey_graph = pjo.john_doe_graph()
+    first = [e.encounter_id for e in journey_graph.encounters_of("JohnDoe")]
+    journey_graph.encounters[first[0]].date = date(2023, 1, 1)
+    fresh = pjo.JourneyGraph(**{a: getattr(journey_graph, a) for a in journey_graph._attrs})
+    want = fresh.encounters_of("JohnDoe")
+    for _ in range(2):
+        read = journey_graph.encounters_of("JohnDoe")
+        assert [id(e) for e in read] == [id(e) for e in want], (read, want)
+    assert [e.encounter_id for e in read] == first[1:] + first[:1], read
+
+
 SEED = "seed"
 # Each check by name, with what it reads on standard input.
 CHECKS = {
@@ -254,6 +274,7 @@ CHECKS = {
         (a_parse_leaves_the_collector_as_it_was, SEED),
         (a_huge_blood_pressure_is_reported, SEED),
         (the_raising_api_keeps_one_owner_index, None),
+        (a_redated_encounter_reorders_the_next_read, None),
     ]
 }
 

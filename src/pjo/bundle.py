@@ -100,15 +100,15 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     form_ids = [key for key in index.forms.get(patient_id, ()) if key in forms]
     if len(form_ids) > 1:
         raise ValueError("a bundle holds one intake form")
-    rows = graph._date_rows(index.encounters.get(patient_id, []))
-    encounters = [encounter for _, key, encounter in rows if encounter.encounter_id == key]
+    keys, stored = graph._ordered(patient_id)
+    encounters = [encounter for key, encounter in zip(keys, stored) if encounter.encounter_id == key]
     # A record stored under a key other than its ID would be written, and
     # read back, under its ID.
     if (
         patient.patient_id != patient_id
         or any(forms[key].intake_form_id != key for key in form_ids)
         or any(providers[key].provider_id != key for key in providers)
-        or len(encounters) < len(rows)
+        or len(encounters) < len(stored)
     ):
         raise ValueError("a record's ID differs from its key")
     document = Bundle(

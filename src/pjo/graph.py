@@ -14,6 +14,7 @@ import functools
 import re
 from datetime import date
 from enum import Enum
+from operator import attrgetter, is_
 
 from .codes import CodeSystem, duplicate_cuis
 from .errors import (
@@ -588,6 +589,7 @@ _COUNTED_FIELDS = {
     "intake_form_owner": CountedDict,
     "edges": CountedList,
 }
+_DATE = attrgetter("date")  # so a remembered date order is checked without a Python loop
 
 
 class _OwnerIndex:
@@ -596,7 +598,10 @@ class _OwnerIndex:
     ``encounters`` and ``forms`` map an owner to the keys it owns, in
     ``encounter_owner`` and ``intake_form_owner`` order; ``edges`` maps a
     patient to the links whose two ends it owns, in storage order; ``loose``
-    holds both ends of every other link.  Record fields are never copied.
+    holds both ends of every other link.  ``orders`` remembers, for an owner
+    read in date order, its stored keys and their dates in (date, key)
+    order; ``JourneyGraph._ordered`` checks each date against the live
+    record on every read, so no record field is trusted unread.
     The index matches the graph while the three containers are the ones it
     was built from, with the write counts it holds for them.
     ``add_encounter``, ``add_intake_form`` and ``link`` update it in place:
@@ -607,7 +612,7 @@ class _OwnerIndex:
     """
 
     __slots__ = (
-        "encounters", "forms", "edges", "loose", "containers",
+        "encounters", "forms", "edges", "loose", "orders", "containers",
         "owner_writes", "form_owner_writes", "edge_writes",
     )  # fmt: skip
 
@@ -633,6 +638,8 @@ class _OwnerIndex:
                 self.edges.setdefault(owner, []).append(edge)
             else:
                 self.loose.update((start, end))
+        # owner -> (dates, keys): two parallel tuples in (date, key) order
+        self.orders: dict[str, tuple[tuple[date, ...], tuple]] = {}
         owners, form_owners, edges = graph.encounter_owner, graph.intake_form_owner, graph.edges
         self.containers = owners, form_owners, edges
         self.owner_writes = owners.writes
@@ -671,8 +678,11 @@ class JourneyGraph:
     ``encounters_of``, ``edges_of``, ``intake_form_of`` and ``link`` cost
     O(the patient's records), and go by container key: a patient's
     encounters are the records stored under the keys ``encounter_owner``
-    gives that patient.  Records themselves are read live, never indexed;
-    they are slotted, without ``__dict__``.
+    gives that patient.  The index also remembers each patient's
+    encounters in (date, key) order, and checks that order against the live
+    records on every read: the record under each key must hold the very
+    ``date`` object the order was built from.  A read whose check fails
+    sorts again.  Records are slotted, without ``__dict__``.
     """
 
     __slots__ = ("_index",)
@@ -774,6 +784,7 @@ class JourneyGraph:
             owners.writes += 1
             index.owner_writes += 1
             index.encounters.setdefault(patient_id, []).append(key)
+            index.orders.pop(patient_id, None)
         else:
             owners[key] = patient_id
 
@@ -872,20 +883,53 @@ class JourneyGraph:
             rows.sort(key=lambda row: (row[0], _key_order(row[1])))
         return rows
 
+    def _ordered(self, owner_id) -> tuple[tuple, list[Encounter]]:
+        """The keys the owner owns that hold a stored record, and a fresh
+        list of those records, in (date, key) order: ``_date_rows`` of the
+        owner's keys.
+
+        The owner index remembers the order it last built for the owner,
+        as its dates and keys.  That order is kept while each key still
+        holds a record whose date is the very ``date`` object remembered
+        for it: the (date, key) pairs are then those of the build, so a
+        fresh sort would give the same order of the live records.  A check
+        that fails, or raises, builds the order again, raising as
+        ``_date_rows`` does.  An order is remembered only when every owned
+        key holds a record, so a record stored later under an owned key is
+        never missed."""
+        index = self._owners()
+        order = index.orders.get(owner_id)
+        if order is not None:
+            days, keys = order
+            try:
+                records = list(map(self.encounters.get, keys))
+                if all(map(is_, map(_DATE, records), days)):
+                    return keys, records
+            except Exception:  # the rebuild raises what it must
+                pass
+        owned = index.encounters.get(owner_id, ())
+        if not owned:
+            return (), []
+        rows = self._date_rows(owned)
+        days, keys, records = zip(*rows) if rows else ((), (), ())
+        if len(rows) == len(owned):
+            index.orders[owner_id] = days, keys
+        return keys, list(records)
+
     def encounters_of(self, patient_id: str) -> list[Encounter]:
         """The encounters stored under the patient's keys in
         ``encounter_owner``, ordered by (date, key).  Raises
         ``FieldInvalidError`` if one of their dates is not a ``date``."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
-        return [e for _, _, e in self._date_rows(self._owners().encounters.get(patient_id, []))]
+        return self._ordered(patient_id)[1]
 
     def encounters_by_owner(self) -> dict[str, list[Encounter]]:
         """Owned encounters grouped by owner ID, each group ordered as in
         ``encounters_of``; owners without a stored encounter are left out."""
         groups = {}
-        for owner, keys in self._owners().encounters.items():
-            group = [encounter for _, _, encounter in self._date_rows(keys)]
+        for owner in self._owners().encounters:
+            group = self._ordered(owner)[1]
             if group:
                 groups[owner] = group
         return groups
@@ -1156,13 +1200,12 @@ class JourneyGraph:
 
     def _check_gaps(self, report: ValidationReport) -> None:
         linked = {(edge.from_encounter, edge.to_encounter) for edge in keyed_edges(self.edges)}
-        by_owner = self._owners().encounters
         for patient_id in _sorted_keys(self.patients):
             try:
-                rows = self._date_rows(by_owner.get(patient_id, ()))
+                records = self._ordered(patient_id)[1]
             except FieldInvalidError:
                 continue  # encounters that cannot be put in date order (see ``_dated``)
-            for (_, _, earlier), (_, _, later) in zip(rows, rows[1:]):
+            for earlier, later in zip(records, records[1:]):
                 first, second = earlier.encounter_id, later.encounter_id
                 if first.__class__ is not str or second.__class__ is not str:
                     continue  # an ID that broke its type rule, which reported it, names no link

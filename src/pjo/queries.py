@@ -234,13 +234,17 @@ def find_encounters(
         candidates = graph.encounters_of(patient_id)
     else:
         candidates = [e for _, _, e in graph._date_rows(list(graph.encounters))]
+    if not candidates:
+        return []  # whatever the filters hold: none is read
+    # Each name filter folded once, not once per encounter or diagnosis.
+    wanted_specialty = specialty.casefold() if specialty is not None else None
+    wanted_diagnosis = diagnosis_name.casefold() if diagnosis_name is not None else None
     matches = []
     for encounter in candidates:
-        if specialty is not None and encounter.specialty.casefold() != specialty.casefold():
+        if wanted_specialty is not None and encounter.specialty.casefold() != wanted_specialty:
             continue
-        if diagnosis_name is not None and not any(
-            d.diagnosis_name.casefold() == diagnosis_name.casefold()
-            for d in encounter.diagnoses
+        if wanted_diagnosis is not None and not any(
+            d.diagnosis_name.casefold() == wanted_diagnosis for d in encounter.diagnoses
         ):
             continue
         if date_from is not None and encounter.date < date_from:

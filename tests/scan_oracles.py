@@ -97,11 +97,17 @@ def _known(graph: JourneyGraph, patient_id: str) -> None:
 
 
 def _owned_encounters(graph: JourneyGraph, owner: str) -> list[Encounter]:
+    """Raises ``FieldInvalidError`` for the first owned record, in
+    ``encounter_owner`` order, whose date is not a ``date``."""
     owned = [
-        (encounter.date, key, encounter)
-        for key, encounter in graph.encounters.items()
-        if graph.encounter_owner.get(key) == owner
+        (graph.encounters[key].date, key, graph.encounters[key])
+        for key, owned_by in graph.encounter_owner.items()
+        if owned_by == owner and key in graph.encounters
     ]
+    for day, key, encounter in owned:
+        if day.__class__ is not date:
+            message = next(p[2] for p in field_problems(encounter) if p[0] == "date")
+            raise FieldInvalidError(f"encounters[{key}].date: {message}")
     return [encounter for _, _, encounter in sorted(owned, key=lambda item: item[:2])]
 
 
@@ -134,7 +140,11 @@ def intake_form_of_by_scan(graph: JourneyGraph, patient_id: str) -> IntakeForm |
 
 
 def encounters_by_owner_by_scan(graph: JourneyGraph) -> dict[str, list[Encounter]]:
-    owners = {graph.encounter_owner[key] for key in graph.encounters if key in graph.encounter_owner}
+    """Owners in ``encounter_owner`` order, so that the first group that
+    raises is the one ``encounters_by_owner`` raises for."""
+    owners = dict.fromkeys(
+        owner for owner in graph.encounter_owner.values() if owner.__class__ is str
+    )
     return {owner: _owned_encounters(graph, owner) for owner in owners}
 
 
@@ -323,7 +333,8 @@ def checked_link(graph: JourneyGraph, edge: JourneyEdge, whole_graph: bool = Tru
     With ``whole_graph`` the cycle check runs Kahn over every stored link.
     Without it, over the scope ``link`` documents, found by scanning: for a
     link between two encounters of one day, the stored links whose two
-    ends the same patient owns and which are both stored on that day.
+    ends the same patient owns and which are both stored on that day.  An
+    end whose date is not a ``date`` is not checked against the other's.
     """
     kind, from_encounter, to_encounter = edge.kind, edge.from_encounter, edge.to_encounter
     source = graph.encounters.get(from_encounter)
@@ -339,7 +350,8 @@ def checked_link(graph: JourneyGraph, edge: JourneyEdge, whole_graph: bool = Tru
         raise CrossPatientLinkError(
             f"{kind.value} link {from_encounter!r} -> {to_encounter!r} crosses patients"
         )
-    if not edge_dates_consistent(kind, source.date, target.date):
+    dated = source.date.__class__ is date and target.date.__class__ is date
+    if dated and not edge_dates_consistent(kind, source.date, target.date):
         raise TemporalViolationError(
             f"{kind.value} link {from_encounter!r} -> {to_encounter!r} contradicts "
             f"encounter dates {source.date.isoformat()} and {target.date.isoformat()}"

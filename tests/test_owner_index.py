@@ -7,7 +7,9 @@ writes the graph: its own API, direct writes through every mutating method
 of those containers, replaced containers, deep copies, and writes to the
 containers and record fields the index never reads.  After every step each
 lookup, and the checker's report, must equal the plain scans in
-``scan_oracles``.
+``scan_oracles``.  The index also remembers each patient's date order, which
+a read checks against the records: every patient is read twice, and the
+uncounted writes redate encounters in every way that check must follow.
 
 The index is also cheap to keep: building a graph through the API builds it
 once, and one direct write costs one rebuild.  The API's own writes are
@@ -20,7 +22,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from datetime import date, timedelta
+from datetime import date, datetime, time, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -38,14 +40,16 @@ from pjo import (
     Provider,
     SocialHistory,
     john_doe_graph,
+    parse_bundle,
     serialize_bundle,
     to_dot,
 )
 from pjo import graph as graph_module
-from pjo.errors import CycleIntroducedError, DuplicateEdgeError, PjoError
+from pjo.errors import CycleIntroducedError, DuplicateEdgeError, FieldInvalidError, PjoError
 from pjo.graph import CountedDict, CountedList
-from pjo.queries import cause_trace, followup_chain, timeline
+from pjo.queries import cause_trace, find_encounters, followup_chain, timeline
 from pjo.records import KIND_TEXT
+from pjo.seed import john_doe_bundle
 from scan_oracles import (
     add_intake_form_by_scan,
     assert_checker_matches_the_scans,
@@ -132,7 +136,9 @@ def start_graph(stray: bool = False) -> JourneyGraph:
 
 
 def assert_lookups_match_the_scans(graph: JourneyGraph) -> None:
-    for patient_id in OWNERS:
+    # Each patient read twice: the second read checks the date order the
+    # first one remembered.
+    for patient_id in OWNERS * 2:
         for indexed, scan in (
             (graph.encounters_of, encounters_of_by_scan),
             (graph.edges_of, edges_of_by_scan),
@@ -152,16 +158,16 @@ def assert_lookups_match_the_scans(graph: JourneyGraph) -> None:
             ):
                 expected = _identities(_outcome(lambda: scan(graph, key)))
                 assert _identities(_outcome(lambda: query(graph, key))) == expected
-    groups = {owner: [id(e) for e in group] for owner, group in graph.encounters_by_owner().items()}
-    expected = {
-        owner: [id(e) for e in group]
-        for owner, group in encounters_by_owner_by_scan(graph).items()
-        if group
-    }
+    groups = _outcome(lambda: _group_identities(graph.encounters_by_owner()))
+    expected = _outcome(lambda: _group_identities(encounters_by_owner_by_scan(graph)))
     assert groups == expected
     # Stray and dangling ownership entries, links across patients, against
     # the dates or to missing encounters: the report, in order.
     assert_checker_matches_the_scans(graph)
+
+
+def _group_identities(groups: dict) -> dict:
+    return {owner: [id(e) for e in group] for owner, group in groups.items() if group}
 
 
 # -- steps -----------------------------------------------------------------
@@ -304,21 +310,46 @@ def direct_write(graph: JourneyGraph, data) -> JourneyGraph:
     return graph
 
 
+# Writes to an encounter's date, or to the record under its key, after which
+# a read through a remembered date order must still equal a fresh sort.
+REDATES = ("redate", "equal date", "datetime", "string date", "swap dates", "copy")
+
+
+def _redate(graph: JourneyGraph, key: str, action: str, data) -> None:
+    encounter = graph.encounters[key]
+    day = data.draw(days, label="day")
+    if action == "redate":
+        encounter.date = START + timedelta(days=day)
+    elif action == "equal date":  # a new object, equal to the one it replaces
+        if encounter.date.__class__ is date:
+            encounter.date = date.fromordinal(encounter.date.toordinal())
+    elif action == "datetime":
+        encounter.date = datetime.combine(START + timedelta(days=day), time())
+    elif action == "string date":
+        encounter.date = (START + timedelta(days=day)).isoformat()
+    elif action == "swap dates":
+        other = graph.encounters.get(data.draw(encounter_keys, label="other"))
+        if other is not None:
+            encounter.date, other.date = other.date, encounter.date
+    else:  # a copy under the key, holding the very same date object
+        graph.encounters[key] = copy.copy(encounter)
+        assert graph.encounters[key].date is encounter.date
+
+
 def _uncounted_write(graph: JourneyGraph, data) -> None:
     """Writes the index does not follow: it must not depend on them."""
     key = data.draw(encounter_keys, label="key")
     action = data.draw(
-        st.sampled_from(["store", "delete", "redate", "rename", "form", "patient"]), label="write"
+        st.sampled_from(["store", "delete", *REDATES, "rename", "form", "patient"]), label="write"
     )
     if action == "store":
         graph.encounters[key] = _encounter(key, data.draw(days, label="day"))
     elif action == "delete":
         graph.encounters.pop(key, None)
-    elif action in ("redate", "rename") and key in graph.encounters:
-        if action == "redate":
-            graph.encounters[key].date = START + timedelta(days=data.draw(days, label="day"))
-        else:
-            graph.encounters[key].encounter_id = data.draw(encounter_keys, label="id")
+    elif action in REDATES and key in graph.encounters:
+        _redate(graph, key, action, data)
+    elif action == "rename" and key in graph.encounters:
+        graph.encounters[key].encounter_id = data.draw(encounter_keys, label="id")
     elif action == "form":
         form_id = data.draw(st.sampled_from(FORMS), label="form")
         if graph.intake_forms.pop(form_id, None) is None:
@@ -672,3 +703,125 @@ class TestLinkScopeOnGraphsTheCheckerRejects:
         with pytest.raises(CycleIntroducedError):
             checked_link(graph, edge)
         assert graph.link(EdgeKind.NEXT, "A", "B") == edge
+
+
+# -- the remembered date order ------------------------------------------------
+
+
+@pytest.fixture
+def orders(monkeypatch) -> list[int]:
+    """``[n]``: the number of date orders built (``_date_rows`` calls) since
+    the fixture was set up."""
+    count = [0]
+    build = JourneyGraph._date_rows
+
+    def counted(graph: JourneyGraph, keys):
+        count[0] += 1
+        return build(graph, keys)
+
+    monkeypatch.setattr(JourneyGraph, "_date_rows", counted)
+    return count
+
+
+def _read_p0(graph: JourneyGraph) -> None:
+    graph.encounters_of("P0")
+    timeline(graph, "P0")
+    find_encounters(graph, "P0", specialty="allergy")
+    serialize_bundle(graph, "P0")
+
+
+def test_a_second_read_of_an_unchanged_patient_builds_no_order(orders):
+    graph = start_graph()
+    _read_p0(graph)
+    assert orders == [1]
+    _read_p0(graph)
+    graph.encounters_by_owner()  # builds P1's and P2's orders only
+    _read_p0(graph)
+    assert orders == [3]
+
+
+def test_add_encounter_makes_the_next_read_build_that_patients_order_once(orders):
+    graph = start_graph()
+    graph.encounters_of("P0")
+    graph.encounters_of("P1")
+    graph.add_encounter("P0", _encounter("E6", 0))
+    assert orders == [2]
+    _read_p0(graph)
+    _read_p0(graph)
+    graph.encounters_of("P1")
+    assert orders == [3]
+    assert [e.encounter_id for e in graph.encounters_of("P0")] == ["E0", "E6", "E1", "E2"]
+
+
+def test_link_and_add_intake_form_keep_the_remembered_orders(orders):
+    graph = start_graph()
+    graph.add_patient(Patient("P3", "Name P3", date(1970, 1, 1)))
+    graph.encounters_of("P2")
+    graph.add_encounter("P2", _encounter("E6", 2))
+    graph.encounters_of("P2")
+    built = orders[0]
+    graph.link(EdgeKind.NEXT, "E5", "E6")
+    graph.add_intake_form("P3", _form("F2"))
+    graph.encounters_of("P2")
+    assert orders[0] == built
+
+
+def test_parsing_a_bundle_builds_the_patients_order_once(orders):
+    """The parse's join pass builds the order for its gap check; the reads
+    after it check that order."""
+    text = john_doe_bundle()
+    built = orders[0]
+    result = parse_bundle(text)
+    timeline(result.graph, "JohnDoe")
+    assert result.ok and serialize_bundle(result.graph, "JohnDoe") == text
+    assert orders[0] == built + 1
+
+
+def _fresh(graph: JourneyGraph) -> JourneyGraph:
+    """A graph of the same records and containers, with no index yet."""
+    return JourneyGraph(**{attr: getattr(graph, attr) for attr in graph._attrs})
+
+
+@pytest.mark.parametrize(
+    "write, order, rebuilt",
+    [
+        (lambda g: setattr(g.encounters["E0"], "date", START + timedelta(days=2)),
+         ["E1", "E2", "E0"], 1),
+        (lambda g: setattr(g.encounters["E1"], "date", date.fromordinal(START.toordinal() + 1)),
+         ["E0", "E1", "E2"], 1),
+        # The copy holds the very date object, so the order still holds.
+        (lambda g: g.encounters.__setitem__("E2", copy.copy(g.encounters["E2"])),
+         ["E0", "E1", "E2"], 0),
+    ],
+    ids=["redated", "an equal date", "a copy under the key"],
+)  # fmt: skip
+def test_a_read_after_an_uncounted_write_equals_a_fresh_sort(orders, write, order, rebuilt):
+    graph = start_graph()
+    graph.encounters_of("P0")
+    write(graph)
+    read = graph.encounters_of("P0")
+    assert [e.encounter_id for e in read] == order
+    built = orders[0]
+    assert [id(e) for e in read] == [id(e) for e in _fresh(graph).encounters_of("P0")]
+    assert built == 1 + rebuilt and orders[0] == built + 1  # and the fresh graph's
+    assert graph.encounters_of("P0") == read and orders[0] == built + 1
+
+
+def test_a_record_stored_under_an_owned_key_is_read():
+    """P1 owns the key E7, which holds no record: its order is not kept, so
+    the record stored there later is read."""
+    graph = start_graph(stray=True)
+    assert [e.encounter_id for e in graph.encounters_of("P1")] == ["E3", "E4"]
+    graph.encounters["E7"] = _encounter("E7", 1)
+    assert [e.encounter_id for e in graph.encounters_of("P1")] == ["E3", "E7", "E4"]
+
+
+def test_a_read_that_fails_remembers_nothing():
+    graph = start_graph()
+    kept = graph.encounters["E1"].date
+    graph.encounters["E1"].date = datetime(2022, 3, 2)
+    with pytest.raises(FieldInvalidError, match=r"^encounters\[E1\]\.date: "):
+        graph.encounters_of("P0")
+    assert "P0" not in graph._index.orders
+    graph.encounters["E1"].date = kept
+    assert [e.encounter_id for e in graph.encounters_of("P0")] == ["E0", "E1", "E2"]

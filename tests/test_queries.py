@@ -529,6 +529,28 @@ class TestFindEncounters:
         with pytest.raises(UnknownPatientError):
             find_encounters(john_graph, "Nobody")
 
+    @pytest.mark.parametrize("value", [5, None, object(), "Allergy"])
+    def test_a_patient_without_encounters_matches_nothing_whatever_the_filters(
+        self, john_graph, value
+    ):
+        """No filter is read when there is no encounter to compare it with."""
+        john_graph.add_patient(Patient("P2", "Pat Two", date(1980, 1, 1)))
+        assert find_encounters(john_graph, "P2", specialty=value, diagnosis_name=value) == []
+
+    def test_each_name_filter_is_folded_once_per_call(self, john_graph):
+        folded = []
+
+        class Name(str):
+            def casefold(self):
+                folded.append(str(self))
+                return super().casefold()
+
+        hits = find_encounters(
+            john_graph, specialty=Name("allergy"), diagnosis_name=Name("seasonal allergic rhinitis")
+        )
+        assert hits == [ENCOUNTER_ALLERGY, ENCOUNTER_ALLERGY_FOLLOWUP]
+        assert folded == ["allergy", "seasonal allergic rhinitis"]
+
 
 class TestQueryHygiene:
     def test_queries_do_not_mutate_the_graph(self, john_graph):
