@@ -258,6 +258,32 @@ def a_redated_encounter_reorders_the_next_read():
     assert [e.encounter_id for e in read] == first[1:] + first[:1], read
 
 
+def a_pjo_process_exits_with_a_frozen_heap():
+    """``python -m pjo`` exits through ``cli.run``, which freezes the heap
+    once the command returns, so that the interpreter's teardown
+    collections skip it: an ``atexit`` handler finds more objects frozen
+    than at start, and the seed -> validate pipeline prints what it
+    always has, with and without the handler."""
+    seed = sys.stdin.buffer.read()
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "start = gc.get_freeze_count()\n"
+        "report = lambda: print('frozen:', gc.get_freeze_count() > start, file=sys.stderr)\n"
+        "atexit.register(report)\n"
+        "runpy.run_module('pjo', run_name='__main__', alter_sys=True)\n"
+    )
+    printed = (
+        b"warning  duplicate-cui-annotation  annotations: duplicate CUI annotation: "
+        b"C3714536 annotates Encounter and SocialHistory\nsummary: 0 errors, 1 warnings\n"
+    )
+    for flags, stderr in ((["-c", probe], b"frozen: True\n"), (["-m", "pjo"], b"")):
+        validate = subprocess.run(
+            [sys.executable, *flags, "validate", "-"], input=seed, capture_output=True
+        )
+        assert validate.returncode == 0 and validate.stdout == printed, validate
+        assert validate.stderr == stderr, validate.stderr
+
+
 SEED = "seed"
 # Each check by name, with what it reads on standard input.
 CHECKS = {
@@ -275,6 +301,7 @@ CHECKS = {
         (a_huge_blood_pressure_is_reported, SEED),
         (the_raising_api_keeps_one_owner_index, None),
         (a_redated_encounter_reorders_the_next_read, None),
+        (a_pjo_process_exits_with_a_frozen_heap, SEED),
     ]
 }
 

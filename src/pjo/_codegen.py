@@ -14,6 +14,7 @@ from .graph import (
 )  # fmt: skip
 from .records import (
     DATE, FIELDS, ICD10, INT, KIND, NUMBER, OBJECT, OBJECTS, STR, STRS, VERSION, Bundle, Fresh,
+    holds_required,
 )  # fmt: skip
 
 HEADER = '''"""{0}: code pjo generates.
@@ -360,7 +361,9 @@ def writer_source(record_type: type, level: int, constants: dict) -> str:
     """Source of ``write_<name>_<level>(r)``: the record's JSON object at
     nesting ``level``, its fields in canonical key order.  A field a read
     record always sets (``_always``) is always written; any other when set,
-    but for a held record that sets no field.  An array must be a list; it
+    but for a held record that sets no field.  A held record of a class with
+    no required field is written when left out (None) as the empty record
+    the readers read in its place.  An array must be a list; it
     is written in a loop, each entry of an array of flat records by
     ``_inline``.  A value of another type fails the write."""
     inner = level + 1
@@ -386,7 +389,12 @@ def writer_source(record_type: type, level: int, constants: dict) -> str:
         elif _always(spec):
             lines.append(f"parts.append({head} + {_value(spec, 'v', inner, get)})")
         elif spec.type == OBJECT:
-            test = f"(v := {get}) is not None and (t := {_value(spec, 'v', inner)}) != '{{}}'"
+            value = _value(spec, "v", inner)
+            if holds_required(spec.record):
+                test = f"(v := {get}) is not None and (t := {value}) != '{{}}'"
+            else:  # left out, it reads as its empty record: written as that
+                lines.append(f"if (v := {get}) is None: v = {spec.record.__name__}()")
+                test = f"(t := {value}) != '{{}}'"
             lines.append(f"if {test}: parts.append({head} + t)")
         else:
             text = _value(spec, "v", inner)

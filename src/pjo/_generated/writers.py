@@ -53,7 +53,8 @@ def write_Patient_1(r):
     parts.append('\n    "birthDate": ' + (_encode(isoformat(v)) if ((v := r.birth_date).__class__ is date) else _unwritable(v)))
     if (v := r.race) is not None: parts.append('\n    "race": ' + (_encode(v) if (v.__class__ is str) else _unwritable(v)))
     if (v := r.gender) is not None: parts.append('\n    "gender": ' + (_encode(v) if (v.__class__ is str) else _unwritable(v)))
-    if (v := r.contact) is not None and (t := (write_ContactInformation_2(v) if v.__class__ is ContactInformation else _unwritable(v))) != '{}': parts.append('\n    "contactInformation": ' + t)
+    if (v := r.contact) is None: v = ContactInformation()
+    if (t := (write_ContactInformation_2(v) if v.__class__ is ContactInformation else _unwritable(v))) != '{}': parts.append('\n    "contactInformation": ' + t)
     if (v := r.insurance_name) is not None: parts.append('\n    "insuranceName": ' + (_encode(v) if (v.__class__ is str) else _unwritable(v)))
     if (v := r.insurance_id) is not None: parts.append('\n    "insuranceID": ' + (_encode(v) if (v.__class__ is str) else _unwritable(v)))
     return '{' + ','.join(parts) + '\n  }' if parts else '{}'
@@ -71,7 +72,8 @@ def write_ContactInformation_2(r):
 def write_IntakeForm_1(r):
     parts = []
     parts.append('\n    "intakeFormID": ' + (_encode(v) if ((v := r.intake_form_id).__class__ is str) else _unwritable(v)))
-    if (v := r.medical_history) is not None and (t := (write_MedicalHistory_2(v) if v.__class__ is MedicalHistory else _unwritable(v))) != '{}': parts.append('\n    "medicalHistory": ' + t)
+    if (v := r.medical_history) is None: v = MedicalHistory()
+    if (t := (write_MedicalHistory_2(v) if v.__class__ is MedicalHistory else _unwritable(v))) != '{}': parts.append('\n    "medicalHistory": ' + t)
     parts.append('\n    "socialHistory": ' + (write_SocialHistory_2(v) if (v := r.social_history).__class__ is SocialHistory else _unwritable(v)))
     return '{' + ','.join(parts) + '\n  }' if parts else '{}'
 

@@ -9,11 +9,13 @@ Each command is declared once, in ``COMMANDS``: its path and help line, its
 arguments, the function that runs it and its result columns.  The parser is
 built from that table, and a command that prints rows renders both its
 ``--format table`` and its ``--format json`` output from its columns.
+``python -m pjo`` and the ``pjo`` script both exit through ``run``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -397,3 +399,24 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: input is not valid UTF-8: {exc.reason}", file=sys.stderr)
         return 1
+
+
+def run() -> None:
+    """Run ``main`` on ``sys.argv`` and exit the process with its code;
+    ``main`` itself leaves the collector as it found it.
+
+    On every way out (a return, ``SystemExit`` from a usage error or
+    ``--help``, an uncaught exception) the heap is frozen first: every
+    object that survives is moved to the collector's permanent generation.
+    The process is about to end, and CPython's shutdown clears the modules
+    and runs full collections that would otherwise walk and free the
+    objects in reference cycles (each module's functions and classes, about
+    13 000 objects after a command), which the OS reclaims anyway.  The
+    ``atexit`` handlers, the flush of standard output and error and the
+    exit code are kept; a finalizer of an object in such a cycle no longer
+    runs at exit, which Python does not promise.  pjo writes its files
+    inside ``with`` blocks, closed before ``main`` returns."""
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()

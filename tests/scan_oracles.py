@@ -82,6 +82,7 @@ from pjo.records import (
     Encounter,
     IntakeForm,
     edge_dates_consistent,
+    holds_required,
 )
 
 LABELS = {
@@ -576,10 +577,13 @@ def serialize_bundle_by_dumps(graph: JourneyGraph, patient_id: str) -> str:
 
 def _document(record) -> dict:
     """A record's document: unset fields left out, but for one with a
-    default, written as it; keys in canonical order."""
+    default, written as it, and a held record of a class with no required
+    field, written as its empty record; keys in canonical order."""
     doc: dict = {}
     for spec in FIELDS[record.__class__]:
         value = getattr(record, spec.attr)
+        if value is None and spec.type == OBJECT and not holds_required(spec.record):
+            value = spec.record()  # what a parse reads in its place
         if value is None:
             value = spec.default
         if value is not None and spec.type in _DOCUMENT_VALUES:

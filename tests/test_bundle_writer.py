@@ -49,6 +49,7 @@ from pjo import (
     SocialHistory,
     Symptom,
     VitalSign,
+    parse_bundle,
     serialize_bundle,
 )
 from pjo.records import (
@@ -418,3 +419,25 @@ def test_only_the_written_patients_records_are_named(john_graph):
 def test_a_clean_write_asks_the_checker_nothing(john_graph, john_text, monkeypatch):
     monkeypatch.setattr(JourneyGraph, "type_error", None)
     assert serialize_bundle(john_graph, JOHN_DOE_ID) == john_text
+
+
+def test_a_left_out_held_record_is_written_as_the_record_read_in_its_place(john_graph):
+    """A held record of a class with no required field that is None reads
+    back as its empty record, so it is written as that: an intake form's
+    ``medicalHistory`` as four empty arrays, a patient's
+    ``contactInformation``, which sets no member, not at all.  The first was
+    once left out, so a graph the checker accepts wrote other bytes after a
+    parse."""
+    john_graph.intake_form_of(JOHN_DOE_ID).medical_history = None
+    john_graph.patients[JOHN_DOE_ID].contact = None
+    assert john_graph.check_invariants().ok
+    text = serialize_bundle(john_graph, JOHN_DOE_ID)
+    document = json.loads(text)
+    empty = {spec.key: [] for spec in FIELDS[MedicalHistory]}
+    assert document["intakeForm"]["medicalHistory"] == empty
+    assert "contactInformation" not in document["patient"]
+    result = parse_bundle(text)
+    assert result.ok, result.errors
+    assert result.graph.intake_form_of(JOHN_DOE_ID).medical_history == MedicalHistory()
+    assert result.graph.patients[JOHN_DOE_ID].contact == ContactInformation()
+    assert serialize_bundle(result.graph, JOHN_DOE_ID) == text

@@ -1,6 +1,10 @@
 import argparse
+import contextlib
+import gc
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date
@@ -496,14 +500,43 @@ def test_every_case_has_a_recorded_output():
     assert set(OUTPUTS) == set(output_cases())
 
 
-@pytest.mark.parametrize("case", list(output_cases()))
-def test_output_is_unchanged(case, plain, tmp_path, capsys):
+def case_argv(case: str, tmp_path: Path) -> list[str]:
+    """The case's argv, its ``{input}`` a file in ``tmp_path`` holding its input."""
     argv, source = output_cases()[case]
     path = tmp_path / "input"
     path.write_text(INPUTS[source], encoding="utf-8")
-    code = cli.main([str(path) if word == "{input}" else word for word in argv])
+    return [str(path) if word == "{input}" else word for word in argv]
+
+
+@pytest.mark.parametrize("case", list(output_cases()))
+def test_output_is_unchanged(case, plain, tmp_path, capsys):
+    code = cli.main(case_argv(case, tmp_path))
     out, err = capsys.readouterr()
     assert {"code": code, "stdout": out, "stderr": err} == OUTPUTS[case]
+
+
+@pytest.mark.parametrize("case", list(output_cases()))
+def test_output_through_python_m_pjo_is_unchanged(case, tmp_path):
+    """The same case in a ``python -m pjo`` child, which exits through
+    ``cli.run``: the same exit code and bytes on standard output and error."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pjo", *case_argv(case, tmp_path)],
+        capture_output=True,
+        env=dict(os.environ, PJO_NO_COLOR="1", COLUMNS="80"),
+    )
+    want = OUTPUTS[case]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        want["code"], want["stdout"].encode(), want["stderr"].encode()
+    )  # fmt: skip
+
+
+def test_export_to_a_file_through_a_child_writes_the_whole_text(bundle_path, tmp_path):
+    path = tmp_path / "journey.dot"
+    written = run_cli("export", "--output", str(path), bundle_path, check_rc=0)
+    shown = run_cli("export", bundle_path, check_rc=0)
+    assert (written.stdout, written.stderr) == ("", "")
+    assert path.read_text(encoding="utf-8") == shown.stdout
+    check_dot(shown.stdout)
 
 
 def declared_parser() -> argparse.ArgumentParser:
@@ -622,3 +655,68 @@ class TestParserDeclaration:
         queries = commands(top["query"])
         assert dests(queries["timeline"]) == ["help", "patient", "bundle", "format"]
         assert dests(queries["find"]) == ["help"]
+
+
+# -- the process's way out ----------------------------------------------------
+#
+# ``python -m pjo`` and the ``pjo`` script exit through ``cli.run``, which
+# freezes the heap once ``main`` returns or raises, so that the interpreter's
+# teardown collections skip it; ``main`` leaves the collector alone.
+
+# A child that runs ``pjo.__main__`` as ``python -m pjo`` does, after the
+# line given, and reports at exit from an ``atexit`` handler whether more
+# objects are frozen than at its start (CPython 3.12 starts with some).
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+start = gc.get_freeze_count()
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > start, file=sys.stderr))
+{0}
+runpy.run_module("pjo", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, before, code",
+    [
+        (["validate", "{seed}"], "", 0),
+        (["validate", "-"], "", 1),  # an empty document
+        (["query", "timeline", "x.json"], "", 2),
+        (["validate", "--help"], "", 0),
+        (["validate", "{seed}"], "import pjo.cli; pjo.cli.main = lambda: 1 / 0", 1),
+    ],
+    ids=["success", "invalid-bundle", "usage-error", "help", "traceback"],
+)
+def test_every_way_out_of_the_process_freezes_the_heap(argv, before, code, bundle_path):
+    argv = [bundle_path if word == "{seed}" else word for word in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE.format(before), *argv],
+        input="",
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PJO_NO_COLOR="1"),
+    )
+    assert proc.returncode == code, (proc.stdout, proc.stderr)
+    assert proc.stderr.endswith("frozen: True\n"), proc.stderr
+    assert ("ZeroDivisionError" in proc.stderr) == bool(before), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{seed}"], ["query", "timeline", "--patient", "JohnDoe", "{seed}"], ["seed"]],
+    ids=["validate", "timeline", "usage-error"],
+)
+def test_main_leaves_the_collector_as_it_was(argv, bundle_path, capsys):
+    state = gc.get_freeze_count(), gc.isenabled()
+    with contextlib.suppress(SystemExit):
+        cli.main([bundle_path if word == "{seed}" else word for word in argv])
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+def test_the_pjo_script_names_the_exit_function_of_python_m_pjo():
+    import pjo.__main__
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1]
+    module, _, name = re.match(r'pjo = "([^"]+)"\n', scripts).group(1).partition(":")
+    assert getattr(importlib.import_module(module), name) is pjo.__main__.run is cli.run
