@@ -20,6 +20,10 @@ template ``holder_rules`` below, which look at every rule, as they stood in
 plain walk of the record instead.  ``followup_chain_by_hand`` and
 ``cause_trace_by_hand`` are the chain queries with a walk written out per
 direction, each with its own step, branch and cycle tests.
+``add_encounter_by_rules``, ``add_intake_form_by_rules`` and
+``link_by_rules`` are the raising API's writes as they ran before a clean
+write was admitted by one silent test: every rule in turn, through the
+helpers that word its refusal.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from pjo.graph import (
     Diagnostic,
     Severity,
     ValidationReport,
+    _raise_first,
     cyclic_nodes,
     encounter_reference_problems,
     field_problems,
@@ -160,6 +165,45 @@ def add_intake_form_by_scan(graph: JourneyGraph, patient_id: str, form: IntakeFo
         raise DuplicateIDError(f"intake form ID {form.intake_form_id!r} already exists")
     if patient_id in graph.intake_form_owner.values():
         raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
+
+
+def add_encounter_by_rules(graph: JourneyGraph, patient_id: str, encounter: Encounter) -> str:
+    """The key under which ``JourneyGraph.add_encounter`` stores
+    ``encounter``, or raises as it does: its rules one by one, as they ran
+    before a clean write was admitted by one silent test (``_owner``, then
+    ``_admit_by_rules``, then ``encounter_reference_problems``); stores
+    nothing."""
+    patient = graph._owner(patient_id)
+    key = graph._admit_by_rules(encounter, "encounters")
+    _raise_first(encounter_reference_problems(graph, encounter, patient))
+    return key
+
+
+def add_intake_form_by_rules(graph: JourneyGraph, patient_id: str, form: IntakeForm) -> str:
+    """``add_intake_form``'s refusals, its rules one by one, as
+    ``add_encounter_by_rules``; stores nothing."""
+    graph._owner(patient_id)
+    key = graph._admit_by_rules(form, "intake_forms")
+    if patient_id in graph._owners().forms:
+        raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
+    return key
+
+
+@guarded("from_encounter", "to_encounter")
+def link_by_rules(
+    graph: JourneyGraph,
+    kind: EdgeKind,
+    from_encounter: str,
+    to_encounter: str,
+    via: str | None = None,
+) -> JourneyEdge:
+    """The link ``JourneyGraph.link`` adds, or raises as it does: its field
+    rules and then ``link_problems``, one by one, then ``checked_link``'s
+    duplicate and day-scoped cycle checks; stores nothing."""
+    edge = JourneyEdge(kind, from_encounter, to_encounter, via)
+    _raise_first(field_problems(edge))
+    _raise_first(link_problems(graph, edge))
+    return checked_link(graph, edge, whole_graph=False)
 
 
 def timeline_by_scan(graph: JourneyGraph, patient_id: str) -> list[TimelineEntry]:

@@ -51,6 +51,7 @@ from pjo.queries import cause_trace, find_encounters, followup_chain, timeline
 from pjo.records import KIND_TEXT
 from pjo.seed import john_doe_bundle
 from scan_oracles import (
+    add_encounter_by_rules,
     add_intake_form_by_scan,
     assert_checker_matches_the_scans,
     cause_trace_by_scan,
@@ -185,7 +186,11 @@ def api_write(graph: JourneyGraph, data) -> JourneyGraph:
     )
     if action == "add_patient":
         patient_id = data.draw(st.sampled_from(PATIENTS), label="patient")
-        _outcome(lambda: graph.add_patient(Patient(patient_id, "Name", date(1970, 1, 1))))
+        patient = Patient(patient_id, "Name", date(1970, 1, 1))
+        expected = _outcome(lambda: graph._admit_by_rules(patient, "patients"))
+        assert _outcome(lambda: graph.add_patient(patient)) == _stored(expected)
+        if expected[0] == "returned":
+            assert graph.patients[expected[1]] is patient
     elif action == "add_intake_form":
         patient_id = data.draw(st.sampled_from(OWNERS), label="patient")
         form = _form(data.draw(st.sampled_from(FORMS), label="form"))
@@ -194,7 +199,11 @@ def api_write(graph: JourneyGraph, data) -> JourneyGraph:
     elif action == "add_encounter":
         patient_id = data.draw(st.sampled_from(OWNERS), label="patient")
         encounter = _encounter(data.draw(encounter_keys, label="key"), data.draw(days, label="day"))
-        _outcome(lambda: graph.add_encounter(patient_id, encounter))
+        expected = _outcome(lambda: add_encounter_by_rules(graph, patient_id, encounter))
+        assert _outcome(lambda: graph.add_encounter(patient_id, encounter)) == _stored(expected)
+        if expected[0] == "returned":
+            key = expected[1]
+            assert graph.encounters[key] is encounter and graph.encounter_owner[key] == patient_id
     else:
         edge = data.draw(edges, label="link")
         expected = _outcome(lambda: checked_link(graph, edge, whole_graph=False))
@@ -206,6 +215,12 @@ def api_write(graph: JourneyGraph, data) -> JourneyGraph:
         assert actual == expected
         assert graph.edges == (before + [edge] if actual[0] == "returned" else before)
     return graph
+
+
+def _stored(expected):
+    """The outcome of an ``add_*`` call whose oracle had ``expected``: it
+    returns None where the oracle returns the key."""
+    return ("returned", None) if expected[0] == "returned" else expected
 
 
 def _dict_write(container: dict, method: str, keys, data) -> None:
@@ -340,8 +355,9 @@ def _uncounted_write(graph: JourneyGraph, data) -> None:
     """Writes the index does not follow: it must not depend on them."""
     key = data.draw(encounter_keys, label="key")
     action = data.draw(
-        st.sampled_from(["store", "delete", *REDATES, "rename", "form", "patient"]), label="write"
-    )
+        st.sampled_from(["store", "delete", *REDATES, "rename", "form", "patient", "birth",
+                         "provider"]), label="write"
+    )  # fmt: skip
     if action == "store":
         graph.encounters[key] = _encounter(key, data.draw(days, label="day"))
     elif action == "delete":
@@ -358,6 +374,15 @@ def _uncounted_write(graph: JourneyGraph, data) -> None:
         patient_id = data.draw(st.sampled_from(PATIENTS), label="patient")
         if graph.patients.pop(patient_id, None) is None:
             graph.patients[patient_id] = Patient(patient_id, "Name", date(1970, 1, 1))
+    elif action == "birth":  # a birth date after some encounters, or not a date
+        patient = graph.patients.get(data.draw(st.sampled_from(PATIENTS), label="patient"))
+        if patient is not None:
+            born = START + timedelta(days=data.draw(days, label="day"))
+            births = [born, datetime.combine(born, time()), born.isoformat()]
+            patient.birth_date = data.draw(st.sampled_from(births), label="birth")
+    elif action == "provider":  # the provider every encounter names, deleted or put back
+        if graph.providers.pop(PROVIDER, None) is None:
+            graph.providers[PROVIDER] = Provider(PROVIDER, "Dr. Ada Lane")
 
 
 @settings(max_examples=150, deadline=None)
