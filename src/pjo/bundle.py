@@ -93,9 +93,9 @@ def serialize_bundle(graph: JourneyGraph, patient_id: str) -> str:
     The one exception is an ownership entry naming no stored record, which
     a bundle has nowhere to hold.
     """
-    patient = graph.patients.get(patient_id)
-    if patient is None:
+    if patient_id not in graph.patients:
         raise UnknownPatientError(f"unknown patient {patient_id!r}")
+    patient = graph.patients[patient_id]
     providers, forms, index = graph.providers, graph.intake_forms, graph._owners()
     form_ids = [key for key in index.forms.get(patient_id, ()) if key in forms]
     if len(form_ids) > 1:

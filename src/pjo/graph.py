@@ -50,7 +50,6 @@ from .records import (
     JourneyEdge,
     Patient,
     Provider,
-    edge_dates_consistent,
     shown,
     slotted,
 )
@@ -326,13 +325,16 @@ _TABLES = {
 _UNOWNED = {"intake_forms": UNOWNED_INTAKE_FORM, "encounters": UNOWNED_ENCOUNTER}
 
 
-def refuse_misfiled(record, attr: str, key: str | None = None) -> None:
+_UNKEYED = object()  # no key given: a key of None is located like any other
+
+
+def refuse_misfiled(record, attr: str, key=_UNKEYED) -> None:
     """Raise ``FieldInvalidError`` if ``record`` is not of the class of the
     table ``attr``, located at ``key`` in it if given, as the checker
     locates it: the raising API stores nothing of another class."""
     name, held, message, _, _ = _TABLES[attr]
     if record.__class__ is not held:
-        at = "" if key is None else f"{name}[{shown(key, format)}]: "
+        at = "" if key is _UNKEYED else f"{name}[{shown(key, format)}]: "
         raise FieldInvalidError(at + message)
 
 
@@ -366,12 +368,6 @@ class _Checks(dict):
 _PASSES = _Checks()
 
 
-def _dated(first, second) -> bool:
-    """Whether both values keep the date type rule, so the join pass may
-    compare them: a value that broke the rule was reported by it."""
-    return first.__class__ is date and second.__class__ is date
-
-
 def via_resolves(via: str, from_encounter: Encounter, to_encounter: Encounter) -> bool:
     """Whether ``via`` names a care plan or diagnosis in either endpoint.  An
     array or entry of the wrong type, which the field rules report, names
@@ -399,57 +395,66 @@ def _arrow(edge: JourneyEdge) -> str:
     return f"{KIND_TEXT[edge.kind]} link {edge.from_encounter!r} -> {edge.to_encounter!r}"
 
 
-def link_problems(graph: JourneyGraph, edge: JourneyEdge) -> list[FieldProblem]:
-    """The endpoint rules ``edge`` breaks in ``graph``.
+def link_problems(graph: JourneyGraph, edge: JourneyEdge) -> list[FieldProblem] | tuple[()]:
+    """The join rules ``edge`` breaks in ``graph``, or an empty tuple when it
+    breaks none.
 
-    A missing endpoint is located at its end, ``from`` or ``to``; the other
-    problems at the link itself.  Duplicates and cycles depend on the other
-    edges, so the callers check those.
-
-    ``JourneyGraph.link`` admits a clean link by a silent test of these
-    rules written out inline: a rule added here must be added there too.
+    An end the graph does not hold is located at that end, ``from`` or
+    ``to``, and a link with one is checked no further; so is a self-link.
+    The other problems are located at the link itself: its ends owned by
+    two patients, or none, and its ends' dates against the order of its
+    kind, compared only when both are a ``date`` (a date that is not broke
+    its type rule, which reported it).  An end holding a value without a
+    ``date``, such as a record of another class or None, raises
+    ``AttributeError`` (see ``guarded``).  Duplicates and cycles depend on
+    the other edges, so the callers check those.
     """
-    source = graph.encounters.get(edge.from_encounter)
-    target = graph.encounters.get(edge.to_encounter)
-    if source is None or target is None:
-        ends = (("from", edge.from_encounter, source), ("to", edge.to_encounter, target))
+    encounters, start, end = graph.encounters, edge.from_encounter, edge.to_encounter
+    if start not in encounters or end not in encounters:
         return [
-            (end, DANGLING_REFERENCE, missing_encounter("link references", encounter_id))
-            for end, encounter_id, record in ends
-            if record is None
+            (at, DANGLING_REFERENCE, missing_encounter("link references", key))
+            for at, key in (("from", start), ("to", end))
+            if key not in encounters
         ]
-    if edge.from_encounter == edge.to_encounter:
-        return [("", SELF_LINK, f"link connects {edge.from_encounter!r} to itself")]
-    problems: list[FieldProblem] = []
-    owner = graph.encounter_owner.get(edge.from_encounter)
-    if owner is None or owner != graph.encounter_owner.get(edge.to_encounter):
-        problems.append(("", CROSS_PATIENT_LINK, f"{_arrow(edge)} crosses patients"))
-    dated = _dated(source.date, target.date)
-    if dated and not edge_dates_consistent(edge.kind, source.date, target.date):
-        dates = f"{source.date.isoformat()} and {target.date.isoformat()}"
+    if start == end:
+        return [("", SELF_LINK, f"link connects {start!r} to itself")]
+    problems: list[FieldProblem] | tuple[()] = ()
+    owner = graph.encounter_owner.get(start)
+    if owner is None or owner != graph.encounter_owner.get(end):
+        problems = [("", CROSS_PATIENT_LINK, f"{_arrow(edge)} crosses patients")]
+    first, last = encounters[start].date, encounters[end].date
+    if (
+        first.__class__ is date
+        and last.__class__ is date
+        and (first < last if edge.kind is _CAUSED_BY else first > last)
+    ):
+        dates = f"{first.isoformat()} and {last.isoformat()}"
         message = f"{_arrow(edge)} contradicts encounter dates {dates}"
-        problems.append(("", TEMPORAL_VIOLATION, message))
+        problems = [*problems, ("", TEMPORAL_VIOLATION, message)]
     return problems
 
 
 def encounter_reference_problems(
     graph: JourneyGraph, encounter: Encounter, owner: Patient | None
-) -> list[FieldProblem]:
-    """The encounter's provider reference, and its date against its owner's birth date.
-
-    ``JourneyGraph.add_encounter`` admits a clean encounter by a silent test
-    of these rules written out inline: a rule added here must be added
-    there too."""
-    problems: list[FieldProblem] = []
+) -> list[FieldProblem] | tuple[()]:
+    """The join rules ``encounter`` breaks in ``graph``, or an empty tuple
+    when it breaks none: a ``providerRef`` the graph does not hold, and a
+    date before the birth date of ``owner``, its patient, if one is known.
+    A value that broke its type rule, which reported it, names or dates
+    nothing."""
+    problems: list[FieldProblem] | tuple[()] = ()
     ref = encounter.provider_ref
-    # A reference that broke its type rule, which reported it, names nothing.
     if ref.__class__ is str and ref and ref not in graph.providers:
-        message = f"providerRef {ref!r} does not resolve"
-        problems.append(("providerRef", UNKNOWN_PROVIDER, message))
-    dated = owner is not None and _dated(encounter.date, owner.birth_date)
-    if dated and encounter.date < owner.birth_date:
-        dates = f"{encounter.date.isoformat()} precedes birth date {owner.birth_date.isoformat()}"
-        problems.append(("date", FIELD_INVALID, f"encounter date {dates}"))
+        problems = [("providerRef", UNKNOWN_PROVIDER, f"providerRef {ref!r} does not resolve")]
+    day = encounter.date
+    if (
+        owner is not None
+        and day.__class__ is date
+        and (birth := owner.birth_date).__class__ is date
+        and day < birth
+    ):
+        dates = f"{day.isoformat()} precedes birth date {birth.isoformat()}"
+        problems = [*problems, ("date", FIELD_INVALID, f"encounter date {dates}")]
     return problems
 
 
@@ -465,7 +470,7 @@ _RAISES = {
 }
 
 
-def _raise_first(problems: list[FieldProblem]) -> None:
+def _raise_first(problems: list[FieldProblem] | tuple[()]) -> None:
     if problems:
         raise _RAISES[problems[0][1]](problems[0][2])
 
@@ -732,32 +737,14 @@ class JourneyGraph:
         its ID.  Raises, as the checker words the problem, for a record of
         another class (see ``refuse_misfiled``); ``FieldInvalidError`` for
         its first field problem, as ``"<relative location>: <message>"``;
-        and ``DuplicateIDError`` for an ID the table already holds.
-
-        A clean record passes one silent test, the checker's test of a clean
-        record: its class, its generated field check, and an ID the table
-        does not hold.  Only a record that fails it meets the helpers, which
-        try the rules again in the order above and word the first one it
-        breaks; so a refused record pays its field check twice (0.3 µs more
-        for a ``cohort`` patient, 0.6 µs for its intake form, timed alone
-        on a 2-CPU cloud VM)."""
-        _, held, _, _, key_of = _TABLES[attr]
-        if (
-            record.__class__ is held
-            and _PASSES[held](record)
-            and (key := key_of(record)) not in getattr(self, attr)
-        ):
-            return key
-        return self._admit_by_rules(record, attr)
-
-    def _admit_by_rules(self, record, attr: str):
-        """``_admit`` without its clean test: each rule in turn.  A rule
-        added here must be added to that test too."""
-        refuse_misfiled(record, attr)
-        problems = field_problems(record)
-        if problems:
+        and ``DuplicateIDError`` for an ID the table already holds.  A
+        refused record pays its field check twice: the silent check, then
+        the walk that words its problem."""
+        _, held, _, noun, key_of = _TABLES[attr]
+        if record.__class__ is not held:
+            refuse_misfiled(record, attr)
+        if not _PASSES[held](record) and (problems := field_problems(record)):
             raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
-        _, _, _, noun, key_of = _TABLES[attr]
         key = key_of(record)
         if key in getattr(self, attr):
             raise DuplicateIDError(f"{noun} ID {key!r} already exists")
@@ -767,9 +754,7 @@ class JourneyGraph:
         """The patient stored under ``patient_id``, to own a record being
         added.  Raises ``UnknownPatientError`` for an ID the graph does not
         hold, and the checker's problem with a record of another class
-        stored under it (see ``refuse_misfiled``).  ``add_encounter`` tests
-        these rules inline in its silent test: a rule added here must be
-        added there too."""
+        stored under it (see ``refuse_misfiled``)."""
         patient = self.patients.get(patient_id)
         if patient.__class__ is not Patient:
             if patient_id not in self.patients:
@@ -808,28 +793,10 @@ class JourneyGraph:
         ``_admit`` does for the encounter, and then for its first problem of
         ``encounter_reference_problems``: an unknown ``providerRef``
         (``UnknownProviderError``) or a date before the owner's birth date
-        (``FieldInvalidError``).
-
-        A clean encounter passes one silent test first, the one the
-        checker's clean path makes inline (see ``_check_encounters``): a
-        stored ``Patient`` owner, the encounter's class and generated field
-        check, a new ID, a ``providerRef`` that is empty or stored, and a
-        date not before a birth date that is a ``date``.  Only an encounter
-        that fails it meets the helpers, which try every rule again in the
-        order above and word the first one it breaks; so a refused encounter
-        pays its field check twice (about 1 µs more for a ``cohort``
-        encounter, as ``_admit`` times it)."""
-        if not (
-            (patient := self.patients.get(patient_id)).__class__ is Patient
-            and encounter.__class__ is Encounter
-            and _PASSES[Encounter](encounter)
-            and (key := encounter.encounter_id) not in self.encounters
-            and (not (ref := encounter.provider_ref) or ref in self.providers)
-            and not (_dated(day := encounter.date, birth := patient.birth_date) and day < birth)
-        ):
-            patient = self._owner(patient_id)
-            key = self._admit_by_rules(encounter, "encounters")
-            _raise_first(encounter_reference_problems(self, encounter, patient))
+        (``FieldInvalidError``)."""
+        patient = self._owner(patient_id)
+        key = self._admit(encounter, "encounters")
+        _raise_first(encounter_reference_problems(self, encounter, patient))
         index = self._index
         self.encounters[key] = encounter
         owners = self.encounter_owner
@@ -885,39 +852,18 @@ class JourneyGraph:
         through a stored link across patients or against the dates is not
         seen, so such a link is accepted where whole-graph Kahn refuses it.
         ``check_invariants`` reasons the same way (see ``_check_edges``).
-
-        A clean link passes one silent test first, the one the checker's
-        clean path makes inline (see ``_check_edges``): the link's generated
-        field check, two stored and distinct ends, one owner of both that is
-        not None, and two ``date`` ends in the order of its kind.  Only a
-        link that fails it meets ``field_problems`` and ``link_problems``,
-        which word its first problem; so a refused link pays its field check
-        twice (0.15 µs more, as ``_admit`` times it).  A link with an end
-        whose date is not a ``date`` fails the test, and those rules then
-        admit it.
         """
         edge = JourneyEdge(kind, from_encounter, to_encounter, via)
-        encounters, owner_of = self.encounters, self.encounter_owner.get
-        if not (
-            _PASSES[JourneyEdge](edge)
-            and (source := encounters.get(from_encounter)) is not None
-            and (target := encounters.get(to_encounter)) is not None
-            and from_encounter != to_encounter
-            and (owner := owner_of(from_encounter)) is not None
-            and owner == owner_of(to_encounter)
-            and (first := source.date).__class__ is date
-            and (last := target.date).__class__ is date
-            and (first >= last if edge.kind is _CAUSED_BY else first <= last)
-        ):
+        if not _PASSES[JourneyEdge](edge):
             _raise_first(field_problems(edge))
-            _raise_first(link_problems(self, edge))
-            owner = self.encounter_owner[from_encounter]
-            source, target = encounters[from_encounter], encounters[to_encounter]
+        _raise_first(link_problems(self, edge))
+        encounters, owner = self.encounters, self.encounter_owner[from_encounter]
+        first, last = encounters[from_encounter].date, encounters[to_encounter].date
         index = self._owners()
         owned = index.edges.get(owner, [])
         # One pass over the owner's links: find a duplicate and, for a
         # same-day link, collect the links among encounters of that day.
-        day = source.date if source.date == target.date else None
+        day = first if first == last else None
         same_day: list[JourneyEdge] = []
         for e in owned:
             if (
@@ -927,8 +873,8 @@ class JourneyGraph:
             ):
                 raise DuplicateEdgeError(f"duplicate {_arrow(edge)}")
             if day is not None:
-                start = self.encounters.get(e.from_encounter)
-                end = self.encounters.get(e.to_encounter)
+                start = encounters.get(e.from_encounter)
+                end = encounters.get(e.to_encounter)
                 if start is not None and end is not None and start.date == day == end.date:
                     same_day.append(e)
         if same_day:
@@ -945,14 +891,15 @@ class JourneyGraph:
     # -- lookup -----------------------------------------------------------
 
     def _date_rows(self, keys: list[str]) -> list[tuple[date, str, Encounter]]:
-        """``(date, key, record)`` of each record stored under ``keys``, sorted.
-        Raises ``FieldInvalidError``, as ``add_encounter`` would, located at
-        the record, for a date that is not a ``date``: it has no order; and
-        the checker's problem with a record of another class, which has no
-        date."""
+        """``(date, key, record)`` of each record stored under ``keys``, sorted;
+        a key the table does not hold is left out.  Raises
+        ``FieldInvalidError``, as ``add_encounter`` would, located at the
+        record, for a date that is not a ``date``: it has no order; and the
+        checker's problem with a record of another class, None included,
+        which has no date."""
         encounters = self.encounters
         try:
-            rows = [(e.date, key, e) for key in keys if (e := encounters.get(key)) is not None]
+            rows = [((e := encounters[key]).date, key, e) for key in keys if key in encounters]
         except AttributeError:
             for key in keys:
                 if key in encounters:
@@ -1004,7 +951,9 @@ class JourneyGraph:
     def encounters_of(self, patient_id: str) -> list[Encounter]:
         """The encounters stored under the patient's keys in
         ``encounter_owner``, ordered by (date, key).  Raises
-        ``FieldInvalidError`` if one of their dates is not a ``date``."""
+        ``FieldInvalidError`` if one of their dates is not a ``date``, or
+        one of the keys holds a record of another class, None included: a
+        stored None is a misfiled record, not a missing one."""
         if patient_id not in self.patients:
             raise UnknownPatientError(f"unknown patient {patient_id!r}")
         return self._ordered(patient_id)[1]
@@ -1040,7 +989,7 @@ class JourneyGraph:
         """Edges whose endpoints are both owned by the patient, in storage order."""
         return list(self._edges_of(patient_id))
 
-    def _edges_of(self, patient_id: str) -> Sequence[JourneyEdge]:
+    def _edges_of(self, patient_id: str) -> list[JourneyEdge] | tuple[()]:
         """``edges_of`` without the copy: the owner index's own list (or an
         empty tuple), for a read that leaves it as it is."""
         if patient_id not in self.patients:
@@ -1175,18 +1124,16 @@ class JourneyGraph:
             encounter = encounters[encounter_id]
             owner = owners.get(encounter_id)
             patient = patients.get(owner) if owner.__class__ is str else None
-            problems = fields(encounter)  # a clean encounter builds no other list
-            if not problems and patient is not None and encounter.encounter_id == encounter_id:
-                ref, day, birth = encounter.provider_ref, encounter.date, patient.birth_date
-                if (not ref or ref in self.providers) and not (_dated(day, birth) and day < birth):
-                    continue
-            problems = (
-                problems
-                + key_problems(encounter, encounter_id)
-                + encounter_reference_problems(self, encounter, patient)
-            )
-            if not problems and patient is not None:
+            problems = fields(encounter)
+            joins = encounter_reference_problems(self, encounter, patient)
+            if (
+                not problems
+                and not joins
+                and patient is not None
+                and encounter.encounter_id == encounter_id
+            ):
                 continue
+            problems = [*problems, *key_problems(encounter, encounter_id), *joins]
             location = f"encounters[{shown(encounter_id, format)}]"
             for relative, code, message in problems:
                 report.error(code, message, f"{location}.{relative}")
@@ -1218,19 +1165,18 @@ class JourneyGraph:
             report.error(DANGLING_REFERENCE, message, f"{name}[{shown(key, format)}]")
 
     def _check_edges(self, report: ValidationReport, fields) -> None:
-        """Each link's field rules (``fields``), then its endpoint rules,
-        duplicate and ``via``; then cycles.
+        """Each link's field rules (``fields``), then its join rules
+        (``link_problems``), duplicate and ``via``; then cycles.
 
         A link that breaks a field rule is reported by those rules alone, at
-        ``links[<i>].<key>``.  ``link_problems`` is asked only about a link
-        whose ends are missing, equal, of two owners or out of date order.
-        Kahn's algorithm runs over the same-day arcs, and over the whole
-        graph (the links of ``keyed_edges``) only when those hold a cycle or an
-        arc runs backward, is undated or broke a field rule: otherwise dates
-        never decrease along a path, so every cycle lies within one day (the
-        argument of ``link``).  The message names what whole-graph Kahn does.
+        ``links[<i>].<key>``.  Kahn's algorithm runs over the same-day arcs,
+        and over the whole graph (the links of ``keyed_edges``) only when
+        those hold a cycle or an arc runs backward, is undated or broke a
+        field rule: otherwise dates never decrease along a path, so every
+        cycle lies within one day (the argument of ``link``).  The message
+        names what whole-graph Kahn does.
         """
-        encounters, owner_of = self.encounters, self.encounter_owner.get
+        encounters = self.encounters
         seen: set[tuple[EdgeKind, str, str]] = set()
         same_day: list[tuple[str, str]] = []  # oriented arcs within one day
         forward = True  # whether every arc so far runs forward in dated time
@@ -1244,24 +1190,22 @@ class JourneyGraph:
                     report.error(code, message, f"links[{index}].{relative}")
                 forward = False
                 continue
+            problems = link_problems(self, edge)
+            for _, code, message in problems:
+                report.error(code, message, f"links[{index}]")
+            if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
+                continue  # no pair of encounters to compare
             start, end, kind = edge.from_encounter, edge.to_encounter, edge.kind
-            source, target = encounters.get(start), encounters.get(end)
-            clean = source is not None and target is not None and start != end
-            if clean:
-                arc, first, last = (start, end), source.date, target.date
-                if kind is _CAUSED_BY:
-                    arc, first, last = (end, start), last, first
-                if not (_dated(first, last) and first <= last):
-                    forward = clean = False
-                elif first == last:
-                    same_day.append(arc)
-                clean = clean and (owner := owner_of(start)) is not None and owner == owner_of(end)
-            if not clean:
-                problems = link_problems(self, edge)
-                for _, code, message in problems:
-                    report.error(code, message, f"links[{index}]")
-                if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):
-                    continue  # no pair of encounters to compare
+            source, target = encounters[start], encounters[end]
+            first, last = source.date, target.date
+            if (
+                first.__class__ is not date
+                or last.__class__ is not date
+                or (problems and problems[-1][1] == TEMPORAL_VIOLATION)
+            ):
+                forward = False
+            elif first == last:
+                same_day.append((end, start) if kind is _CAUSED_BY else (start, end))
             key = (kind, start, end)
             if key in seen:
                 report.error(DUPLICATE_EDGE, f"duplicate {_arrow(edge)}", f"links[{index}]")
@@ -1289,7 +1233,7 @@ class JourneyGraph:
             try:
                 records = self._ordered(patient_id)[1]
             except FieldInvalidError:
-                continue  # encounters that cannot be put in date order (see ``_dated``)
+                continue  # encounters that cannot be put in date order (see ``_date_rows``)
             for earlier, later in zip(records, records[1:]):
                 first, second = earlier.encounter_id, later.encounter_id
                 if first.__class__ is not str or second.__class__ is not str:

@@ -16,7 +16,6 @@ script again after any change to ``FIELDS`` or a class declaration.
 
 from __future__ import annotations
 
-from datetime import date
 from enum import Enum
 from functools import update_wrapper
 
@@ -431,8 +430,6 @@ EDGE_LABELS = {
 # Each link kind's text, its ``value``: a lookup here is several times
 # faster than the enum's ``value`` property, for code that reads it per link.
 KIND_TEXT = {kind: kind.value for kind in EdgeKind}
-# So is a module constant than an enum member, for a test per link.
-_CAUSED_BY = EdgeKind.CAUSED_BY
 
 JourneyEdge = record(
     "JourneyEdge",
@@ -460,10 +457,3 @@ Bundle = record(
     Field("encounters", "encounters", OBJECTS, record=Encounter),
     Field("links", "links", OBJECTS, record=JourneyEdge),
 )
-
-
-def edge_dates_consistent(kind: EdgeKind, from_date: date, to_date: date) -> bool:
-    """Whether an edge of ``kind`` is compatible with its endpoint dates."""
-    if kind is _CAUSED_BY:
-        return from_date >= to_date
-    return from_date <= to_date

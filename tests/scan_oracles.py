@@ -21,9 +21,11 @@ plain walk of the record instead.  ``followup_chain_by_hand`` and
 ``cause_trace_by_hand`` are the chain queries with a walk written out per
 direction, each with its own step, branch and cycle tests.
 ``add_encounter_by_rules``, ``add_intake_form_by_rules`` and
-``link_by_rules`` are the raising API's writes as they ran before a clean
-write was admitted by one silent test: every rule in turn, through the
-helpers that word its refusal.
+``link_by_rules`` are the raising API's writes with every rule written out
+here and tried in turn: ``admit_by_rules`` admits a record to its table, and
+``encounter_joins_by_rules`` and ``link_joins_by_rules``, which
+``check_by_scan`` reports too, are the join rules of an encounter and of a
+link.  They share only ``field_problems`` with ``pjo``.
 """
 
 from __future__ import annotations
@@ -48,9 +50,11 @@ from pjo.errors import (
     TemporalViolationError,
     UnknownEncounterError,
     UnknownPatientError,
+    UnknownProviderError,
 )
 from pjo.graph import (
     ANNOTATION_WARNINGS,
+    CROSS_PATIENT_LINK,
     CYCLE,
     DANGLING_REFERENCE,
     DUPLICATE_EDGE,
@@ -58,20 +62,19 @@ from pjo.graph import (
     INVALID_TYPE,
     JOURNEY_GAP,
     SELF_LINK,
+    TEMPORAL_VIOLATION,
     UNKNOWN_PATIENT,
+    UNKNOWN_PROVIDER,
     UNOWNED_ENCOUNTER,
     UNOWNED_INTAKE_FORM,
     UNRESOLVED_VIA,
     Diagnostic,
     Severity,
     ValidationReport,
-    _raise_first,
     cyclic_nodes,
-    encounter_reference_problems,
     field_problems,
     guarded,
     key_problems,
-    link_problems,
     missing_encounter,
     oriented_edges,
 )
@@ -86,8 +89,10 @@ from pjo.records import (
     STRS,
     Encounter,
     IntakeForm,
-    edge_dates_consistent,
+    Patient,
+    Provider,
     holds_required,
+    shown,
 )
 
 LABELS = {
@@ -167,23 +172,118 @@ def add_intake_form_by_scan(graph: JourneyGraph, patient_id: str, form: IntakeFo
         raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
 
 
+# -- the raising API's rules one by one ------------------------------------------
+#
+# Each table's location name, record class and noun, and the class the API
+# raises for each join rule's code.
+_ADMITTED = {
+    "patients": ("patients", Patient, "patient"),
+    "providers": ("providers", Provider, "provider"),
+    "intake_forms": ("intakeForms", IntakeForm, "intake form"),
+    "encounters": ("encounters", Encounter, "encounter"),
+}
+_JOIN_ERRORS = {
+    DANGLING_REFERENCE: UnknownEncounterError,
+    SELF_LINK: FieldInvalidError,
+    CROSS_PATIENT_LINK: CrossPatientLinkError,
+    TEMPORAL_VIOLATION: TemporalViolationError,
+    UNKNOWN_PROVIDER: UnknownProviderError,
+    FIELD_INVALID: FieldInvalidError,
+}
+
+
+def admit_by_rules(graph: JourneyGraph, record, attr: str):
+    """The key under which the raising API stores ``record`` in the table
+    ``attr``, or raises as it does: a record of another class, then its
+    first field problem, then an ID the table holds; stores nothing."""
+    name, held, noun = _ADMITTED[attr]
+    if type(record) is not held:
+        raise FieldInvalidError(f"{name} entries must be a {held.__name__}")
+    problems = field_problems(record)
+    if problems:
+        raise FieldInvalidError(f"{problems[0][0]}: {problems[0][2]}")
+    key = getattr(record, FIELDS[held][0].attr)
+    if key in getattr(graph, attr):
+        raise DuplicateIDError(f"{noun} ID {key!r} already exists")
+    return key
+
+
+def owner_by_rules(graph: JourneyGraph, patient_id: str) -> Patient:
+    """The patient the raising API adds a record to, or raises as it does."""
+    if patient_id not in graph.patients:
+        raise UnknownPatientError(f"unknown patient {patient_id!r}")
+    patient = graph.patients[patient_id]
+    if type(patient) is not Patient:
+        at = f"patients[{shown(patient_id, format)}]"
+        raise FieldInvalidError(f"{at}: patients entries must be a Patient")
+    return patient
+
+
+def encounter_joins_by_rules(graph: JourneyGraph, encounter: Encounter, patient) -> list:
+    """The join rules ``encounter`` breaks, as ``(location, code, message)``:
+    a provider the graph does not hold, then a date before the birth date
+    of ``patient`` (None: no patient).  A value of another type is not
+    compared."""
+    problems = []
+    ref, day = encounter.provider_ref, encounter.date
+    if type(ref) is str and ref != "" and ref not in graph.providers:
+        problems.append(("providerRef", UNKNOWN_PROVIDER, f"providerRef {ref!r} does not resolve"))
+    if patient is not None and type(day) is date and type(patient.birth_date) is date:
+        if day < patient.birth_date:
+            dates = f"{day.isoformat()} precedes birth date {patient.birth_date.isoformat()}"
+            problems.append(("date", FIELD_INVALID, f"encounter date {dates}"))
+    return problems
+
+
+def link_joins_by_rules(graph: JourneyGraph, edge: JourneyEdge) -> list:
+    """The join rules ``edge`` breaks, as ``(location, code, message)``:
+    each missing end; else a self-link; else a link across patients, then
+    one against the dates of two ``date`` ends."""
+    start, end, kind = edge.from_encounter, edge.to_encounter, edge.kind
+    missing = [(at, key) for at, key in (("from", start), ("to", end))
+               if key not in graph.encounters]  # fmt: skip
+    if missing:
+        return [
+            (at, DANGLING_REFERENCE, f"link references missing encounter {shown(key)}")
+            for at, key in missing
+        ]
+    if start == end:
+        return [("", SELF_LINK, f"link connects {start!r} to itself")]
+    arrow = f"{kind.value} link {start!r} -> {end!r}"
+    problems = []
+    owner = graph.encounter_owner.get(start)
+    if owner is None or owner != graph.encounter_owner.get(end):
+        problems.append(("", CROSS_PATIENT_LINK, f"{arrow} crosses patients"))
+    first, last = graph.encounters[start].date, graph.encounters[end].date
+    if type(first) is date and type(last) is date:
+        backward = first < last if kind is EdgeKind.CAUSED_BY else first > last
+        if backward:
+            dates = f"{first.isoformat()} and {last.isoformat()}"
+            message = f"{arrow} contradicts encounter dates {dates}"
+            problems.append(("", TEMPORAL_VIOLATION, message))
+    return problems
+
+
+def _raise_first_join(problems: list) -> None:
+    if problems:
+        raise _JOIN_ERRORS[problems[0][1]](problems[0][2])
+
+
 def add_encounter_by_rules(graph: JourneyGraph, patient_id: str, encounter: Encounter) -> str:
     """The key under which ``JourneyGraph.add_encounter`` stores
-    ``encounter``, or raises as it does: its rules one by one, as they ran
-    before a clean write was admitted by one silent test (``_owner``, then
-    ``_admit_by_rules``, then ``encounter_reference_problems``); stores
-    nothing."""
-    patient = graph._owner(patient_id)
-    key = graph._admit_by_rules(encounter, "encounters")
-    _raise_first(encounter_reference_problems(graph, encounter, patient))
+    ``encounter``, or raises as it does: its owner, its admission, then its
+    join rules, one by one; stores nothing."""
+    patient = owner_by_rules(graph, patient_id)
+    key = admit_by_rules(graph, encounter, "encounters")
+    _raise_first_join(encounter_joins_by_rules(graph, encounter, patient))
     return key
 
 
 def add_intake_form_by_rules(graph: JourneyGraph, patient_id: str, form: IntakeForm) -> str:
     """``add_intake_form``'s refusals, its rules one by one, as
     ``add_encounter_by_rules``; stores nothing."""
-    graph._owner(patient_id)
-    key = graph._admit_by_rules(form, "intake_forms")
+    owner_by_rules(graph, patient_id)
+    key = admit_by_rules(graph, form, "intake_forms")
     if patient_id in graph._owners().forms:
         raise DuplicateIDError(f"patient {patient_id!r} already has an intake form")
     return key
@@ -198,11 +298,13 @@ def link_by_rules(
     via: str | None = None,
 ) -> JourneyEdge:
     """The link ``JourneyGraph.link`` adds, or raises as it does: its field
-    rules and then ``link_problems``, one by one, then ``checked_link``'s
+    rules and then its join rules, one by one, then ``checked_link``'s
     duplicate and day-scoped cycle checks; stores nothing."""
     edge = JourneyEdge(kind, from_encounter, to_encounter, via)
-    _raise_first(field_problems(edge))
-    _raise_first(link_problems(graph, edge))
+    problems = field_problems(edge)
+    if problems:
+        raise FieldInvalidError(problems[0][2])
+    _raise_first_join(link_joins_by_rules(graph, edge))
     return checked_link(graph, edge, whole_graph=False)
 
 
@@ -382,12 +484,11 @@ def checked_link(graph: JourneyGraph, edge: JourneyEdge, whole_graph: bool = Tru
     end whose date is not a ``date`` is not checked against the other's.
     """
     kind, from_encounter, to_encounter = edge.kind, edge.from_encounter, edge.to_encounter
-    source = graph.encounters.get(from_encounter)
-    target = graph.encounters.get(to_encounter)
-    if source is None:
+    if from_encounter not in graph.encounters:
         raise UnknownEncounterError(f"link references missing encounter {from_encounter!r}")
-    if target is None:
+    if to_encounter not in graph.encounters:
         raise UnknownEncounterError(f"link references missing encounter {to_encounter!r}")
+    source, target = graph.encounters[from_encounter], graph.encounters[to_encounter]
     if from_encounter == to_encounter:
         raise FieldInvalidError(f"link connects {from_encounter!r} to itself")
     owner = graph.encounter_owner.get(from_encounter)
@@ -396,7 +497,8 @@ def checked_link(graph: JourneyGraph, edge: JourneyEdge, whole_graph: bool = Tru
             f"{kind.value} link {from_encounter!r} -> {to_encounter!r} crosses patients"
         )
     dated = source.date.__class__ is date and target.date.__class__ is date
-    if dated and not edge_dates_consistent(kind, source.date, target.date):
+    if dated and (source.date < target.date if kind is EdgeKind.CAUSED_BY
+                  else source.date > target.date):  # fmt: skip
         raise TemporalViolationError(
             f"{kind.value} link {from_encounter!r} -> {to_encounter!r} contradicts "
             f"encounter dates {source.date.isoformat()} and {target.date.isoformat()}"
@@ -818,7 +920,7 @@ def check_encounters_by_scan(graph: JourneyGraph, report: ValidationReport, fiel
         problems = (
             fields(encounter)
             + key_problems(encounter, encounter_id)
-            + encounter_reference_problems(graph, encounter, patient)
+            + encounter_joins_by_rules(graph, encounter, patient)
         )
         if not problems and patient is not None:
             continue
@@ -868,7 +970,7 @@ def check_edges_by_scan(graph: JourneyGraph, report: ValidationReport, fields) -
             report.error(code, message, f"links[{index}].{relative}")
         if problems:
             continue
-        problems = link_problems(graph, edge)
+        problems = link_joins_by_rules(graph, edge)
         for _, code, message in problems:
             report.error(code, message, f"links[{index}]")
         if problems and problems[0][1] in (DANGLING_REFERENCE, SELF_LINK):

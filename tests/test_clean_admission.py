@@ -1,14 +1,13 @@
-"""The raising API admits a clean write through one silent test.
+"""The raising API tests each rule once, and words a refusal only when it refuses.
 
 ``add_patient``, ``add_provider``, ``add_intake_form`` (through ``_admit``),
-``add_encounter`` and ``link`` first run one ``and``-chain: the record's
-class, its generated field check, a new ID, and the join conditions the
-checker's clean path tests inline.  Only a write that fails it meets the
-rules one by one, through the helpers that word a refusal.  So a clean
-ingest calls none of those helpers and runs each generated check once per
-record, every refusal still reaches its helper, and every write, on
-damaged graphs too, raises or stores exactly what the rules one by one
-(``scan_oracles``) raise or admit.
+``add_encounter`` and ``link`` try the record's class, its generated field
+check and its ID, then its join rules through the one function per join
+subject that the checker calls too (``encounter_reference_problems``,
+``link_problems``).  So a clean ingest walks no record and runs each
+generated check once per record, every refusal keeps its class and
+message, and every write, on damaged graphs too, raises or stores exactly
+what the rules written out one by one (``scan_oracles``) raise or admit.
 """
 
 from __future__ import annotations
@@ -29,35 +28,52 @@ from pjo import (
     IntakeForm,
     JourneyEdge,
     JourneyGraph,
+    MedicalHistory,
     Patient,
     Provider,
+    SocialHistory,
 )
 from pjo import graph as graph_module
 from pjo._generated.field_problems import CHECKS
+from pjo._generated.reporters import MEMORY_REPORTERS
 from pjo.errors import (
     CrossPatientLinkError,
+    CycleIntroducedError,
+    DuplicateEdgeError,
     DuplicateIDError,
     FieldInvalidError,
+    PjoError,
     TemporalViolationError,
     UnknownEncounterError,
     UnknownPatientError,
     UnknownProviderError,
 )
 from pjo.records import FIELDS
-from pjo.seed import ENCOUNTER_ALLERGY, ENCOUNTER_PULMONOLOGY, JOHN_DOE_ID
-from scan_oracles import add_encounter_by_rules, add_intake_form_by_rules, link_by_rules
+from pjo.seed import (
+    ENCOUNTER_ALLERGY,
+    ENCOUNTER_GENERAL_MEDICINE,
+    ENCOUNTER_PULMONOLOGY,
+    JOHN_DOE_ID,
+)
+from scan_oracles import (
+    add_encounter_by_rules,
+    add_intake_form_by_rules,
+    admit_by_rules,
+    link_by_rules,
+)
 from test_read_guard import damaged_graphs
 from test_silent_pass import hostile, hostile_records
 
 # The helpers that word a refusal of the raising API, by where they live.
-HELPERS = ("field_problems", "refuse_misfiled", "encounter_reference_problems", "link_problems")
-METHODS = ("_owner", "_admit_by_rules")
+HELPERS = ("field_problems", "refuse_misfiled", "encounter_reference_problems", "link_problems",
+           "_walk_fields")  # fmt: skip
+METHODS = ("_owner", "_admit", "add_intake_form", "link")
 
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Calls of each wording helper and of each generated field check, the
-    latter counted by record class."""
+    """Calls of each wording helper, of each generated field check, counted
+    by record class, and of the generated reporters, counted together."""
     counts: Counter = Counter()
 
     def counted(name, run):
@@ -74,11 +90,13 @@ def calls(monkeypatch) -> Counter:
         monkeypatch.setattr(JourneyGraph, name, counted(name, run))
     checks = {cls: counted(cls, check) for cls, check in CHECKS.items()}
     monkeypatch.setattr(graph_module, "_PASSES", checks)
+    for key, report in MEMORY_REPORTERS.items():
+        monkeypatch.setitem(MEMORY_REPORTERS, key, counted("reporters", report))
     return counts
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_a_clean_ingest_calls_no_wording_helper(calls, seed):
+def test_a_clean_ingest_walks_no_record_and_checks_each_once(calls, seed):
     graph = random_journey(random.Random(seed), max_patients=4, hostile_names=True)
     stored = {
         Provider: len(graph.providers),
@@ -87,7 +105,7 @@ def test_a_clean_ingest_calls_no_wording_helper(calls, seed):
         Encounter: len(graph.encounters),
         JourneyEdge: len(graph.edges),
     }
-    assert [calls[name] for name in (*HELPERS, "_admit_by_rules")] == [0] * 5
+    assert [calls[name] for name in ("_walk_fields", "reporters")] == [0, 0]
     assert {cls: calls[cls] for cls in CHECKS if calls[cls]} == {
         cls: n for cls, n in stored.items() if n
     }
@@ -99,9 +117,18 @@ def _visit(key: str = "Encounter-New", day: date = date(2022, 9, 1), **fields) -
     return Encounter(key, day, values["specialty"], values["provider_ref"])
 
 
+def _form(key: str) -> IntakeForm:
+    return IntakeForm(key, MedicalHistory(), SocialHistory("Never", "Never"))
+
+
 def _misfiled_owner(graph: JourneyGraph) -> None:
     graph.patients["Stray"] = graph.providers["Provider-Allergy"]
     graph.add_encounter("Stray", _visit())
+
+
+def _misfiled_owner_keyed_none(graph: JourneyGraph) -> None:
+    graph.patients[None] = None
+    graph.add_encounter(None, _visit())
 
 
 def _across(graph: JourneyGraph) -> None:
@@ -110,52 +137,94 @@ def _across(graph: JourneyGraph) -> None:
     graph.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, "Encounter-New")
 
 
-# One refusal per rule that the silent test stands in front of, with the
-# helper that words it and the class it raises.  A rule added to one of
-# those helpers, and to the silent test, gets a case here.
+def _same_day_cycle(graph: JourneyGraph) -> None:
+    graph.add_encounter(JOHN_DOE_ID, _visit("Encounter-A"))
+    graph.add_encounter(JOHN_DOE_ID, _visit("Encounter-B"))
+    graph.link(EdgeKind.NEXT, "Encounter-A", "Encounter-B")
+    graph.link(EdgeKind.NEXT, "Encounter-B", "Encounter-A")
+
+
+_ALLERGY, _PULMONOLOGY = repr(ENCOUNTER_ALLERGY), repr(ENCOUNTER_PULMONOLOGY)
+_GP = repr(ENCOUNTER_GENERAL_MEDICINE)
+
+# One refusal per rule of the raising API, with the helper (or the write
+# itself) that words it, the class it raises and its message.
 REFUSALS = {
     "unknown patient": (lambda g: g.add_encounter("Ghost", _visit()),
-                        "_owner", UnknownPatientError),
-    "misfiled owner": (_misfiled_owner, "refuse_misfiled", FieldInvalidError),
+                        "_owner", UnknownPatientError, "unknown patient 'Ghost'"),
+    "misfiled owner": (_misfiled_owner, "refuse_misfiled", FieldInvalidError,
+                       "patients[Stray]: patients entries must be a Patient"),
+    "misfiled owner keyed None": (_misfiled_owner_keyed_none, "refuse_misfiled",
+                                  FieldInvalidError,
+                                  "patients[None]: patients entries must be a Patient"),
     "misfiled encounter": (lambda g: g.add_encounter(JOHN_DOE_ID, g.patients[JOHN_DOE_ID]),
-                           "refuse_misfiled", FieldInvalidError),
+                           "refuse_misfiled", FieldInvalidError,
+                           "encounters entries must be a Encounter"),
     "misfiled provider": (lambda g: g.add_provider(g.patients[JOHN_DOE_ID]),
-                          "refuse_misfiled", FieldInvalidError),
+                          "refuse_misfiled", FieldInvalidError,
+                          "providers entries must be a Provider"),
     "encounter field": (lambda g: g.add_encounter(JOHN_DOE_ID, _visit(specialty="")),
-                        "field_problems", FieldInvalidError),
+                        "field_problems", FieldInvalidError,
+                        "specialty: specialty must be nonempty"),
     "patient field": (lambda g: g.add_patient(Patient("Jane", "", date(1990, 1, 1))),
-                      "field_problems", FieldInvalidError),
+                      "field_problems", FieldInvalidError,
+                      "patientName: patientName must be nonempty"),
+    "patient birth date": (lambda g: g.add_patient(Patient("Jane", "Jane Roe", "1990-01-01")),
+                           "field_problems", FieldInvalidError,
+                           "birthDate: birthDate must be a date"),
     "duplicate encounter": (lambda g: g.add_encounter(JOHN_DOE_ID, _visit(ENCOUNTER_ALLERGY)),
-                            "_admit_by_rules", DuplicateIDError),
+                            "_admit", DuplicateIDError,
+                            f"encounter ID {_ALLERGY} already exists"),
     "duplicate patient": (lambda g: g.add_patient(copy.copy(g.patients[JOHN_DOE_ID])),
-                          "_admit_by_rules", DuplicateIDError),
+                          "_admit", DuplicateIDError, "patient ID 'JohnDoe' already exists"),
     "duplicate form": (lambda g: g.add_intake_form(JOHN_DOE_ID, g.intake_form_of(JOHN_DOE_ID)),
-                       "_admit_by_rules", DuplicateIDError),
+                       "_admit", DuplicateIDError,
+                       "intake form ID 'IntakeForm-JohnDoe' already exists"),
+    "second form": (lambda g: g.add_intake_form(JOHN_DOE_ID, _form("IntakeForm-2")),
+                    "add_intake_form", DuplicateIDError,
+                    "patient 'JohnDoe' already has an intake form"),
     "unknown provider": (lambda g: g.add_encounter(JOHN_DOE_ID, _visit(provider_ref="Gone")),
-                         "encounter_reference_problems", UnknownProviderError),
+                         "encounter_reference_problems", UnknownProviderError,
+                         "providerRef 'Gone' does not resolve"),
     "before birth": (lambda g: g.add_encounter(JOHN_DOE_ID, _visit(day=date(1970, 1, 1))),
-                     "encounter_reference_problems", FieldInvalidError),
+                     "encounter_reference_problems", FieldInvalidError,
+                     "encounter date 1970-01-01 precedes birth date 1981-07-14"),
     "link kind": (lambda g: g.link("next", ENCOUNTER_PULMONOLOGY, ENCOUNTER_ALLERGY),
-                  "field_problems", FieldInvalidError),
+                  "field_problems", FieldInvalidError, "kind must be an EdgeKind"),
     "missing end": (lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, "Ghost"),
-                    "link_problems", UnknownEncounterError),
+                    "link_problems", UnknownEncounterError,
+                    "link references missing encounter 'Ghost'"),
     "self-link": (lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, ENCOUNTER_ALLERGY),
-                  "link_problems", FieldInvalidError),
-    "across patients": (_across, "link_problems", CrossPatientLinkError),
+                  "link_problems", FieldInvalidError, f"link connects {_ALLERGY} to itself"),
+    "across patients": (_across, "link_problems", CrossPatientLinkError,
+                        f"next link {_ALLERGY} -> 'Encounter-New' crosses patients"),
     "against the dates": (lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, ENCOUNTER_PULMONOLOGY),
-                          "link_problems", TemporalViolationError),
+                          "link_problems", TemporalViolationError,
+                          f"next link {_ALLERGY} -> {_PULMONOLOGY} contradicts encounter "
+                          "dates 2021-07-25 and 2021-03-15"),
+    "causedBy against the dates": (
+        lambda g: g.link(EdgeKind.CAUSED_BY, ENCOUNTER_GENERAL_MEDICINE, ENCOUNTER_PULMONOLOGY),
+        "link_problems", TemporalViolationError,
+        f"causedBy link {_GP} -> {_PULMONOLOGY} contradicts encounter dates "
+        "2021-01-05 and 2021-03-15"),
+    "duplicate link": (lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_PULMONOLOGY, ENCOUNTER_ALLERGY),
+                       "link", DuplicateEdgeError,
+                       f"duplicate next link {_PULMONOLOGY} -> {_ALLERGY}"),
+    "same-day cycle": (_same_day_cycle, "link", CycleIntroducedError,
+                       "next link 'Encounter-B' -> 'Encounter-A' introduces a cycle"),
 }  # fmt: skip
 
 
 @pytest.mark.parametrize("rule", REFUSALS)
 def test_each_refusal_reaches_its_wording_helper(john_graph, calls, rule):
-    refuse, helper, error = REFUSALS[rule]
-    with pytest.raises(error):
+    refuse, helper, error, message = REFUSALS[rule]
+    with pytest.raises(PjoError) as raised:
         refuse(john_graph)
+    assert (type(raised.value), str(raised.value)) == (error, message)
     assert calls[helper] >= 1, calls
 
 
-# -- the silent test against the rules one by one, on damaged graphs ----------
+# -- each write against the rules written out one by one, on damaged graphs ---
 
 
 def _outcome(call):
@@ -229,7 +298,7 @@ def _candidate(graph: JourneyGraph, record_type: type, data):
 
 
 # Each ``add_*`` write: its table, its record class, and the oracle of its
-# rules one by one for a write with an owner (None: ``_admit_by_rules``).
+# rules one by one for a write with an owner (None: ``admit_by_rules``).
 ADDS = {
     "add_patient": ("patients", Patient, None),
     "add_provider": ("providers", Provider, None),
@@ -261,7 +330,7 @@ def test_every_write_raises_or_stores_what_the_rules_one_by_one_do(graph, data):
     record = _candidate(graph, record_type, data)
     if by_rules is None:
         args = (record,)
-        expected = _outcome(lambda: graph._admit_by_rules(record, attr))
+        expected = _outcome(lambda: admit_by_rules(graph, record, attr))
     else:
         args = (_mostly(data, list(graph.patients), st.just("Ghost")), record)
         expected = _outcome(lambda: by_rules(graph, *args))

@@ -1,6 +1,8 @@
 import copy
+import inspect
 import random
 import re
+import typing
 from datetime import date, datetime
 
 import pytest
@@ -1071,3 +1073,11 @@ class TestStructuralEquality:
         left.link(EdgeKind.CAUSED_BY, "P1-E2", "P1-E1", via="CarePlan-1")
         right.link(EdgeKind.CAUSED_BY, "P1-E2", "P1-E1")
         assert not structurally_equal(left, right)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, member in vars(JourneyGraph).items() if inspect.isfunction(member)]
+)
+def test_each_method_annotation_resolves(name):
+    """Every name a method's annotations use is one ``graph`` defines or imports."""
+    typing.get_type_hints(getattr(JourneyGraph, name))

@@ -52,6 +52,7 @@ from pjo.records import KIND_TEXT
 from pjo.seed import john_doe_bundle
 from scan_oracles import (
     add_encounter_by_rules,
+    admit_by_rules,
     add_intake_form_by_scan,
     assert_checker_matches_the_scans,
     cause_trace_by_scan,
@@ -187,7 +188,7 @@ def api_write(graph: JourneyGraph, data) -> JourneyGraph:
     if action == "add_patient":
         patient_id = data.draw(st.sampled_from(PATIENTS), label="patient")
         patient = Patient(patient_id, "Name", date(1970, 1, 1))
-        expected = _outcome(lambda: graph._admit_by_rules(patient, "patients"))
+        expected = _outcome(lambda: admit_by_rules(graph, patient, "patients"))
         assert _outcome(lambda: graph.add_patient(patient)) == _stored(expected)
         if expected[0] == "returned":
             assert graph.patients[expected[1]] is patient

@@ -25,7 +25,7 @@ import re
 from datetime import date, datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from journeygen import random_journey
@@ -120,6 +120,10 @@ def _misfiled_followup(graph):
     graph.encounters[ENCOUNTER_ALLERGY_FOLLOWUP] = Symptom("x")
 
 
+def _none_followup(graph):
+    graph.encounters[ENCOUNTER_ALLERGY_FOLLOWUP] = None
+
+
 def _symptom_text(graph):
     graph.encounters[ENCOUNTER_ALLERGY].symptoms.append("text")
 
@@ -146,6 +150,11 @@ def _diagnoses_number(graph):
         (_misfiled_followup,
          lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, ENCOUNTER_ALLERGY_FOLLOWUP),
          f"{FOLLOWUP}: encounters entries must be a Encounter"),
+        (_none_followup,
+         lambda g: g.link(EdgeKind.NEXT, ENCOUNTER_ALLERGY, ENCOUNTER_ALLERGY_FOLLOWUP),
+         f"{FOLLOWUP}: encounters entries must be a Encounter"),
+        (_none_followup, lambda g: g.encounters_of(JOHN_DOE_ID),
+         f"{FOLLOWUP}: encounters entries must be a Encounter"),
         (_symptom_text, lambda g: symptom_progression(g, JOHN_DOE_ID, "Sneezing"),
          f"{ALLERGY}.symptoms[2]: symptoms entries must be a Symptom"),
         (_symptom_text, lambda g: symptom_diagnosis_links(g, JOHN_DOE_ID),
@@ -160,7 +169,8 @@ def _diagnoses_number(graph):
          f"{ALLERGY}.diagnoses: diagnoses must be a list"),
     ],
     ids=[
-        "followup_chain", "cause_trace", "link", "symptom_progression",
+        "followup_chain", "cause_trace", "link", "link to None", "encounters_of None",
+        "symptom_progression",
         "symptom_diagnosis_links", "find_encounters", "find_encounters every patient",
         "timeline entry", "timeline array",
     ],
@@ -387,11 +397,22 @@ def _unseen_provider(graph):
     graph.providers["Provider-Unseen"] = Provider("Other", "Dr. Other")
 
 
-def _unlinked_encounter(graph):
-    """A new encounter, which no link names, renamed once it is stored."""
+def _add_unlinked(graph):
+    """Add a new encounter, "E-new", which no link names."""
     graph.add_encounter(JOHN_DOE_ID, Encounter("E-new", date(2022, 6, 1), "Allergy",
                                                "Provider-Allergy"))  # fmt: skip
+
+
+def _unlinked_encounter(graph):
+    """A new encounter, which no link names, renamed once it is stored."""
+    _add_unlinked(graph)
     graph.encounters["E-new"].encounter_id = "Other"
+
+
+def _unlinked_encounter_none(graph):
+    """A new encounter, which no link names, replaced by None once it is stored."""
+    _add_unlinked(graph)
+    graph.encounters["E-new"] = None
 
 
 def _relinked(kind):
@@ -454,11 +475,15 @@ OTHER_SYSTEM = "icd10 must be an ICD10 code, got a code of "
          "providerID 'Other' differs from its key 'Provider-Unseen'"),
         (_unlinked_encounter,
          "encounters[E-new].encounterID: encounterID 'Other' differs from its key 'E-new'"),
+        (_unlinked_encounter_none, "encounters[E-new]: encounters entries must be a Encounter"),
+        (lambda g: g.patients.update({JOHN_DOE_ID: None}),
+         f"{PATIENT}: patients entries must be a Patient"),
     ],
     ids=[
         "datetime birth date", "str subclass name", "plain string kind", "None array",
         "tuple array", "string array", "dict array", "frozenset array", "UMLS code",
         "string system", "patient ID", "intake form ID", "provider ID", "encounter ID",
+        "None encounter", "None patient",
     ],
 )  # fmt: skip
 def test_a_graph_the_checker_rejects_is_not_written_as_another_bundle(john_graph, damage, problem):
@@ -466,7 +491,10 @@ def test_a_graph_the_checker_rejects_is_not_written_as_another_bundle(john_graph
     a value the writer took for its type's (a ``datetime`` as its date, a
     plain string as its link kind, any iterable as an array, a code of any
     system as an ICD-10 code), or a record written under an ID that differs
-    from its key.  The write now fails with the checker's first problem."""
+    from its key.  A None stored in a table was taken for a missing record:
+    a linkless encounter's was left out of the bundle, and a patient's
+    raised ``UnknownPatientError``.  The write now fails with the checker's
+    first problem."""
     damage(john_graph)
     errors = [f"{d.location}: {d.message}" for d in john_graph.check_invariants().errors]
     assert errors[:1] == [problem]
@@ -545,7 +573,8 @@ def damage_graph(graph: JourneyGraph, data) -> None:
     """One write through the API's own doors: a field of a stored record set
     to a hostile value or an entry put into an array it holds, a stored
     diagnosis given a hostile code, a table or ownership entry stored under a
-    key old, new or not a string, or a link replaced or added."""
+    key old, new or not a string (a table entry may be None), or a link
+    replaced or added."""
     door = data.draw(st.sampled_from(["field", "code", "table", "owner", "link"]))
     value = copy.deepcopy(data.draw(hostile_values))
     diagnoses = [r for r in _stored_records(graph) if r.__class__ is Diagnosis]
@@ -563,8 +592,8 @@ def damage_graph(graph: JourneyGraph, data) -> None:
         table = getattr(graph, data.draw(st.sampled_from(list(_TABLES))))
         key = data.draw(st.sampled_from([*table, "Z"]) | odd_keys)
         others = [r for attr in _TABLES for r in getattr(graph, attr).values()]
-        stored = copy.deepcopy(data.draw(st.sampled_from(others + [value]) | hostile_records))
-        table[key] = stored
+        choices = st.none() | st.sampled_from([*others, value]) | hostile_records
+        table[key] = copy.deepcopy(data.draw(choices))
     elif door == "owner":
         owners = getattr(graph, data.draw(st.sampled_from(["encounter_owner", "intake_form_owner"])))
         key = data.draw(st.sampled_from([*owners, *graph.encounters, "Z"]) | odd_keys)
@@ -580,9 +609,12 @@ def damage_graph(graph: JourneyGraph, data) -> None:
 
 @st.composite
 def damaged_graphs(draw) -> JourneyGraph:
-    """The seed graph or a generated cohort, damaged one to three times."""
+    """The seed graph, perhaps with an encounter no link names, or a
+    generated cohort, damaged one to three times."""
     if draw(st.booleans()):
         graph = john_doe_graph()
+        if draw(st.booleans()):
+            _add_unlinked(graph)
     else:
         graph = random_journey(random.Random(draw(st.integers(0, 2**32 - 1))),
                                max_patients=3, hostile_names=True)  # fmt: skip
@@ -650,7 +682,15 @@ def test_a_graph_the_checker_accepts_round_trips(graph):
 STRAY = "ownership entry references missing "  # the checker's words for a stray entry
 
 
+def _damaged_seed(damage) -> JourneyGraph:
+    graph = john_doe_graph()
+    damage(graph)
+    return graph
+
+
 @given(graph=damaged_graphs())
+@example(graph=_damaged_seed(lambda g: g.patients.update({JOHN_DOE_ID: None})))
+@example(graph=_damaged_seed(_unlinked_encounter_none))
 @settings(max_examples=300, deadline=None)
 def test_the_writer_and_the_parser_agree_with_the_checker(graph):
     """Of each patient under a string key, the writer writes a bundle the
